@@ -14,6 +14,7 @@ import os
 import socketserver
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import jsonschema
@@ -55,6 +56,11 @@ class ToolDescriptor:
     read_only: bool = False
     destructive: bool = False
 
+    @cached_property
+    def validator(self) -> jsonschema.Draft202012Validator:
+        """Validator for ``input_schema``, built on the first call and reused."""
+        return jsonschema.Draft202012Validator(self.input_schema)
+
     def wire_format(self) -> dict:
         return {
             "name": self.name,
@@ -67,9 +73,14 @@ class ToolDescriptor:
         }
 
 
-def validate_args(schema: dict, args) -> list[dict]:
-    """Schema violations as (json-pointer path, message) pairs; no coercion."""
-    validator = jsonschema.Draft202012Validator(schema)
+def validate_args(schema: dict | jsonschema.Draft202012Validator,
+                  args) -> list[dict]:
+    """Schema violations as (json-pointer path, message) pairs; no coercion.
+
+    ``schema`` is a JSON schema or a validator already built from one.
+    """
+    validator = (jsonschema.Draft202012Validator(schema)
+                 if isinstance(schema, dict) else schema)
     violations = []
     for error in validator.iter_errors(args):
         path = "/" + "/".join(str(p) for p in error.absolute_path)
@@ -513,7 +524,7 @@ def handle_request(session: Session, raw) -> dict | None:
                 "content": [{"type": "text", "text": json.dumps(payload)}],
                 "isError": True,
             })
-        violations = validate_args(descriptor.input_schema, arguments)
+        violations = validate_args(descriptor.validator, arguments)
         if violations:
             if is_notification:
                 return None

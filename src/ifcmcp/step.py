@@ -9,6 +9,7 @@ preserved exactly on round-trip.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -16,6 +17,10 @@ from .errors import DanglingRef, DuplicateId, StepSyntaxError
 
 ISO_OPEN = "ISO-10303-21;"
 ISO_CLOSE = "END-ISO-10303-21;"
+
+# deepest list nesting in one record (its argument list counts as one level);
+# keeps parse_step far below the interpreter's recursion limit
+MAX_LIST_DEPTH = 256
 
 _KEYWORD_RE = re.compile(r"[A-Z][A-Z0-9_]*")
 _CREATED_CLASS_RE = re.compile(r"[A-Z][A-Z0-9]*")
@@ -211,6 +216,9 @@ def encode_step_string(text: str) -> str:
     return "".join(out)
 
 
+_MAX_REAL_15_DIGITS = 1.79769313486231e308
+
+
 def format_real(x: float) -> str:
     """Shortest decimal form (<= 15 significant digits) with a STEP dot."""
     if x != x or x in (float("inf"), float("-inf")):
@@ -224,7 +232,10 @@ def format_real(x: float) -> str:
     if s is None:
         # needs more than 15 digits: drop the tail, then canonicalize the
         # truncated value so that parse -> write is a fixpoint immediately
-        return format_real(float(f"{x:.15g}"))
+        truncated = float(f"{x:.15g}")
+        if math.isinf(truncated):  # rounded up past the largest finite real
+            truncated = math.copysign(_MAX_REAL_15_DIGITS, x)
+        return format_real(truncated)
     if "e" in s or "E" in s:
         mantissa, exp = re.split("[eE]", s)
         if "." not in mantissa:
@@ -246,38 +257,35 @@ _T_REF = "ref"
 _T_PUNCT = "punct"
 _T_EOF = "eof"
 
+_FILE_MARKERS = (ISO_CLOSE[:-1], ISO_OPEN[:-1])
+_REF_RE = re.compile(r"#(\d+)")
+_ENUM_RE = re.compile(r"\.([A-Z_][A-Z0-9_]*)\.")
+_NUMBER_RE = re.compile(r"[+-]?\d+(\.\d*)?([Ee][+-]?\d+)?")
+
 
 class _Tokenizer:
+    """STEP lexer; ``line``/``col`` are derived from ``pos`` only when an error is raised."""
+
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
-        self.line = 1
-        self.col = 1
 
     def error(self, message: str) -> StepSyntaxError:
-        return StepSyntaxError(self.line, self.col, message)
-
-    def _advance(self, count: int):
-        chunk = self.text[self.pos:self.pos + count]
-        newlines = chunk.count("\n")
-        if newlines:
-            self.line += newlines
-            self.col = count - chunk.rfind("\n")
-        else:
-            self.col += count
-        self.pos += count
+        text, pos = self.text, self.pos
+        return StepSyntaxError(text.count("\n", 0, pos) + 1,
+                               pos - text.rfind("\n", 0, pos), message)
 
     def _skip_ws(self):
         text = self.text
         while self.pos < len(text):
             c = text[self.pos]
             if c in " \t\r\n":
-                self._advance(1)
+                self.pos += 1
             elif text.startswith("/*", self.pos):
                 end = text.find("*/", self.pos + 2)
                 if end < 0:
                     raise self.error("unterminated comment")
-                self._advance(end + 2 - self.pos)
+                self.pos = end + 2
             else:
                 return
 
@@ -287,35 +295,35 @@ class _Tokenizer:
         if self.pos >= len(text):
             return (_T_EOF, None)
         c = text[self.pos]
-        for marker in (ISO_CLOSE[:-1], ISO_OPEN[:-1]):
+        for marker in _FILE_MARKERS:
             if text.startswith(marker, self.pos):
-                self._advance(len(marker))
+                self.pos += len(marker)
                 return (_T_KEYWORD, marker)
         if c in "();,=*$":
-            self._advance(1)
+            self.pos += 1
             return (_T_PUNCT, c)
         if c == "#":
-            m = re.match(r"#(\d+)", text[self.pos:])
+            m = _REF_RE.match(text, self.pos)
             if not m:
                 raise self.error("malformed entity reference")
             ref = int(m.group(1))
             if ref <= 0:
                 raise self.error("entity ids must be positive")
-            self._advance(m.end())
+            self.pos = m.end()
             return (_T_REF, ref)
         if c == "'":
             return self._string()
         if c == ".":
-            m = re.match(r"\.([A-Z_][A-Z0-9_]*)\.", text[self.pos:])
+            m = _ENUM_RE.match(text, self.pos)
             if not m:
                 raise self.error("malformed enumeration token")
-            self._advance(m.end())
+            self.pos = m.end()
             return (_T_ENUM, m.group(1))
         if c.isdigit() or c in "+-":
             return self._number()
         m = _KEYWORD_RE.match(text, self.pos)
         if m:
-            self._advance(m.end() - self.pos)
+            self.pos = m.end()
             return (_T_KEYWORD, m.group(0))
         raise self.error(f"unexpected character {c!r}")
 
@@ -332,18 +340,17 @@ class _Tokenizer:
                 parts.append("'")
                 i = j + 2
                 continue
-            self._advance(j + 1 - self.pos)
+            self.pos = j + 1
             return (_T_STRING, decode_step_string("".join(parts)))
 
     def _number(self) -> tuple[str, object]:
-        m = re.match(r"[+-]?\d+(\.\d*)?([Ee][+-]?\d+)?", self.text[self.pos:])
-        if not m or not re.match(r"[+-]?\d", m.group(0)):
+        m = _NUMBER_RE.match(self.text, self.pos)
+        if not m:
             raise self.error("malformed number")
-        token = m.group(0)
-        self._advance(len(token))
+        self.pos = m.end()
         if m.group(1) is not None or m.group(2) is not None:
-            return (_T_REAL, float(token))
-        return (_T_INT, int(token))
+            return (_T_REAL, float(m.group(0)))
+        return (_T_INT, int(m.group(0)))
 
 
 # --- parser ---
@@ -352,6 +359,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tok = _Tokenizer(text)
         self.current = self.tok.next()
+        self.depth = 0  # non-empty lists open around the current token
 
     def error(self, message: str) -> StepSyntaxError:
         return self.tok.error(message)
@@ -410,12 +418,15 @@ class _Parser:
         raise self.error(f"expected a value, got {value!r}")
 
     def parse_list(self) -> list:
+        if self.depth >= MAX_LIST_DEPTH and self.current == (_T_PUNCT, "("):
+            raise self.error("lists nested too deeply")
         self.expect_punct("(")
         items: list = []
         kind, value = self.current
         if kind == _T_PUNCT and value == ")":
             self.advance()
             return items
+        self.depth += 1
         while True:
             items.append(self.parse_value())
             kind, value = self.current
@@ -423,6 +434,7 @@ class _Parser:
                 self.advance()
                 continue
             self.expect_punct(")")
+            self.depth -= 1
             return items
 
     def parse_record(self) -> tuple[str, list]:

@@ -273,6 +273,16 @@ def test_validate_args_directly():
     assert validate_args(schema, {"n": "3"})
 
 
+def test_cached_validator_reports_like_a_fresh_one(session):
+    descriptor = session.tools["create_wall"]
+    assert descriptor.validator is descriptor.validator
+    for args in ({"start": [0], "end": [1, 2, 3, 4], "height": -1},
+                 {"start": [0, 0], "end": [1, 0], "height": 3, "thickness": 0.2},
+                 {"start": "x", "thickness": "0.2", "extra": 1}):
+        assert validate_args(descriptor.validator, args) == \
+            validate_args(descriptor.input_schema, args)
+
+
 def test_tcp_sessions_are_independent():
     import socket
     import threading

@@ -1,14 +1,20 @@
 from __future__ import annotations
 
+import operator
 import re
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ifcmcp import builders
 from ifcmcp.errors import DanglingRef, DuplicateId, StepSyntaxError
 from ifcmcp.model import new_model
 from ifcmcp.step import (
     DERIVED,
+    MAX_LIST_DEPTH,
+    EntityInstance,
     EntityRef,
     EnumToken,
     StepHeader,
@@ -122,6 +128,14 @@ def test_format_real(value, expected):
     assert float(format_real(value)) == value
 
 
+def test_format_real_largest_finite_stays_finite():
+    # 16 significant digits round up to inf when cut to 15: round down instead
+    text = format_real(sys.float_info.max)
+    assert text == "1.79769313486231E308"
+    assert format_real(-sys.float_info.max) == "-" + text
+    assert format_real(float(text)) == text
+
+
 def test_format_real_round_trips_random_values():
     import random
 
@@ -209,3 +223,104 @@ def test_header_round_trip():
 def test_zero_entity_ref_rejected():
     with pytest.raises(StepSyntaxError):
         parse_step(MINIMAL.replace("'W'", "#0"))
+
+
+# every line ends in "\n": the DATA section starts on line 8
+_HEAD = (
+    "ISO-10303-21;\nHEADER;\nFILE_DESCRIPTION((''),'2;1');\n"
+    "FILE_NAME('','',(''),(''),'','','');\nFILE_SCHEMA(('IFC4'));\nENDSEC;\nDATA;\n"
+)
+_TAIL = "ENDSEC;\nEND-ISO-10303-21;\n"
+
+
+@pytest.mark.parametrize("text,line,col,message", [
+    pytest.param(_HEAD + "/* a comment\n spanning\n three lines */ #1=IFCWALL(@);\n"
+                 + _TAIL, 10, 28, "unexpected character '@'",
+                 id="after-multiline-comment"),
+    pytest.param(_HEAD + "#1=IFCWALL('two\nlines', @);\n" + _TAIL, 9, 9,
+                 "unexpected character '@'", id="after-string-with-newline"),
+    pytest.param(_HEAD.replace("ISO-10303-21;", "ISO-10303-21 @;") + _TAIL, 1, 14,
+                 "unexpected character '@'", id="first-line"),
+    pytest.param(_HEAD + _TAIL + "@", 10, 1, "unexpected character '@'",
+                 id="last-line"),
+    pytest.param(_HEAD + "#1=IFCWALL($);\nENDSEC;\nEND-ISO-10303-21 X", 10, 19,
+                 "expected ';', got 'X'", id="last-line-parser-error"),
+    pytest.param(_HEAD + "#1=IFCWALL(#x);\n" + _TAIL, 8, 12,
+                 "malformed entity reference", id="malformed-ref"),
+    pytest.param(_HEAD + "#1=IFCWALL(#0);\n" + _TAIL, 8, 12,
+                 "entity ids must be positive", id="zero-ref"),
+    pytest.param(_HEAD + "#1=IFCWALL(.x.);\n" + _TAIL, 8, 12,
+                 "malformed enumeration token", id="malformed-enum"),
+    pytest.param(_HEAD + "#1=IFCWALL(+);\n" + _TAIL, 8, 12,
+                 "malformed number", id="lone-plus"),
+    pytest.param(_HEAD + "  /* never closed\n" + _TAIL, 8, 3,
+                 "unterminated comment", id="unterminated-comment"),
+    pytest.param(_HEAD + "#1=IFCWALL('open\n" + _TAIL, 8, 12,
+                 "unterminated string literal", id="unterminated-string"),
+    pytest.param(_HEAD + "#1=IFCWALL($ $);\n" + _TAIL, 8, 15,
+                 "expected ')', got '$'", id="parser-error-after-token"),
+])
+def test_syntax_error_positions(text, line, col, message):
+    with pytest.raises(StepSyntaxError) as excinfo:
+        parse_step(text)
+    assert (excinfo.value.line, excinfo.value.col) == (line, col)
+    assert str(excinfo.value) == f"line {line}, col {col}: {message}"
+
+
+@pytest.mark.parametrize("opener", ["(", "IFCLABEL("])
+def test_deep_nesting_is_a_syntax_error(opener):
+    # the record's own argument list is the first level
+    value = opener * 5000 + "1" + ")" * 5000
+    with pytest.raises(StepSyntaxError) as excinfo:
+        parse_step(_HEAD + f"#1=IFCWALL({value});\n" + _TAIL)
+    assert str(excinfo.value).endswith("lists nested too deeply")
+    # the MAX_LIST_DEPTH-th opener in the value is one level too deep; like
+    # every parser error, the position is just past the current token, its '('
+    col = len("#1=IFCWALL(") + len(opener) * MAX_LIST_DEPTH + 1
+    assert (excinfo.value.line, excinfo.value.col) == (8, col)
+
+
+def test_nesting_at_the_limit_parses():
+    value = "(" * (MAX_LIST_DEPTH - 1) + "1" + ")" * (MAX_LIST_DEPTH - 1)
+    data = write_step(*parse_step(_HEAD + f"#1=IFCWALL({value});\n" + _TAIL))
+    assert write_step(*parse_step(data)) == data
+
+
+_TEXT = st.text(alphabet=st.one_of(st.sampled_from("'\\\n\r\t"), st.characters()),
+                max_size=12)
+_UPPER = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+_NAME = st.builds(operator.add, st.sampled_from(_UPPER),
+                  st.text(alphabet=_UPPER + "0123456789_", max_size=6))
+
+
+def _attribute_values():
+    scalars = st.one_of(
+        st.none(),
+        st.just(DERIVED),
+        st.booleans(),
+        st.integers(min_value=-10**18, max_value=10**18),
+        st.floats(allow_nan=False, allow_infinity=False),
+        _TEXT,
+        st.builds(EnumToken, st.sampled_from(["_", "T", "F", "ELEMENT"]) | _NAME),
+        st.integers(min_value=1, max_value=2).map(EntityRef),  # the two entities
+    )
+    return st.recursive(scalars, lambda inner: st.one_of(
+        st.lists(inner, max_size=4).map(tuple),
+        st.builds(TypedValue, _NAME, inner),
+    ), max_leaves=12)
+
+
+_HEADERS = st.builds(StepHeader, file_description=st.lists(_TEXT, max_size=2),
+                     name=_TEXT, author=st.lists(_TEXT, max_size=2),
+                     file_schema=st.lists(_TEXT, max_size=2))
+
+
+@settings(deadline=None)
+@given(header=_HEADERS, classes=st.tuples(_NAME, _NAME),
+       attributes=st.tuples(st.lists(_attribute_values(), max_size=6),
+                            st.lists(_attribute_values(), max_size=6)))
+def test_write_parse_write_round_trip_property(header, classes, attributes):
+    entities = {i + 1: EntityInstance(i + 1, cls, attrs)
+                for i, (cls, attrs) in enumerate(zip(classes, attributes))}
+    data = write_step(header, entities)
+    assert write_step(*parse_step(data)) == data
