@@ -87,19 +87,6 @@ def ensure_wall_type(model: IfcModel) -> int:
     ])
 
 
-def _assign_type(model: IfcModel, element_id: int, type_id: int):
-    for rel_id in model.by_class.get("IFCRELDEFINESBYTYPE", ()):
-        rel = model.entities[rel_id]
-        relating = rel.attributes[5]
-        if isinstance(relating, EntityRef) and relating.id == type_id:
-            rel.attributes[4] = tuple(rel.attributes[4] or ()) + (EntityRef(element_id),)
-            return
-    model.add("IFCRELDEFINESBYTYPE", [
-        model.guids.fresh(), None, None, None,
-        (EntityRef(element_id),), EntityRef(type_id),
-    ])
-
-
 def create_wall(model: IfcModel, start, end, height: float, thickness: float,
                 storey: str | None = None, name: str | None = None) -> str:
     if height <= 0:
@@ -122,7 +109,7 @@ def create_wall(model: IfcModel, start, end, height: float, thickness: float,
         EntityRef(lp), EntityRef(shape), None, EnumToken("STANDARD"),
     ])
     model.contain_in_storey(wall, storey_id)
-    _assign_type(model, wall, ensure_wall_type(model))
+    model.relate("IFCRELDEFINESBYTYPE", ensure_wall_type(model), wall)
     return guid
 
 
@@ -330,10 +317,7 @@ def _create_filled_opening(model: IfcModel, filler_class: str,
         opening_guid, None, model.next_name("IFCOPENINGELEMENT"), None, None,
         EntityRef(opening_lp), EntityRef(opening_shape), None, EnumToken("OPENING"),
     ])
-    model.add("IFCRELVOIDSELEMENT", [
-        model.guids.fresh(), None, None, None,
-        EntityRef(wall_id), EntityRef(opening),
-    ])
+    model.relate("IFCRELVOIDSELEMENT", wall_id, opening)
 
     filler_lp = _place(model, opening_lp, Point3(0.0, 0.0, 0.0))
     filler_shape = extrude_profile(model, box, height)
@@ -343,10 +327,7 @@ def _create_filled_opening(model: IfcModel, filler_class: str,
         EntityRef(filler_lp), EntityRef(filler_shape), None,
         float(height), float(width), None, None, None,
     ])
-    model.add("IFCRELFILLSELEMENT", [
-        model.guids.fresh(), None, None, None,
-        EntityRef(opening), EntityRef(filler),
-    ])
+    model.relate("IFCRELFILLSELEMENT", opening, filler)
     storey_id = model.storey_of(wall_id) or model.default_storey()
     model.contain_in_storey(filler, storey_id)
     return filler_guid, opening_guid

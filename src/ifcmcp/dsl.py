@@ -41,6 +41,9 @@ from .scene import _name_of, products_in_order
 
 MAX_QUERY_BYTES = 8192
 STEP_BUDGET = 1_000_000
+# deepest nesting of operators and parentheses in one expression; keeps
+# parsing and evaluation far below the interpreter's recursion limit
+MAX_EXPR_DEPTH = 64
 
 SELECTOR_CLASSES: dict[str, tuple[str, ...]] = {
     "walls": ("IFCWALL", "IFCWALLSTANDARDCASE"),
@@ -90,16 +93,26 @@ class PsetProp:
     pset: str
     prop: str
 
+def _depth(node) -> int:
+    """Operators nested in an expression node; 0 for literals and fields."""
+    return getattr(node, "depth", 0)
+
 @dataclass
 class UnOp:
     op: str
     operand: object
+
+    def __post_init__(self):
+        self.depth = 1 + _depth(self.operand)
 
 @dataclass
 class BinOp:
     op: str
     left: object
     right: object
+
+    def __post_init__(self):
+        self.depth = 1 + max(_depth(self.left), _depth(self.right))
 
 @dataclass
 class Filter:
@@ -175,6 +188,7 @@ class _QueryParser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.index = 0
+        self.depth = 0  # parentheses open around the current token
 
     @property
     def current(self):
@@ -277,7 +291,10 @@ class _QueryParser:
                   "list, rename, set, set_pset)")
 
     def parse_expr(self):
-        return self.parse_or()
+        node = self.parse_or()
+        if self.depth + _depth(node) > MAX_EXPR_DEPTH:
+            self.fail(f"an expression nested at most {MAX_EXPR_DEPTH} deep")
+        return node
 
     def parse_or(self):
         node = self.parse_and()
@@ -319,11 +336,14 @@ class _QueryParser:
                 return node
 
     def parse_unary(self):
-        if self.accept_op("-"):
-            return UnOp("-", self.parse_unary())
-        if self.accept_op("!"):
-            return UnOp("!", self.parse_unary())
-        return self.parse_postfix()
+        ops = []
+        while self.current[0] == "op" and self.current[1] in ("-", "!"):
+            ops.append(self.current[1])
+            self.advance()
+        node = self.parse_postfix()
+        for op in reversed(ops):
+            node = UnOp(op, node)
+        return node
 
     def parse_postfix(self):
         node = self.parse_primary()
@@ -353,8 +373,12 @@ class _QueryParser:
             self.advance()
             return Str(_unquote(value))
         if kind == "op" and value == "(":
+            if self.depth >= MAX_EXPR_DEPTH:
+                self.fail(f"an expression nested at most {MAX_EXPR_DEPTH} deep")
             self.advance()
+            self.depth += 1
             node = self.parse_expr()
+            self.depth -= 1
             self.expect_op(")")
             return node
         if kind == "op" and value == ".":

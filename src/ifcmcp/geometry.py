@@ -73,15 +73,24 @@ class Polygon2:
         pts = [Point2(float(x), float(y)) for x, y in points]
         if any(not _finite(p.x, p.y) for p in pts):
             raise DegeneratePolygon("polygon has non-finite coordinates")
+        # a run of consecutive points (around the ring) each closer than
+        # POINT_TOL to the one before collapses to its smallest point (by x,
+        # then y), and the area is summed exactly, so a list and its reversal
+        # clean to the same ring and get the same verdict
+        n = len(pts)
+        near = [dist2(pts[i - 1], pts[i]) < POINT_TOL for i in range(n)]
+        if all(near):
+            raise DegeneratePolygon("polygon needs at least 3 distinct vertices")
+        start = near.index(False)
         cleaned: list[Point2] = []
-        for p in pts:
-            if not cleaned or dist2(cleaned[-1], p) >= POINT_TOL:
-                cleaned.append(p)
-        while len(cleaned) > 1 and dist2(cleaned[0], cleaned[-1]) < POINT_TOL:
-            cleaned.pop()
+        for i in range(start, start + n):
+            if near[i % n]:
+                cleaned[-1] = min(cleaned[-1], pts[i % n])
+            else:
+                cleaned.append(pts[i % n])
         if len(cleaned) < 3:
             raise DegeneratePolygon("polygon needs at least 3 distinct vertices")
-        area2 = sum(
+        area2 = math.fsum(
             cleaned[i].x * cleaned[(i + 1) % len(cleaned)].y
             - cleaned[(i + 1) % len(cleaned)].x * cleaned[i].y
             for i in range(len(cleaned))
@@ -413,14 +422,6 @@ def emit_axis2placement3d(model: "IfcModel", origin: Point3,
     if axis is None and ref_dir is not None:
         axis = EntityRef(model.add("IFCDIRECTION", [(0.0, 0.0, 1.0)]))
     return model.add("IFCAXIS2PLACEMENT3D", [EntityRef(location), axis, ref_dir])
-
-
-def emit_local_placement(model: "IfcModel", placement: Placement,
-                         parent_id: int | None = None) -> int:
-    a2p = emit_axis2placement3d(model, placement.origin, placement.z_axis,
-                                placement.x_axis)
-    parent = EntityRef(parent_id) if parent_id is not None else None
-    return model.add("IFCLOCALPLACEMENT", [parent, EntityRef(a2p)])
 
 
 def _emit_profile(model: "IfcModel", poly: Polygon2) -> int:

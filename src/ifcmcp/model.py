@@ -4,10 +4,17 @@ Owns the spatial hierarchy, relationship management, property sets,
 classifications, attribute edits, deletion with reference-counted
 resource cleanup, and per-session display flags (which are never
 persisted to file).
+
+Relationship records (the classes in ``schema.REL_SIDES``) are written
+only through ``IfcModel.add``, ``IfcModel.relate`` and ``delete_element``,
+and read through the relationship index (``IfcModel.rels``,
+``IfcModel.rel_side`` and ``IfcModel.linked``), never by scanning a
+relationship class; ``delete_element`` ends by rebuilding the indexes.
 """
 
 from __future__ import annotations
 
+import bisect
 import datetime as _dt
 from dataclasses import dataclass
 
@@ -62,7 +69,25 @@ class PropertySpec:
 @dataclass
 class SessionFlags:
     visible: bool = True
-    selected: bool = False
+
+
+# sides of a relationship record, as indexes into a ``schema.REL_SIDES`` pair
+RELATING, RELATED = 0, 1
+
+
+def _is_rooted(inst: EntityInstance) -> bool:
+    """Whether an entity carries a GlobalId; unknown classes sniff attribute 0."""
+    rooted = schema.is_rooted(inst.class_name)
+    if rooted is None:
+        rooted = bool(inst.attributes) and is_guid(inst.attributes[0])
+    return rooted
+
+
+def _insert(ids: list[int], rel_id: int):
+    """Add ``rel_id`` to an ascending list of ids unless it is there already."""
+    at = bisect.bisect_left(ids, rel_id)
+    if at == len(ids) or ids[at] != rel_id:
+        ids.insert(at, rel_id)
 
 
 class IfcModel:
@@ -75,8 +100,11 @@ class IfcModel:
         self.next_id = 1
         self.by_class: dict[str, set[int]] = {}
         self.by_guid: dict[str, int] = {}
+        # relationship class -> per side, entity id -> ascending ids of the
+        # records of that class that hold the entity on that side
+        self.rel_index: dict[str, tuple[dict[int, list[int]], ...]] = {
+            name: ({}, {}) for name in schema.REL_SIDES}
         self.session_flags: dict[int, SessionFlags] = {}
-        self.dirty = False
         self.guids = GuidGenerator(guid_seed)
         self.project_id: int | None = None
         self.site_id: int | None = None
@@ -93,19 +121,19 @@ class IfcModel:
         inst = EntityInstance(entity_id, class_name, list(attributes))
         self.entities[entity_id] = inst
         self._index(inst)
-        self.dirty = True
         return entity_id
 
     def _index(self, inst: EntityInstance):
         self.by_class.setdefault(inst.class_name, set()).add(inst.id)
-        rooted = schema.is_rooted(inst.class_name)
-        if rooted is None:
-            rooted = bool(inst.attributes) and is_guid(inst.attributes[0])
         # relationship records carry GlobalIds too but are not addressable
         # objects; keeping them out of by_guid matches the tool surface
-        if rooted and not inst.class_name.startswith("IFCREL") \
+        if _is_rooted(inst) and not inst.class_name.startswith("IFCREL") \
                 and inst.attributes and isinstance(inst.attributes[0], str):
             self.by_guid[inst.attributes[0]] = inst.id
+        if inst.class_name in schema.REL_SIDES:
+            for side, by_entity in enumerate(self.rel_index[inst.class_name]):
+                for entity_id in self.rel_side(inst.id, side):
+                    _insert(by_entity.setdefault(entity_id, []), inst.id)
         if inst.class_name in schema.PRODUCT_CLASSES or inst.class_name in schema.SPATIAL_CLASSES \
                 or schema.is_type_object(inst.class_name):
             hidden = schema.is_type_object(inst.class_name)
@@ -114,6 +142,7 @@ class IfcModel:
     def rebuild_indexes(self):
         self.by_class = {}
         self.by_guid = {}
+        self.rel_index = {name: ({}, {}) for name in schema.REL_SIDES}
         flags = self.session_flags
         self.session_flags = {}
         for inst in self.entities.values():
@@ -121,6 +150,52 @@ class IfcModel:
         for entity_id, f in flags.items():
             if entity_id in self.entities:
                 self.session_flags[entity_id] = f
+
+    # --- relationships ---
+
+    def rels(self, entity_id: int, class_name: str, side: int) -> list[int]:
+        """Ids of ``class_name`` records holding ``entity_id`` on ``side``,
+        ascending; the list belongs to the index and must not be changed."""
+        return self.rel_index[class_name][side].get(entity_id, [])
+
+    def rel_side(self, rel_id: int, side: int) -> list[int]:
+        """Entity ids on one side of a relationship record, in attribute order."""
+        rel = self.entities[rel_id]
+        index = schema.REL_SIDES[rel.class_name][side]
+        value = rel.attributes[index] if index < len(rel.attributes) else None
+        members = value if isinstance(value, tuple) else (value,)
+        return [ref.id for ref in members if isinstance(ref, EntityRef)]
+
+    def linked(self, entity_id: int, class_name: str, side: int) -> list[int]:
+        """Entities on the other side of the ``class_name`` records holding
+        ``entity_id`` on ``side``, ordered by rel id."""
+        return [other for rel_id in self.rels(entity_id, class_name, side)
+                for other in self.rel_side(rel_id, 1 - side)]
+
+    def relate(self, class_name: str, relating_id: int, related_id: int) -> int:
+        """Put ``related_id`` on the related side of a ``class_name`` record.
+
+        The entity joins the lowest-id record whose relating side is
+        ``relating_id`` (once: relating it again changes nothing); without
+        one, or for classes whose related side is a single reference, a new
+        record is added. Returns the record id.
+        """
+        relating_index, related_index = schema.REL_SIDES[class_name]
+        single = class_name in schema.SINGLE_RELATED
+        if not single:
+            for rel_id in self.rels(relating_id, class_name, RELATING):
+                if rel_id not in self.rels(related_id, class_name, RELATED):
+                    rel = self.entities[rel_id]
+                    rel.attributes[related_index] = \
+                        tuple(rel.attributes[related_index] or ()) + (EntityRef(related_id),)
+                    _insert(self.rel_index[class_name][RELATED].setdefault(related_id, []),
+                            rel_id)
+                return rel_id
+        attributes = [self.guids.fresh(), None, None, None, None, None]
+        attributes[relating_index] = EntityRef(relating_id)
+        attributes[related_index] = EntityRef(related_id) if single \
+            else (EntityRef(related_id),)
+        return self.add(class_name, attributes)
 
     def resolve(self, ref: EntityRef | int) -> EntityInstance:
         entity_id = ref.id if isinstance(ref, EntityRef) else ref
@@ -150,7 +225,6 @@ class IfcModel:
         if index is None or index >= len(inst.attributes):
             raise UnknownAttribute(name, inst.class_name)
         inst.attributes[index] = value
-        self.dirty = True
 
     def next_name(self, class_name: str) -> str:
         short = schema.short_name(class_name)
@@ -197,27 +271,12 @@ class IfcModel:
         return best
 
     def storey_of(self, entity_id: int) -> int | None:
-        for rel_id in self.by_class.get("IFCRELCONTAINEDINSPATIALSTRUCTURE", ()):
-            rel = self.entities[rel_id]
-            related = rel.attributes[4] or ()
-            if any(isinstance(r, EntityRef) and r.id == entity_id for r in related):
-                relating = rel.attributes[5]
-                if isinstance(relating, EntityRef):
-                    return relating.id
+        for storey_id in self.linked(entity_id, "IFCRELCONTAINEDINSPATIALSTRUCTURE", RELATED):
+            return storey_id
         return None
 
     def contain_in_storey(self, entity_id: int, storey_id: int):
-        for rel_id in self.by_class.get("IFCRELCONTAINEDINSPATIALSTRUCTURE", ()):
-            rel = self.entities[rel_id]
-            relating = rel.attributes[5]
-            if isinstance(relating, EntityRef) and relating.id == storey_id:
-                rel.attributes[4] = tuple(rel.attributes[4] or ()) + (EntityRef(entity_id),)
-                self.dirty = True
-                return
-        self.add("IFCRELCONTAINEDINSPATIALSTRUCTURE", [
-            self.guids.fresh(), None, None, None,
-            (EntityRef(entity_id),), EntityRef(storey_id),
-        ])
+        self.relate("IFCRELCONTAINEDINSPATIALSTRUCTURE", storey_id, entity_id)
 
     # --- placement resolution ---
 
@@ -270,7 +329,6 @@ class IfcModel:
         data = self.to_bytes()
         with open(path, "wb") as fh:
             fh.write(data)
-        self.dirty = False
 
 
 def _unit(v: Point3) -> Point3:
@@ -336,21 +394,14 @@ def new_model(project_name: str = "My Project",
         None, None, EnumToken("ELEMENT"), 0.0,
     ])
 
-    def aggregate(relating: int, related: int):
-        model.add("IFCRELAGGREGATES", [
-            model.guids.fresh(), None, None, None,
-            EntityRef(relating), (EntityRef(related),),
-        ])
-
-    aggregate(project, site)
-    aggregate(site, building)
-    aggregate(building, storey)
+    model.relate("IFCRELAGGREGATES", project, site)
+    model.relate("IFCRELAGGREGATES", site, building)
+    model.relate("IFCRELAGGREGATES", building, storey)
 
     model.project_id = project
     model.site_id = site
     model.building_id = building
     model.storey_ids = [storey]
-    model.dirty = False
     return model
 
 
@@ -366,12 +417,7 @@ def add_storey(model: IfcModel, name: str, elevation: float) -> int:
         model.guids.fresh(), None, name, None, None, EntityRef(lp),
         None, None, EnumToken("ELEMENT"), float(elevation),
     ])
-    for rel_id in model.by_class.get("IFCRELAGGREGATES", ()):
-        rel = model.entities[rel_id]
-        relating = rel.attributes[4]
-        if isinstance(relating, EntityRef) and relating.id == model.building_id:
-            rel.attributes[5] = tuple(rel.attributes[5] or ()) + (EntityRef(storey),)
-            break
+    model.relate("IFCRELAGGREGATES", model.building_id, storey)
     model.storey_ids.append(storey)
     return storey
 
@@ -406,7 +452,6 @@ def load_model(data: bytes | str, guid_seed: int | None = None) -> IfcModel:
             if suffix.isdigit():
                 current = model._name_counters.get(short, 0)
                 model._name_counters[short] = max(current, int(suffix))
-    model.dirty = False
     return model
 
 
@@ -431,7 +476,6 @@ def edit_attributes(model: IfcModel, guid: str,
         old = model.get_attr(inst, name)
         model.set_attr(inst, name, value)
         changes.append({"attribute": name, "old": old, "new": value})
-    model.dirty = True
     return changes
 
 
@@ -454,35 +498,26 @@ def python_value(value):
     return value
 
 
+def _psets(model: IfcModel, entity_id: int):
+    """(rel, pset) pairs defining an element's property sets, by rel id."""
+    for rel_id in model.rels(entity_id, "IFCRELDEFINESBYPROPERTIES", RELATED):
+        for pset_id in model.rel_side(rel_id, RELATING):
+            pset = model.entities[pset_id]
+            if pset.class_name == "IFCPROPERTYSET":
+                yield model.entities[rel_id], pset
+
+
 def find_pset_rel(model: IfcModel, entity_id: int, pset_name: str):
     """(rel, pset) pair for a named pset on an element, or (None, None)."""
-    for rel_id in sorted(model.by_class.get("IFCRELDEFINESBYPROPERTIES", ())):
-        rel = model.entities[rel_id]
-        related = rel.attributes[4] or ()
-        if not any(isinstance(r, EntityRef) and r.id == entity_id for r in related):
-            continue
-        pset_ref = rel.attributes[5]
-        if not isinstance(pset_ref, EntityRef):
-            continue
-        pset = model.entities[pset_ref.id]
-        if pset.class_name == "IFCPROPERTYSET" and pset.attributes[2] == pset_name:
+    for rel, pset in _psets(model, entity_id):
+        if pset.attributes[2] == pset_name:
             return rel, pset
     return None, None
 
 
 def psets_of(model: IfcModel, entity_id: int) -> dict[str, dict[str, object]]:
     result: dict[str, dict[str, object]] = {}
-    for rel_id in sorted(model.by_class.get("IFCRELDEFINESBYPROPERTIES", ())):
-        rel = model.entities[rel_id]
-        related = rel.attributes[4] or ()
-        if not any(isinstance(r, EntityRef) and r.id == entity_id for r in related):
-            continue
-        pset_ref = rel.attributes[5]
-        if not isinstance(pset_ref, EntityRef):
-            continue
-        pset = model.entities[pset_ref.id]
-        if pset.class_name != "IFCPROPERTYSET":
-            continue
+    for _rel, pset in _psets(model, entity_id):
         props: dict[str, object] = {}
         for prop_ref in pset.attributes[4] or ():
             prop = model.entities[prop_ref.id]
@@ -508,10 +543,7 @@ def add_property_set(model: IfcModel, guid: str, spec: PropertySpec) -> str:
             pset_guid, None, spec.pset_name, None,
             tuple(EntityRef(i) for i in prop_ids),
         ])
-        model.add("IFCRELDEFINESBYPROPERTIES", [
-            model.guids.fresh(), None, None, None,
-            (EntityRef(inst.id),), EntityRef(pset_id),
-        ])
+        model.relate("IFCRELDEFINESBYPROPERTIES", pset_id, inst.id)
         return pset_guid
 
     # merge: overwrite existing names, append new ones
@@ -531,7 +563,6 @@ def add_property_set(model: IfcModel, guid: str, spec: PropertySpec) -> str:
                 "IFCPROPERTYSINGLEVALUE", [name, unit, _nominal_value(value), None]
             )))
     pset.attributes[4] = tuple(appended)
-    model.dirty = True
     return pset.attributes[0]
 
 
@@ -572,30 +603,14 @@ def add_classification(model: IfcModel, guid: str, system: str, code: str) -> st
             None, code, None, EntityRef(classification_id), None, None,
         ])
 
-    for rel_id in sorted(model.by_class.get("IFCRELASSOCIATESCLASSIFICATION", ())):
-        rel = model.entities[rel_id]
-        relating = rel.attributes[5]
-        if isinstance(relating, EntityRef) and relating.id == reference_id:
-            related = tuple(rel.attributes[4] or ())
-            if not any(r.id == inst.id for r in related):
-                rel.attributes[4] = related + (EntityRef(inst.id),)
-                model.dirty = True
-            return rel.attributes[0]
-    rel_guid = model.guids.fresh()
-    model.add("IFCRELASSOCIATESCLASSIFICATION", [
-        rel_guid, None, None, None, (EntityRef(inst.id),), EntityRef(reference_id),
-    ])
-    return rel_guid
+    rel_id = model.relate("IFCRELASSOCIATESCLASSIFICATION", reference_id, inst.id)
+    return model.entities[rel_id].attributes[0]
 
 
 def classifications_of(model: IfcModel, entity_id: int) -> list[dict[str, str]]:
     found = []
-    for rel_id in sorted(model.by_class.get("IFCRELASSOCIATESCLASSIFICATION", ())):
-        rel = model.entities[rel_id]
-        related = rel.attributes[4] or ()
-        if not any(isinstance(r, EntityRef) and r.id == entity_id for r in related):
-            continue
-        ref = model.entities[rel.attributes[5].id]
+    for reference_id in model.linked(entity_id, "IFCRELASSOCIATESCLASSIFICATION", RELATED):
+        ref = model.entities[reference_id]
         source = ref.attributes[3]
         system = ""
         if isinstance(source, EntityRef):
@@ -661,21 +676,11 @@ def _cascade_set(model: IfcModel, start_id: int) -> set[int]:
         if entity_id in result or entity_id not in model.entities:
             continue
         result.add(entity_id)
-        for class_name, relating_idx, related_idx in (
-            ("IFCRELVOIDSELEMENT", 4, 5),
-            ("IFCRELFILLSELEMENT", 4, 5),
-        ):
-            for rel_id in model.by_class.get(class_name, ()):
-                rel = model.entities[rel_id]
-                relating, related = rel.attributes[relating_idx], rel.attributes[related_idx]
-                if not isinstance(relating, EntityRef) or not isinstance(related, EntityRef):
-                    continue
-                if relating.id == entity_id:
-                    queue.append(related.id)
-                elif related.id == entity_id:
-                    # a filler dies with its opening, an opening with its filler
-                    if class_name == "IFCRELFILLSELEMENT":
-                        queue.append(relating.id)
+        # an opening dies with its host, a filler with its opening and an
+        # opening with its filler
+        queue.extend(model.linked(entity_id, "IFCRELVOIDSELEMENT", RELATING))
+        queue.extend(model.linked(entity_id, "IFCRELFILLSELEMENT", RELATING))
+        queue.extend(model.linked(entity_id, "IFCRELFILLSELEMENT", RELATED))
     return result
 
 
@@ -691,37 +696,26 @@ def delete_element(model: IfcModel, guid: str) -> int:
     if inst.class_name not in schema.PRODUCT_CLASSES:
         raise CannotDeleteSpatial(f"{inst.class_name} is not a deletable product")
 
-    dead = _cascade_set(model, inst.id)
+    cascade = _cascade_set(model, inst.id)
+    dead = set(cascade)
 
-    # prune relationship records; a rel dies when it loses its last member
-    # or either scalar side of a voids/fills pair
-    list_rels = {
-        "IFCRELCONTAINEDINSPATIALSTRUCTURE": 4,
-        "IFCRELDEFINESBYPROPERTIES": 4,
-        "IFCRELDEFINESBYTYPE": 4,
-        "IFCRELASSOCIATESCLASSIFICATION": 4,
-        "IFCRELAGGREGATES": 5,
-    }
-    for class_name, index in list_rels.items():
-        for rel_id in list(model.by_class.get(class_name, ())):
-            rel = model.entities[rel_id]
-            related = rel.attributes[index]
-            if not isinstance(related, tuple):
-                continue
+    # prune relationship records; a rel dies with its relating entity or
+    # when its related side loses its last member
+    touched = {rel_id for entity_id in cascade for class_name in schema.REL_SIDES
+               for side in (RELATING, RELATED)
+               for rel_id in model.rels(entity_id, class_name, side)}
+    for rel_id in touched:
+        rel = model.entities[rel_id]
+        index = schema.REL_SIDES[rel.class_name][RELATED]
+        related = rel.attributes[index]
+        if not cascade.intersection(model.rel_side(rel_id, RELATING)) \
+                and isinstance(related, tuple):
             kept = tuple(r for r in related
-                         if not (isinstance(r, EntityRef) and r.id in dead))
-            if len(kept) != len(related):
-                if kept:
-                    rel.attributes[index] = kept
-                else:
-                    dead.add(rel_id)
-    for class_name in ("IFCRELVOIDSELEMENT", "IFCRELFILLSELEMENT"):
-        for rel_id in list(model.by_class.get(class_name, ())):
-            rel = model.entities[rel_id]
-            for value in rel.attributes[4:6]:
-                if isinstance(value, EntityRef) and value.id in dead:
-                    dead.add(rel_id)
-                    break
+                         if not (isinstance(r, EntityRef) and r.id in cascade))
+            if kept:
+                rel.attributes[index] = kept
+                continue
+        dead.add(rel_id)
 
     # candidates for resource cleanup: the attribute closure of the dead set
     candidates: set[int] = set()
@@ -732,10 +726,7 @@ def delete_element(model: IfcModel, guid: str) -> int:
             if ref.id in dead or ref.id in candidates:
                 continue
             target = model.entities[ref.id]
-            rooted = schema.is_rooted(target.class_name)
-            if rooted is None:
-                rooted = bool(target.attributes) and is_guid(target.attributes[0])
-            if rooted and target.class_name not in _GC_SAFE_ROOTED:
+            if _is_rooted(target) and target.class_name not in _GC_SAFE_ROOTED:
                 continue  # never sweep spatial/product/type entities
             candidates.add(ref.id)
             queue.append(ref.id)
@@ -756,5 +747,4 @@ def delete_element(model: IfcModel, guid: str) -> int:
         model.entities.pop(entity_id, None)
         model.session_flags.pop(entity_id, None)
     model.rebuild_indexes()
-    model.dirty = True
     return len(dead)

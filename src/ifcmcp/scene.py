@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from . import measure, schema
 from .errors import NotADoor
-from .model import IfcModel, classifications_of, owner_of, psets_of
+from .model import RELATED, RELATING, IfcModel, classifications_of, owner_of, psets_of
 from .step import EntityRef
 
 DEFAULT_PAGE_LIMIT = 200
@@ -82,7 +82,7 @@ def _object_summary(model: IfcModel, entity_id: int) -> dict:
         "type": "MESH" if has_body else "EMPTY",
         "location": _coords(origin),
         "visible": flags.visible if flags else True,
-        "selected": flags.selected if flags else False,
+        "selected": False,
         "guid": model.guid_of(entity_id) or "",
         "ifc_class": camel,
     }
@@ -117,38 +117,24 @@ def _relationships(model: IfcModel, entity_id: int) -> dict:
             "guid": model.guid_of(storey_id),
             "name": _name_of(model, storey_id),
         }
-    openings = []
-    for rel_id in sorted(model.by_class.get("IFCRELVOIDSELEMENT", ())):
-        rel = model.entities[rel_id]
-        relating, related = rel.attributes[4], rel.attributes[5]
-        if isinstance(relating, EntityRef) and relating.id == entity_id:
-            openings.append(model.guid_of(related.id))
-        elif isinstance(related, EntityRef) and related.id == entity_id:
-            rels["voids_wall"] = model.guid_of(relating.id)
+    # where several records match, the highest rel id wins
+    for wall_id in model.linked(entity_id, "IFCRELVOIDSELEMENT", RELATED):
+        rels["voids_wall"] = model.guid_of(wall_id)
+    openings = [model.guid_of(opening_id) for opening_id
+                in model.linked(entity_id, "IFCRELVOIDSELEMENT", RELATING)]
     if openings:
         rels["openings"] = openings
-    for rel_id in sorted(model.by_class.get("IFCRELFILLSELEMENT", ())):
-        rel = model.entities[rel_id]
-        relating, related = rel.attributes[4], rel.attributes[5]
-        if isinstance(related, EntityRef) and related.id == entity_id:
-            opening = model.entities[relating.id]
-            rels["fills_opening"] = model.guid_of(opening.id)
-            for rel2_id in sorted(model.by_class.get("IFCRELVOIDSELEMENT", ())):
-                rel2 = model.entities[rel2_id]
-                if isinstance(rel2.attributes[5], EntityRef) \
-                        and rel2.attributes[5].id == opening.id:
-                    rels["host_wall"] = model.guid_of(rel2.attributes[4].id)
-        elif isinstance(relating, EntityRef) and relating.id == entity_id:
-            rels["filled_by"] = model.guid_of(related.id)
-    for rel_id in sorted(model.by_class.get("IFCRELDEFINESBYTYPE", ())):
-        rel = model.entities[rel_id]
-        related = rel.attributes[4] or ()
-        if any(isinstance(r, EntityRef) and r.id == entity_id for r in related):
-            type_id = rel.attributes[5].id
-            rels["type"] = {
-                "guid": model.guid_of(type_id),
-                "name": _name_of(model, type_id),
-            }
+    for opening_id in model.linked(entity_id, "IFCRELFILLSELEMENT", RELATED):
+        rels["fills_opening"] = model.guid_of(opening_id)
+        for wall_id in model.linked(opening_id, "IFCRELVOIDSELEMENT", RELATED):
+            rels["host_wall"] = model.guid_of(wall_id)
+    for filler_id in model.linked(entity_id, "IFCRELFILLSELEMENT", RELATING):
+        rels["filled_by"] = model.guid_of(filler_id)
+    for type_id in model.linked(entity_id, "IFCRELDEFINESBYTYPE", RELATED):
+        rels["type"] = {
+            "guid": model.guid_of(type_id),
+            "name": _name_of(model, type_id),
+        }
     return rels
 
 

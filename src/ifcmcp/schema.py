@@ -146,6 +146,21 @@ PRODUCT_CLASSES = frozenset({
 
 SPATIAL_CLASSES = frozenset({"IFCPROJECT", "IFCSITE", "IFCBUILDING", "IFCBUILDINGSTOREY"})
 
+# relationship classes the kit reads and writes:
+# class -> (index of the relating attribute, index of the related attribute)
+REL_SIDES: dict[str, tuple[int, int]] = {
+    "IFCRELAGGREGATES": (4, 5),
+    "IFCRELCONTAINEDINSPATIALSTRUCTURE": (5, 4),
+    "IFCRELDEFINESBYPROPERTIES": (5, 4),
+    "IFCRELDEFINESBYTYPE": (5, 4),
+    "IFCRELASSOCIATESCLASSIFICATION": (5, 4),
+    "IFCRELVOIDSELEMENT": (4, 5),
+    "IFCRELFILLSELEMENT": (4, 5),
+}
+
+# relationship classes whose related side is one reference, not a list
+SINGLE_RELATED = frozenset({"IFCRELVOIDSELEMENT", "IFCRELFILLSELEMENT"})
+
 
 def is_rooted(class_name: str) -> bool | None:
     """True/False for known classes, None when the table has no entry.

@@ -10,6 +10,7 @@ traffic.
 from __future__ import annotations
 
 import json
+import math
 import os
 import socketserver
 import sys
@@ -475,13 +476,24 @@ def _result(request_id, result) -> dict:
     return {"jsonrpc": "2.0", "id": request_id, "result": result}
 
 
+def _finite_number(text: str) -> int | float:
+    """A JSON number, or a NaN/Infinity literal, that must be a finite double."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"number {text[:24]} is out of range")
+    return int(text) if text.lstrip("-").isdigit() else value
+
+
 def handle_request(session: Session, raw) -> dict | None:
     """One JSON-RPC message in, one response (or None for notifications)."""
     if isinstance(raw, (str, bytes)):
+        # the model can only store finite reals, so NaN, Infinity and
+        # numbers beyond the double range are malformed traffic
         try:
-            message = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            return _error(None, -32700, f"parse error: {exc.msg}")
+            message = json.loads(raw, parse_float=_finite_number,
+                                 parse_int=_finite_number, parse_constant=_finite_number)
+        except ValueError as exc:  # a json.JSONDecodeError or an out-of-range number
+            return _error(None, -32700, f"parse error: {getattr(exc, 'msg', exc)}")
     else:
         message = raw
     if not isinstance(message, dict):

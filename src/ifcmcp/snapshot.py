@@ -12,9 +12,8 @@ import math
 from . import measure
 from .errors import EmptyModel, UnknownGuid
 from .geometry import Point2, Point3
-from .model import IfcModel
+from .model import RELATING, IfcModel
 from .scene import _name_of, products_in_order
-from .step import EntityRef
 
 SCALE = 50.0  # px per metre
 MARGIN = 1.0  # metres of padding around the content extents
@@ -110,19 +109,10 @@ def _axis_point(start: Point2, direction: Point2, normal: Point2,
 def _openings_of_wall(model: IfcModel, wall_id: int):
     """(opening_id, filler_id | None, filler_class | None) per voids rel."""
     found = []
-    for rel_id in sorted(model.by_class.get("IFCRELVOIDSELEMENT", ())):
-        rel = model.entities[rel_id]
-        relating, related = rel.attributes[4], rel.attributes[5]
-        if not isinstance(relating, EntityRef) or relating.id != wall_id:
-            continue
-        opening_id = related.id
+    for opening_id in model.linked(wall_id, "IFCRELVOIDSELEMENT", RELATING):
         filler_id = filler_class = None
-        for fill_id in sorted(model.by_class.get("IFCRELFILLSELEMENT", ())):
-            fill = model.entities[fill_id]
-            if isinstance(fill.attributes[4], EntityRef) \
-                    and fill.attributes[4].id == opening_id:
-                filler_id = fill.attributes[5].id
-                filler_class = model.entities[filler_id].class_name
+        for filler_id in model.linked(opening_id, "IFCRELFILLSELEMENT", RELATING):
+            filler_class = model.entities[filler_id].class_name
         found.append((opening_id, filler_id, filler_class))
     return found
 

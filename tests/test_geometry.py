@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ifcmcp import measure
@@ -49,6 +49,10 @@ def test_reversed_polygon_normalized():
 @given(st.lists(st.tuples(st.floats(-50, 50), st.floats(-50, 50)),
                 min_size=3, max_size=8))
 @settings(max_examples=200)
+# a near-duplicate pair whose kept point decided, by input order, whether
+# another vertex touched a non-adjacent edge
+@example([(-4.4e-267, 0.0), (0.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)])
+@example([(0.0, 1.0), (1.0, 0.0), (-1.0, 0.0), (0.0, 8.681398445634643e-69), (0.0, 0.0)])
 def test_polygon_area_reversal_property(points):
     try:
         poly = Polygon2(points)

