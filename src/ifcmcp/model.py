@@ -441,17 +441,21 @@ def load_model(data: bytes | str, guid_seed: int | None = None) -> IfcModel:
     model.context_id = contexts[0] if contexts else None
 
     # seed auto-name counters past any existing "<Class>_NNN" names
-    for inst in entities.values():
-        index = schema.attribute_index(inst.class_name, "Name")
-        if index is None or index >= len(inst.attributes):
+    counters = model._name_counters
+    for class_name, ids in model.by_class.items():
+        index = schema.attribute_index(class_name, "Name")
+        if index is None:
             continue
-        name = inst.attributes[index]
-        short = schema.short_name(inst.class_name)
-        if isinstance(name, str) and name.startswith(short + "_"):
-            suffix = name[len(short) + 1:]
-            if suffix.isdigit():
-                current = model._name_counters.get(short, 0)
-                model._name_counters[short] = max(current, int(suffix))
+        short = schema.short_name(class_name)
+        prefix = short + "_"
+        for entity_id in ids:
+            attributes = entities[entity_id].attributes
+            name = attributes[index] if index < len(attributes) else None
+            if isinstance(name, str) and name.startswith(prefix):
+                suffix = name[len(prefix):]
+                # isdecimal, not isdigit: int() rejects digits such as '²'
+                if suffix.isdecimal():
+                    counters[short] = max(counters.get(short, 0), int(suffix))
     return model
 
 

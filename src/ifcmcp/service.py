@@ -4,7 +4,8 @@ Transport is newline-delimited JSON-RPC 2.0 over stdio (or a local TCP
 listener for test harnesses). Tool failures are reported in-band via
 ``isError`` results so a client LLM can read them and try again;
 protocol-level errors (-32700/-32601/-32602) are reserved for malformed
-traffic.
+traffic, and -32603 for a fault of the server itself (an unexpected
+exception in a handler, or a result that is not finite JSON).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import math
 import os
 import socketserver
 import sys
+import traceback
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -543,17 +545,20 @@ def handle_request(session: Session, raw) -> dict | None:
             return _error(request_id, -32602, "invalid params",
                           data={"violations": violations})
         session.call_count += 1
+        flags = {}
         try:
-            payload = descriptor.handler(arguments)
-        except IfcError as exc:
-            payload = {"error": {"type": exc.type_name, "message": str(exc)}}
-            return reply({
-                "content": [{"type": "text", "text": json.dumps(payload)}],
-                "isError": True,
-            })
-        return reply({
-            "content": [{"type": "text", "text": json.dumps(payload)}],
-        })
+            try:
+                payload = descriptor.handler(arguments)
+            except IfcError as exc:
+                payload = {"error": {"type": exc.type_name, "message": str(exc)}}
+                flags["isError"] = True
+            # a derived quantity can overflow to inf, which is not JSON
+            text = json.dumps(payload, allow_nan=False)
+        except Exception as exc:  # a fault of the server, not of the request
+            traceback.print_exc(file=sys.stderr)
+            return None if is_notification else _error(
+                request_id, -32603, f"internal error: {type(exc).__name__}: {exc}")
+        return reply({"content": [{"type": "text", "text": text}], **flags})
     return None if is_notification else _error(
         request_id, -32601, f"method not found: {method}")
 

@@ -5,6 +5,13 @@ unambiguous (int, float, str, bool, None for ``$``) plus small wrapper
 types for the STEP-specific variants (entity references, enumeration
 tokens, typed values, ``*``). Lists are stored as tuples so nesting is
 preserved exactly on round-trip.
+
+Reading has two paths. Each well-formed DATA record is matched whole by one
+pattern and its values are built in one loop (the record path). Comments,
+the header and every error take the token path (``_Tokenizer``/``_Parser``):
+a record the record path does not fully accept is read again from its start
+by the token path, which parses it or raises, so syntax errors and their
+line and column come from one place.
 """
 
 from __future__ import annotations
@@ -438,14 +445,119 @@ class _Parser:
             return items
 
     def parse_record(self) -> tuple[str, list]:
+        """``KEYWORD(args)`` up to its ``;``, which stays the current token."""
         kind, value = self.current
         if kind != _T_KEYWORD:
             raise self.error(f"expected record keyword, got {value!r}")
         name = value
         self.advance()
         args = self.parse_list()
-        self.expect_punct(";")
+        kind, value = self.current
+        if kind != _T_PUNCT or value != ";":
+            raise self.error(f"expected ';', got {value!r}")
         return name, args
+
+
+# --- record path ---
+#
+# One pattern matches a whole well-formed DATA record; its body is split
+# into tokens by one findall, and _record_args builds the values. Anything
+# either step does not fully accept goes to _Parser from the record's start,
+# which parses it or raises, so every syntax error comes from the token path.
+
+_WS = r"[ \t\r\n]*"
+# without (?!') a run of '' could also split into "end string, start
+# string", and a failed match would backtrack exponentially in the run
+_STRING = r"'[^']*(?:''[^']*)*'(?!')"
+_RECORD_RE = re.compile(
+    rf"{_WS}#(\d+){_WS}={_WS}([A-Z][A-Z0-9_]*){_WS}\(([^';]*(?:{_STRING}[^';]*)*)\){_WS};")
+# the tokenizer's token patterns, then any other non-blank character (the
+# punctuation and the characters no token accepts); the record pattern has
+# already matched every quote of the body as part of a string
+_VALUE_RE = re.compile(
+    rf"{_STRING}|#\d+|\.[A-Z_][A-Z0-9_]*\.|[+-]?\d+(?:\.\d*)?(?:[Ee][+-]?\d+)?"
+    r"|[A-Z][A-Z0-9_]*|[^ \t\r\n]")
+
+
+def _record_args(text: str, start: int, end: int, refs: set) -> list | None:
+    """Attributes of the record body ``text[start:end]``, or ``None`` when
+    the token path must read the record. Adds every referenced id to ``refs``."""
+    args: list = []
+    items = args
+    stack: list = []      # (enclosing items, typed-value name or None) per open list
+    typed = None          # keyword still waiting for its '('
+    want_value = True     # else after a value: ',' or ')'
+    found: list = []      # ids referenced by this record
+    for token in _VALUE_RE.findall(text, start, end):
+        c = token[0]
+        if not want_value:
+            if c == ",":
+                want_value = True
+                continue
+            if c != ")":
+                return None
+        elif typed is not None and c != "(":
+            return None
+        if c == ")":
+            # a list closes after a value, or right after its '('
+            if not stack or (want_value and items):
+                return None
+            outer, name = stack.pop()
+            if name is None:
+                value = tuple(items)
+            else:
+                value = TypedValue(name, items[0] if len(items) == 1 else tuple(items))
+            items = outer
+            items.append(value)
+            want_value = False
+            continue
+        if c == "(":
+            # leave lists near the depth limit to the parser, which counts them
+            if len(stack) >= MAX_LIST_DEPTH - 2:
+                return None
+            stack.append((items, typed))
+            items = []
+            typed = None
+            continue
+        if c == "#":
+            if len(token) == 1:
+                return None
+            ref = int(token[1:])
+            if not ref:
+                return None
+            found.append(ref)
+            value = EntityRef(ref)
+        elif c == "$":
+            value = None
+        elif c == "'":
+            value = token[1:-1]
+            if "''" in value:
+                value = value.replace("''", "'")
+            if "\\" in value:
+                value = decode_step_string(value)
+        elif c == ".":
+            if len(token) == 1:
+                return None
+            value = token[1:-1]
+            value = True if value == "T" else False if value == "F" else EnumToken(value)
+        elif c == "*":
+            value = DERIVED
+        elif "A" <= c <= "Z":
+            typed = token
+            continue
+        else:
+            # a number, or a stray character such as a lone '+', '/' or '='
+            try:
+                value = float(token) if "." in token or "E" in token or "e" in token \
+                    else int(token)
+            except ValueError:
+                return None
+        items.append(value)
+        want_value = False
+    if stack or typed is not None or (want_value and args):
+        return None
+    refs.update(found)
+    return args
 
 
 def _header_string(value, default: str = "") -> str:
@@ -479,6 +591,7 @@ def parse_step(data: bytes | str) -> tuple[StepHeader, dict[int, EntityInstance]
             parser.expect_punct(";")
             break
         name, args = parser.parse_record()
+        parser.advance()
         if name == "FILE_DESCRIPTION":
             if len(args) >= 1:
                 header.file_description = _header_strings(args[0])
@@ -499,31 +612,46 @@ def parse_step(data: bytes | str) -> tuple[StepHeader, dict[int, EntityInstance]
         # other header records (FILE_POPULATION etc.) are tolerated and dropped
 
     parser.expect_keyword("DATA")
+    tok = parser.tok
+    pos = tok.pos  # each record starts just past the previous ';', here DATA's
     parser.expect_punct(";")
     entities: dict[int, EntityInstance] = {}
+    refs: set[int] = set()
     while True:
-        kind, value = parser.current
-        if kind == _T_KEYWORD and value == "ENDSEC":
+        m = _RECORD_RE.match(text, pos)
+        entity_id = int(m.group(1)) if m else 0
+        args = _record_args(text, m.start(3), m.end(3), refs) if entity_id else None
+        if args is not None:
+            name, end = m.group(2), m.end()
+        else:
+            tok.pos = pos
             parser.advance()
-            parser.expect_punct(";")
-            break
-        if kind != _T_REF:
-            raise parser.error(f"expected #id=... record, got {value!r}")
-        entity_id = value
-        parser.advance()
-        parser.expect_punct("=")
-        name, args = parser.parse_record()
+            kind, value = parser.current
+            if kind == _T_KEYWORD and value == "ENDSEC":
+                parser.advance()
+                parser.expect_punct(";")
+                break
+            if kind != _T_REF:
+                raise parser.error(f"expected #id=... record, got {value!r}")
+            entity_id = value
+            parser.advance()
+            parser.expect_punct("=")
+            name, args = parser.parse_record()
+            refs.update(ref.id for ref in iter_refs(args))
+            end = tok.pos
         if entity_id in entities:
+            # a syntax error in the next token is reported first, as the
+            # token path reads one token past the ';' before this check
+            tok.pos = end
+            tok.next()
             raise DuplicateId(entity_id)
         entities[entity_id] = EntityInstance(entity_id, name, args)
+        pos = end
 
     parser.expect_keyword(ISO_CLOSE[:-1])
     parser.expect_punct(";")
 
-    dangling = sorted(
-        {ref.id for inst in entities.values() for ref in iter_refs(inst.attributes)
-         if ref.id not in entities}
-    )
+    dangling = sorted(refs - entities.keys())
     if dangling:
         raise DanglingRef(dangling)
     return header, entities

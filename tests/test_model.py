@@ -69,6 +69,19 @@ def test_round_trip_preserves_overview(fresh_model):
         scene.get_ifc_scene_overview(fresh_model)
 
 
+def test_load_seeds_name_counters_past_existing_names():
+    model = new_model(guid_seed=12)
+    for number in range(3):
+        builders.create_wall(model, (number, 0), (number, 2), 2.5, 0.2)
+    builders.create_wall(model, (5, 0), (5, 2), 2.5, 0.2, name="Wall_041")
+    # '\S\2' decodes to a superscript two, a digit that int() rejects
+    builders.create_wall(model, (6, 0), (6, 2), 2.5, 0.2, name="Wall_X")
+    data = model.to_bytes().replace(b"'Wall_X'", b"'Wall_\\S\\2'")
+    reloaded = load_model(data)
+    assert reloaded._name_counters == {"Wall": 41}
+    assert reloaded.next_name("IFCWALL") == "Wall_042"
+
+
 def test_edit_attributes_description(fresh_model):
     building = fresh_model.guid_of(fresh_model.building_id)
     changes = edit_attributes(fresh_model, building,

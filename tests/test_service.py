@@ -5,8 +5,9 @@ import json
 
 import pytest
 
+from ifcmcp import builders
 from ifcmcp.knowledge import KnowledgeIndex
-from ifcmcp.model import new_model
+from ifcmcp.model import load_model, new_model
 from ifcmcp.service import (
     GROUPS,
     Session,
@@ -401,3 +402,40 @@ def test_out_of_range_numbers_rejected_before_dispatch(session, tmp_path, height
     assert response["error"]["code"] == -32700
     assert len(session.model.entities) == entities
     session.model.save(str(tmp_path / "after.ifc"))
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+def test_handler_fault_gets_internal_error_and_serving_goes_on():
+    # a profile class the kit does not measure, as in a file from another tool
+    model = new_model(guid_seed=8)
+    builders.create_wall(model, (0, 0), (5, 0), 3.0, 0.2)
+    data = model.to_bytes().replace(b"IFCRECTANGLEPROFILEDEF", b"IFCCIRCLEPROFILEDEF")
+    session = Session(load_model(data))
+    lines = [json.dumps({"jsonrpc": "2.0", "id": 1, "method": "tools/call",
+                         "params": {"name": "get_ifc_scene_overview", "arguments": {}}}),
+             json.dumps({"jsonrpc": "2.0", "id": 2, "method": "ping"})]
+    stdout = io.StringIO()
+    assert serve_stdio(session, stdin=io.StringIO("\n".join(lines) + "\n"),
+                       stdout=stdout) == 0
+    responses = [json.loads(line) for line in stdout.getvalue().splitlines()]
+    assert [r["id"] for r in responses] == [1, 2]
+    assert responses[0]["error"]["code"] == -32603
+    assert "unsupported profile class" in responses[0]["error"]["message"]
+    assert responses[1]["result"] == {}
+
+
+def test_overflowing_payload_gets_internal_error_in_strict_json(session):
+    # finite coordinates whose area overflows to inf
+    outline = [[0, 0], [1e308, 0], [1e308, 1e308], [0, 1e308]]
+    assert "error" not in call(session, "create_slab", {"outline": outline, "thickness": 0.2})
+    lines = [json.dumps({"jsonrpc": "2.0", "id": 7, "method": "tools/call",
+                         "params": {"name": "get_ifc_scene_overview", "arguments": {}}})]
+    stdout = io.StringIO()
+    serve_stdio(session, stdin=io.StringIO(lines[0] + "\n"), stdout=stdout)
+    (line,) = stdout.getvalue().splitlines()
+    response = json.loads(line, parse_constant=_reject_constant)
+    assert response["id"] == 7
+    assert response["error"]["code"] == -32603

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ifcmcp import builders
+from ifcmcp import builders, step
 from ifcmcp.errors import DanglingRef, DuplicateId, StepSyntaxError
 from ifcmcp.model import new_model
 from ifcmcp.step import (
@@ -324,3 +324,113 @@ def test_write_parse_write_round_trip_property(header, classes, attributes):
                 for i, (cls, attrs) in enumerate(zip(classes, attributes))}
     data = write_step(header, entities)
     assert write_step(*parse_step(data)) == data
+
+
+# --- record path: well-formed records take it, the rest the token path ---
+
+def _outcome(text):
+    try:
+        header, entities = parse_step(text)
+    except Exception as exc:  # the outcome is compared, not handled
+        return type(exc).__name__, str(exc)
+    return "ok", repr(header), repr(entities)
+
+
+def _token_path(text):
+    # a comment at the end of the line before each record sends that record
+    # to the token path without moving any record's line or column
+    return text.replace("\n#", "/**/\n#")
+
+
+def test_well_formed_records_skip_the_token_path(monkeypatch):
+    model = new_model(guid_seed=9)
+    builders.create_wall(model, (0, 0), (4, 0), 2.5, 0.2, name="O'Brien;)")
+    data = model.to_bytes()
+    calls = []
+    original = step._Parser.parse_record
+    monkeypatch.setattr(step._Parser, "parse_record",
+                        lambda self: calls.append(1) or original(self))
+    parse_step(data)
+    assert len(calls) == 3  # the three header records
+    calls.clear()
+    parse_step(_token_path(data.decode("iso-8859-1")))
+    assert len(calls) == 3 + len(parse_step(data)[1])
+
+
+@pytest.mark.parametrize("record,expected", [
+    pytest.param("#1=IFCWALL('a;b)c''d');", ["a;b)c'd"], id="string-with-semicolon-paren-quote"),
+    pytest.param("#1=IFCWALL('\\X2\\00FC\\X0\\');", ["ü"], id="x2-escape"),
+    pytest.param("#1=IFCWALL(#0);", "line 8, col 12: entity ids must be positive",
+                 id="zero-ref"),
+    pytest.param("#0=IFCWALL();", "line 8, col 1: entity ids must be positive",
+                 id="zero-id"),
+    pytest.param("#1=IFCWALL(IFCLABEL ('x'));", [TypedValue("IFCLABEL", "x")],
+                 id="typed-value-with-space"),
+    pytest.param("#1=IFCWALL(IFCX(()));", [TypedValue("IFCX", ())], id="empty-typed-value"),
+    pytest.param("#1 = IFCWALL ( 1 ,\t.T. ,\r\n-2.5E1 ) ;", [1, True, -25.0],
+                 id="whitespace-between-tokens"),
+    pytest.param("#1=IFCWALL(1,);", "line 8, col 15: expected a value, got ')'",
+                 id="trailing-comma"),
+    pytest.param("#1=IFCWALL((1,2);", "line 8, col 18: expected ')', got ';'",
+                 id="unbalanced-parens"),
+    pytest.param("#1=IFCWALL IFCX;", "line 8, col 16: expected '(', got 'IFCX'",
+                 id="keyword-without-paren"),
+    pytest.param("#1=IFCWALL(ISO-10303-21(1));", [TypedValue("ISO-10303-21", 1)],
+                 id="file-marker-as-keyword"),
+    # the token path reads one token past a record before it checks the id
+    pytest.param("#1=IFCWALL();#1=IFCWALL();@", "line 8, col 27: unexpected character '@'",
+                 id="duplicate-id-then-stray-character"),
+])
+def test_record_path_matches_token_path(record, expected):
+    text = _HEAD + record + "\n" + _TAIL
+    outcome = _outcome(text)
+    assert outcome == _outcome(_token_path(text))
+    if isinstance(expected, str):
+        assert outcome == ("StepSyntaxError", expected)
+    else:
+        assert parse_step(text)[1][1].attributes == expected
+
+
+@pytest.mark.parametrize("record,message", [
+    # without the (?!') in the string pattern each of these backtracks
+    # exponentially in the number of quotes before failing
+    pytest.param("#1=IFCWALL(" + "'" * 10000, "line 9, col 7: expected ')', got 'ENDSEC'",
+                 id="10000-quotes"),
+    pytest.param("#1=IFCWALL(" + "'a'," * 5000, "line 9, col 8: expected '(', got ';'",
+                 id="5000-items-unclosed"),
+])
+def test_unclosed_quote_runs_fail_in_linear_time(record, message):
+    with pytest.raises(StepSyntaxError) as excinfo:
+        parse_step(_HEAD + record + "\n" + _TAIL)
+    assert str(excinfo.value) == message
+
+
+_BLANKS = st.sampled_from([" ", "\n", "\t", "\r\n", "  \n\t"])
+
+
+def _spaced(text: str, draw_blank) -> str:
+    """Put whitespace between the tokens of the DATA section."""
+    head, data = text.split("DATA;\n", 1)
+    tok = step._Tokenizer(data)
+    pieces = []
+    while tok.pos < len(data):
+        start = tok.pos
+        if tok.next()[0] == "eof":
+            break
+        pieces.append(data[start:tok.pos].strip(" \t\r\n"))
+        pieces.append(draw_blank())
+    return head + "DATA;\n" + "".join(pieces)
+
+
+@settings(deadline=None)
+@given(header=_HEADERS, classes=st.tuples(_NAME, _NAME),
+       attributes=st.tuples(st.lists(_attribute_values(), max_size=6),
+                            st.lists(_attribute_values(), max_size=6)),
+       data=st.data())
+def test_record_path_equals_token_path_property(header, classes, attributes, data):
+    entities = {i + 1: EntityInstance(i + 1, cls, attrs)
+                for i, (cls, attrs) in enumerate(zip(classes, attributes))}
+    text = write_step(header, entities).decode("iso-8859-1")
+    expected = _outcome(_token_path(text))
+    assert _outcome(text) == expected
+    assert _outcome(_spaced(text, lambda: data.draw(_BLANKS))) == expected
