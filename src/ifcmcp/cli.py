@@ -194,10 +194,6 @@ def main(argv: list[str] | None = None) -> int:
     p_replay.add_argument("--seed", type=int)
     p_replay.add_argument("--save", help="write the final model here")
 
-    p_index = sub.add_parser("index", help="build the knowledge index from a directory")
-    p_index.add_argument("dir")
-    p_index.add_argument("--out", default="knowledge.idx")
-
     p_snap = sub.add_parser("snapshot", help="render a plan or elevation SVG")
     p_snap.add_argument("file")
     p_snap.add_argument("--plan", help="write a plan view SVG to this path")
@@ -272,12 +268,6 @@ def _dispatch(args) -> int:
         if args.save:
             model.save(args.save)
             print(f"saved {args.save}")
-        return 0
-
-    if args.command == "index":
-        index = index_corpus(args.dir)
-        index.save(args.out)
-        print(f"indexed {len(index.chunks)} chunks into {args.out}")
         return 0
 
     if args.command == "snapshot":

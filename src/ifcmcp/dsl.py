@@ -410,9 +410,8 @@ def parse_query(text: str) -> QueryProgram:
 # --- evaluation ---
 
 class _Budget:
-    def __init__(self, limit: int | None = None):
-        self.limit = STEP_BUDGET if limit is None else limit
-        self.remaining = self.limit
+    def __init__(self):
+        self.limit = self.remaining = STEP_BUDGET
 
     def spend(self):
         self.remaining -= 1
@@ -565,8 +564,7 @@ def _render_template(model: IfcModel, entity_id: int, template: str) -> str:
     return _TEMPLATE_RE.sub(substitute, template)
 
 
-def eval_query(model: IfcModel, program: QueryProgram,
-               allow_mutation: bool = True):
+def eval_query(model: IfcModel, program: QueryProgram):
     """Run a parsed program; returns (result, log, changed_guids)."""
     budget = _Budget()
     log: list[str] = []
@@ -586,8 +584,6 @@ def eval_query(model: IfcModel, program: QueryProgram,
 
     terminal = program.terminal
     if isinstance(terminal, (Rename, SetAttr, SetPset)):
-        if not allow_mutation:
-            raise InvalidParams("mutation queries are disabled for this session")
         changed = _apply_mutation(model, selected, terminal, budget, log)
         return {"changed": changed, "count": len(changed)}, log, changed
 
@@ -678,8 +674,3 @@ def _apply_mutation(model: IfcModel, selected: list[int], terminal,
         log.append(f"set {terminal.pset}.{terminal.prop} on {len(changed)} element(s)")
     return changed
 
-
-def run_query(model: IfcModel, text: str, allow_mutation: bool = True):
-    """Parse + evaluate; the execute_ifc_query tool surface."""
-    program = parse_query(text)
-    return eval_query(model, program, allow_mutation=allow_mutation)

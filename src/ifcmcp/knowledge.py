@@ -6,7 +6,6 @@ backend could be swapped in later without touching the tool surface.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass
@@ -19,8 +18,6 @@ CHUNK_MAX = 1500
 CHUNK_OVERLAP = 200
 BM25_K1 = 1.2
 BM25_B = 0.75
-
-INDEX_MAGIC = "ifcmcp-knowledge-index v1"
 
 _TOKEN_RE = re.compile(r"[a-z0-9]{2,}")
 
@@ -122,56 +119,13 @@ class KnowledgeIndex:
         )
         return [(self.chunks[ordinal], score) for ordinal, score in ranked[:k]]
 
-    # --- persistence ---
 
-    def save(self, path: str | Path):
-        payload = {
-            "chunks": [
-                {
-                    "doc_id": c.doc_id,
-                    "chunk_index": c.chunk_index,
-                    "text": c.text,
-                    "source_path": c.source_path,
-                    "tags": c.tags,
-                }
-                for c in self.chunks
-            ],
-            "k1": BM25_K1,
-            "b": BM25_B,
-        }
-        try:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(INDEX_MAGIC + "\n")
-                json.dump(payload, fh)
-        except OSError as exc:
-            raise IoError(str(path), str(exc)) from exc
-
-    @classmethod
-    def load(cls, path: str | Path) -> "KnowledgeIndex":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                magic = fh.readline().rstrip("\n")
-                if magic != INDEX_MAGIC:
-                    raise IoError(str(path), f"not a knowledge index (header {magic!r})")
-                payload = json.load(fh)
-        except OSError as exc:
-            raise IoError(str(path), str(exc)) from exc
-        index = cls()
-        for entry in payload["chunks"]:
-            index.chunks.append(DocChunk(
-                entry["doc_id"], entry["chunk_index"], entry["text"],
-                entry.get("source_path", ""), list(entry.get("tags", [])),
-            ))
-        index.build()
-        return index
-
-
-def index_corpus(root: str | Path, index: KnowledgeIndex | None = None) -> KnowledgeIndex:
+def index_corpus(root: str | Path) -> KnowledgeIndex:
     """Index every .md/.txt/.rst file under ``root`` (sorted, recursive)."""
     root = Path(root)
     if not root.is_dir():
         raise IoError(str(root), "not a readable directory")
-    index = index or KnowledgeIndex()
+    index = KnowledgeIndex()
     for path in sorted(root.rglob("*")):
         if not path.is_file() or path.suffix.lower() not in (".md", ".txt", ".rst"):
             continue

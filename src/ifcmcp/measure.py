@@ -39,7 +39,8 @@ def body_of(model: IfcModel, entity_id: int) -> dict | None:
     return None
 
 
-def _decode_profile(model: IfcModel, profile_id: int) -> dict:
+def _decode_profile(model: IfcModel, profile_id: int) -> dict | None:
+    """A rectangle or a polygon; None for a profile class the kit does not write."""
     profile = model.entities[profile_id]
     if profile.class_name == "IFCRECTANGLEPROFILEDEF":
         xdim = float(profile.attributes[3])
@@ -74,11 +75,13 @@ def _decode_profile(model: IfcModel, profile_id: int) -> dict:
             "area": polygon_area(poly),
             "bbox": (x0, y0, x1, y1),
         }
-    raise ValueError(f"unsupported profile class {profile.class_name}")
+    return None
 
 
-def _decode_extrusion(model: IfcModel, solid) -> dict:
+def _decode_extrusion(model: IfcModel, solid) -> dict | None:
     profile = _decode_profile(model, solid.attributes[0].id)
+    if profile is None:
+        return None
     direction = model.entities[solid.attributes[2].id].attributes[0]
     depth = float(solid.attributes[3])
     origin = Point3(0.0, 0.0, 0.0)

@@ -1,4 +1,10 @@
-"""MCP server core: tool registry, argument validation, JSON-RPC dispatch.
+"""MCP server core: the tool table, argument validation, JSON-RPC dispatch.
+
+The tools are one table, ``TOOLS``, built once at import; a session keeps
+the entries of its groups. Each entry declares its properties, and
+dispatch calls ``handler(session, **arguments)`` with only the declared
+ones, so undeclared properties are ignored. Where the tool does not give
+a property, the layer function's own default applies.
 
 Transport is newline-delimited JSON-RPC 2.0 over stdio (or a local TCP
 listener for test harnesses). Tool failures are reported in-band via
@@ -10,13 +16,14 @@ exception in a handler, or a result that is not finite JSON).
 
 from __future__ import annotations
 
+import codecs
 import json
 import math
 import os
 import socketserver
 import sys
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
@@ -38,26 +45,29 @@ GROUP_SHORTHAND = {"q": "query", "c": "create", "e": "edit",
 
 CORPUS_ENV_VAR = "IFC_MCP_CORPUS"
 
-_POINT2 = {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2}
 _POINT2_OR_3 = {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 3}
 _POINT3 = {"type": "array", "items": {"type": "number"}, "minItems": 3, "maxItems": 3}
 _GUID = {"type": "string", "minLength": 22, "maxLength": 22}
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
 
 
-def _schema(properties: dict, required: list[str]) -> dict:
-    return {"type": "object", "properties": properties, "required": required}
-
-
-@dataclass
+@dataclass(frozen=True)
 class ToolDescriptor:
+    """A tool shared by all sessions: its wire format and ``handler(session, **args)``."""
+
     name: str
-    description: str
-    input_schema: dict
     group: str
+    description: str
+    properties: dict
+    required: list[str]
     handler: Callable
     read_only: bool = False
     destructive: bool = False
+
+    @property
+    def input_schema(self) -> dict:
+        return {"type": "object", "properties": self.properties,
+                "required": self.required}
 
     @cached_property
     def validator(self) -> jsonschema.Draft202012Validator:
@@ -76,14 +86,8 @@ class ToolDescriptor:
         }
 
 
-def validate_args(schema: dict | jsonschema.Draft202012Validator,
-                  args) -> list[dict]:
-    """Schema violations as (json-pointer path, message) pairs; no coercion.
-
-    ``schema`` is a JSON schema or a validator already built from one.
-    """
-    validator = (jsonschema.Draft202012Validator(schema)
-                 if isinstance(schema, dict) else schema)
+def validate_args(validator: jsonschema.Draft202012Validator, args) -> list[dict]:
+    """Schema violations as (json-pointer path, message) pairs; no coercion."""
     violations = []
     for error in validator.iter_errors(args):
         path = "/" + "/".join(str(p) for p in error.absolute_path)
@@ -99,18 +103,11 @@ class Session:
     model: IfcModel
     groups: tuple[str, ...] = GROUPS
     knowledge: KnowledgeIndex | None = None
-    session_id: str = "local"
-    call_count: int = 0
-    tools: dict[str, ToolDescriptor] = field(default_factory=dict)
-    tool_order: list[str] = field(default_factory=list)
 
-    def __post_init__(self):
-        for descriptor in build_registry(self):
-            if descriptor.name in self.tools:
-                raise DuplicateName(f"duplicate tool name {descriptor.name!r}")
-            self.tools[descriptor.name] = descriptor
-        self.tool_order = [d.name for d in sorted(
-            self.tools.values(), key=lambda d: (GROUPS.index(d.group), d.name))]
+    @cached_property
+    def tools(self) -> dict[str, ToolDescriptor]:
+        """The table entries of this session's groups, in ``tools/list`` order."""
+        return {name: d for name, d in TOOLS.items() if d.group in self.groups}
 
     def require_knowledge(self) -> KnowledgeIndex:
         if self.knowledge is None:
@@ -119,309 +116,10 @@ class Session:
                 self.knowledge = index_corpus(corpus)
             else:
                 raise InvalidParams(
-                    f"no knowledge index loaded; set {CORPUS_ENV_VAR} or run "
-                    "the index command"
+                    "no knowledge index loaded; start the server with "
+                    f"serve --corpus DIR or set {CORPUS_ENV_VAR}"
                 )
         return self.knowledge
-
-
-def build_registry(session: Session) -> list[ToolDescriptor]:
-    m = session.model
-    tools: list[ToolDescriptor] = []
-
-    def tool(name, description, properties, required, group, handler,
-             read_only=False, destructive=False):
-        if group not in session.groups:
-            return
-        tools.append(ToolDescriptor(
-            name, description, _schema(properties, required), group, handler,
-            read_only=read_only, destructive=destructive,
-        ))
-
-    # --- query ---
-    tool(
-        "get_scene_info",
-        "List scene objects (spatial containers, building elements and type "
-        "objects) with name, type, location, visibility and GUID. Paginated.",
-        {"offset": {"type": "integer", "minimum": 0},
-         "limit": {"type": "integer", "minimum": 1}},
-        [],
-        "query",
-        lambda args: scene.get_scene_info(m, args.get("offset", 0),
-                                          args.get("limit", scene.DEFAULT_PAGE_LIMIT)),
-        read_only=True,
-    )
-    tool(
-        "get_object_info",
-        "Full record of one object by GUID: class, placement, bounding box, "
-        "property sets, classifications and relationships.",
-        {"guid": _GUID}, ["guid"],
-        "query",
-        lambda args: scene.get_object_info(m, args["guid"]),
-        read_only=True,
-    )
-    tool(
-        "get_ifc_scene_overview",
-        "Aggregate model statistics: per-class counts, storeys with "
-        "elevations, total floor area and overall bounding box.",
-        {}, [],
-        "query",
-        lambda args: scene.get_ifc_scene_overview(m),
-        read_only=True,
-    )
-    tool(
-        "get_door_properties",
-        "Dimensions, sill height and host wall of a door by GUID.",
-        {"guid": _GUID}, ["guid"],
-        "query",
-        lambda args: scene.get_door_properties(m, args["guid"]),
-        read_only=True,
-    )
-    tool(
-        "execute_ifc_query",
-        "Run a query pipeline over the model, e.g. 'walls | count', "
-        "'slabs | sum(area)', 'walls | filter(height > 3) | list(name)' or "
-        "a batch mutation such as 'walls | rename(\"Wall-{height}m\")'.",
-        {"query": {"type": "string", "maxLength": dsl.MAX_QUERY_BYTES}},
-        ["query"],
-        "query",
-        lambda args: _run_query(session, args["query"]),
-        read_only=False,
-    )
-
-    # --- create ---
-    tool(
-        "create_wall",
-        "Create a wall from start/end points (metres), height and thickness. "
-        "Returns the new GUID.",
-        {"start": _POINT2_OR_3, "end": _POINT2_OR_3, "height": _POSITIVE,
-         "thickness": _POSITIVE, "storey": _GUID, "name": {"type": "string"}},
-        ["start", "end", "height", "thickness"],
-        "create",
-        lambda args: {"guid": builders.create_wall(
-            m, args["start"][:2], args["end"][:2], args["height"],
-            args["thickness"], storey=args.get("storey"), name=args.get("name"))},
-    )
-    tool(
-        "create_wall_chain",
-        "Create a chain of walls through a list of points; set close=true "
-        "to add the closing segment. Returns the GUIDs in order.",
-        {"points": {"type": "array", "items": _POINT2_OR_3, "minItems": 2},
-         "height": _POSITIVE, "thickness": _POSITIVE,
-         "close": {"type": "boolean"}, "storey": _GUID},
-        ["points", "height", "thickness"],
-        "create",
-        lambda args: _guids_payload(builders.create_wall_chain(
-            m, [p[:2] for p in args["points"]], args["height"],
-            args["thickness"], close=args.get("close", False),
-            storey=args.get("storey"))),
-    )
-    tool(
-        "create_slab",
-        "Create a floor slab from a closed polygon outline; the top face "
-        "sits at the given elevation and the slab extrudes downward.",
-        {"outline": {"type": "array", "items": _POINT2_OR_3, "minItems": 3},
-         "thickness": _POSITIVE, "elevation": {"type": "number"},
-         "name": {"type": "string"}},
-        ["outline", "thickness"],
-        "create",
-        lambda args: {"guid": builders.create_slab(
-            m, [p[:2] for p in args["outline"]], args["thickness"],
-            elevation=args.get("elevation", 0.0), name=args.get("name"))},
-    )
-    tool(
-        "create_roof",
-        "Create a roof over a 2D outline. Styles: hip (straight-skeleton), "
-        "gable (rectangular outlines) or flat.",
-        {"outline": {"type": "array", "items": _POINT2_OR_3, "minItems": 3},
-         "style": {"type": "string", "enum": ["hip", "gable", "flat"]},
-         "slope_deg": {"type": "number", "minimum": 5, "maximum": 85},
-         "base_z": {"type": "number"}, "name": {"type": "string"}},
-        ["outline"],
-        "create",
-        lambda args: _roof_payload(builders.create_roof(
-            m, [p[:2] for p in args["outline"]], style=args.get("style", "hip"),
-            slope_deg=args.get("slope_deg", 30.0),
-            base_z=args.get("base_z", 0.0), name=args.get("name"))),
-    )
-    tool(
-        "create_roof_over_walls",
-        "Create a roof on top of a closed circuit of walls; the outline is "
-        "reconstructed from the wall axes and the base sits on the tallest wall.",
-        {"wall_guids": {"type": "array", "items": _GUID, "minItems": 3},
-         "style": {"type": "string", "enum": ["hip", "gable", "flat"]},
-         "slope_deg": {"type": "number", "minimum": 5, "maximum": 85}},
-        ["wall_guids"],
-        "create",
-        lambda args: _roof_payload(builders.create_roof_over_walls(
-            m, args["wall_guids"], style=args.get("style", "hip"),
-            slope_deg=args.get("slope_deg", 30.0))),
-    )
-    tool(
-        "create_door",
-        "Insert a door into a wall. Give wall_guid plus position_along_axis, "
-        "or just a position point to pick the nearest wall. Defaults 0.9 x 2.1 m.",
-        {"wall_guid": _GUID, "position": _POINT2_OR_3,
-         "position_along_axis": {"type": "number", "minimum": 0},
-         "width": _POSITIVE, "height": _POSITIVE, "name": {"type": "string"}},
-        [],
-        "create",
-        lambda args: _filled_payload("door", builders.create_door(
-            m, wall_guid=args.get("wall_guid"), position=args.get("position"),
-            position_along_axis=args.get("position_along_axis"),
-            width=args.get("width", builders.DOOR_WIDTH),
-            height=args.get("height", builders.DOOR_HEIGHT),
-            name=args.get("name"))),
-    )
-    tool(
-        "create_window",
-        "Insert a window into a wall; sill_height sets the bottom of the "
-        "opening. Defaults 1.2 x 1.4 m with a 0.9 m sill.",
-        {"wall_guid": _GUID, "position": _POINT2_OR_3,
-         "position_along_axis": {"type": "number", "minimum": 0},
-         "width": _POSITIVE, "height": _POSITIVE,
-         "sill_height": {"type": "number", "minimum": 0},
-         "name": {"type": "string"}},
-        [],
-        "create",
-        lambda args: _filled_payload("window", builders.create_window(
-            m, wall_guid=args.get("wall_guid"), position=args.get("position"),
-            position_along_axis=args.get("position_along_axis"),
-            width=args.get("width", builders.WINDOW_WIDTH),
-            height=args.get("height", builders.WINDOW_HEIGHT),
-            sill_height=args.get("sill_height", builders.WINDOW_SILL),
-            name=args.get("name"))),
-    )
-    tool(
-        "create_stairs",
-        "Create a straight stair flight from an origin point: total rise and "
-        "run are split into equal steps of the given count.",
-        {"origin": _POINT3, "direction_deg": {"type": "number"},
-         "total_rise": _POSITIVE, "total_run": _POSITIVE,
-         "step_count": {"type": "integer", "minimum": 2}, "width": _POSITIVE,
-         "name": {"type": "string"}},
-        ["origin", "total_rise", "total_run", "step_count", "width"],
-        "create",
-        lambda args: {"guid": builders.create_stairs(
-            m, args["origin"], args.get("direction_deg", 0.0),
-            args["total_rise"], args["total_run"], args["step_count"],
-            args["width"], name=args.get("name"))},
-    )
-    tool(
-        "create_mesh_element",
-        "Create an element from a triangle mesh (vertices in metres, faces "
-        "as vertex-index triples). The IFC class must come from the allowed set.",
-        {"ifc_class": {"type": "string"},
-         "vertices": {"type": "array", "items": _POINT3, "minItems": 3},
-         "faces": {"type": "array", "minItems": 1,
-                   "items": {"type": "array", "items": {"type": "integer", "minimum": 0},
-                             "minItems": 3, "maxItems": 3}},
-         "name": {"type": "string"}, "storey": _GUID},
-        ["ifc_class", "vertices", "faces", "name"],
-        "create",
-        lambda args: {"guid": builders.create_mesh_element(
-            m, args["ifc_class"], TriMesh(args["vertices"], args["faces"]),
-            args["name"], storey=args.get("storey"))},
-    )
-
-    # --- edit ---
-    tool(
-        "edit_attributes",
-        "Edit direct attributes (Name, Description, ObjectType, LongName, "
-        "Tag) of an element by GUID. Returns old/new pairs.",
-        {"guid": _GUID,
-         "updates": {"type": "object",
-                     "additionalProperties": {"type": ["string", "number", "boolean", "null"]}}},
-        ["guid", "updates"],
-        "edit",
-        lambda args: {"guid": args["guid"], "changed": model_mod.edit_attributes(
-            m, args["guid"], dict(args["updates"]))},
-    )
-    tool(
-        "add_property_set",
-        "Attach a named property set to an element; merges into an existing "
-        "set of the same name. Values are scalars (string, number, boolean).",
-        {"guid": _GUID, "pset_name": {"type": "string", "minLength": 1},
-         "properties": {"type": "object",
-                        "additionalProperties": {"type": ["string", "number", "boolean"]},
-                        "minProperties": 1}},
-        ["guid", "pset_name", "properties"],
-        "edit",
-        lambda args: {"pset_guid": model_mod.add_property_set(
-            m, args["guid"], PropertySpec(
-                args["pset_name"],
-                [(k, v, None) for k, v in args["properties"].items()]))},
-    )
-    tool(
-        "add_classification",
-        "Classify an element under a classification system code, e.g. "
-        "Uniclass 2015 Ss_25_10_20.",
-        {"guid": _GUID, "system": {"type": "string", "minLength": 1},
-         "code": {"type": "string", "minLength": 1}},
-        ["guid", "system", "code"],
-        "edit",
-        lambda args: {"association_guid": model_mod.add_classification(
-            m, args["guid"], args["system"], args["code"])},
-    )
-    tool(
-        "delete_element",
-        "Delete a building element and everything only it owns (placement, "
-        "geometry, openings, fillings). Spatial containers cannot be deleted.",
-        {"guid": _GUID}, ["guid"],
-        "edit",
-        lambda args: {"removed": model_mod.delete_element(m, args["guid"])},
-        destructive=True,
-    )
-    tool(
-        "set_owner_history",
-        "Attach an owner history (user plus unix timestamp) to the listed "
-        "elements; all-or-nothing on unknown GUIDs.",
-        {"guids": {"type": "array", "items": _GUID},
-         "user": {"type": "string", "minLength": 1},
-         "timestamp": {"type": "integer"}},
-        ["guids", "user", "timestamp"],
-        "edit",
-        lambda args: {"updated": model_mod.set_owner_history(
-            m, args["guids"], args["user"], args["timestamp"])},
-    )
-
-    # --- knowledge ---
-    tool(
-        "search_ifc_knowledge",
-        "Search the local IFC/BIM documentation store; returns the top-k "
-        "chunks ranked lexically.",
-        {"query": {"type": "string", "minLength": 1},
-         "k": {"type": "integer", "minimum": 1}},
-        ["query"],
-        "knowledge",
-        lambda args: _search_payload(session, args["query"], args.get("k", 5)),
-        read_only=True,
-    )
-
-    # --- snapshot ---
-    tool(
-        "capture_plan_view",
-        "Render a top-down plan section of a storey as SVG (50 px per metre, "
-        "walls filled, door/window glyphs, element GUIDs as ids).",
-        {"storey": _GUID,
-         "cut_height": {"type": "number", "exclusiveMinimum": 0}},
-        [],
-        "snapshot",
-        lambda args: {"svg": snapshot.render_plan(
-            m, storey_guid=args.get("storey"),
-            cut_height=args.get("cut_height", 1.2))},
-        read_only=True,
-    )
-    tool(
-        "capture_elevation_view",
-        "Render an orthographic elevation (north, south, east or west) as SVG.",
-        {"view": {"type": "string", "enum": ["north", "south", "east", "west"]}},
-        ["view"],
-        "snapshot",
-        lambda args: {"svg": snapshot.render_elevation(m, args["view"])},
-        read_only=True,
-    )
-    return tools
 
 
 def _guids_payload(guids: list[str]) -> dict:
@@ -441,8 +139,8 @@ def _filled_payload(kind: str, result: tuple[str, str]) -> dict:
     return {kind: filler, "opening": opening, "guid": filler}
 
 
-def _run_query(session: Session, text: str) -> dict:
-    program = dsl.parse_query(text)
+def _run_query(session: Session, query: str) -> dict:
+    program = dsl.parse_query(query)
     if program.is_mutation and "edit" not in session.groups:
         raise InvalidParams("mutation queries require the edit tool group")
     result, log, _changed = dsl.eval_query(session.model, program)
@@ -463,6 +161,256 @@ def _search_payload(session: Session, query: str, k: int) -> dict:
         for chunk, score in index.search(query, k=k)
     ]
     return {"results": results}
+
+
+def tool_table(descriptors) -> dict[str, ToolDescriptor]:
+    """Descriptors by name in ``tools/list`` order: group, then name."""
+    table: dict[str, ToolDescriptor] = {}
+    for descriptor in sorted(descriptors,
+                             key=lambda d: (GROUPS.index(d.group), d.name)):
+        if descriptor.name in table:
+            raise DuplicateName(f"duplicate tool name {descriptor.name!r}")
+        table[descriptor.name] = descriptor
+    return table
+
+
+# Handlers name their layer function at call time (``scene.get_object_info``,
+# not a stored function object), so a function patched on its module is called.
+TOOLS = tool_table([
+    # --- query ---
+    ToolDescriptor(
+        "get_scene_info", "query",
+        "List scene objects (spatial containers, building elements and type "
+        "objects) with name, type, location, visibility and GUID. Paginated.",
+        {"offset": {"type": "integer", "minimum": 0},
+         "limit": {"type": "integer", "minimum": 1}},
+        [],
+        lambda s, **a: scene.get_scene_info(s.model, **a),
+        read_only=True,
+    ),
+    ToolDescriptor(
+        "get_object_info", "query",
+        "Full record of one object by GUID: class, placement, bounding box, "
+        "property sets, classifications and relationships.",
+        {"guid": _GUID}, ["guid"],
+        lambda s, guid: scene.get_object_info(s.model, guid),
+        read_only=True,
+    ),
+    ToolDescriptor(
+        "get_ifc_scene_overview", "query",
+        "Aggregate model statistics: per-class counts, storeys with "
+        "elevations, total floor area and overall bounding box.",
+        {}, [],
+        lambda s: scene.get_ifc_scene_overview(s.model),
+        read_only=True,
+    ),
+    ToolDescriptor(
+        "get_door_properties", "query",
+        "Dimensions, sill height and host wall of a door by GUID.",
+        {"guid": _GUID}, ["guid"],
+        lambda s, guid: scene.get_door_properties(s.model, guid),
+        read_only=True,
+    ),
+    ToolDescriptor(
+        "execute_ifc_query", "query",
+        "Run a query pipeline over the model, e.g. 'walls | count', "
+        "'slabs | sum(area)', 'walls | filter(height > 3) | list(name)' or "
+        "a batch mutation such as 'walls | rename(\"Wall-{height}m\")'.",
+        {"query": {"type": "string", "maxLength": dsl.MAX_QUERY_BYTES}},
+        ["query"],
+        _run_query,
+    ),
+
+    # --- create ---
+    ToolDescriptor(
+        "create_wall", "create",
+        "Create a wall from start/end points (metres), height and thickness. "
+        "Returns the new GUID.",
+        {"start": _POINT2_OR_3, "end": _POINT2_OR_3, "height": _POSITIVE,
+         "thickness": _POSITIVE, "storey": _GUID, "name": {"type": "string"}},
+        ["start", "end", "height", "thickness"],
+        lambda s, start, end, **a: {"guid": builders.create_wall(
+            s.model, start[:2], end[:2], **a)},
+    ),
+    ToolDescriptor(
+        "create_wall_chain", "create",
+        "Create a chain of walls through a list of points; set close=true "
+        "to add the closing segment. Returns the GUIDs in order.",
+        {"points": {"type": "array", "items": _POINT2_OR_3, "minItems": 2},
+         "height": _POSITIVE, "thickness": _POSITIVE,
+         "close": {"type": "boolean"}, "storey": _GUID},
+        ["points", "height", "thickness"],
+        lambda s, points, **a: _guids_payload(builders.create_wall_chain(
+            s.model, [p[:2] for p in points], **a)),
+    ),
+    ToolDescriptor(
+        "create_slab", "create",
+        "Create a floor slab from a closed polygon outline; the top face "
+        "sits at the given elevation and the slab extrudes downward.",
+        {"outline": {"type": "array", "items": _POINT2_OR_3, "minItems": 3},
+         "thickness": _POSITIVE, "elevation": {"type": "number"},
+         "name": {"type": "string"}},
+        ["outline", "thickness"],
+        lambda s, outline, **a: {"guid": builders.create_slab(
+            s.model, [p[:2] for p in outline], **a)},
+    ),
+    ToolDescriptor(
+        "create_roof", "create",
+        "Create a roof over a 2D outline. Styles: hip (straight-skeleton), "
+        "gable (rectangular outlines) or flat.",
+        {"outline": {"type": "array", "items": _POINT2_OR_3, "minItems": 3},
+         "style": {"type": "string", "enum": ["hip", "gable", "flat"]},
+         "slope_deg": {"type": "number", "minimum": 5, "maximum": 85},
+         "base_z": {"type": "number"}, "name": {"type": "string"}},
+        ["outline"],
+        lambda s, outline, **a: _roof_payload(builders.create_roof(
+            s.model, [p[:2] for p in outline], **a)),
+    ),
+    ToolDescriptor(
+        "create_roof_over_walls", "create",
+        "Create a roof on top of a closed circuit of walls; the outline is "
+        "reconstructed from the wall axes and the base sits on the tallest wall.",
+        {"wall_guids": {"type": "array", "items": _GUID, "minItems": 3},
+         "style": {"type": "string", "enum": ["hip", "gable", "flat"]},
+         "slope_deg": {"type": "number", "minimum": 5, "maximum": 85}},
+        ["wall_guids"],
+        lambda s, **a: _roof_payload(builders.create_roof_over_walls(s.model, **a)),
+    ),
+    ToolDescriptor(
+        "create_door", "create",
+        "Insert a door into a wall. Give wall_guid plus position_along_axis, "
+        "or just a position point to pick the nearest wall. Defaults 0.9 x 2.1 m.",
+        {"wall_guid": _GUID, "position": _POINT2_OR_3,
+         "position_along_axis": {"type": "number", "minimum": 0},
+         "width": _POSITIVE, "height": _POSITIVE, "name": {"type": "string"}},
+        [],
+        lambda s, **a: _filled_payload("door", builders.create_door(s.model, **a)),
+    ),
+    ToolDescriptor(
+        "create_window", "create",
+        "Insert a window into a wall; sill_height sets the bottom of the "
+        "opening. Defaults 1.2 x 1.4 m with a 0.9 m sill.",
+        {"wall_guid": _GUID, "position": _POINT2_OR_3,
+         "position_along_axis": {"type": "number", "minimum": 0},
+         "width": _POSITIVE, "height": _POSITIVE,
+         "sill_height": {"type": "number", "minimum": 0},
+         "name": {"type": "string"}},
+        [],
+        lambda s, **a: _filled_payload("window", builders.create_window(s.model, **a)),
+    ),
+    ToolDescriptor(
+        "create_stairs", "create",
+        "Create a straight stair flight from an origin point: total rise and "
+        "run are split into equal steps of the given count.",
+        {"origin": _POINT3, "direction_deg": {"type": "number"},
+         "total_rise": _POSITIVE, "total_run": _POSITIVE,
+         "step_count": {"type": "integer", "minimum": 2}, "width": _POSITIVE,
+         "name": {"type": "string"}},
+        ["origin", "total_rise", "total_run", "step_count", "width"],
+        lambda s, direction_deg=0.0, **a: {"guid": builders.create_stairs(
+            s.model, direction_deg=direction_deg, **a)},
+    ),
+    ToolDescriptor(
+        "create_mesh_element", "create",
+        "Create an element from a triangle mesh (vertices in metres, faces "
+        "as vertex-index triples). The IFC class must come from the allowed set.",
+        {"ifc_class": {"type": "string"},
+         "vertices": {"type": "array", "items": _POINT3, "minItems": 3},
+         "faces": {"type": "array", "minItems": 1,
+                   "items": {"type": "array", "items": {"type": "integer", "minimum": 0},
+                             "minItems": 3, "maxItems": 3}},
+         "name": {"type": "string"}, "storey": _GUID},
+        ["ifc_class", "vertices", "faces", "name"],
+        lambda s, vertices, faces, **a: {"guid": builders.create_mesh_element(
+            s.model, mesh=TriMesh(vertices, faces), **a)},
+    ),
+
+    # --- edit ---
+    ToolDescriptor(
+        "edit_attributes", "edit",
+        "Edit direct attributes (Name, Description, ObjectType, LongName, "
+        "Tag) of an element by GUID. Returns old/new pairs.",
+        {"guid": _GUID,
+         "updates": {"type": "object",
+                     "additionalProperties": {"type": ["string", "number", "boolean", "null"]}}},
+        ["guid", "updates"],
+        lambda s, guid, updates: {"guid": guid, "changed": model_mod.edit_attributes(
+            s.model, guid, dict(updates))},
+    ),
+    ToolDescriptor(
+        "add_property_set", "edit",
+        "Attach a named property set to an element; merges into an existing "
+        "set of the same name. Values are scalars (string, number, boolean).",
+        {"guid": _GUID, "pset_name": {"type": "string", "minLength": 1},
+         "properties": {"type": "object",
+                        "additionalProperties": {"type": ["string", "number", "boolean"]},
+                        "minProperties": 1}},
+        ["guid", "pset_name", "properties"],
+        lambda s, guid, pset_name, properties: {"pset_guid": model_mod.add_property_set(
+            s.model, guid, PropertySpec(
+                pset_name, [(k, v, None) for k, v in properties.items()]))},
+    ),
+    ToolDescriptor(
+        "add_classification", "edit",
+        "Classify an element under a classification system code, e.g. "
+        "Uniclass 2015 Ss_25_10_20.",
+        {"guid": _GUID, "system": {"type": "string", "minLength": 1},
+         "code": {"type": "string", "minLength": 1}},
+        ["guid", "system", "code"],
+        lambda s, **a: {"association_guid": model_mod.add_classification(s.model, **a)},
+    ),
+    ToolDescriptor(
+        "delete_element", "edit",
+        "Delete a building element and everything only it owns (placement, "
+        "geometry, openings, fillings). Spatial containers cannot be deleted.",
+        {"guid": _GUID}, ["guid"],
+        lambda s, guid: {"removed": model_mod.delete_element(s.model, guid)},
+        destructive=True,
+    ),
+    ToolDescriptor(
+        "set_owner_history", "edit",
+        "Attach an owner history (user plus unix timestamp) to the listed "
+        "elements; all-or-nothing on unknown GUIDs.",
+        {"guids": {"type": "array", "items": _GUID},
+         "user": {"type": "string", "minLength": 1},
+         "timestamp": {"type": "integer"}},
+        ["guids", "user", "timestamp"],
+        lambda s, **a: {"updated": model_mod.set_owner_history(s.model, **a)},
+    ),
+
+    # --- knowledge ---
+    ToolDescriptor(
+        "search_ifc_knowledge", "knowledge",
+        "Search the local IFC/BIM documentation store; returns the top-k "
+        "chunks ranked lexically.",
+        {"query": {"type": "string", "minLength": 1},
+         "k": {"type": "integer", "minimum": 1}},
+        ["query"],
+        lambda s, query, k=5: _search_payload(s, query, k),
+        read_only=True,
+    ),
+
+    # --- snapshot ---
+    ToolDescriptor(
+        "capture_plan_view", "snapshot",
+        "Render a top-down plan section of a storey as SVG (50 px per metre, "
+        "walls filled, door/window glyphs, element GUIDs as ids).",
+        {"storey": _GUID,
+         "cut_height": {"type": "number", "exclusiveMinimum": 0}},
+        [],
+        lambda s, storey=None, **a: {"svg": snapshot.render_plan(
+            s.model, storey_guid=storey, **a)},
+        read_only=True,
+    ),
+    ToolDescriptor(
+        "capture_elevation_view", "snapshot",
+        "Render an orthographic elevation (north, south, east or west) as SVG.",
+        {"view": {"type": "string", "enum": ["north", "south", "east", "west"]}},
+        ["view"],
+        lambda s, view: {"svg": snapshot.render_elevation(s.model, view)},
+        read_only=True,
+    ),
+])
 
 
 # --- JSON-RPC plumbing ---
@@ -518,15 +466,10 @@ def handle_request(session: Session, raw) -> dict | None:
             "capabilities": {"tools": {}},
             "serverInfo": {"name": SERVER_NAME, "version": SERVER_VERSION},
         })
-    if method == "notifications/initialized":
-        return reply({})
-    if method == "ping":
+    if method in ("notifications/initialized", "ping"):
         return reply({})
     if method == "tools/list":
-        return reply({
-            "tools": [session.tools[name].wire_format()
-                      for name in session.tool_order],
-        })
+        return reply({"tools": [d.wire_format() for d in session.tools.values()]})
     if method == "tools/call":
         name = params.get("name")
         arguments = params.get("arguments") or {}
@@ -544,11 +487,12 @@ def handle_request(session: Session, raw) -> dict | None:
                 return None
             return _error(request_id, -32602, "invalid params",
                           data={"violations": violations})
-        session.call_count += 1
+        declared = {key: value for key, value in arguments.items()
+                    if key in descriptor.properties}
         flags = {}
         try:
             try:
-                payload = descriptor.handler(arguments)
+                payload = descriptor.handler(session, **declared)
             except IfcError as exc:
                 payload = {"error": {"type": exc.type_name, "message": str(exc)}}
                 flags["isError"] = True
@@ -563,18 +507,22 @@ def handle_request(session: Session, raw) -> dict | None:
         request_id, -32601, f"method not found: {method}")
 
 
-def serve_stdio(session: Session, stdin=None, stdout=None) -> int:
-    """Newline-delimited JSON-RPC loop; returns when stdin closes."""
-    stdin = stdin if stdin is not None else sys.stdin
-    stdout = stdout if stdout is not None else sys.stdout
-    for line in stdin:
+def _serve_lines(session: Session, lines, out) -> None:
+    """Answer each non-blank line with one reply line, flushed at once."""
+    for line in lines:
         line = line.strip()
         if not line:
             continue
         response = handle_request(session, line)
         if response is not None:
-            stdout.write(json.dumps(response) + "\n")
-            stdout.flush()
+            out.write(json.dumps(response) + "\n")
+            out.flush()
+
+
+def serve_stdio(session: Session, stdin=None, stdout=None) -> int:
+    """Newline-delimited JSON-RPC loop; returns when stdin closes."""
+    _serve_lines(session, stdin if stdin is not None else sys.stdin,
+                 stdout if stdout is not None else sys.stdout)
     return 0
 
 
@@ -583,15 +531,8 @@ def serve_tcp(port: int, session_factory: Callable[[], Session]) -> None:
 
     class Handler(socketserver.StreamRequestHandler):
         def handle(self):
-            session = session_factory()
-            for raw in self.rfile:
-                raw = raw.strip()
-                if not raw:
-                    continue
-                response = handle_request(session, raw.decode("utf-8"))
-                if response is not None:
-                    self.wfile.write((json.dumps(response) + "\n").encode("utf-8"))
-                    self.wfile.flush()
+            _serve_lines(session_factory(), self.rfile,
+                         codecs.getwriter("utf-8")(self.wfile))
 
     class Server(socketserver.ThreadingTCPServer):
         allow_reuse_address = True

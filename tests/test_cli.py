@@ -133,20 +133,6 @@ def test_run_trace_schema_validation_enforced():
     assert "invalid params" in str(excinfo.value)
 
 
-def test_index_command(tmp_path, capsys):
-    corpus = tmp_path / "corpus"
-    corpus.mkdir()
-    (corpus / "a.md").write_text("walls and slabs", encoding="utf-8")
-    out = tmp_path / "k.idx"
-    assert main(["index", str(corpus), "--out", str(out)]) == 0
-    assert out.exists()
-    assert "indexed 1 chunks" in capsys.readouterr().out
-
-
-def test_index_missing_dir(capsys):
-    assert main(["index", "/no/such/dir"]) == 2
-
-
 def test_snapshot_command(tmp_path, capsys):
     model_path = tmp_path / "walls.ifc"
     trace = tmp_path / "build.json"

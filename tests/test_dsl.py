@@ -5,7 +5,7 @@ import random
 import pytest
 
 from ifcmcp import builders, dsl
-from ifcmcp.dsl import eval_query, parse_query, run_query
+from ifcmcp.dsl import eval_query, parse_query
 from ifcmcp.errors import (
     UnknownAttribute,
     BudgetExceeded,
@@ -15,6 +15,10 @@ from ifcmcp.errors import (
     UnknownField,
 )
 from ifcmcp.model import new_model
+
+
+def evaluate(model, text):
+    return eval_query(model, parse_query(text))
 
 
 def test_parse_walls_count():
@@ -65,57 +69,57 @@ def test_parse_nesting_limit():
 
 
 def test_count_and_sum_on_square_scene(four_wall_model):
-    result, _log, _ = run_query(four_wall_model, "walls | count")
+    result, _log, _ = evaluate(four_wall_model, "walls | count")
     assert result == 4
-    result, _log, _ = run_query(four_wall_model, "walls | sum(length)")
+    result, _log, _ = evaluate(four_wall_model, "walls | sum(length)")
     assert result == pytest.approx(40.0)
 
 
 def test_filter_and_aggregations(four_wall_model):
     model = four_wall_model
     builders.create_wall(model, (20, 0), (25, 0), 4.0, 0.25)
-    assert run_query(model, "walls | filter(height > 3.5) | count")[0] == 1
-    assert run_query(model, "walls | filter(height == 3) | count")[0] == 4
-    assert run_query(model, "walls | max(height)")[0] == pytest.approx(4.0)
-    assert run_query(model, "walls | min(length)")[0] == pytest.approx(5.0)
-    assert run_query(model, "walls | avg(height)")[0] == pytest.approx(3.2)
-    assert run_query(model, "walls | list(length)")[0] == \
+    assert evaluate(model, "walls | filter(height > 3.5) | count")[0] == 1
+    assert evaluate(model, "walls | filter(height == 3) | count")[0] == 4
+    assert evaluate(model, "walls | max(height)")[0] == pytest.approx(4.0)
+    assert evaluate(model, "walls | min(length)")[0] == pytest.approx(5.0)
+    assert evaluate(model, "walls | avg(height)")[0] == pytest.approx(3.2)
+    assert evaluate(model, "walls | list(length)")[0] == \
         pytest.approx([10.0, 10.0, 10.0, 10.0, 5.0])
 
 
 def test_select_rows(four_wall_model):
-    rows, _log, _ = run_query(four_wall_model, "walls | select(name, length)")
+    rows, _log, _ = evaluate(four_wall_model, "walls | select(name, length)")
     assert rows == [["Wall_001", 10.0], ["Wall_002", 10.0],
                     ["Wall_003", 10.0], ["Wall_004", 10.0]]
-    single, _log, _ = run_query(four_wall_model, "walls | select(name)")
+    single, _log, _ = evaluate(four_wall_model, "walls | select(name)")
     assert single == ["Wall_001", "Wall_002", "Wall_003", "Wall_004"]
 
 
 def test_arithmetic_and_boolean_operators(four_wall_model):
-    assert run_query(four_wall_model, "walls | sum(length * 2 + 1)")[0] == \
+    assert evaluate(four_wall_model, "walls | sum(length * 2 + 1)")[0] == \
         pytest.approx(84.0)
-    assert run_query(
+    assert evaluate(
         four_wall_model,
         "walls | filter(length > 5 && height < 10) | count")[0] == 4
-    assert run_query(
+    assert evaluate(
         four_wall_model,
         "walls | filter(name == \"Wall_001\" || name == \"Wall_002\") | count",
     )[0] == 2
-    assert run_query(four_wall_model, "walls | filter(!(length < 5)) | count")[0] == 4
+    assert evaluate(four_wall_model, "walls | filter(!(length < 5)) | count")[0] == 4
 
 
 def test_rename_with_height_template(four_wall_model):
-    result, _log, changed = run_query(four_wall_model,
+    result, _log, changed = evaluate(four_wall_model,
                                       'walls | rename("Wall-{height}m")')
     assert len(changed) == 4
-    names, _log, _ = run_query(four_wall_model, "walls | list(name)")
+    names, _log, _ = evaluate(four_wall_model, "walls | list(name)")
     assert names == ["Wall-3.0m"] * 4
 
 
 def test_rename_door_with_storey(l_building):
     model, _handles = l_building
-    run_query(model, 'doors | rename("{name} - {storey}")')
-    names, _log, _ = run_query(model, "doors | list(name)")
+    evaluate(model, 'doors | rename("{name} - {storey}")')
+    names, _log, _ = evaluate(model, "doors | list(name)")
     assert names == ["Door_001 - My Storey"]
 
 
@@ -128,21 +132,21 @@ def test_template_rounding_half_up():
 
 def test_mutation_zero_selection_not_dirty(four_wall_model):
     model = four_wall_model
-    result, _log, changed = run_query(model, 'doors | rename("X-{name}")')
+    result, _log, changed = evaluate(model, 'doors | rename("X-{name}")')
     assert changed == []
     assert result == {"changed": [], "count": 0}
 
 
 def test_set_attribute_and_pset(four_wall_model):
     model = four_wall_model
-    run_query(model, 'walls | set(Description, "exterior")')
-    descs, _log, _ = run_query(model, "walls | list(.Description)")
+    evaluate(model, 'walls | set(Description, "exterior")')
+    descs, _log, _ = evaluate(model, "walls | list(.Description)")
     assert descs == ["exterior"] * 4
-    run_query(model, 'windows | count')
-    run_query(model, 'walls | set_pset("Cost", "UnitCost", 500)')
-    total, _log, _ = run_query(model, 'walls | sum(pset("Cost").UnitCost)')
+    evaluate(model, 'windows | count')
+    evaluate(model, 'walls | set_pset("Cost", "UnitCost", 500)')
+    total, _log, _ = evaluate(model, 'walls | sum(pset("Cost").UnitCost)')
     assert total == pytest.approx(2000.0)
-    total2, _log, _ = run_query(model, 'walls | sum(pset("Cost")["UnitCost"])')
+    total2, _log, _ = evaluate(model, 'walls | sum(pset("Cost")["UnitCost"])')
     assert total2 == pytest.approx(2000.0)
 
 
@@ -151,15 +155,9 @@ def test_window_costing_semantics(l_building):
     wall = handles["walls"][0]
     builders.create_window(model, wall_guid=wall, position_along_axis=5.0)
     builders.create_window(model, wall_guid=wall, position_along_axis=8.0)
-    count, _log, _ = run_query(model, "windows | count")
-    total, _log, _ = run_query(model, "windows | sum(500)")
+    count, _log, _ = evaluate(model, "windows | count")
+    total, _log, _ = evaluate(model, "windows | sum(500)")
     assert total == pytest.approx(500.0 * count)
-
-
-def test_mutation_requires_permission(four_wall_model):
-    program = parse_query('walls | rename("X")')
-    with pytest.raises(InvalidParams):
-        eval_query(four_wall_model, program, allow_mutation=False)
 
 
 def test_read_queries_leave_bytes_identical(l_building):
@@ -167,40 +165,40 @@ def test_read_queries_leave_bytes_identical(l_building):
     before = model.to_bytes()
     for text in ("walls | count", "slabs | sum(area)", "all | list(name)",
                  "walls | filter(height > 1) | avg(length)"):
-        run_query(model, text)
+        evaluate(model, text)
     assert model.to_bytes() == before
 
 
 def test_spatial_selector_gating(fresh_model):
-    assert run_query(fresh_model, "buildings | count")[0] == 1
-    run_query(fresh_model, 'buildings | set(Description, "tower")')
+    assert evaluate(fresh_model, "buildings | count")[0] == 1
+    evaluate(fresh_model, 'buildings | set(Description, "tower")')
     # LongName exists on buildings but only Name/Description are writable
     # on spatial containers through the DSL
     with pytest.raises(InvalidParams):
-        run_query(fresh_model, 'buildings | set(LongName, "T")')
+        evaluate(fresh_model, 'buildings | set(LongName, "T")')
     with pytest.raises(UnknownAttribute):
-        run_query(fresh_model, 'buildings | set(Tag, "T")')
+        evaluate(fresh_model, 'buildings | set(Tag, "T")')
 
 
 def test_type_errors(four_wall_model):
     with pytest.raises(TypeMismatch):
-        run_query(four_wall_model, "walls | sum(name)")
+        evaluate(four_wall_model, "walls | sum(name)")
     with pytest.raises(TypeMismatch):
-        run_query(four_wall_model, "walls | filter(length + name > 1) | count")
+        evaluate(four_wall_model, "walls | filter(length + name > 1) | count")
     with pytest.raises(UnknownField):
-        run_query(four_wall_model, "spaceships | count")
+        evaluate(four_wall_model, "spaceships | count")
     with pytest.raises(ParseError):
-        run_query(four_wall_model, "walls | sum(unknown_field)")
+        evaluate(four_wall_model, "walls | sum(unknown_field)")
 
 
 def test_budget_exceeded(four_wall_model, monkeypatch):
     monkeypatch.setattr(dsl, "STEP_BUDGET", 10)
     with pytest.raises(BudgetExceeded):
-        run_query(four_wall_model, "walls | sum(length + length + length)")
+        evaluate(four_wall_model, "walls | sum(length + length + length)")
 
 
 def test_missing_pset_filters_false(four_wall_model):
-    kept, _log, _ = run_query(
+    kept, _log, _ = evaluate(
         four_wall_model, 'walls | filter(pset("Nope").x == 1) | count')
     assert kept == 0
 
@@ -257,16 +255,16 @@ def test_oracle_equivalence_random_models():
                                  rng.uniform(0.1, 0.5))
         wall_count, wall_len, _ = _oracle_scan(model, {"IFCWALL"})
         slab_count, _, slab_area = _oracle_scan(model, {"IFCSLAB"})
-        assert run_query(model, "walls | count")[0] == wall_count
-        assert run_query(model, "slabs | count")[0] == slab_count
+        assert evaluate(model, "walls | count")[0] == wall_count
+        assert evaluate(model, "slabs | count")[0] == slab_count
         if wall_count:
-            assert run_query(model, "walls | sum(length)")[0] == \
+            assert evaluate(model, "walls | sum(length)")[0] == \
                 pytest.approx(wall_len, abs=1e-9)
         if slab_count:
-            assert run_query(model, "slabs | sum(area)")[0] == \
+            assert evaluate(model, "slabs | sum(area)")[0] == \
                 pytest.approx(slab_area, abs=1e-9)
 
 
 def test_class_name_selectors(four_wall_model):
-    assert run_query(four_wall_model, "IfcWall | count")[0] == 4
-    assert run_query(four_wall_model, "IFCWALL | count")[0] == 4
+    assert evaluate(four_wall_model, "IfcWall | count")[0] == 4
+    assert evaluate(four_wall_model, "IFCWALL | count")[0] == 4

@@ -8,7 +8,6 @@ from ifcmcp.errors import EmptyIndex, IoError
 from ifcmcp.knowledge import (
     CHUNK_MAX,
     CHUNK_OVERLAP,
-    KnowledgeIndex,
     chunk_text,
     index_corpus,
     tokenize,
@@ -107,36 +106,6 @@ def test_tie_break_by_doc_and_chunk(tmp_path):
     index = index_corpus(tmp_path)
     results = index.search("identical content", k=3)
     assert [c.doc_id for c, _s in results] == ["aaa.md", "bbb.md", "ccc.md"]
-
-
-def test_persisted_index_equals_memory(tmp_path):
-    corpus = tmp_path / "corpus"
-    corpus.mkdir()
-    for i in range(5):
-        (corpus / f"d{i}.md").write_text(
-            f"document {i} about walls slabs roofs item{i}", encoding="utf-8")
-    index = index_corpus(corpus)
-    path = tmp_path / "knowledge.idx"
-    index.save(path)
-    loaded = KnowledgeIndex.load(path)
-    for query in ("walls", "item3", "roofs slabs", "absent"):
-        a = [(c.doc_id, c.chunk_index, round(s, 12)) for c, s in
-             index.search(query, k=10)] if index.chunks else []
-        b = [(c.doc_id, c.chunk_index, round(s, 12)) for c, s in
-             loaded.search(query, k=10)]
-        assert a == b
-
-
-def test_index_file_has_magic_header(tmp_path):
-    index = KnowledgeIndex()
-    index.add_document("d", "some words here")
-    index.build()
-    path = tmp_path / "k.idx"
-    index.save(path)
-    assert path.read_text(encoding="utf-8").startswith("ifcmcp-knowledge-index v1\n")
-    (tmp_path / "bad.idx").write_text("garbage\n{}", encoding="utf-8")
-    with pytest.raises(IoError):
-        KnowledgeIndex.load(tmp_path / "bad.idx")
 
 
 def test_tags_from_subdirectories(tmp_path):

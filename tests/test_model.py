@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -276,9 +277,9 @@ def assert_indexes_fresh(model):
 
 
 def _checked(model, handler):
-    def checked(args):
+    def checked(session, **args):
         try:
-            return handler(args)
+            return handler(session, **args)
         finally:
             assert_indexes_fresh(model)
     return checked
@@ -298,8 +299,9 @@ _EDIT_TOOLS = ["create_wall", "create_door", "add_property_set",
 def test_rel_index_matches_rebuild_after_every_step(trace, steps):
     session = Session(new_model(guid_seed=31))
     model = session.model
-    for descriptor in session.tools.values():
-        descriptor.handler = _checked(model, descriptor.handler)
+    for name, descriptor in session.tools.items():
+        session.tools[name] = replace(descriptor,
+                                      handler=_checked(model, descriptor.handler))
     run_trace(session, json.loads((TRACES / f"{trace}.json").read_text()))
     for number, (tool, pick, variant) in enumerate(steps, start=1):
         targets = scene.spatial_in_order(model) + scene.products_in_order(model)

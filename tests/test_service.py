@@ -1,18 +1,25 @@
 from __future__ import annotations
 
+import importlib
 import io
 import json
+from dataclasses import replace
+from pathlib import Path
 
+import jsonschema
 import pytest
 
 from ifcmcp import builders
+from ifcmcp.errors import DuplicateName
 from ifcmcp.knowledge import KnowledgeIndex
 from ifcmcp.model import load_model, new_model
 from ifcmcp.service import (
     GROUPS,
+    TOOLS,
     Session,
     handle_request,
     serve_stdio,
+    tool_table,
     validate_args,
 )
 
@@ -126,10 +133,89 @@ def test_type_violation_with_pointer_path(session):
     assert any(v["path"] == "/height" for v in violations)
 
 
-def test_extra_unknown_properties_accepted(session):
-    response = call(session, "get_scene_info", {"offset": 0, "stray": "x"})
-    assert "result" in response
-    assert not response["result"].get("isError")
+def _tool_setup(seed=41):
+    """A same-seed session with four closed walls, a door and a knowledge index."""
+    index = KnowledgeIndex()
+    index.add_document("walls.md", "IfcWall entities are vertical elements")
+    index.build()
+    model = new_model(guid_seed=seed)
+    walls = builders.create_wall_chain(model, [(0, 0), (8, 0), (8, 6), (0, 6)],
+                                       3.0, 0.2, close=True)
+    door, _opening = builders.create_door(model, wall_guid=walls[0],
+                                          position_along_axis=2.0)
+    return Session(model, knowledge=index), walls, door
+
+
+_UNKNOWN_GUID = "0" * 22
+
+# per tool: the layer function its handler calls (the search tool calls a
+# method), one minimal valid call, and the properties its schema does not
+# declare: a stray key, plus any parameter of the layer function it leaves out
+_MINIMAL_CALLS = {
+    "get_scene_info": ("scene.get_scene_info", lambda w, d: {"offset": 0}, {}),
+    "get_object_info": ("scene.get_object_info", lambda w, d: {"guid": w[0]}, {}),
+    "get_ifc_scene_overview": ("scene.get_ifc_scene_overview", lambda w, d: {}, {}),
+    "get_door_properties": ("scene.get_door_properties",
+                            lambda w, d: {"guid": d}, {}),
+    "execute_ifc_query": ("dsl.eval_query",
+                          lambda w, d: {"query": "walls | count"}, {}),
+    "create_wall": ("builders.create_wall",
+                    lambda w, d: {"start": [0, 10], "end": [5, 10], "height": 3,
+                                  "thickness": 0.2}, {}),
+    "create_wall_chain": ("builders.create_wall_chain",
+                          lambda w, d: {"points": [[0, 10], [5, 10], [5, 14]],
+                                        "height": 3, "thickness": 0.2}, {}),
+    "create_slab": ("builders.create_slab",
+                    lambda w, d: {"outline": [[0, 0], [8, 0], [8, 6]],
+                                  "thickness": 0.2}, {"storey": _UNKNOWN_GUID}),
+    "create_roof": ("builders.create_roof",
+                    lambda w, d: {"outline": [[0, 0], [8, 0], [8, 6], [0, 6]]}, {}),
+    "create_roof_over_walls": ("builders.create_roof_over_walls",
+                               lambda w, d: {"wall_guids": w},
+                               {"name": "Undeclared roof name"}),
+    "create_door": ("builders.create_door",
+                    lambda w, d: {"wall_guid": w[1], "position_along_axis": 2.0}, {}),
+    "create_window": ("builders.create_window",
+                      lambda w, d: {"wall_guid": w[2], "position_along_axis": 2.0}, {}),
+    "create_stairs": ("builders.create_stairs",
+                      lambda w, d: {"origin": [2, 2, 0], "total_rise": 3,
+                                    "total_run": 4, "step_count": 10,
+                                    "width": 1}, {}),
+    "create_mesh_element": ("builders.create_mesh_element", lambda w, d: {
+        "ifc_class": "IfcBuildingElementProxy", "name": "Box",
+        "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]],
+        "faces": [[0, 2, 1], [0, 1, 3], [1, 2, 3], [0, 3, 2]]}, {}),
+    "edit_attributes": ("model.edit_attributes",
+                        lambda w, d: {"guid": w[0], "updates": {"Name": "N"}}, {}),
+    "add_property_set": ("model.add_property_set",
+                         lambda w, d: {"guid": w[0], "pset_name": "P",
+                                       "properties": {"a": 1}}, {}),
+    "add_classification": ("model.add_classification",
+                           lambda w, d: {"guid": w[0], "system": "S",
+                                         "code": "C"}, {}),
+    "delete_element": ("model.delete_element", lambda w, d: {"guid": d}, {}),
+    "set_owner_history": ("model.set_owner_history",
+                          lambda w, d: {"guids": [w[0]], "user": "u",
+                                        "timestamp": 1}, {}),
+    "search_ifc_knowledge": (None, lambda w, d: {"query": "walls"}, {}),
+    "capture_plan_view": ("snapshot.render_plan", lambda w, d: {},
+                          {"storey_guid": _UNKNOWN_GUID}),
+    "capture_elevation_view": ("snapshot.render_elevation",
+                               lambda w, d: {"view": "south"}, {}),
+}
+
+
+def test_extra_unknown_properties_accepted():
+    assert sorted(_MINIMAL_CALLS) == sorted(_tool_setup()[0].tools)
+    for tool, (_label, arguments, undeclared) in _MINIMAL_CALLS.items():
+        outcomes = []
+        for extra in ({}, {"stray": "x", **undeclared}):
+            session, walls, door = _tool_setup()
+            response = call(session, tool, {**arguments(walls, door), **extra})
+            assert "result" in response, (tool, response)
+            assert not response["result"].get("isError"), (tool, response)
+            outcomes.append((response, session.model.to_bytes()))
+        assert outcomes[0] == outcomes[1], tool
 
 
 def test_unknown_tool_in_band_error(session):
@@ -169,6 +255,38 @@ def test_id_echo_including_string_ids(session):
     response = rpc(session, "ping", request_id="abc-1")
     assert response["id"] == "abc-1"
     assert response["result"] == {}
+
+
+def test_handlers_look_layer_functions_up_at_call_time(monkeypatch):
+    # a tracer patches layer functions on their modules; the table must see that
+    called = []
+    layer_calls = {tool: (label, arguments)
+                   for tool, (label, arguments, _undeclared) in _MINIMAL_CALLS.items()
+                   if label is not None}
+    for label, _arguments in layer_calls.values():
+        module_name, name = label.split(".")
+        module = importlib.import_module(f"ifcmcp.{module_name}")
+
+        def spy(*args, _label=label, _function=getattr(module, name), **kwargs):
+            called.append(_label)
+            return _function(*args, **kwargs)
+        monkeypatch.setattr(module, name, spy)
+    for tool, (label, arguments) in layer_calls.items():
+        session, walls, door = _tool_setup()
+        called.clear()
+        assert not call(session, tool, arguments(walls, door))["result"].get("isError")
+        assert label in called, tool
+
+
+WIRE_FORMAT = Path(__file__).parent / "fixtures" / "tools_list.json"
+
+
+@pytest.mark.parametrize("groups", [GROUPS, ("query",), ("query", "create")],
+                         ids=["all", "query", "query,create"])
+def test_tools_list_matches_recorded_wire_format(groups):
+    recorded = json.loads(WIRE_FORMAT.read_text(encoding="utf-8"))[",".join(groups)]
+    response = rpc(Session(new_model(guid_seed=1), groups=groups), "tools/list")
+    assert json.dumps(response["result"]) == json.dumps(recorded)
 
 
 def test_group_gating():
@@ -245,43 +363,45 @@ def test_snapshot_tools(session):
     assert bad["error"]["code"] == -32602
 
 
-def test_duplicate_tool_name_rejected(monkeypatch):
-    from ifcmcp import service
-    from ifcmcp.errors import DuplicateName
-
-    original = service.build_registry
-
-    def doubled(session):
-        tools = original(session)
-        return tools + [tools[0]]
-
-    monkeypatch.setattr(service, "build_registry", doubled)
+def test_duplicate_tool_name_rejected():
     with pytest.raises(DuplicateName):
-        Session(new_model(guid_seed=7))
+        tool_table([*TOOLS.values(), TOOLS["get_scene_info"]])
+
+
+def test_sessions_share_the_table_entries_of_their_groups():
+    first = Session(new_model(guid_seed=7))
+    second = Session(new_model(guid_seed=7), groups=("snapshot", "query"))
+    assert list(first.tools) == list(TOOLS)
+    assert list(second.tools) == [name for name, d in TOOLS.items()
+                                  if d.group in ("query", "snapshot")]
+    for name, descriptor in second.tools.items():
+        assert descriptor is first.tools[name] is TOOLS[name]
 
 
 def test_validate_args_directly():
-    schema = {"type": "object",
-              "properties": {"n": {"type": "number", "exclusiveMinimum": 0},
-                             "items": {"type": "array", "minItems": 3}},
-              "required": ["n"]}
-    assert validate_args(schema, {"n": 1.5}) == []
-    assert validate_args(schema, {"n": 0})[0]["path"] == "/n"
-    assert validate_args(schema, {})[0]["path"] == "/"
-    violations = validate_args(schema, {"n": 2, "items": [1, 2]})
+    validator = jsonschema.Draft202012Validator(
+        {"type": "object",
+         "properties": {"n": {"type": "number", "exclusiveMinimum": 0},
+                        "items": {"type": "array", "minItems": 3}},
+         "required": ["n"]})
+    assert validate_args(validator, {"n": 1.5}) == []
+    assert validate_args(validator, {"n": 0})[0]["path"] == "/n"
+    assert validate_args(validator, {})[0]["path"] == "/"
+    violations = validate_args(validator, {"n": 2, "items": [1, 2]})
     assert violations[0]["path"] == "/items"
     # no coercion: a numeric string is not a number
-    assert validate_args(schema, {"n": "3"})
+    assert validate_args(validator, {"n": "3"})
 
 
 def test_cached_validator_reports_like_a_fresh_one(session):
     descriptor = session.tools["create_wall"]
     assert descriptor.validator is descriptor.validator
+    fresh = jsonschema.Draft202012Validator(descriptor.input_schema)
     for args in ({"start": [0], "end": [1, 2, 3, 4], "height": -1},
                  {"start": [0, 0], "end": [1, 0], "height": 3, "thickness": 0.2},
                  {"start": "x", "thickness": "0.2", "extra": 1}):
         assert validate_args(descriptor.validator, args) == \
-            validate_args(descriptor.input_schema, args)
+            validate_args(fresh, args)
 
 
 def test_tcp_sessions_are_independent():
@@ -314,7 +434,9 @@ def test_tcp_sessions_are_independent():
         responses = []
         with sock, sock.makefile("rwb") as stream:
             for message in messages:
-                stream.write((json.dumps(message) + "\n").encode())
+                if not isinstance(message, bytes):
+                    message = json.dumps(message).encode()
+                stream.write(message + b"\n")
                 stream.flush()
                 responses.append(json.loads(stream.readline()))
         return responses
@@ -331,6 +453,10 @@ def test_tcp_sessions_are_independent():
     # a second connection gets its own fresh model
     second = exchange([count])
     assert json.loads(second[0]["result"]["content"][0]["text"])["result"] == 0
+    # a line that is not UTF-8 gets one parse error and the connection goes on
+    third = exchange([b"\x80\xff not utf-8", count])
+    assert third[0]["error"]["code"] == -32700
+    assert json.loads(third[1]["result"]["content"][0]["text"])["result"] == 0
 
 
 def test_stdio_loop_round_trip():
@@ -409,11 +535,13 @@ def _reject_constant(name):
 
 
 def test_handler_fault_gets_internal_error_and_serving_goes_on():
-    # a profile class the kit does not measure, as in a file from another tool
-    model = new_model(guid_seed=8)
-    builders.create_wall(model, (0, 0), (5, 0), 3.0, 0.2)
-    data = model.to_bytes().replace(b"IFCRECTANGLEPROFILEDEF", b"IFCCIRCLEPROFILEDEF")
-    session = Session(load_model(data))
+    session = Session(new_model(guid_seed=8))
+
+    def faulty(session):
+        raise ValueError("unsupported profile class IFCCIRCLEPROFILEDEF")
+
+    overview = session.tools["get_ifc_scene_overview"]
+    session.tools[overview.name] = replace(overview, handler=faulty)
     lines = [json.dumps({"jsonrpc": "2.0", "id": 1, "method": "tools/call",
                          "params": {"name": "get_ifc_scene_overview", "arguments": {}}}),
              json.dumps({"jsonrpc": "2.0", "id": 2, "method": "ping"})]
@@ -423,8 +551,48 @@ def test_handler_fault_gets_internal_error_and_serving_goes_on():
     responses = [json.loads(line) for line in stdout.getvalue().splitlines()]
     assert [r["id"] for r in responses] == [1, 2]
     assert responses[0]["error"]["code"] == -32603
-    assert "unsupported profile class" in responses[0]["error"]["message"]
+    assert "ValueError: unsupported profile class" in responses[0]["error"]["message"]
     assert responses[1]["result"] == {}
+    # the entry was replaced in this session only
+    assert TOOLS[overview.name] is overview
+
+
+def _foreign_profile_session():
+    """A door in a wall whose profile class the kit does not measure."""
+    model = new_model(guid_seed=8)
+    wall = builders.create_wall(model, (0, 0), (5, 0), 3.0, 0.2)
+    builders.create_wall_chain(model, [(5, 0), (5, 4), (0, 4), (0, 0)], 3.0, 0.2)
+    builders.create_door(model, wall_guid=wall, position_along_axis=1.0)
+    data = model.to_bytes().replace(b"IFCRECTANGLEPROFILEDEF", b"IFCCIRCLEPROFILEDEF")
+    session = Session(load_model(data))
+    model = session.model
+    walls = [model.guid_of(i) for i in sorted(model.by_class["IFCWALL"])]
+    return session, walls
+
+
+def test_foreign_profiles_degrade_in_band():
+    session, walls = _foreign_profile_session()
+    assert not call(session, "get_ifc_scene_overview", {})["result"].get("isError")
+    info = call(session, "get_object_info", {"guid": walls[0]})
+    assert not info["result"].get("isError")
+    assert payload_of(info)["bounding_box"] is None
+    in_band_errors = [
+        ("create_door", {"wall_guid": walls[0], "position_along_axis": 2.0},
+         "InvalidParams"),
+        ("create_door", {"position": [2.5, 0]}, "InvalidParams"),
+        ("create_window", {"wall_guid": walls[0], "position_along_axis": 2.0},
+         "InvalidParams"),
+        ("create_roof_over_walls", {"wall_guids": walls}, "InvalidParams"),
+        ("capture_plan_view", {}, "EmptyModel"),
+        ("capture_elevation_view", {"view": "south"}, "EmptyModel"),
+        ("execute_ifc_query", {"query": "walls | sum(length)"}, "TypeMismatch"),
+    ]
+    for number, (tool, arguments, error_type) in enumerate(in_band_errors, start=2):
+        response = call(session, tool, arguments, number)
+        assert response["result"]["isError"] is True, tool
+        assert payload_of(response)["error"]["type"] == error_type, tool
+    # and the model can still be saved
+    session.model.to_bytes()
 
 
 def test_overflowing_payload_gets_internal_error_in_strict_json(session):
