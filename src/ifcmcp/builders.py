@@ -241,7 +241,8 @@ def create_roof_over_walls(model: IfcModel, wall_guids: list[str],
 def _nearest_wall(model: IfcModel, point: Point2) -> tuple[int, float]:
     """Wall id and axis parameter (metres along axis) nearest to a 2D point."""
     best = None
-    for wall_id in sorted(model.by_class.get("IFCWALL", ())):
+    for wall_id in sorted(entity_id for class_name in schema.WALL_CLASSES
+                          for entity_id in model.by_class.get(class_name, ())):
         axis = measure.wall_axis(model, wall_id)
         if axis is None:
             continue
@@ -271,7 +272,7 @@ def _create_filled_opening(model: IfcModel, filler_class: str,
 
     if wall_guid is not None:
         wall = model.require_guid(wall_guid)
-        if wall.class_name not in ("IFCWALL", "IFCWALLSTANDARDCASE"):
+        if wall.class_name not in schema.WALL_CLASSES:
             raise InvalidParams(f"{wall_guid} is not a wall")
         wall_id = wall.id
         if position_along_axis is None:

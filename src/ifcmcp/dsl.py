@@ -46,7 +46,7 @@ STEP_BUDGET = 1_000_000
 MAX_EXPR_DEPTH = 64
 
 SELECTOR_CLASSES: dict[str, tuple[str, ...]] = {
-    "walls": ("IFCWALL", "IFCWALLSTANDARDCASE"),
+    "walls": schema.WALL_CLASSES,
     "slabs": ("IFCSLAB",),
     "doors": ("IFCDOOR",),
     "windows": ("IFCWINDOW",),

@@ -206,7 +206,7 @@ def wall_axis(model: IfcModel, wall_id: int) -> dict | None:
 
 def element_length(model: IfcModel, entity_id: int) -> float | None:
     inst = model.entities[entity_id]
-    if inst.class_name in ("IFCWALL", "IFCWALLSTANDARDCASE"):
+    if inst.class_name in schema.WALL_CLASSES:
         axis = wall_axis(model, entity_id)
         return axis["length"] if axis else None
     box = local_bbox(model, entity_id)
@@ -231,7 +231,7 @@ def element_area(model: IfcModel, entity_id: int) -> float | None:
     body = body_of(model, entity_id)
     if body is None:
         return None
-    if inst.class_name in ("IFCWALL", "IFCWALLSTANDARDCASE"):
+    if inst.class_name in schema.WALL_CLASSES:
         axis = wall_axis(model, entity_id)
         if axis is None:
             return None

@@ -1,15 +1,17 @@
 """Typed model layer over the STEP entity graph.
 
 Owns the spatial hierarchy, relationship management, property sets,
-classifications, attribute edits, deletion with reference-counted
-resource cleanup, and per-session display flags (which are never
-persisted to file).
+classifications, attribute edits and deletion with reference-counted
+resource cleanup. The model keeps no state it can derive: the spatial
+handles (``project_id``, ``storey_ids``, ...) are read from ``by_class``.
 
+Instance attributes are written only by ``IfcModel.add``,
+``IfcModel.set_attr``, ``IfcModel.relate`` and ``delete_element``.
 Relationship records (the classes in ``schema.REL_SIDES``) are written
-only through ``IfcModel.add``, ``IfcModel.relate`` and ``delete_element``,
-and read through the relationship index (``IfcModel.rels``,
-``IfcModel.rel_side`` and ``IfcModel.linked``), never by scanning a
-relationship class; ``delete_element`` ends by rebuilding the indexes.
+only through ``add``, ``relate`` and ``delete_element``, and read through
+the relationship index (``IfcModel.rels``, ``IfcModel.rel_side`` and
+``IfcModel.linked``), never by scanning a relationship class;
+``delete_element`` ends by rebuilding the indexes.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ _FIXED_TIMESTAMP = "2024-01-01T00:00:00"
 @dataclass
 class PropertySpec:
     pset_name: str
-    properties: list[tuple[str, object, str | None]]
+    properties: list[tuple[str, object]]
 
     def validate(self):
         if not self.pset_name:
@@ -56,7 +58,7 @@ class PropertySpec:
         if not self.properties:
             raise EmptySpec(f"property set {self.pset_name!r} has no properties")
         seen = set()
-        for name, value, _unit in self.properties:
+        for name, value in self.properties:
             if not name:
                 raise InvalidParams("property name is empty")
             if name in seen:
@@ -64,11 +66,6 @@ class PropertySpec:
             if not isinstance(value, (str, int, float, bool)):
                 raise InvalidParams(f"property {name!r} value must be a scalar")
             seen.add(name)
-
-
-@dataclass
-class SessionFlags:
-    visible: bool = True
 
 
 # sides of a relationship record, as indexes into a ``schema.REL_SIDES`` pair
@@ -90,8 +87,18 @@ def _insert(ids: list[int], rel_id: int):
         ids.insert(at, rel_id)
 
 
+def _lowest(class_name: str) -> property:
+    """Read-only spatial handle: the lowest id of ``class_name``, or None."""
+    return property(lambda model: min(model.by_class.get(class_name, ()), default=None))
+
+
 class IfcModel:
-    """Entity graph plus indexes, spatial handles and session state."""
+    """Entity graph plus its indexes and GlobalId/name generators."""
+
+    project_id = _lowest("IFCPROJECT")
+    site_id = _lowest("IFCSITE")
+    building_id = _lowest("IFCBUILDING")
+    context_id = _lowest("IFCGEOMETRICREPRESENTATIONCONTEXT")
 
     def __init__(self, header: StepHeader | None = None,
                  guid_seed: int | None = None):
@@ -104,13 +111,7 @@ class IfcModel:
         # records of that class that hold the entity on that side
         self.rel_index: dict[str, tuple[dict[int, list[int]], ...]] = {
             name: ({}, {}) for name in schema.REL_SIDES}
-        self.session_flags: dict[int, SessionFlags] = {}
         self.guids = GuidGenerator(guid_seed)
-        self.project_id: int | None = None
-        self.site_id: int | None = None
-        self.building_id: int | None = None
-        self.storey_ids: list[int] = []
-        self.context_id: int | None = None
         self._name_counters: dict[str, int] = {}
 
     # --- low-level graph access ---
@@ -134,22 +135,13 @@ class IfcModel:
             for side, by_entity in enumerate(self.rel_index[inst.class_name]):
                 for entity_id in self.rel_side(inst.id, side):
                     _insert(by_entity.setdefault(entity_id, []), inst.id)
-        if inst.class_name in schema.PRODUCT_CLASSES or inst.class_name in schema.SPATIAL_CLASSES \
-                or schema.is_type_object(inst.class_name):
-            hidden = schema.is_type_object(inst.class_name)
-            self.session_flags.setdefault(inst.id, SessionFlags(visible=not hidden))
 
     def rebuild_indexes(self):
         self.by_class = {}
         self.by_guid = {}
         self.rel_index = {name: ({}, {}) for name in schema.REL_SIDES}
-        flags = self.session_flags
-        self.session_flags = {}
         for inst in self.entities.values():
             self._index(inst)
-        for entity_id, f in flags.items():
-            if entity_id in self.entities:
-                self.session_flags[entity_id] = f
 
     # --- relationships ---
 
@@ -242,12 +234,14 @@ class IfcModel:
 
     # --- spatial structure ---
 
+    @property
+    def storey_ids(self) -> list[int]:
+        """Storey ids, ascending."""
+        return sorted(self.by_class.get("IFCBUILDINGSTOREY", ()))
+
     def storeys(self) -> list[int]:
         """Storey ids ordered by elevation, then id."""
-        def elevation(entity_id: int) -> float:
-            value = self.entities[entity_id].attributes[9]
-            return float(value) if isinstance(value, (int, float)) else 0.0
-        return sorted(self.storey_ids, key=lambda i: (elevation(i), i))
+        return sorted(self.storey_ids, key=lambda i: (self.storey_elevation(i), i))
 
     def storey_elevation(self, storey_id: int) -> float:
         value = self.entities[storey_id].attributes[9]
@@ -356,7 +350,6 @@ def new_model(project_name: str = "My Project",
     world = model.add("IFCAXIS2PLACEMENT3D", [EntityRef(origin), None, None])
     context = model.add("IFCGEOMETRICREPRESENTATIONCONTEXT",
                         [None, "Model", 3, 1e-05, EntityRef(world), None])
-    model.context_id = context
 
     units = [
         model.add("IFCSIUNIT", [DERIVED, EnumToken("LENGTHUNIT"), None, EnumToken("METRE")]),
@@ -397,11 +390,6 @@ def new_model(project_name: str = "My Project",
     model.relate("IFCRELAGGREGATES", project, site)
     model.relate("IFCRELAGGREGATES", site, building)
     model.relate("IFCRELAGGREGATES", building, storey)
-
-    model.project_id = project
-    model.site_id = site
-    model.building_id = building
-    model.storey_ids = [storey]
     return model
 
 
@@ -418,27 +406,16 @@ def add_storey(model: IfcModel, name: str, elevation: float) -> int:
         None, None, EnumToken("ELEMENT"), float(elevation),
     ])
     model.relate("IFCRELAGGREGATES", model.building_id, storey)
-    model.storey_ids.append(storey)
     return storey
 
 
 def load_model(data: bytes | str, guid_seed: int | None = None) -> IfcModel:
-    """Rebuild an IfcModel (indexes, handles, session defaults) from STEP text."""
+    """Rebuild an IfcModel (indexes, name counters) from STEP text."""
     header, entities = parse_step(data)
     model = IfcModel(header=header, guid_seed=guid_seed)
     model.entities = entities
     model.next_id = max(entities) + 1 if entities else 1
     model.rebuild_indexes()
-
-    projects = sorted(model.by_class.get("IFCPROJECT", ()))
-    model.project_id = projects[0] if projects else None
-    sites = sorted(model.by_class.get("IFCSITE", ()))
-    model.site_id = sites[0] if sites else None
-    buildings = sorted(model.by_class.get("IFCBUILDING", ()))
-    model.building_id = buildings[0] if buildings else None
-    model.storey_ids = sorted(model.by_class.get("IFCBUILDINGSTOREY", ()))
-    contexts = sorted(model.by_class.get("IFCGEOMETRICREPRESENTATIONCONTEXT", ()))
-    model.context_id = contexts[0] if contexts else None
 
     # seed auto-name counters past any existing "<Class>_NNN" names
     counters = model._name_counters
@@ -539,8 +516,8 @@ def add_property_set(model: IfcModel, guid: str, spec: PropertySpec) -> str:
     if pset is None:
         prop_ids = [
             model.add("IFCPROPERTYSINGLEVALUE",
-                      [name, unit, _nominal_value(value), None])
-            for name, value, unit in spec.properties
+                      [name, None, _nominal_value(value), None])
+            for name, value in spec.properties
         ]
         pset_guid = model.guids.fresh()
         pset_id = model.add("IFCPROPERTYSET", [
@@ -557,23 +534,21 @@ def add_property_set(model: IfcModel, guid: str, spec: PropertySpec) -> str:
         if prop.class_name == "IFCPROPERTYSINGLEVALUE":
             existing[prop.attributes[0]] = prop
     appended = list(pset.attributes[4] or ())
-    for name, value, unit in spec.properties:
+    for name, value in spec.properties:
         if name in existing:
-            existing[name].attributes[2] = _nominal_value(value)
-            if unit is not None:
-                existing[name].attributes[1] = unit
+            model.set_attr(existing[name], "NominalValue", _nominal_value(value))
         else:
             appended.append(EntityRef(model.add(
-                "IFCPROPERTYSINGLEVALUE", [name, unit, _nominal_value(value), None]
+                "IFCPROPERTYSINGLEVALUE", [name, None, _nominal_value(value), None]
             )))
-    pset.attributes[4] = tuple(appended)
+    model.set_attr(pset, "HasProperties", tuple(appended))
     return pset.attributes[0]
 
 
 def set_pset_property(model: IfcModel, guid: str, pset_name: str,
                       prop_name: str, value) -> str:
     return add_property_set(
-        model, guid, PropertySpec(pset_name, [(prop_name, value, None)])
+        model, guid, PropertySpec(pset_name, [(prop_name, value)])
     )
 
 
@@ -735,20 +710,26 @@ def delete_element(model: IfcModel, guid: str) -> int:
             candidates.add(ref.id)
             queue.append(ref.id)
 
-    # iterative refcount sweep over the candidate closure
-    while True:
-        live_refs: set[int] = set()
-        for entity_id, entity in model.entities.items():
-            if entity_id in dead:
-                continue
-            live_refs.update(r.id for r in iter_refs(entity.attributes))
-        swept = {c for c in candidates if c not in dead and c not in live_refs}
-        if not swept:
-            break
-        dead.update(swept)
+    # reference counting over the candidates: one pass counts the references
+    # from every entity that stays; a candidate whose count reaches zero dies
+    # and releases what it references (cycles among candidates stay)
+    counts = dict.fromkeys(candidates, 0)
+    for entity_id, entity in model.entities.items():
+        if entity_id not in dead:
+            for ref in iter_refs(entity.attributes):
+                if ref.id in counts:
+                    counts[ref.id] += 1
+    free = [entity_id for entity_id, count in counts.items() if count == 0]
+    while free:
+        entity_id = free.pop()
+        dead.add(entity_id)
+        for ref in iter_refs(model.entities[entity_id].attributes):
+            if ref.id in counts:
+                counts[ref.id] -= 1
+                if counts[ref.id] == 0:
+                    free.append(ref.id)
 
     for entity_id in dead:
         model.entities.pop(entity_id, None)
-        model.session_flags.pop(entity_id, None)
     model.rebuild_indexes()
     return len(dead)

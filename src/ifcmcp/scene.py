@@ -37,13 +37,8 @@ def spatial_in_order(model: IfcModel) -> list[int]:
     ordered: list[int] = []
     if model.project_id is not None:
         ordered.append(model.project_id)
-    for class_name, handle in (("IFCSITE", model.site_id),
-                               ("IFCBUILDING", model.building_id)):
-        ids = sorted(model.by_class.get(class_name, ()))
-        if handle is not None and handle in ids:
-            ids.remove(handle)
-            ids.insert(0, handle)
-        ordered.extend(ids)
+    for class_name in ("IFCSITE", "IFCBUILDING"):
+        ordered.extend(sorted(model.by_class.get(class_name, ())))
     ordered.extend(model.storeys())
     return ordered
 
@@ -69,7 +64,6 @@ def type_objects_in_order(model: IfcModel) -> list[int]:
 def _object_summary(model: IfcModel, entity_id: int) -> dict:
     inst = model.entities[entity_id]
     camel = schema.camel_case(inst.class_name)
-    flags = model.session_flags.get(entity_id)
     rep_index = schema.attribute_index(inst.class_name, "Representation")
     has_body = (
         rep_index is not None
@@ -81,7 +75,7 @@ def _object_summary(model: IfcModel, entity_id: int) -> dict:
         "name": f"{camel}/{_name_of(model, entity_id)}",
         "type": "MESH" if has_body else "EMPTY",
         "location": _coords(origin),
-        "visible": flags.visible if flags else True,
+        "visible": not schema.is_type_object(inst.class_name),
         "selected": False,
         "guid": model.guid_of(entity_id) or "",
         "ifc_class": camel,

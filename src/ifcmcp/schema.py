@@ -36,6 +36,11 @@ ATTRIBUTES: dict[str, list[str]] = {
                            "OperationType", "UserDefinedOperationType"],
     "IFCWINDOW": _ELEMENT + ["OverallHeight", "OverallWidth", "PredefinedType",
                              "PartitioningType", "UserDefinedPartitioningType"],
+    # products of files from other tools: their IfcElement attributes only
+    **dict.fromkeys(("IFCSTAIRFLIGHT", "IFCCOVERING", "IFCCURTAINWALL", "IFCFOOTING",
+                     "IFCPILE", "IFCPLATE", "IFCRAILING", "IFCRAMP",
+                     "IFCFLOWTERMINAL", "IFCDISTRIBUTIONELEMENT"), _ELEMENT),
+    "IFCWALLSTANDARDCASE": _ELEMENT + ["PredefinedType"],
     # type objects
     "IFCWALLTYPE": _ROOT + ["ApplicableOccurrence", "HasPropertySets",
                             "RepresentationMaps", "Tag", "ElementType", "PredefinedType"],
@@ -143,6 +148,9 @@ PRODUCT_CLASSES = frozenset({
     "IFCCOVERING", "IFCCURTAINWALL", "IFCFOOTING", "IFCPILE", "IFCPLATE",
     "IFCRAILING", "IFCRAMP", "IFCFLOWTERMINAL", "IFCDISTRIBUTIONELEMENT",
 })
+
+# wall classes: IfcWallStandardCase is the usual wall of IFC2x3 exports
+WALL_CLASSES = ("IFCWALL", "IFCWALLSTANDARDCASE")
 
 SPATIAL_CLASSES = frozenset({"IFCPROJECT", "IFCSITE", "IFCBUILDING", "IFCBUILDINGSTOREY"})
 

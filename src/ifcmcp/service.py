@@ -347,8 +347,7 @@ TOOLS = tool_table([
                         "minProperties": 1}},
         ["guid", "pset_name", "properties"],
         lambda s, guid, pset_name, properties: {"pset_guid": model_mod.add_property_set(
-            s.model, guid, PropertySpec(
-                pset_name, [(k, v, None) for k, v in properties.items()]))},
+            s.model, guid, PropertySpec(pset_name, list(properties.items())))},
     ),
     ToolDescriptor(
         "add_classification", "edit",

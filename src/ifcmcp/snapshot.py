@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-from . import measure
+from . import measure, schema
 from .errors import EmptyModel, UnknownGuid
 from .geometry import Point2, Point3
 from .model import RELATING, IfcModel
@@ -137,7 +137,7 @@ def render_plan(model: IfcModel, storey_guid: str | None = None,
     generic = []
     for entity_id in products:
         inst = model.entities[entity_id]
-        if inst.class_name in ("IFCWALL", "IFCWALLSTANDARDCASE"):
+        if inst.class_name in schema.WALL_CLASSES:
             axis = measure.wall_axis(model, entity_id)
             box = measure.world_bbox(model, entity_id)
             if axis is not None and box is not None \

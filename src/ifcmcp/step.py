@@ -30,7 +30,6 @@ ISO_CLOSE = "END-ISO-10303-21;"
 MAX_LIST_DEPTH = 256
 
 _KEYWORD_RE = re.compile(r"[A-Z][A-Z0-9_]*")
-_CREATED_CLASS_RE = re.compile(r"[A-Z][A-Z0-9]*")
 
 
 class EntityRef:
@@ -110,8 +109,6 @@ class _Derived:
 
 
 DERIVED = _Derived()
-
-UNSET = None  # `$` maps to None
 
 
 @dataclass

@@ -2,7 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from ifcmcp import builders, measure, scene, skeleton
+from ifcmcp import builders, measure, scene, schema, skeleton
+from ifcmcp.dsl import eval_query, parse_query
 from ifcmcp.errors import (
     ClassNotAllowed,
     DegeneratePolygon,
@@ -13,7 +14,7 @@ from ifcmcp.errors import (
     WallsNotClosed,
 )
 from ifcmcp.geometry import Polygon2, TriMesh
-from ifcmcp.model import add_storey, load_model
+from ifcmcp.model import add_storey, load_model, new_model
 
 from conftest import L_OUTLINE, SQUARE_WALLS
 
@@ -344,3 +345,41 @@ def test_auto_naming_sequence(fresh_model):
     reloaded = load_model(fresh_model.to_bytes())
     g3 = builders.create_wall(reloaded, (0, 2), (1, 2), 1.0, 0.1)
     assert scene.get_object_info(reloaded, g3)["name"] == "Wall_003"
+
+
+def test_every_product_class_has_an_attribute_layout():
+    assert schema.PRODUCT_CLASSES <= schema.ATTRIBUTES.keys()
+    assert set(schema.WALL_CLASSES) <= schema.PRODUCT_CLASSES
+
+
+def _standard_case_walls():
+    """A kit wall read back as IfcWallStandardCase, the usual IFC2x3 wall."""
+    model = new_model(guid_seed=12)
+    builders.create_wall(model, (2, 1), (8, 1), 3.0, 0.2, name="South")
+    data = model.to_bytes().replace(b"=IFCWALL(", b"=IFCWALLSTANDARDCASE(")
+    model = load_model(data, guid_seed=13)
+    assert not model.by_class.get("IFCWALL")
+    (wall_id,) = model.by_class["IFCWALLSTANDARDCASE"]
+    return model, model.guid_of(wall_id)
+
+
+def test_wall_standard_case_reads_like_a_wall():
+    model, wall = _standard_case_walls()
+    info = scene.get_object_info(model, wall)
+    assert info["ifc_class"] == "IfcWallStandardCase"
+    assert info["name"] == "South"
+    assert info["placement"]["origin"] == [2.0, 1.0, 0.0]
+    assert info["bounding_box"]["size"] == [6.0, 0.2, 3.0]
+    result, _log, _changed = eval_query(model, parse_query("walls | list(length)"))
+    assert result == [6.0]
+
+
+@pytest.mark.parametrize("placement", [{"position": (5, 1)}, "wall_guid"])
+def test_door_in_wall_standard_case(placement):
+    model, wall = _standard_case_walls()
+    if placement == "wall_guid":
+        placement = {"wall_guid": wall, "position_along_axis": 3.0}
+    door, _opening = builders.create_door(model, **placement)
+    props = scene.get_door_properties(model, door)
+    assert props["host_wall"] == wall
+    assert scene.get_object_info(model, door)["placement"]["origin"] == [5.0, 1.0, 0.0]

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import ast
 import json
+from copy import deepcopy
 from dataclasses import replace
 from pathlib import Path
 
@@ -8,15 +10,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ifcmcp import builders, scene
+import ifcmcp
+from ifcmcp import builders, scene, schema
+from ifcmcp import model as model_mod
 from ifcmcp.cli import run_trace
 from ifcmcp.errors import (
     CannotDeleteSpatial,
     EmptySpec,
+    IfcError,
     UnknownAttribute,
     UnknownGuid,
 )
 from ifcmcp.model import (
+    RELATED,
+    RELATING,
     IfcModel,
     PropertySpec,
     add_classification,
@@ -31,7 +38,7 @@ from ifcmcp.model import (
     set_owner_history,
 )
 from ifcmcp.service import Session, handle_request
-from ifcmcp.step import EntityRef
+from ifcmcp.step import EntityRef, iter_refs
 
 TRACES = Path(__file__).resolve().parent.parent / "traces"
 
@@ -127,8 +134,8 @@ def test_property_set_merge_idempotent(four_wall_model):
     wall = sorted(model.by_class["IFCWALL"])[0]
     guid = model.guid_of(wall)
     spec = PropertySpec("Thermal_Properties",
-                        [("U-value", 0.25, None),
-                         ("Insulation_Type", "Mineral Wool", None)])
+                        [("U-value", 0.25),
+                         ("Insulation_Type", "Mineral Wool")])
     add_property_set(model, guid, spec)
     first = psets_of(model, wall)
     add_property_set(model, guid, spec)
@@ -140,9 +147,9 @@ def test_property_set_merge_idempotent(four_wall_model):
 def test_property_set_merge_overwrites_and_appends(four_wall_model):
     model = four_wall_model
     guid = model.guid_of(sorted(model.by_class["IFCWALL"])[0])
-    add_property_set(model, guid, PropertySpec("P", [("a", 1.0, None)]))
-    add_property_set(model, guid, PropertySpec("P", [("a", 2.0, None),
-                                                     ("b", "x", None)]))
+    add_property_set(model, guid, PropertySpec("P", [("a", 1.0)]))
+    add_property_set(model, guid, PropertySpec("P", [("a", 2.0),
+                                                     ("b", "x")]))
     props = psets_of(model, model.by_guid[guid])["P"]
     assert props == {"a": 2.0, "b": "x"}
 
@@ -152,7 +159,7 @@ def test_property_set_on_all_slabs(l_building):
     for slab_id in sorted(model.by_class["IFCSLAB"]):
         add_property_set(model, model.guid_of(slab_id),
                          PropertySpec("Pset_SlabCommon",
-                                      [("Fire_Rating", "2HR", None)]))
+                                      [("Fire_Rating", "2HR")]))
     for slab_id in sorted(model.by_class["IFCSLAB"]):
         assert psets_of(model, slab_id)["Pset_SlabCommon"]["Fire_Rating"] == "2HR"
 
@@ -336,7 +343,7 @@ def test_containment_is_a_tree(l_building):
 def test_dangling_scan_clean_after_operation_mix(l_building):
     model, handles = l_building
     add_property_set(model, handles["walls"][0],
-                     PropertySpec("P", [("a", 1.0, None)]))
+                     PropertySpec("P", [("a", 1.0)]))
     add_classification(model, handles["walls"][1], "S", "C1")
     delete_element(model, handles["walls"][2])
     delete_element(model, handles["door"])
@@ -352,3 +359,193 @@ def test_storey_selection_by_elevation(fresh_model):
     assert fresh_model.storey_for_elevation(10.0) == upper
     assert fresh_model.storey_for_elevation(-5.0) == fresh_model.storeys()[0]
     assert fresh_model.dangling_refs() == []
+
+
+
+# the only functions that may write instance attributes: (class, function)
+ATTRIBUTE_WRITERS = {("IfcModel", "add"), ("IfcModel", "set_attr"),
+                     ("IfcModel", "relate"), (None, "delete_element")}
+_LIST_MUTATORS = {"append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse"}
+
+
+def _assigned(target):
+    """What a target expression stores into, with subscripts stripped."""
+    if isinstance(target, (ast.Tuple, ast.List)):
+        for element in target.elts:
+            yield from _assigned(element)
+    elif isinstance(target, ast.Starred):
+        yield from _assigned(target.value)
+    else:
+        while isinstance(target, ast.Subscript):
+            target = target.value
+        yield target
+
+
+def _is_attributes(node) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "attributes"
+
+
+def _attribute_writes(node, scope=(None, None)):
+    """(scope, line) of each assignment to or list mutation of ``<x>.attributes``."""
+    if isinstance(node, ast.ClassDef):
+        scope = (node.name, None)
+    elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        scope = (scope[0], node.name)
+    targets = []
+    if isinstance(node, (ast.Assign, ast.Delete)):
+        targets = node.targets
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        targets = [node.target]
+    elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+            and node.func.attr in _LIST_MUTATORS:
+        targets = [node.func.value]
+    if any(_is_attributes(t) for target in targets for t in _assigned(target)):
+        yield scope, node.lineno
+    for child in ast.iter_child_nodes(node):
+        yield from _attribute_writes(child, scope)
+
+
+def test_only_the_listed_writers_write_instance_attributes():
+    source = Path(ifcmcp.__file__).parent
+    stray = []
+    for path in sorted(source.glob("*.py")):
+        for scope, line in _attribute_writes(ast.parse(path.read_text(encoding="utf-8"))):
+            if path.name != "model.py" or scope not in ATTRIBUTE_WRITERS:
+                stray.append(f"{path.name}:{line} in {scope}")
+    assert stray == []
+
+
+def test_attribute_write_scan_sees_each_form():
+    forms = ["x.attributes[2] = v", "x.attributes = []", "a, x.attributes[0] = v",
+             "x.attributes[1] += 1", "del x.attributes[0]", "x.attributes.append(v)",
+             "x.attributes[4][0] = v"]
+    for form in forms:
+        assert list(_attribute_writes(ast.parse(form))) == [((None, None), 1)], form
+    for form in ["y = x.attributes[2]", "d[x.attributes[0]] = v", "x.attrs[0] = v"]:
+        assert list(_attribute_writes(ast.parse(form))) == [], form
+
+
+def _reference_delete(model, guid: str) -> int:
+    """``delete_element`` as it was with the whole-graph sweep, kept as an oracle."""
+    inst = model.require_guid(guid)
+    if inst.class_name in schema.SPATIAL_CLASSES:
+        raise CannotDeleteSpatial(f"cannot delete spatial element {inst.class_name}")
+    if inst.class_name not in schema.PRODUCT_CLASSES:
+        raise CannotDeleteSpatial(f"{inst.class_name} is not a deletable product")
+
+    cascade = model_mod._cascade_set(model, inst.id)
+    dead = set(cascade)
+    touched = {rel_id for entity_id in cascade for class_name in schema.REL_SIDES
+               for side in (RELATING, RELATED)
+               for rel_id in model.rels(entity_id, class_name, side)}
+    for rel_id in touched:
+        rel = model.entities[rel_id]
+        index = schema.REL_SIDES[rel.class_name][RELATED]
+        related = rel.attributes[index]
+        if not cascade.intersection(model.rel_side(rel_id, RELATING)) \
+                and isinstance(related, tuple):
+            kept = tuple(r for r in related
+                         if not (isinstance(r, EntityRef) and r.id in cascade))
+            if kept:
+                rel.attributes[index] = kept
+                continue
+        dead.add(rel_id)
+
+    candidates: set[int] = set()
+    queue = list(dead)
+    while queue:
+        entity_id = queue.pop()
+        for ref in iter_refs(model.entities[entity_id].attributes):
+            if ref.id in dead or ref.id in candidates:
+                continue
+            target = model.entities[ref.id]
+            if model_mod._is_rooted(target) \
+                    and target.class_name not in model_mod._GC_SAFE_ROOTED:
+                continue
+            candidates.add(ref.id)
+            queue.append(ref.id)
+
+    while True:
+        live_refs: set[int] = set()
+        for entity_id, entity in model.entities.items():
+            if entity_id not in dead:
+                live_refs.update(r.id for r in iter_refs(entity.attributes))
+        swept = {c for c in candidates if c not in dead and c not in live_refs}
+        if not swept:
+            break
+        dead.update(swept)
+
+    for entity_id in dead:
+        model.entities.pop(entity_id, None)
+    model.rebuild_indexes()
+    return len(dead)
+
+
+def assert_delete_matches_reference(model, guid: str):
+    expected = deepcopy(model)
+    try:
+        removed = _reference_delete(expected, guid)
+    except IfcError as exc:
+        with pytest.raises(type(exc)):
+            delete_element(model, guid)
+        return
+    assert delete_element(model, guid) == removed
+    assert sorted(model.entities) == sorted(expected.entities)
+    assert model.to_bytes() == expected.to_bytes()
+
+
+_GROWTH_STEPS = ["create_wall", "create_door", "add_property_set",
+                 "add_classification", "set_owner_history", "delete_element"]
+
+
+@given(trace=st.sampled_from(["l_building", "semantic_edits"]),
+       steps=st.lists(st.tuples(st.sampled_from(_GROWTH_STEPS),
+                                st.integers(0, 40), st.integers(0, 2)),
+                      max_size=14))
+@example(trace="l_building", steps=[("delete_element", pick, 0) for pick in range(8)])
+@example(trace="semantic_edits",
+         steps=[("set_owner_history", 4, 0), ("add_property_set", 4, 1),
+                ("delete_element", 4, 0), ("delete_element", 0, 0)])
+@settings(max_examples=30, deadline=None)
+def test_delete_matches_the_whole_graph_sweep(trace, steps):
+    session = Session(new_model(guid_seed=47))
+    model = session.model
+    run_trace(session, json.loads((TRACES / f"{trace}.json").read_text()))
+    for number, (tool, pick, variant) in enumerate(steps, start=1):
+        products = scene.products_in_order(model)
+        if not products:
+            break
+        guid = model.guid_of(products[pick % len(products)])
+        if tool == "delete_element":
+            assert_delete_matches_reference(model, guid)
+            continue
+        arguments = {
+            "create_wall": {"start": [pick, variant], "end": [pick + 3, variant + 1],
+                            "height": 3.0, "thickness": 0.2},
+            "create_door": {"position": [pick % 12, variant * 5]},
+            "add_property_set": {"guid": guid, "pset_name": f"P{variant}",
+                                 "properties": {f"p{pick % 3}": pick}},
+            "add_classification": {"guid": guid, "system": "S", "code": f"C{variant}"},
+            "set_owner_history": {"guids": [guid, model.guid_of(products[0])],
+                                  "user": f"u{variant}", "timestamp": pick},
+        }[tool]
+        response = handle_request(session, {
+            "jsonrpc": "2.0", "id": number, "method": "tools/call",
+            "params": {"name": tool, "arguments": arguments}})
+        assert "result" in response
+
+
+def test_delete_keeps_a_placement_cycle_only_the_wall_reached(fresh_model):
+    model = fresh_model
+    point = model.add("IFCCARTESIANPOINT", [(0.0, 0.0, 0.0)])
+    a2p = model.add("IFCAXIS2PLACEMENT3D", [EntityRef(point), None, None])
+    first = model.add("IFCLOCALPLACEMENT", [None, EntityRef(a2p)])
+    second = model.add("IFCLOCALPLACEMENT", [EntityRef(first), EntityRef(a2p)])
+    model.set_attr(model.entities[first], "PlacementRelTo", EntityRef(second))
+    guid = model.guids.fresh()
+    wall = model.add("IFCWALL", [guid, None, "Wall_X", None, None,
+                                 EntityRef(first), None, None, None])
+    model.contain_in_storey(wall, model.default_storey())
+    assert_delete_matches_reference(model, guid)
+    assert wall not in model.entities
+    assert {first, second, a2p, point} <= set(model.entities)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import importlib
+import importlib.util
 import io
 import json
 from dataclasses import replace
@@ -10,6 +11,9 @@ import jsonschema
 import pytest
 
 from ifcmcp import builders
+from ifcmcp import knowledge as knowledge_mod
+from ifcmcp import model as model_mod
+from ifcmcp import service as service_mod
 from ifcmcp.errors import DuplicateName
 from ifcmcp.knowledge import KnowledgeIndex
 from ifcmcp.model import load_model, new_model
@@ -276,6 +280,53 @@ def test_handlers_look_layer_functions_up_at_call_time(monkeypatch):
         called.clear()
         assert not call(session, tool, arguments(walls, door))["result"].get("isError")
         assert label in called, tool
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _load_tracer_module():
+    """``bench/trace_spans.py``, the benchmark's per-layer tracer."""
+    spec = importlib.util.spec_from_file_location(
+        "trace_spans", ROOT / "bench" / "trace_spans.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_records_every_per_layer_span(tmp_path):
+    # the benchmark reads per-layer metrics from spans its tracer patches in
+    # by module attribute; a layer function bound elsewhere would lose its span
+    (tmp_path / "corpus").mkdir()
+    (tmp_path / "corpus" / "walls.md").write_text("IfcWall entities are vertical elements")
+    tracer = _load_tracer_module().Tracer()
+    tracer.install()
+    try:
+        index = knowledge_mod.index_corpus(tmp_path / "corpus")
+        for number, (tool, (_label, arguments, _undeclared)) in enumerate(
+                _MINIMAL_CALLS.items(), start=1):
+            session, walls, door = _tool_setup()
+            session.knowledge = index
+            line = json.dumps({"jsonrpc": "2.0", "id": number, "method": "tools/call",
+                               "params": {"name": tool, "arguments": arguments(walls, door)}})
+            stdout = io.StringIO()
+            service_mod.serve_stdio(session, stdin=io.StringIO(line + "\n"), stdout=stdout)
+            assert not json.loads(stdout.getvalue())["result"].get("isError"), tool
+        session.model.save(str(tmp_path / "saved.ifc"))
+        reopened = model_mod.open_model(str(tmp_path / "saved.ifc"))
+        model_mod.delete_element(reopened, walls[0])
+    finally:
+        tracer.uninstall()
+    report = tracer.report()
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    labels = {metric["name"].rsplit(".", 1)[0] for metric in metrics
+              if metric["name"].endswith((".calls", ".self_ms"))}
+    assert labels, "BENCHMARK.json lists no span metrics"
+    missing = sorted(label for label in labels
+                     if report["layers"].get(label, {}).get("calls", 0) == 0)
+    assert missing == []
+    assert report["counts"]["model.delete_element.iter_refs_calls"] > 0
+    assert service_mod.serve_stdio is serve_stdio  # no wrapper left behind
 
 
 WIRE_FORMAT = Path(__file__).parent / "fixtures" / "tools_list.json"
