@@ -64,6 +64,13 @@ class CannotDeleteSpatial(IfcError):
     pass
 
 
+class PlacementCycle(IfcError):
+    def __init__(self, placement_id: int):
+        super().__init__(f"placement #{placement_id} is its own ancestor "
+                         "through PlacementRelTo")
+        self.placement_id = placement_id
+
+
 class EmptySpec(IfcError):
     pass
 

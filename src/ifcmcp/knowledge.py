@@ -137,6 +137,6 @@ def index_corpus(root: str | Path) -> KnowledgeIndex:
             raise IoError(str(path), f"not UTF-8 text: {exc}") from exc
         relative = path.relative_to(root).as_posix()
         tags = [path.parent.name] if path.parent != root else []
-        index.add_document(relative, text, source_path=str(path), tags=tags)
+        index.add_document(relative, text, source_path=relative, tags=tags)
     index.build()
     return index

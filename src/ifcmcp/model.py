@@ -12,12 +12,20 @@ only through ``add``, ``relate`` and ``delete_element``, and read through
 the relationship index (``IfcModel.rels``, ``IfcModel.rel_side`` and
 ``IfcModel.linked``), never by scanning a relationship class;
 ``delete_element`` ends by rebuilding the indexes.
+
+The graph is acyclic: an entity refers to another only by id
+(``EntityRef``), and no index holds an object that points back at its
+holder. ``load_model`` relies on this: it runs with the cyclic garbage
+collector paused and freezes what it built, and reference counting alone
+frees a dropped model. A ``PlacementRelTo`` cycle in a file is a cycle of
+ids, not of objects; ``resolve_placement`` reports it as ``PlacementCycle``.
 """
 
 from __future__ import annotations
 
 import bisect
 import datetime as _dt
+import gc
 from dataclasses import dataclass
 
 from . import schema
@@ -25,8 +33,10 @@ from .errors import (
     CannotDeleteSpatial,
     EmptySpec,
     InvalidParams,
+    PlacementCycle,
     UnknownAttribute,
     UnknownGuid,
+    ZeroLengthAxis,
 )
 from .geometry import Placement, Point3
 from .guid import GuidGenerator, is_guid
@@ -288,21 +298,34 @@ class IfcModel:
         return Placement(origin, z_axis, x_axis)
 
     def resolve_placement(self, placement_id: int | None) -> Placement:
+        """World frame of a placement, composed down its ``PlacementRelTo``
+        chain; a chain that returns to a placement raises PlacementCycle."""
         if placement_id is None:
             return Placement()
-        inst = self.entities[placement_id]
-        if inst.class_name != "IFCLOCALPLACEMENT":
-            return self._axis2placement(placement_id)
-        parent_ref, relative_ref = inst.attributes[0], inst.attributes[1]
-        local = self._axis2placement(relative_ref.id)
-        if not isinstance(parent_ref, EntityRef):
-            return local
-        parent = self.resolve_placement(parent_ref.id)
-        return Placement(
-            origin=parent.to_world(local.origin),
-            z_axis=parent.rotate(local.z_axis),
-            x_axis=parent.rotate(local.x_axis),
-        )
+        chain: list[Placement] = []  # local frames, innermost first
+        seen: set[int] = set()
+        while True:
+            if placement_id in seen:
+                raise PlacementCycle(placement_id)
+            seen.add(placement_id)
+            inst = self.entities[placement_id]
+            if inst.class_name != "IFCLOCALPLACEMENT":
+                chain.append(self._axis2placement(placement_id))
+                break
+            parent_ref, relative_ref = inst.attributes[0], inst.attributes[1]
+            chain.append(self._axis2placement(relative_ref.id))
+            if not isinstance(parent_ref, EntityRef):
+                break
+            placement_id = parent_ref.id
+        world = chain.pop()
+        while chain:
+            local = chain.pop()
+            world = Placement(
+                origin=world.to_world(local.origin),
+                z_axis=world.rotate(local.z_axis),
+                x_axis=world.rotate(local.x_axis),
+            )
+        return world
 
     def placement_of(self, entity_id: int) -> Placement:
         inst = self.entities[entity_id]
@@ -327,6 +350,8 @@ class IfcModel:
 
 def _unit(v: Point3) -> Point3:
     length = (v.x ** 2 + v.y ** 2 + v.z ** 2) ** 0.5
+    if length == 0.0:
+        raise ZeroLengthAxis(f"direction {tuple(v)} has zero length")
     return Point3(v.x / length, v.y / length, v.z / length)
 
 
@@ -410,7 +435,28 @@ def add_storey(model: IfcModel, name: str, elevation: float) -> int:
 
 
 def load_model(data: bytes | str, guid_seed: int | None = None) -> IfcModel:
-    """Rebuild an IfcModel (indexes, name counters) from STEP text."""
+    """Rebuild an IfcModel (indexes, name counters) from STEP text.
+
+    The cyclic collector is paused for the load: the graph it builds is
+    acyclic, so no collection could free any of it. On success
+    ``gc.freeze()`` moves the graph to the permanent generation, where
+    later full collections do not rescan it. Freezing leaks nothing,
+    because reference counting alone frees an acyclic model once it is
+    dropped. A load switches the collector back on only if it found it on,
+    so concurrent loads (one per TCP connection) cannot leave it off.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        model = _load(data, guid_seed)
+    finally:
+        if enabled:
+            gc.enable()
+    gc.freeze()
+    return model
+
+
+def _load(data: bytes | str, guid_seed: int | None) -> IfcModel:
     header, entities = parse_step(data)
     model = IfcModel(header=header, guid_seed=guid_seed)
     model.entities = entities

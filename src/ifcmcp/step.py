@@ -111,7 +111,7 @@ class _Derived:
 DERIVED = _Derived()
 
 
-@dataclass
+@dataclass(slots=True)
 class EntityInstance:
     """One STEP record: ``#id=CLASS(attr, attr, ...);``"""
 

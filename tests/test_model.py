@@ -1,7 +1,11 @@
 from __future__ import annotations
 
 import ast
+import gc
 import json
+import sys
+import threading
+import weakref
 from copy import deepcopy
 from dataclasses import replace
 from pathlib import Path
@@ -16,10 +20,15 @@ from ifcmcp import model as model_mod
 from ifcmcp.cli import run_trace
 from ifcmcp.errors import (
     CannotDeleteSpatial,
+    DanglingRef,
+    DuplicateId,
     EmptySpec,
     IfcError,
+    PlacementCycle,
+    StepSyntaxError,
     UnknownAttribute,
     UnknownGuid,
+    ZeroLengthAxis,
 )
 from ifcmcp.model import (
     RELATED,
@@ -33,6 +42,7 @@ from ifcmcp.model import (
     edit_attributes,
     load_model,
     new_model,
+    open_model,
     owner_of,
     psets_of,
     set_owner_history,
@@ -41,6 +51,7 @@ from ifcmcp.service import Session, handle_request
 from ifcmcp.step import EntityRef, iter_refs
 
 TRACES = Path(__file__).resolve().parent.parent / "traces"
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
 def add_bare_wall(model) -> str:
@@ -549,3 +560,181 @@ def test_delete_keeps_a_placement_cycle_only_the_wall_reached(fresh_model):
     assert_delete_matches_reference(model, guid)
     assert wall not in model.entities
     assert {first, second, a2p, point} <= set(model.entities)
+
+
+# --- placement chains from files this kit did not write ---
+
+def _wall_with_placement(seed: int = 3):
+    """A kit wall and the id of its IFCLOCALPLACEMENT."""
+    model = new_model(guid_seed=seed)
+    guid = builders.create_wall(model, (0, 0), (5, 0), 3.0, 0.2)
+    return model, guid, model.require_guid(guid).attributes[5].id
+
+
+def _call(session, tool: str, arguments: dict) -> dict:
+    """Payload of one tool call, which must not fail at the protocol level."""
+    response = handle_request(session, {
+        "jsonrpc": "2.0", "id": 1, "method": "tools/call",
+        "params": {"name": tool, "arguments": arguments}})
+    assert "result" in response, response
+    return json.loads(response["result"]["content"][0]["text"])
+
+
+def _tool_error(model, tool: str, arguments: dict):
+    """In-band error of a tool call on a reopened copy of ``model``."""
+    return _call(Session(load_model(model.to_bytes())), tool, arguments).get("error")
+
+
+@pytest.mark.parametrize("tool", ["get_object_info", "get_ifc_scene_overview",
+                                  "capture_plan_view"])
+@pytest.mark.parametrize("length", [1, 3])
+def test_placement_cycle_is_an_in_band_error(tool, length):
+    model, guid, lp = _wall_with_placement()
+    a2p = model.entities[lp].attributes[1]
+    chain = [lp] + [model.add("IFCLOCALPLACEMENT", [None, a2p])
+                    for _ in range(length - 1)]
+    for child, parent in zip(chain, chain[1:] + chain[:1]):
+        model.entities[child].attributes[0] = EntityRef(parent)
+    with pytest.raises(PlacementCycle):
+        load_model(model.to_bytes()).placement_of(model.require_guid(guid).id)
+    arguments = {"guid": guid} if tool == "get_object_info" else {}
+    assert _tool_error(model, tool, arguments)["type"] == "PlacementCycle"
+
+
+def test_long_placement_chain_resolves_like_a_short_one():
+    model, guid, lp = _wall_with_placement()
+    expected = model.placement_of(model.require_guid(guid).id)
+    parent, a2p = model.entities[lp].attributes
+    # identity frames between the wall and its storey, far past the
+    # interpreter's recursion limit
+    for _ in range(5000):
+        parent = EntityRef(model.add("IFCLOCALPLACEMENT", [parent, a2p]))
+        a2p = EntityRef(model.add("IFCAXIS2PLACEMENT3D", [
+            EntityRef(model.add("IFCCARTESIANPOINT", [(0.0, 0.0, 0.0)])), None, None]))
+    model.entities[lp].attributes[:2] = [parent, a2p]
+    placement = model.placement_of(model.require_guid(guid).id)
+    assert placement == expected
+    assert _tool_error(model, "get_object_info", {"guid": guid}) is None
+
+
+@pytest.mark.parametrize("slot", [1, 2])
+def test_zero_length_direction_is_an_in_band_error(slot):
+    model, guid, lp = _wall_with_placement()
+    a2p = model.entities[model.entities[lp].attributes[1].id]
+    a2p.attributes[slot] = EntityRef(model.add("IFCDIRECTION", [(0.0, 0.0, 0.0)]))
+    with pytest.raises(ZeroLengthAxis):
+        model.placement_of(model.require_guid(guid).id)
+    assert _tool_error(model, "get_object_info", {"guid": guid})["type"] == \
+        "ZeroLengthAxis"
+
+
+# --- the collector during and after a load ---
+
+def _step_variant(kind: str) -> bytes:
+    data = new_model(guid_seed=5).to_bytes()
+    head, tail = data.rsplit(b"ENDSEC;", 1)
+    first = next(line for line in data.splitlines() if line.startswith(b"#1="))
+    return {
+        "ok": data,
+        "syntax": head + b"#900=IFCWALL(@);\nENDSEC;" + tail,
+        "duplicate": head + first + b"\nENDSEC;" + tail,
+        "dangling": head + b"#900=IFCWALL(#901);\nENDSEC;" + tail,
+    }[kind]
+
+
+@pytest.fixture
+def collector_state():
+    """Switch the collector back on after a test that turns it off."""
+    yield
+    gc.enable()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("kind,error", [
+    ("ok", None), ("syntax", StepSyntaxError), ("duplicate", DuplicateId),
+    ("dangling", DanglingRef)])
+def test_load_restores_the_collector_state(collector_state, kind, error, enabled):
+    data = _step_variant(kind)
+    (gc.enable if enabled else gc.disable)()
+    frozen = gc.get_freeze_count()
+    if error is None:
+        assert load_model(data).entities
+    else:
+        with pytest.raises(error):
+            load_model(data)
+        # a failed load freezes nothing
+        assert gc.get_freeze_count() <= frozen
+    assert gc.isenabled() is enabled
+
+
+def test_concurrent_loads_leave_the_collector_on(collector_state):
+    data = _step_variant("ok")
+    failures = []
+
+    def worker():
+        try:
+            for _ in range(25):
+                load_model(data)
+        except Exception as exc:  # reported below; a thread cannot raise into the test
+            failures.append(exc)
+
+    threads = [threading.Thread(target=worker) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    assert gc.isenabled()
+
+
+def _trace_bytes(trace: str) -> bytes:
+    session = Session(new_model(guid_seed=59))
+    run_trace(session, json.loads((TRACES / f"{trace}.json").read_text()))
+    return session.model.to_bytes()
+
+
+@pytest.mark.parametrize("source", ["tricky", "l_building", "semantic_edits"])
+def test_loaded_graph_is_acyclic(collector_state, source):
+    data = (FIXTURES / "tricky.ifc").read_bytes() if source == "tricky" \
+        else _trace_bytes(source)
+    gc.unfreeze()
+    gc.collect()
+    gc.disable()  # no automatic pass may free a cycle before the check
+    model = load_model(data)
+    gc.unfreeze()  # hand the frozen graph back to the collector
+    dropped = weakref.ref(model)
+    del model
+    assert dropped() is None, "reference counting alone frees the model"
+    assert gc.collect() == 0
+
+
+def test_freezing_keeps_nothing_across_sessions(tmp_path):
+    path = str(tmp_path / "model.ifc")
+    load_model(_trace_bytes("l_building")).save(path)
+
+    counts, sizes = [], []
+    for cycle in range(20):
+        session = Session(open_model(path))
+        guid = _call(session, "create_wall", {"start": [0, cycle], "end": [4, cycle],
+                                              "height": 3.0, "thickness": 0.2})["guid"]
+        _call(session, "add_property_set", {"guid": guid, "pset_name": "P",
+                                            "properties": {"cycle": cycle}})
+        # delete the newest wall but the one just made: from the second
+        # cycle on, every saved file has the same number of entities
+        walls = sorted(session.model.by_class["IFCWALL"])
+        assert "removed" in _call(session, "delete_element",
+                                  {"guid": session.model.guid_of(walls[-2])})
+        session.model.save(path)
+        counts.append(gc.get_freeze_count())
+        sizes.append(len(session.model.entities))
+    assert sizes[1:] == [sizes[1]] * 19
+    # each loaded model here freezes about a thousand objects, so keeping
+    # one alive per cycle would exceed the slack many times over
+    slack = 20
+    assert counts[19] <= counts[1] + slack, counts

@@ -387,6 +387,24 @@ def test_search_tool_with_index():
     assert payload["results"][0]["score"] > 0
 
 
+def test_search_payload_does_not_depend_on_the_corpus_location(tmp_path):
+    corpus = Path(__file__).resolve().parent.parent / "docs" / "knowledge"
+    replies = []
+    for copy in ("a", "elsewhere/b"):
+        root = tmp_path / copy / "corpus"
+        (root / "nested").mkdir(parents=True)
+        for path in corpus.glob("*.md"):
+            (root / "nested" / path.name).write_bytes(path.read_bytes())
+        session = Session(new_model(guid_seed=5),
+                          knowledge=knowledge_mod.index_corpus(root))
+        replies.append(json.dumps(call(session, "search_ifc_knowledge",
+                                       {"query": "wall property set", "k": 20})))
+    assert replies[0] == replies[1]
+    results = json.loads(json.loads(replies[0])["result"]["content"][0]["text"])
+    assert results["results"]
+    assert all(r["source_path"].startswith("nested/") for r in results["results"])
+
+
 def test_search_without_index_is_in_band_error(session, monkeypatch):
     monkeypatch.delenv("IFC_MCP_CORPUS", raising=False)
     response = call(session, "search_ifc_knowledge", {"query": "walls"})
