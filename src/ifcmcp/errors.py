@@ -64,6 +64,10 @@ class CannotDeleteSpatial(IfcError):
     pass
 
 
+class InvalidPlacement(IfcError):
+    pass
+
+
 class PlacementCycle(IfcError):
     def __init__(self, placement_id: int):
         super().__init__(f"placement #{placement_id} is its own ancestor "

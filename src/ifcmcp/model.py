@@ -33,6 +33,7 @@ from .errors import (
     CannotDeleteSpatial,
     EmptySpec,
     InvalidParams,
+    InvalidPlacement,
     PlacementCycle,
     UnknownAttribute,
     UnknownGuid,
@@ -285,17 +286,37 @@ class IfcModel:
     # --- placement resolution ---
 
     def _axis2placement(self, a2p_id: int) -> Placement:
+        """Local frame of an axis placement. As IFC's ``IfcBuildAxes`` does,
+        the x axis is ``RefDirection`` projected onto the plane normal to
+        ``Axis`` (``IfcFirstProjAxis``), so the two need not be orthogonal."""
         inst = self.entities[a2p_id]
         coords = self.resolve(inst.attributes[0]).attributes[0]
-        origin = Point3(*(list(coords) + [0.0] * (3 - len(coords))))
-        z_axis = Point3(0.0, 0.0, 1.0)
-        x_axis = Point3(1.0, 0.0, 0.0)
-        if inst.class_name == "IFCAXIS2PLACEMENT3D":
-            if isinstance(inst.attributes[1], EntityRef):
-                z_axis = _unit(Point3(*self.resolve(inst.attributes[1]).attributes[0]))
-            if isinstance(inst.attributes[2], EntityRef):
-                x_axis = _unit(Point3(*self.resolve(inst.attributes[2]).attributes[0]))
-        return Placement(origin, z_axis, x_axis)
+        if not _numbers(coords, 2, 3):
+            raise InvalidPlacement(f"IFCCARTESIANPOINT #{inst.attributes[0].id} "
+                                   "of a placement needs 2 or 3 numeric coordinates")
+        origin = Point3(*coords, *(0.0,) * (3 - len(coords)))
+        if inst.class_name != "IFCAXIS2PLACEMENT3D":
+            return Placement(origin)
+        axis, ref_direction = inst.attributes[1], inst.attributes[2]
+        has_axis = isinstance(axis, EntityRef)
+        if not has_axis and not isinstance(ref_direction, EntityRef):
+            return Placement(origin)
+        z_axis = _unit(self._direction(axis)) if has_axis else Point3(0.0, 0.0, 1.0)
+        if isinstance(ref_direction, EntityRef):
+            x_axis = self._direction(ref_direction)
+        elif z_axis.y == z_axis.z == 0.0:
+            # IFC's default (1,0,0) would have no part normal to this axis
+            x_axis = Point3(0.0, 1.0, 0.0)
+        else:
+            x_axis = Point3(1.0, 0.0, 0.0)
+        return Placement(origin, z_axis, _first_proj_axis(z_axis, x_axis))
+
+    def _direction(self, ref: EntityRef) -> Point3:
+        ratios = self.resolve(ref).attributes[0]
+        if not _numbers(ratios, 3):
+            raise InvalidPlacement(
+                f"IFCDIRECTION #{ref.id} of a 3D placement needs 3 numeric direction ratios")
+        return Point3(*ratios)
 
     def resolve_placement(self, placement_id: int | None) -> Placement:
         """World frame of a placement, composed down its ``PlacementRelTo``
@@ -348,11 +369,37 @@ class IfcModel:
             fh.write(data)
 
 
+_REALS = frozenset((int, float))
+
+
+def _numbers(values, *sizes: int) -> bool:
+    return (isinstance(values, tuple) and len(values) in sizes
+            and _REALS.issuperset(map(type, values)))
+
+
+def _length(v: Point3) -> float:
+    return (v.x ** 2 + v.y ** 2 + v.z ** 2) ** 0.5
+
+
 def _unit(v: Point3) -> Point3:
-    length = (v.x ** 2 + v.y ** 2 + v.z ** 2) ** 0.5
+    length = _length(v)
     if length == 0.0:
         raise ZeroLengthAxis(f"direction {tuple(v)} has zero length")
     return Point3(v.x / length, v.y / length, v.z / length)
+
+
+def _first_proj_axis(z_axis: Point3, direction: Point3) -> Point3:
+    """Unit ``direction`` less its part along the unit ``z_axis``. A direction
+    already normal to the axis is only normalised, so no rounding is added."""
+    dot = direction.x * z_axis.x + direction.y * z_axis.y + direction.z * z_axis.z
+    if dot == 0.0:
+        return _unit(direction)
+    x_axis = Point3(direction.x - dot * z_axis.x, direction.y - dot * z_axis.y,
+                    direction.z - dot * z_axis.z)
+    if _length(x_axis) <= 1e-9 * _length(direction):
+        raise ZeroLengthAxis(
+            f"RefDirection {tuple(direction)} is parallel to Axis {tuple(z_axis)}")
+    return _unit(x_axis)
 
 
 def _timestamp(deterministic: bool) -> str:

@@ -23,11 +23,9 @@ import os
 import socketserver
 import sys
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
-
-import jsonschema
 
 from . import builders, dsl, model as model_mod, scene, snapshot
 from .errors import DuplicateName, IfcError, InvalidParams
@@ -51,6 +49,150 @@ _GUID = {"type": "string", "minLength": 22, "maxLength": 22}
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
 
 
+# --- argument checks compiled from the tool schemas ---
+#
+# JSON Schema 2020-12 validation semantics
+# (https://json-schema.org/draft/2020-12/json-schema-validation) for the
+# keywords the tool table uses: each keyword constrains only values of its
+# own type, a bool is not a number, and "integer" accepts an integral float.
+# A check looks a value's exact class up, so a value json.loads cannot
+# produce is never accepted here; jsonschema judges it instead.
+
+SCHEMA_KEYWORDS = frozenset({
+    "type", "properties", "required", "additionalProperties", "enum",
+    "minimum", "maximum", "exclusiveMinimum", "minItems", "maxItems",
+    "items", "minLength", "maxLength", "minProperties",
+})
+_ANY_TYPE = ("object", "array", "string", "number", "integer", "boolean", "null")
+
+
+def _types(schema: dict) -> set[str]:
+    types = schema.get("type", _ANY_TYPE)
+    return {types} if isinstance(types, str) else set(types)
+
+
+def _accept(_value) -> bool:
+    return True
+
+
+def _reject(_value) -> bool:
+    return False
+
+
+def _number_check(schema: dict, integral: bool) -> Callable:
+    low = schema.get("minimum", -math.inf)
+    high = schema.get("maximum", math.inf)
+    above = schema.get("exclusiveMinimum", -math.inf)
+    if integral:
+        return lambda v: v.is_integer() and low <= v <= high and v > above
+    return lambda v: low <= v <= high and v > above
+
+
+def _string_check(schema: dict) -> Callable:
+    shortest = schema.get("minLength", 0)
+    longest = schema.get("maxLength", math.inf)
+    if "enum" not in schema:
+        return lambda v: shortest <= len(v) <= longest
+    members = frozenset(schema["enum"])
+    return lambda v: v in members and shortest <= len(v) <= longest
+
+
+def _array_check(schema: dict) -> Callable:
+    shortest = schema.get("minItems", 0)
+    longest = schema.get("maxItems", math.inf)
+    item = _compile_check(schema.get("items", {}))
+    return lambda v: shortest <= len(v) <= longest and all(map(item, v))
+
+
+def _object_check(schema: dict) -> Callable:
+    fewest = schema.get("minProperties", 0)
+    required = tuple(schema.get("required", ()))
+    properties = {key: _compile_check(sub)
+                  for key, sub in schema.get("properties", {}).items()}
+    other = _compile_check(schema.get("additionalProperties", {}))
+
+    def check(v):
+        if len(v) < fewest:
+            return False
+        for key in required:
+            if key not in v:
+                return False
+        for key, value in v.items():
+            if not properties.get(key, other)(value):
+                return False
+        return True
+    return check
+
+
+def _compile_check(schema: dict) -> Callable[[object], bool]:
+    """An accept check for ``schema``; raises on a keyword it does not cover."""
+    unknown = set(schema) - SCHEMA_KEYWORDS
+    if unknown:
+        raise ValueError(f"no compiled check for JSON Schema keyword(s) {sorted(unknown)}")
+    if not schema:
+        return _accept
+    types = _types(schema)
+    if "enum" in schema:
+        if not all(isinstance(member, str) for member in schema["enum"]):
+            raise ValueError("a compiled enum lists strings only")
+        types &= {"string"}  # only a string reaches the member lookup
+    integral = "number" not in types
+    numeric = not types.isdisjoint(("number", "integer"))
+    by_class = {
+        dict: _object_check(schema) if "object" in types else _reject,
+        list: _array_check(schema) if "array" in types else _reject,
+        str: _string_check(schema) if "string" in types else _reject,
+        int: _number_check(schema, integral=False) if numeric else _reject,
+        float: _number_check(schema, integral) if numeric else _reject,
+        bool: _accept if "boolean" in types else _reject,
+        type(None): _accept if "null" in types else _reject,
+    }
+    return lambda v: by_class.get(v.__class__, _reject)(v)
+
+
+def _int_of_float(v):
+    return int(v) if v.__class__ is float else v
+
+
+def _compile_int_cast(schema: dict) -> Callable | None:
+    """A function that gives a valid value with the floats at ``schema``'s
+    integer-only ``properties`` and ``items`` positions as ``int``;
+    ``None`` where the schema has no such position."""
+    types = _types(schema)
+    if "integer" in types and "number" not in types:
+        return _int_of_float
+    item = _compile_int_cast(schema["items"]) if "items" in schema else None
+    if item is not None:
+        return lambda v: [item(x) for x in v] if v.__class__ is list else v
+    casts = {key: cast for key, sub in schema.get("properties", {}).items()
+             if (cast := _compile_int_cast(sub)) is not None}
+    if casts:
+        return lambda v: {key: casts[key](value) if key in casts else value
+                          for key, value in v.items()} if v.__class__ is dict else v
+    return None
+
+
+class CompiledSchema:
+    """A schema's ``is_valid``, compiled at construction, and its
+    ``iter_errors``, which a jsonschema validator built on first use gives.
+
+    Only a rejected value reaches ``iter_errors``, so jsonschema alone
+    words every violation, and is imported only when there is one."""
+
+    def __init__(self, schema: dict):
+        self.schema = schema
+        self.is_valid = _compile_check(schema)
+        self.int_cast = _compile_int_cast(schema) or (lambda v: v)
+
+    @cached_property
+    def _validator(self):
+        import jsonschema
+        return jsonschema.Draft202012Validator(self.schema)
+
+    def iter_errors(self, instance):
+        return self._validator.iter_errors(instance)
+
+
 @dataclass(frozen=True)
 class ToolDescriptor:
     """A tool shared by all sessions: its wire format and ``handler(session, **args)``."""
@@ -63,16 +205,16 @@ class ToolDescriptor:
     handler: Callable
     read_only: bool = False
     destructive: bool = False
+    validator: CompiledSchema = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # compiled with the table, so an uncovered keyword fails the import
+        object.__setattr__(self, "validator", CompiledSchema(self.input_schema))
 
     @property
     def input_schema(self) -> dict:
         return {"type": "object", "properties": self.properties,
                 "required": self.required}
-
-    @cached_property
-    def validator(self) -> jsonschema.Draft202012Validator:
-        """Validator for ``input_schema``, built on the first call and reused."""
-        return jsonschema.Draft202012Validator(self.input_schema)
 
     def wire_format(self) -> dict:
         return {
@@ -86,8 +228,13 @@ class ToolDescriptor:
         }
 
 
-def validate_args(validator: jsonschema.Draft202012Validator, args) -> list[dict]:
-    """Schema violations as (json-pointer path, message) pairs; no coercion."""
+def validate_args(validator, args) -> list[dict]:
+    """Schema violations as (json-pointer path, message) pairs; no coercion.
+
+    ``validator`` is a :class:`CompiledSchema` or a jsonschema validator;
+    only ``iter_errors`` words a violation."""
+    if validator.is_valid(args):
+        return []
     violations = []
     for error in validator.iter_errors(args):
         path = "/" + "/".join(str(p) for p in error.absolute_path)
@@ -486,7 +633,8 @@ def handle_request(session: Session, raw) -> dict | None:
                 return None
             return _error(request_id, -32602, "invalid params",
                           data={"violations": violations})
-        declared = {key: value for key, value in arguments.items()
+        declared = {key: value for key, value in
+                    descriptor.validator.int_cast(arguments).items()
                     if key in descriptor.properties}
         flags = {}
         try:

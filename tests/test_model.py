@@ -24,6 +24,7 @@ from ifcmcp.errors import (
     DuplicateId,
     EmptySpec,
     IfcError,
+    InvalidPlacement,
     PlacementCycle,
     StepSyntaxError,
     UnknownAttribute,
@@ -627,6 +628,62 @@ def test_zero_length_direction_is_an_in_band_error(slot):
     assert _tool_error(model, "get_object_info", {"guid": guid})["type"] == \
         "ZeroLengthAxis"
 
+
+
+def _set_axes(model, lp: int, axis, ref_direction):
+    """Point the wall placement's Axis and RefDirection at new IFCDIRECTIONs
+    (``None`` leaves the attribute unset)."""
+    a2p = model.entities[model.entities[lp].attributes[1].id]
+    for slot, ratios in ((1, axis), (2, ref_direction)):
+        a2p.attributes[slot] = None if ratios is None else EntityRef(
+            model.add("IFCDIRECTION", [ratios]))
+
+
+def test_ref_direction_is_projected_normal_to_the_axis():
+    model, guid, lp = _wall_with_placement()
+    session = Session(load_model(model.to_bytes()))
+    expected = _call(session, "get_object_info", {"guid": guid})
+    _set_axes(model, lp, None, (1.0, 0.0, 1.0))
+    placement = model.placement_of(model.require_guid(guid).id)
+    assert placement.x_axis == (1.0, 0.0, 0.0)
+    assert _call(Session(load_model(model.to_bytes())), "get_object_info",
+                 {"guid": guid}) == expected
+
+
+def test_axis_along_x_without_ref_direction_takes_y():
+    # valid IFC: IfcFirstProjAxis falls back to (0,1,0) for this axis
+    model, guid, lp = _wall_with_placement()
+    _set_axes(model, lp, (1.0, 0.0, 0.0), None)
+    placement = model.placement_of(model.require_guid(guid).id)
+    assert placement.z_axis == (1.0, 0.0, 0.0)
+    assert placement.x_axis == (0.0, 1.0, 0.0)
+    assert _tool_error(model, "get_object_info", {"guid": guid}) is None
+
+
+def test_ref_direction_parallel_to_the_axis_is_an_in_band_error():
+    model, guid, lp = _wall_with_placement()
+    _set_axes(model, lp, (0.0, 1.0, 1.0), (0.0, -2.0, -2.0))
+    with pytest.raises(ZeroLengthAxis):
+        model.placement_of(model.require_guid(guid).id)
+    assert _tool_error(model, "get_object_info", {"guid": guid})["type"] == \
+        "ZeroLengthAxis"
+
+
+@pytest.mark.parametrize("slot, value", [
+    ("axis", (1.0, 0.0)), ("ref_direction", (1.0, 0.0)),
+    ("ref_direction", ("a", 0.0, 0.0)), ("location", (1.0, 2.0, 3.0, 4.0)),
+    ("location", ("a", 2.0, 3.0))])
+def test_malformed_placement_is_an_in_band_error(slot, value):
+    model, guid, lp = _wall_with_placement()
+    if slot == "location":
+        a2p = model.entities[model.entities[lp].attributes[1].id]
+        model.entities[a2p.attributes[0].id].attributes[0] = value
+    else:
+        _set_axes(model, lp, **{"axis": None, "ref_direction": None, slot: value})
+    with pytest.raises(InvalidPlacement):
+        model.placement_of(model.require_guid(guid).id)
+    assert _tool_error(model, "get_object_info", {"guid": guid})["type"] == \
+        "InvalidPlacement"
 
 # --- the collector during and after a load ---
 

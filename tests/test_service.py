@@ -4,11 +4,15 @@ import importlib
 import importlib.util
 import io
 import json
+import math
+import os
 from dataclasses import replace
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ifcmcp import builders
 from ifcmcp import knowledge as knowledge_mod
@@ -20,7 +24,9 @@ from ifcmcp.model import load_model, new_model
 from ifcmcp.service import (
     GROUPS,
     TOOLS,
+    CompiledSchema,
     Session,
+    ToolDescriptor,
     handle_request,
     serve_stdio,
     tool_table,
@@ -472,6 +478,224 @@ def test_cached_validator_reports_like_a_fresh_one(session):
         assert validate_args(descriptor.validator, args) == \
             validate_args(fresh, args)
 
+
+# --- the compiled argument check against jsonschema ---
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=4)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=8)
+
+
+def _types(schema: dict) -> list:
+    types = schema.get("type", [])
+    return [types] if isinstance(types, str) else list(types)
+
+
+def _valid(schema: dict):
+    """Values ``schema`` accepts, its boundary values among them."""
+    options = []
+    for kind in _types(schema):
+        if kind in ("number", "integer"):
+            low = max(schema.get("minimum", -1e6), schema.get("exclusiveMinimum", -1e6))
+            high = schema.get("maximum", 1e6)
+            integers = st.integers(math.ceil(low), math.floor(high)).filter(
+                lambda v: v > schema.get("exclusiveMinimum", -math.inf))
+            options += [integers, integers.map(float)]  # "integer" takes 2.0
+            if kind == "number":
+                options.append(st.floats(low, high,
+                                         exclude_min="exclusiveMinimum" in schema))
+        elif kind == "string" and "enum" in schema:
+            options.append(st.sampled_from(schema["enum"]))
+        elif kind == "string":
+            shortest = schema.get("minLength", 0)
+            longest = min(schema.get("maxLength", shortest + 3), shortest + 3)
+            options.append(st.text("0Az_$ ", min_size=shortest, max_size=longest))
+        elif kind == "array":
+            shortest = schema.get("minItems", 0)
+            longest = min(schema.get("maxItems", shortest + 2), shortest + 2)
+            options.append(st.lists(_valid(schema.get("items", {})),
+                                    min_size=shortest, max_size=longest))
+        elif kind == "object":
+            properties = {key: _valid(sub)
+                          for key, sub in schema.get("properties", {}).items()}
+            required = {key: properties.pop(key) for key in schema.get("required", ())}
+            extras = st.dictionaries(
+                st.sampled_from(["x", "Name", "k"]),
+                _valid(schema["additionalProperties"]) if "additionalProperties" in schema
+                else _JSON, min_size=schema.get("minProperties", 0), max_size=2)
+            options.append(st.builds(lambda extra, own: {**extra, **own}, extras,
+                                     st.fixed_dictionaries(required, optional=properties)))
+        elif kind == "boolean":
+            options.append(st.booleans())
+        elif kind == "null":
+            options.append(st.none())
+    return st.one_of(options) if options else _JSON
+
+
+def _replaced(container, key, value):
+    copy = type(container)(container)
+    copy[key] = value
+    return copy
+
+
+def _near(schema: dict):
+    """Mostly values with at most one fault, placed at a boundary of one
+    keyword of ``schema``, or any JSON value."""
+    types = _types(schema)
+    edges = [0, -1, 2.5, "2", True, False, None, [], {}, ["hip"]]
+    for key in ("minimum", "maximum", "exclusiveMinimum"):
+        if key in schema:
+            edges += [schema[key] - 1, schema[key] - 0.5, schema[key], schema[key] + 0.5]
+    for key in ("minLength", "maxLength"):
+        if key in schema and schema[key] < 64:
+            edges += ["a" * (schema[key] - 1), "b" * (schema[key] + 1)]
+    options = [_valid(schema), _JSON, st.sampled_from(edges + schema.get("enum", []))]
+    if {"number", "integer"} & set(types):
+        # fractions at integer positions, and either side of each bound
+        options.append(st.floats(schema.get("minimum", -10) - 2,
+                                 schema.get("maximum", 10) + 2))
+    if "array" in types:
+        item = schema.get("items", {})
+        options += [
+            st.lists(_valid(item), min_size=1, max_size=4).flatmap(
+                lambda v: st.builds(_replaced, st.just(v),
+                                    st.integers(0, len(v) - 1), _near(item))),
+            st.lists(_valid(item), max_size=schema.get("maxItems", 3) + 1),
+        ]
+    if "object" in types:
+        properties = schema.get("properties", {})
+        faults = [st.tuples(st.just(key), _near(sub)) for key, sub in properties.items()]
+        if "additionalProperties" in schema:
+            faults.append(st.tuples(st.just("extra"),
+                                    _near(schema["additionalProperties"])))
+        if faults:
+            options.append(st.builds(lambda v, fault: _replaced(v, *fault),
+                                     _valid(schema), st.one_of(faults)))
+        options.append(_valid(schema).flatmap(
+            lambda v: st.sampled_from(sorted(v)).map(
+                lambda key: {k: x for k, x in v.items() if k != key}) if v else st.just(v)))
+    return st.one_of(options)
+
+
+_REFERENCES = {name: (jsonschema.Draft202012Validator(d.input_schema),
+                       _near(d.input_schema)) for name, d in TOOLS.items()}
+
+
+@pytest.mark.parametrize("name", list(TOOLS))
+@settings(deadline=None)
+@given(data=st.data())
+def test_compiled_check_agrees_with_jsonschema(name, data):
+    # JSON Schema 2020-12: a bool is not a number, "integer" takes 2.0, a
+    # keyword constrains only values of its type, enum takes any value
+    reference, arguments = _REFERENCES[name]
+    arguments = data.draw(arguments)
+    assert TOOLS[name].validator.is_valid(arguments) == \
+        (not list(reference.iter_errors(arguments)))
+
+
+@pytest.mark.parametrize("schema", [
+    {"type": "string", "pattern": "^a"},
+    {"type": "object", "properties": {"when": {"type": "string", "format": "date"}}},
+    {"type": "array", "items": {"type": "number", "multipleOf": 2}},
+    {"type": "object", "additionalProperties": {"const": 1}},
+    {"enum": [1, 2]},
+])
+def test_compiling_an_uncovered_keyword_raises(schema):
+    with pytest.raises(ValueError):
+        CompiledSchema(schema)
+
+
+def test_a_tool_with_an_uncovered_keyword_cannot_be_declared():
+    with pytest.raises(ValueError):
+        ToolDescriptor("bad", "query", "Bad.", {"n": {"type": "number", "multipleOf": 2}},
+                       [], lambda s, n: {})
+
+
+# per tool: the same call with an integer argument given as an integer and
+# as an integral float, which JSON Schema's "integer" also accepts
+_INTEGRAL_FLOAT_CALLS = [
+    ("get_scene_info", lambda w, number: {"offset": number, "limit": number}),
+    ("search_ifc_knowledge", lambda w, number: {"query": "walls", "k": number}),
+    ("create_stairs", lambda w, number: {"origin": [2, 2, 0], "total_rise": 3,
+                                         "total_run": 4, "step_count": number,
+                                         "width": 1}),
+    ("set_owner_history", lambda w, number: {"guids": [w[0]], "user": "u",
+                                             "timestamp": number}),
+    ("create_mesh_element", lambda w, number: {
+        "ifc_class": "IfcBuildingElementProxy", "name": "Box",
+        "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]],
+        "faces": [[0, number, 1], [0, 1, 3], [1, number, 3], [0, 3, number]]}),
+]
+
+
+@pytest.mark.parametrize("tool, arguments", _INTEGRAL_FLOAT_CALLS,
+                         ids=[tool for tool, _ in _INTEGRAL_FLOAT_CALLS])
+def test_integral_float_answers_like_the_integer(tool, arguments):
+    replies, models = [], []
+    for number in (2, 2.0):
+        session, walls, _door = _tool_setup()
+        replies.append(call(session, tool, arguments(walls, number)))
+        models.append(session.model.to_bytes())
+    assert "result" in replies[0] and not replies[0]["result"].get("isError")
+    assert replies[1] == replies[0]
+    assert models[1] == models[0]
+
+
+_COLD_START = """
+import io, json, sys
+import ifcmcp.cli
+from ifcmcp.model import new_model
+from ifcmcp.service import Session, serve_stdio
+
+session = Session(new_model(guid_seed=9))
+def serve(lines):
+    out = io.StringIO()
+    serve_stdio(session, stdin=io.StringIO("".join(l + "\\n" for l in lines)), stdout=out)
+    return out.getvalue().splitlines()
+valid = serve(json.loads(sys.argv[1]))
+loaded_after_valid = "jsonschema" in sys.modules
+invalid = serve([sys.argv[2]])
+print(json.dumps({"valid": valid, "loaded_after_valid": loaded_after_valid,
+                  "loaded_after_invalid": "jsonschema" in sys.modules,
+                  "invalid": invalid}))
+"""
+
+
+def test_jsonschema_is_imported_only_to_word_a_rejection():
+    import subprocess
+    import sys
+
+    def line(number, tool, arguments):
+        return json.dumps({"jsonrpc": "2.0", "id": number, "method": "tools/call",
+                           "params": {"name": tool, "arguments": arguments}})
+    valid = [
+        json.dumps({"jsonrpc": "2.0", "id": 1, "method": "initialize"}),
+        line(2, "create_wall", {"start": [0, 0], "end": [6, 0], "height": 3.0,
+                                "thickness": 0.2}),
+        line(3, "get_scene_info", {"offset": 1, "limit": 2.0}),
+        line(4, "execute_ifc_query", {"query": "walls | count"}),
+    ]
+    bad_arguments = {"start": [0], "end": [1, "a"], "height": True, "thickness": 0}
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_START, json.dumps(valid),
+         line(5, "create_wall", bad_arguments)],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert len(report["valid"]) == 4
+    assert all("result" in json.loads(reply) for reply in report["valid"])
+    assert not report["loaded_after_valid"]
+    assert report["loaded_after_invalid"]
+    fresh = jsonschema.Draft202012Validator(TOOLS["create_wall"].input_schema)
+    expected = {"jsonrpc": "2.0", "id": 5, "error": {
+        "code": -32602, "message": "invalid params",
+        "data": {"violations": validate_args(fresh, bad_arguments)}}}
+    assert report["invalid"] == [json.dumps(expected)]
 
 def test_tcp_sessions_are_independent():
     import socket
