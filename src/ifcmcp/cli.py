@@ -26,7 +26,6 @@ from .service import (
     serve_stdio,
     serve_tcp,
 )
-from .snapshot import render_elevation, render_plan
 
 _REF_RE = re.compile(r"^\$(\d+)\.(.+)$")
 
@@ -271,6 +270,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "snapshot":
+        from .snapshot import render_elevation, render_plan
         try:
             model = open_model(args.file)
         except OSError as exc:

@@ -24,6 +24,7 @@ from decimal import ROUND_HALF_UP, Decimal
 
 from . import measure, schema
 from .errors import (
+    MAX_QUERY_BYTES,
     BudgetExceeded,
     InvalidParams,
     ParseError,
@@ -39,7 +40,6 @@ from .model import (
 )
 from .scene import _name_of, products_in_order
 
-MAX_QUERY_BYTES = 8192
 STEP_BUDGET = 1_000_000
 # deepest nesting of operators and parentheses in one expression; keeps
 # parsing and evaluation far below the interpreter's recursion limit

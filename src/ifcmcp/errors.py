@@ -2,6 +2,8 @@
 
 Every tool-facing failure derives from :class:`IfcError` so the service
 layer can map it to an in-band error payload with a stable ``type`` name.
+``MAX_QUERY_BYTES`` lives here too, so the tool table reads it without
+importing the DSL.
 """
 
 from __future__ import annotations
@@ -134,6 +136,11 @@ class NotADoor(IfcError):
 
 
 # --- queries / DSL ---
+
+# longest query text, in UTF-8 bytes: the execute_ifc_query schema's
+# maxLength, and the bound past which dsl.parse_query raises ParseError
+MAX_QUERY_BYTES = 8192
+
 
 class ParseError(IfcError):
     def __init__(self, pos: int, expected: str):

@@ -147,6 +147,36 @@ class IfcModel:
                 for entity_id in self.rel_side(inst.id, side):
                     _insert(by_entity.setdefault(entity_id, []), inst.id)
 
+    def _drop(self, dead: set[int]):
+        """Remove the entities ``dead`` and their index entries.
+
+        The indexes are left as a rebuild would make them: no empty class
+        sets or rel lists. One difference: a GlobalId that several entities
+        share (a malformed file) goes with the holder it resolved to,
+        where a rebuild would resolve it to another holder.
+        """
+        for entity_id in dead:
+            inst = self.entities[entity_id]
+            ids = self.by_class[inst.class_name]
+            ids.remove(entity_id)
+            if not ids:
+                del self.by_class[inst.class_name]
+            first = inst.attributes[0] if inst.attributes else None
+            if isinstance(first, str) and self.by_guid.get(first) == entity_id:
+                del self.by_guid[first]
+            for sides in self.rel_index.values():
+                for by_entity in sides:
+                    by_entity.pop(entity_id, None)
+            if inst.class_name in schema.REL_SIDES:
+                for side, by_entity in enumerate(self.rel_index[inst.class_name]):
+                    for member in set(self.rel_side(entity_id, side)) - dead:
+                        rel_ids = by_entity[member]
+                        rel_ids.remove(entity_id)
+                        if not rel_ids:
+                            del by_entity[member]
+        for entity_id in dead:
+            del self.entities[entity_id]
+
     def rebuild_indexes(self):
         self.by_class = {}
         self.by_guid = {}
@@ -822,7 +852,5 @@ def delete_element(model: IfcModel, guid: str) -> int:
                 if counts[ref.id] == 0:
                     free.append(ref.id)
 
-    for entity_id in dead:
-        model.entities.pop(entity_id, None)
-    model.rebuild_indexes()
+    model._drop(dead)
     return len(dead)

@@ -20,15 +20,15 @@ import codecs
 import json
 import math
 import os
-import socketserver
 import sys
-import traceback
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
-from . import builders, dsl, model as model_mod, scene, snapshot
-from .errors import DuplicateName, IfcError, InvalidParams
+import ifcmcp
+
+from . import model as model_mod
+from .errors import MAX_QUERY_BYTES, DuplicateName, IfcError, InvalidParams
 from .geometry import TriMesh
 from .knowledge import KnowledgeIndex, index_corpus
 from .model import IfcModel, PropertySpec
@@ -287,10 +287,10 @@ def _filled_payload(kind: str, result: tuple[str, str]) -> dict:
 
 
 def _run_query(session: Session, query: str) -> dict:
-    program = dsl.parse_query(query)
+    program = ifcmcp.dsl.parse_query(query)
     if program.is_mutation and "edit" not in session.groups:
         raise InvalidParams("mutation queries require the edit tool group")
-    result, log, _changed = dsl.eval_query(session.model, program)
+    result, log, _changed = ifcmcp.dsl.eval_query(session.model, program)
     return {"result": result, "log": log}
 
 
@@ -321,8 +321,10 @@ def tool_table(descriptors) -> dict[str, ToolDescriptor]:
     return table
 
 
-# Handlers name their layer function at call time (``scene.get_object_info``,
-# not a stored function object), so a function patched on its module is called.
+# Handlers name their layer function at call time
+# (``ifcmcp.scene.get_object_info``, not a stored function object), so a
+# function patched on its module is called, and a layer module is imported
+# at the first call that reads it (``ifcmcp.LAYERS``).
 TOOLS = tool_table([
     # --- query ---
     ToolDescriptor(
@@ -332,7 +334,7 @@ TOOLS = tool_table([
         {"offset": {"type": "integer", "minimum": 0},
          "limit": {"type": "integer", "minimum": 1}},
         [],
-        lambda s, **a: scene.get_scene_info(s.model, **a),
+        lambda s, **a: ifcmcp.scene.get_scene_info(s.model, **a),
         read_only=True,
     ),
     ToolDescriptor(
@@ -340,7 +342,7 @@ TOOLS = tool_table([
         "Full record of one object by GUID: class, placement, bounding box, "
         "property sets, classifications and relationships.",
         {"guid": _GUID}, ["guid"],
-        lambda s, guid: scene.get_object_info(s.model, guid),
+        lambda s, guid: ifcmcp.scene.get_object_info(s.model, guid),
         read_only=True,
     ),
     ToolDescriptor(
@@ -348,14 +350,14 @@ TOOLS = tool_table([
         "Aggregate model statistics: per-class counts, storeys with "
         "elevations, total floor area and overall bounding box.",
         {}, [],
-        lambda s: scene.get_ifc_scene_overview(s.model),
+        lambda s: ifcmcp.scene.get_ifc_scene_overview(s.model),
         read_only=True,
     ),
     ToolDescriptor(
         "get_door_properties", "query",
         "Dimensions, sill height and host wall of a door by GUID.",
         {"guid": _GUID}, ["guid"],
-        lambda s, guid: scene.get_door_properties(s.model, guid),
+        lambda s, guid: ifcmcp.scene.get_door_properties(s.model, guid),
         read_only=True,
     ),
     ToolDescriptor(
@@ -363,7 +365,7 @@ TOOLS = tool_table([
         "Run a query pipeline over the model, e.g. 'walls | count', "
         "'slabs | sum(area)', 'walls | filter(height > 3) | list(name)' or "
         "a batch mutation such as 'walls | rename(\"Wall-{height}m\")'.",
-        {"query": {"type": "string", "maxLength": dsl.MAX_QUERY_BYTES}},
+        {"query": {"type": "string", "maxLength": MAX_QUERY_BYTES}},
         ["query"],
         _run_query,
     ),
@@ -376,7 +378,7 @@ TOOLS = tool_table([
         {"start": _POINT2_OR_3, "end": _POINT2_OR_3, "height": _POSITIVE,
          "thickness": _POSITIVE, "storey": _GUID, "name": {"type": "string"}},
         ["start", "end", "height", "thickness"],
-        lambda s, start, end, **a: {"guid": builders.create_wall(
+        lambda s, start, end, **a: {"guid": ifcmcp.builders.create_wall(
             s.model, start[:2], end[:2], **a)},
     ),
     ToolDescriptor(
@@ -387,7 +389,7 @@ TOOLS = tool_table([
          "height": _POSITIVE, "thickness": _POSITIVE,
          "close": {"type": "boolean"}, "storey": _GUID},
         ["points", "height", "thickness"],
-        lambda s, points, **a: _guids_payload(builders.create_wall_chain(
+        lambda s, points, **a: _guids_payload(ifcmcp.builders.create_wall_chain(
             s.model, [p[:2] for p in points], **a)),
     ),
     ToolDescriptor(
@@ -398,7 +400,7 @@ TOOLS = tool_table([
          "thickness": _POSITIVE, "elevation": {"type": "number"},
          "name": {"type": "string"}},
         ["outline", "thickness"],
-        lambda s, outline, **a: {"guid": builders.create_slab(
+        lambda s, outline, **a: {"guid": ifcmcp.builders.create_slab(
             s.model, [p[:2] for p in outline], **a)},
     ),
     ToolDescriptor(
@@ -410,7 +412,7 @@ TOOLS = tool_table([
          "slope_deg": {"type": "number", "minimum": 5, "maximum": 85},
          "base_z": {"type": "number"}, "name": {"type": "string"}},
         ["outline"],
-        lambda s, outline, **a: _roof_payload(builders.create_roof(
+        lambda s, outline, **a: _roof_payload(ifcmcp.builders.create_roof(
             s.model, [p[:2] for p in outline], **a)),
     ),
     ToolDescriptor(
@@ -421,7 +423,7 @@ TOOLS = tool_table([
          "style": {"type": "string", "enum": ["hip", "gable", "flat"]},
          "slope_deg": {"type": "number", "minimum": 5, "maximum": 85}},
         ["wall_guids"],
-        lambda s, **a: _roof_payload(builders.create_roof_over_walls(s.model, **a)),
+        lambda s, **a: _roof_payload(ifcmcp.builders.create_roof_over_walls(s.model, **a)),
     ),
     ToolDescriptor(
         "create_door", "create",
@@ -431,7 +433,7 @@ TOOLS = tool_table([
          "position_along_axis": {"type": "number", "minimum": 0},
          "width": _POSITIVE, "height": _POSITIVE, "name": {"type": "string"}},
         [],
-        lambda s, **a: _filled_payload("door", builders.create_door(s.model, **a)),
+        lambda s, **a: _filled_payload("door", ifcmcp.builders.create_door(s.model, **a)),
     ),
     ToolDescriptor(
         "create_window", "create",
@@ -443,7 +445,7 @@ TOOLS = tool_table([
          "sill_height": {"type": "number", "minimum": 0},
          "name": {"type": "string"}},
         [],
-        lambda s, **a: _filled_payload("window", builders.create_window(s.model, **a)),
+        lambda s, **a: _filled_payload("window", ifcmcp.builders.create_window(s.model, **a)),
     ),
     ToolDescriptor(
         "create_stairs", "create",
@@ -454,7 +456,7 @@ TOOLS = tool_table([
          "step_count": {"type": "integer", "minimum": 2}, "width": _POSITIVE,
          "name": {"type": "string"}},
         ["origin", "total_rise", "total_run", "step_count", "width"],
-        lambda s, direction_deg=0.0, **a: {"guid": builders.create_stairs(
+        lambda s, direction_deg=0.0, **a: {"guid": ifcmcp.builders.create_stairs(
             s.model, direction_deg=direction_deg, **a)},
     ),
     ToolDescriptor(
@@ -468,7 +470,7 @@ TOOLS = tool_table([
                              "minItems": 3, "maxItems": 3}},
          "name": {"type": "string"}, "storey": _GUID},
         ["ifc_class", "vertices", "faces", "name"],
-        lambda s, vertices, faces, **a: {"guid": builders.create_mesh_element(
+        lambda s, vertices, faces, **a: {"guid": ifcmcp.builders.create_mesh_element(
             s.model, mesh=TriMesh(vertices, faces), **a)},
     ),
 
@@ -544,7 +546,7 @@ TOOLS = tool_table([
         {"storey": _GUID,
          "cut_height": {"type": "number", "exclusiveMinimum": 0}},
         [],
-        lambda s, storey=None, **a: {"svg": snapshot.render_plan(
+        lambda s, storey=None, **a: {"svg": ifcmcp.snapshot.render_plan(
             s.model, storey_guid=storey, **a)},
         read_only=True,
     ),
@@ -553,7 +555,7 @@ TOOLS = tool_table([
         "Render an orthographic elevation (north, south, east or west) as SVG.",
         {"view": {"type": "string", "enum": ["north", "south", "east", "west"]}},
         ["view"],
-        lambda s, view: {"svg": snapshot.render_elevation(s.model, view)},
+        lambda s, view: {"svg": ifcmcp.snapshot.render_elevation(s.model, view)},
         read_only=True,
     ),
 ])
@@ -580,14 +582,27 @@ def _finite_number(text: str) -> int | float:
     return int(text) if text.lstrip("-").isdigit() else value
 
 
+# the model can only store finite reals, so NaN, Infinity and numbers
+# beyond the double range are malformed traffic
+_DECODER = json.JSONDecoder(parse_float=_finite_number, parse_int=_finite_number,
+                            parse_constant=_finite_number)
+
+
+def _decode(raw: str | bytes):
+    """``json.loads(raw)`` with the finite-number hooks, on one prebuilt decoder
+    (``json.loads`` with hooks builds a decoder and scanner per call)."""
+    if isinstance(raw, bytes):
+        raw = raw.decode(json.detect_encoding(raw), "surrogatepass")
+    elif raw.startswith("\ufeff"):
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", raw, 0)
+    return _DECODER.decode(raw)
+
+
 def handle_request(session: Session, raw) -> dict | None:
     """One JSON-RPC message in, one response (or None for notifications)."""
     if isinstance(raw, (str, bytes)):
-        # the model can only store finite reals, so NaN, Infinity and
-        # numbers beyond the double range are malformed traffic
         try:
-            message = json.loads(raw, parse_float=_finite_number,
-                                 parse_int=_finite_number, parse_constant=_finite_number)
+            message = _decode(raw)
         except ValueError as exc:  # a json.JSONDecodeError or an out-of-range number
             return _error(None, -32700, f"parse error: {getattr(exc, 'msg', exc)}")
     else:
@@ -646,6 +661,7 @@ def handle_request(session: Session, raw) -> dict | None:
             # a derived quantity can overflow to inf, which is not JSON
             text = json.dumps(payload, allow_nan=False)
         except Exception as exc:  # a fault of the server, not of the request
+            import traceback
             traceback.print_exc(file=sys.stderr)
             return None if is_notification else _error(
                 request_id, -32603, f"internal error: {type(exc).__name__}: {exc}")
@@ -675,6 +691,7 @@ def serve_stdio(session: Session, stdin=None, stdout=None) -> int:
 
 def serve_tcp(port: int, session_factory: Callable[[], Session]) -> None:
     """One session per connection; each owns an independent model."""
+    import socketserver
 
     class Handler(socketserver.StreamRequestHandler):
         def handle(self):

@@ -504,6 +504,7 @@ def assert_delete_matches_reference(model, guid: str):
     assert delete_element(model, guid) == removed
     assert sorted(model.entities) == sorted(expected.entities)
     assert model.to_bytes() == expected.to_bytes()
+    assert_indexes_fresh(model)
 
 
 _GROWTH_STEPS = ["create_wall", "create_door", "add_property_set",

@@ -8,6 +8,7 @@ import math
 import os
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import jsonschema
 import pytest
@@ -664,10 +665,20 @@ print(json.dumps({"valid": valid, "loaded_after_valid": loaded_after_valid,
 """
 
 
-def test_jsonschema_is_imported_only_to_word_a_rejection():
+def _run_cold(script: str, *args: str) -> dict:
+    """The JSON that ``script`` prints, run in a fresh interpreter on ``src``."""
     import subprocess
     import sys
 
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script, *args],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_jsonschema_is_imported_only_to_word_a_rejection():
     def line(number, tool, arguments):
         return json.dumps({"jsonrpc": "2.0", "id": number, "method": "tools/call",
                            "params": {"name": tool, "arguments": arguments}})
@@ -679,14 +690,7 @@ def test_jsonschema_is_imported_only_to_word_a_rejection():
         line(4, "execute_ifc_query", {"query": "walls | count"}),
     ]
     bad_arguments = {"start": [0], "end": [1, "a"], "height": True, "thickness": 0}
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-c", _COLD_START, json.dumps(valid),
-         line(5, "create_wall", bad_arguments)],
-        capture_output=True, text=True, timeout=60, env=env)
-    assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout)
+    report = _run_cold(_COLD_START, json.dumps(valid), line(5, "create_wall", bad_arguments))
     assert len(report["valid"]) == 4
     assert all("result" in json.loads(reply) for reply in report["valid"])
     assert not report["loaded_after_valid"]
@@ -696,6 +700,98 @@ def test_jsonschema_is_imported_only_to_word_a_rejection():
         "code": -32602, "message": "invalid params",
         "data": {"violations": validate_args(fresh, bad_arguments)}}}
     assert report["invalid"] == [json.dumps(expected)]
+
+
+# what a server start-up must not import: each tool layer loads at the first
+# call that needs it, and socketserver only for a TCP listener
+LOADED_LATER = ["ifcmcp.builders", "ifcmcp.skeleton", "ifcmcp.dsl", "ifcmcp.scene",
+                "ifcmcp.snapshot", "ifcmcp.measure", "socketserver"]
+
+_LAYER_START = """
+import io, json, sys
+import ifcmcp.cli
+from ifcmcp.model import new_model
+from ifcmcp.service import Session, serve_stdio
+
+watched = json.loads(sys.argv[1])
+steps = [{"reply": None, "loaded": [m for m in watched if m in sys.modules]}]
+session = Session(new_model(guid_seed=9))
+for line in sys.argv[2:]:
+    out = io.StringIO()
+    serve_stdio(session, stdin=io.StringIO(line + "\\n"), stdout=out)
+    steps.append({"reply": json.loads(out.getvalue()),
+                  "loaded": [m for m in watched if m in sys.modules]})
+print(json.dumps(steps))
+"""
+
+
+def test_tool_layers_are_imported_at_their_first_call():
+    lines = [json.dumps({"jsonrpc": "2.0", "id": 1, "method": "initialize"}),
+             json.dumps({"jsonrpc": "2.0", "id": 2, "method": "tools/list"}),
+             json.dumps({"jsonrpc": "2.0", "id": 3, "method": "tools/call", "params": {
+                 "name": "create_wall", "arguments": {
+                     "start": [0, 0], "end": [6, 0], "height": 3.0, "thickness": 0.2}}}),
+             json.dumps({"jsonrpc": "2.0", "id": 4, "method": "tools/call", "params": {
+                 "name": "execute_ifc_query", "arguments": {"query": "walls | count"}}})]
+    started, initialized, listed, created, queried = _run_cold(
+        _LAYER_START, json.dumps(LOADED_LATER), *lines)
+    assert started["loaded"] == initialized["loaded"] == listed["loaded"] == []
+    recorded = json.loads(WIRE_FORMAT.read_text(encoding="utf-8"))[",".join(GROUPS)]
+    assert json.dumps(listed["reply"]["result"]) == json.dumps(recorded)
+    assert "ifcmcp.builders" in created["loaded"]
+    assert "ifcmcp.dsl" not in created["loaded"]
+    assert "ifcmcp.dsl" in queried["loaded"]
+    assert "ifcmcp.snapshot" not in queried["loaded"]
+    for step in (created, queried):
+        assert not step["reply"]["result"].get("isError"), step["reply"]
+    assert json.loads(queried["reply"]["result"]["content"][0]["text"])["result"] == 1
+
+
+_THREADED_FIRST_CALLS = """
+import json, sys, threading
+import ifcmcp
+from ifcmcp.model import new_model
+from ifcmcp.service import Session, handle_request
+
+lines = json.loads(sys.argv[1])
+replies = [None] * 8
+barrier = threading.Barrier(len(replies), timeout=30)
+
+def first_call(number):
+    session = Session(new_model(guid_seed=number))
+    barrier.wait()
+    replies[number] = handle_request(session, lines[number % len(lines)])
+
+sys.setswitchinterval(1e-6)
+threads = [threading.Thread(target=first_call, args=(n,)) for n in range(len(replies))]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join(timeout=60)
+functions = {"builders": "create_wall", "dsl": "eval_query", "scene": "get_ifc_scene_overview"}
+print(json.dumps({
+    "alive": [thread.is_alive() for thread in threads], "replies": replies,
+    "one_module": [getattr(getattr(ifcmcp, layer), name).__globals__
+                   is vars(sys.modules["ifcmcp." + layer])
+                   for layer, name in functions.items()]}))
+"""
+
+
+def test_first_calls_from_many_threads_share_one_import_of_each_layer():
+    # serve_tcp runs one thread per connection, so first calls can race
+    lines = [json.dumps({"jsonrpc": "2.0", "id": 1, "method": "tools/call",
+                         "params": {"name": name, "arguments": arguments}})
+             for name, arguments in [
+                 ("create_wall", {"start": [0, 0], "end": [6, 0], "height": 3.0,
+                                  "thickness": 0.2}),
+                 ("execute_ifc_query", {"query": "walls | count"}),
+                 ("get_ifc_scene_overview", {})]]
+    report = _run_cold(_THREADED_FIRST_CALLS, json.dumps(lines))
+    assert report["alive"] == [False] * 8
+    for reply in report["replies"]:
+        assert not reply["result"].get("isError"), reply
+    assert report["one_module"] == [True] * 3
+
 
 def test_tcp_sessions_are_independent():
     import socket
@@ -821,6 +917,58 @@ def test_out_of_range_numbers_rejected_before_dispatch(session, tmp_path, height
     assert response["error"]["code"] == -32700
     assert len(session.model.entities) == entities
     session.model.save(str(tmp_path / "after.ifc"))
+
+
+def _loads_with_hooks(raw):
+    """How ``handle_request`` decoded a line before: ``json.loads`` with the hooks."""
+    hook = service_mod._finite_number
+    return json.loads(raw, parse_float=hook, parse_int=hook, parse_constant=hook)
+
+
+# integers of 308, 309 and 400 digits: the first fit a double, some of
+# the second and all of the third overflow to inf
+_LONG_INTEGER = st.tuples(
+    st.sampled_from(["", "-"]), st.sampled_from("123456789"),
+    st.sampled_from([307, 308, 399]).flatmap(
+        lambda rest: st.text("0123456789", min_size=rest, max_size=rest)),
+).map("".join)
+_NUMBER_TEXT = st.one_of(
+    st.integers().map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["NaN", "-NaN", "Infinity", "-Infinity", "1e309", "-1e309",
+                     "1.7976931348623157e308", "2.5E-400", "-0", "1.5e3"]),
+    _LONG_INTEGER,
+)
+
+
+@st.composite
+def _request_lines(draw):
+    if draw(st.integers(0, 4)) == 0:
+        line = draw(st.text(max_size=40))
+    else:
+        numbers = draw(st.lists(_NUMBER_TEXT, min_size=1, max_size=3))
+        line = ('{"jsonrpc": "2.0", "id": %s, "method": "ping", "params": {"v": [%s]}}'
+                % (numbers[0], ", ".join(numbers)))
+        if draw(st.integers(0, 3)) == 0:
+            line = line[:-1]
+    if draw(st.integers(0, 3)) == 0:
+        line = "\ufeff" + line
+    encoding = draw(st.sampled_from([None, "utf-8", "utf-16", "utf-32-le"]))
+    if encoding is None:
+        return line
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.binary(max_size=12))
+    return line.encode(encoding, "surrogatepass")
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=_request_lines())
+def test_prebuilt_decoder_replies_like_json_loads_with_hooks(raw):
+    session = Session(new_model(guid_seed=5))
+    reply = handle_request(session, raw)
+    with mock.patch.object(service_mod, "_decode", _loads_with_hooks):
+        expected = handle_request(session, raw)
+    assert json.dumps(reply) == json.dumps(expected)
 
 
 def _reject_constant(name):
