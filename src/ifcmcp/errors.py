@@ -43,6 +43,13 @@ class GuidError(IfcError):
     pass
 
 
+class DuplicateGuid(IfcError):
+    def __init__(self, guid: str, first_id: int, second_id: int):
+        super().__init__(f"duplicate GlobalId {guid!r} on #{first_id} and #{second_id}")
+        self.guid = guid
+        self.entity_ids = (first_id, second_id)
+
+
 # --- model layer ---
 
 class UnknownGuid(IfcError):

@@ -63,6 +63,10 @@ class GuidGenerator:
         self._rng = random.Random(seed) if seed is not None else None
         self._issued: set[str] = set()
 
+    def reserve(self, guids) -> None:
+        """Never issue any of ``guids``, the GlobalIds a loaded file holds."""
+        self._issued.update(guids)
+
     def fresh(self) -> str:
         while True:
             bits = self._rng.getrandbits(128) if self._rng else secrets.randbits(128)

@@ -11,7 +11,10 @@ Relationship records (the classes in ``schema.REL_SIDES``) are written
 only through ``add``, ``relate`` and ``delete_element``, and read through
 the relationship index (``IfcModel.rels``, ``IfcModel.rel_side`` and
 ``IfcModel.linked``), never by scanning a relationship class;
-``delete_element`` ends by rebuilding the indexes.
+``delete_element`` takes only the deleted entities out of the indexes, and
+a load rebuilds them per class (``IfcModel.rebuild_indexes``). A loaded
+entity may share attribute values with others (see ``step``), so a value
+is replaced, never mutated in place.
 
 The graph is acyclic: an entity refers to another only by id
 (``EntityRef``), and no index holds an object that points back at its
@@ -31,6 +34,7 @@ from dataclasses import dataclass
 from . import schema
 from .errors import (
     CannotDeleteSpatial,
+    DuplicateGuid,
     EmptySpec,
     InvalidParams,
     InvalidPlacement,
@@ -151,9 +155,7 @@ class IfcModel:
         """Remove the entities ``dead`` and their index entries.
 
         The indexes are left as a rebuild would make them: no empty class
-        sets or rel lists. One difference: a GlobalId that several entities
-        share (a malformed file) goes with the holder it resolved to,
-        where a rebuild would resolve it to another holder.
+        sets or rel lists.
         """
         for entity_id in dead:
             inst = self.entities[entity_id]
@@ -178,11 +180,51 @@ class IfcModel:
             del self.entities[entity_id]
 
     def rebuild_indexes(self):
-        self.by_class = {}
-        self.by_guid = {}
+        """Index every entity, deciding per class what each one needs.
+
+        One pass fills ``by_class``. The rest is fixed per class: the
+        records of a ``schema.REL_SIDES`` class go into ``rel_index``, in
+        ascending id order; the entities of a class that can carry a
+        GlobalId go into ``by_guid`` (an unknown class, only where
+        attribute 0 is GlobalId-shaped); other relationship classes and
+        known classes without one, such as points, directions and
+        placements, need nothing more. Raises :class:`DuplicateGuid` when
+        two entities hold one GlobalId.
+        """
+        entities = self.entities
+        by_class: dict[str, set[int]] = {}
+        for inst in entities.values():
+            ids = by_class.get(inst.class_name)
+            if ids is None:
+                ids = by_class[inst.class_name] = set()
+            ids.add(inst.id)
+        by_guid: dict[str, int] = {}
+        self.by_class, self.by_guid = by_class, by_guid
         self.rel_index = {name: ({}, {}) for name in schema.REL_SIDES}
-        for inst in self.entities.values():
-            self._index(inst)
+        for class_name, ids in by_class.items():
+            sides = self.rel_index.get(class_name)
+            if sides is not None:
+                for rel_id in sorted(ids):
+                    for side, by_entity in enumerate(sides):
+                        for entity_id in self.rel_side(rel_id, side):
+                            rel_ids = by_entity.get(entity_id)
+                            if rel_ids is None:
+                                by_entity[entity_id] = [rel_id]
+                            elif rel_ids[-1] != rel_id:
+                                rel_ids.append(rel_id)
+                continue
+            rooted = schema.is_rooted(class_name)
+            # relationship records carry GlobalIds too but are not
+            # addressable objects, as in _index
+            if rooted is False or class_name.startswith("IFCREL"):
+                continue
+            for entity_id in ids:
+                attributes = entities[entity_id].attributes
+                guid = attributes[0] if attributes else None
+                if isinstance(guid, str) and (rooted or is_guid(guid)):
+                    held = by_guid.setdefault(guid, entity_id)
+                    if held != entity_id:
+                        raise DuplicateGuid(guid, *sorted((held, entity_id)))
 
     # --- relationships ---
 
@@ -539,6 +581,14 @@ def _load(data: bytes | str, guid_seed: int | None) -> IfcModel:
     model.entities = entities
     model.next_id = max(entities) + 1 if entities else 1
     model.rebuild_indexes()
+    # a seeded stream replayed over its own output would issue the file's
+    # GlobalIds again, relationship records' included
+    model.guids.reserve(model.by_guid)
+    for class_name, ids in model.by_class.items():
+        if class_name.startswith("IFCREL"):
+            model.guids.reserve(entities[i].attributes[0] for i in ids
+                                if entities[i].attributes
+                                and isinstance(entities[i].attributes[0], str))
 
     # seed auto-name counters past any existing "<Class>_NNN" names
     counters = model._name_counters

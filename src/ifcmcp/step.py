@@ -12,6 +12,15 @@ the header and every error take the token path (``_Tokenizer``/``_Parser``):
 a record the record path does not fully accept is read again from its start
 by the token path, which parses it or raises, so syntax errors and their
 line and column come from one place.
+
+Values that repeat across a file are built once per ``parse_step`` call
+and shared between the entities that hold them: class names, number and
+enumeration tokens, and the values of each distinct record body without
+references (every record with such a body gets a list of its own holding
+the shared values). References and strings elsewhere are built per record.
+Parsed values may therefore be shared and must never be mutated in place;
+an edit replaces a value in the entity's own attribute list. Nothing is
+cached between calls.
 """
 
 from __future__ import annotations
@@ -476,9 +485,27 @@ _VALUE_RE = re.compile(
     r"|[A-Z][A-Z0-9_]*|[^ \t\r\n]")
 
 
-def _record_args(text: str, start: int, end: int, refs: set) -> list | None:
+def _atom(token: str):
+    """Value of a number or enumeration token, or ``None`` for a stray
+    character such as a lone ``.``, ``+``, ``/`` or ``=``."""
+    if token[0] == ".":
+        if len(token) == 1:
+            return None
+        name = token[1:-1]
+        return True if name == "T" else False if name == "F" else EnumToken(name)
+    try:
+        return float(token) if "." in token or "E" in token or "e" in token \
+            else int(token)
+    except ValueError:
+        return None
+
+
+def _record_args(text: str, start: int, end: int, refs: set, atoms: dict) -> list | None:
     """Attributes of the record body ``text[start:end]``, or ``None`` when
-    the token path must read the record. Adds every referenced id to ``refs``."""
+    the token path must read the record. Adds every referenced id to ``refs``.
+
+    ``atoms`` maps each number or enumeration token already read to its
+    value, so equal tokens across the file share one value."""
     args: list = []
     items = args
     stack: list = []      # (enclosing items, typed-value name or None) per open list
@@ -532,23 +559,18 @@ def _record_args(text: str, start: int, end: int, refs: set) -> list | None:
                 value = value.replace("''", "'")
             if "\\" in value:
                 value = decode_step_string(value)
-        elif c == ".":
-            if len(token) == 1:
-                return None
-            value = token[1:-1]
-            value = True if value == "T" else False if value == "F" else EnumToken(value)
         elif c == "*":
             value = DERIVED
         elif "A" <= c <= "Z":
             typed = token
             continue
         else:
-            # a number, or a stray character such as a lone '+', '/' or '='
-            try:
-                value = float(token) if "." in token or "E" in token or "e" in token \
-                    else int(token)
-            except ValueError:
-                return None
+            value = atoms.get(token)
+            if value is None:
+                value = _atom(token)
+                if value is None:
+                    return None
+                atoms[token] = value
         items.append(value)
         want_value = False
     if stack or typed is not None or (want_value and args):
@@ -614,10 +636,24 @@ def parse_step(data: bytes | str) -> tuple[StepHeader, dict[int, EntityInstance]
     parser.expect_punct(";")
     entities: dict[int, EntityInstance] = {}
     refs: set[int] = set()
+    # shared values (see the module docstring), built once per call
+    names: dict[str, str] = {}
+    atoms: dict[str, object] = {}
+    bodies: dict[str, tuple] = {}  # body without references -> its values
     while True:
         m = _RECORD_RE.match(text, pos)
         entity_id = int(m.group(1)) if m else 0
-        args = _record_args(text, m.start(3), m.end(3), refs) if entity_id else None
+        args = None
+        if entity_id:
+            start, stop = m.span(3)
+            body = None if text.find("#", start, stop) >= 0 else text[start:stop]
+            shared = bodies.get(body)
+            if shared is not None:
+                args = list(shared)
+            else:
+                args = _record_args(text, start, stop, refs, atoms)
+                if args is not None and body is not None:
+                    bodies[body] = tuple(args)
         if args is not None:
             name, end = m.group(2), m.end()
         else:
@@ -642,7 +678,7 @@ def parse_step(data: bytes | str) -> tuple[StepHeader, dict[int, EntityInstance]
             tok.pos = end
             tok.next()
             raise DuplicateId(entity_id)
-        entities[entity_id] = EntityInstance(entity_id, name, args)
+        entities[entity_id] = EntityInstance(entity_id, names.setdefault(name, name), args)
         pos = end
 
     parser.expect_keyword(ISO_CLOSE[:-1])

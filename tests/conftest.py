@@ -1,9 +1,15 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from ifcmcp import builders
-from ifcmcp.model import IfcModel, new_model
+from ifcmcp.model import IfcModel, load_model, new_model
+
+# more examples in CI (--hypothesis-profile=ci) for the properties that
+# leave max_examples to the profile: the STEP round trip and record path
+# properties and the index rebuild property; the others fix their own count
+settings.register_profile("ci", max_examples=500)
 
 SQUARE_WALLS = [
     ((0, 0), (10, 0)),
@@ -13,6 +19,25 @@ SQUARE_WALLS = [
 ]
 
 L_OUTLINE = [(0, 0), (10, 0), (10, 5), (5, 5), (5, 10), (0, 10)]
+
+
+def two_wall_step() -> bytes:
+    """STEP text of two kit walls of one size on the default storey."""
+    model = new_model("My Project", guid_seed=71)
+    builders.create_wall(model, (0, 0), (4, 0), 3.0, 0.2)
+    builders.create_wall(model, (0, 2), (4, 2), 3.0, 0.2)
+    return model.to_bytes()
+
+
+def shared_guid_step() -> tuple[bytes, str, tuple[int, int]]:
+    """``two_wall_step`` with the second wall given the first's GlobalId;
+    also returns that GlobalId and the two wall ids."""
+    model = load_model(two_wall_step())
+    first, second = sorted(model.by_class["IFCWALL"])
+    guid, other = model.guid_of(first), model.guid_of(second)
+    data = model.to_bytes()
+    assert data.count(other.encode()) == 1
+    return data.replace(other.encode(), guid.encode()), guid, (first, second)
 
 
 @pytest.fixture

@@ -7,8 +7,11 @@ import pytest
 
 from ifcmcp.cli import main, run_trace
 from ifcmcp.errors import StepFailed
+from ifcmcp.guid import is_guid
 from ifcmcp.model import new_model, open_model
 from ifcmcp.service import Session
+
+from conftest import shared_guid_step
 
 TRACES = Path(__file__).resolve().parent.parent / "traces"
 
@@ -30,6 +33,35 @@ def test_new_open_save_round_trip(tmp_path, capsys):
 def test_open_missing_file_exits_2(capsys):
     assert main(["open", "/nonexistent/missing.ifc"]) == 2
     assert "IoError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["open"], ["serve", "--model"]])
+def test_shared_global_id_fails_open_and_serve(tmp_path, capsys, command):
+    data, guid, (first, second) = shared_guid_step()
+    path = tmp_path / "shared.ifc"
+    path.write_bytes(data)
+    assert main(command + [str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"ifcmcp: DuplicateGuid: duplicate GlobalId {guid!r} "
+                            f"on #{first} and #{second}\n")
+
+
+def test_replay_with_the_seed_of_its_model_issues_no_global_id_twice(tmp_path, capsys):
+    start, out = tmp_path / "start.ifc", tmp_path / "out.ifc"
+    assert main(["new", str(start), "--seed", "5"]) == 0
+    assert main(["replay", str(TRACES / "l_building.json"), "--model", str(start),
+                 "--seed", "5", "--save", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["open", str(out)]) == 0
+
+    def guids(path):
+        return [inst.attributes[0] for inst in open_model(str(path)).entities.values()
+                if inst.attributes and is_guid(inst.attributes[0])]
+
+    saved = guids(out)
+    assert set(guids(start)) < set(saved)
+    assert len(set(saved)) == len(saved)
 
 
 def test_replay_l_building_trace(tmp_path, capsys):

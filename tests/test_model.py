@@ -21,6 +21,7 @@ from ifcmcp.cli import run_trace
 from ifcmcp.errors import (
     CannotDeleteSpatial,
     DanglingRef,
+    DuplicateGuid,
     DuplicateId,
     EmptySpec,
     IfcError,
@@ -50,6 +51,8 @@ from ifcmcp.model import (
 )
 from ifcmcp.service import Session, handle_request
 from ifcmcp.step import EntityRef, iter_refs
+
+from conftest import shared_guid_step, two_wall_step
 
 TRACES = Path(__file__).resolve().parent.parent / "traces"
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -338,6 +341,143 @@ def test_rel_index_matches_rebuild_after_every_step(trace, steps):
             "jsonrpc": "2.0", "id": number, "method": "tools/call",
             "params": {"name": tool, "arguments": arguments}})
         assert "result" in response
+
+
+def _reference_rebuild(model):
+    """``rebuild_indexes`` as it was, one ``_index`` call per entity, kept as
+    an oracle."""
+    model.by_class = {}
+    model.by_guid = {}
+    model.rel_index = {name: ({}, {}) for name in schema.REL_SIDES}
+    for inst in model.entities.values():
+        model._index(inst)
+
+
+def assert_rebuild_matches_reference(entities):
+    rebuilt, reference = IfcModel(), IfcModel()
+    rebuilt.entities = reference.entities = entities
+    rebuilt.rebuild_indexes()
+    _reference_rebuild(reference)
+    assert rebuilt.by_class == reference.by_class
+    assert rebuilt.by_guid == reference.by_guid
+    assert rebuilt.rel_index == reference.rel_index
+
+
+_BUILDER_STEPS = ["create_wall", "create_door", "create_slab", "add_property_set",
+                  "add_classification"]
+# records of classes the kit does not write, or writes in other shapes
+_FOREIGN_STEPS = ["unknown_with_guid", "unknown_without_guid", "unknown_empty",
+                  "rooted_without_guid", "rel_aggregates", "rel_voids", "rel_unknown",
+                  "rel_short"]
+
+
+def _add_foreign(model, kind: str, pick: int):
+    ids = sorted(model.entities)
+    one, other = EntityRef(ids[pick % len(ids)]), EntityRef(ids[-1 - pick % len(ids)])
+    guid = model.guids.fresh()
+    model.add(*{
+        "unknown_with_guid": ("IFCFOREIGNELEMENT", [guid, None, "F", one]),
+        "unknown_without_guid": ("IFCFOREIGNELEMENT", [f"not a guid {pick}", one]),
+        "unknown_empty": ("IFCFOREIGNRESOURCE", []),
+        "rooted_without_guid": ("IFCWALL", [None, None, "W", None, None, one, None,
+                                            None, None]),
+        # the same member twice on a side is indexed once
+        "rel_aggregates": ("IFCRELAGGREGATES", [guid, None, None, None, one,
+                                                (other, one, other)]),
+        "rel_voids": ("IFCRELVOIDSELEMENT", [guid, None, None, None, one, other]),
+        "rel_unknown": ("IFCRELCONNECTSELEMENTS", [guid, None, None, None, None, one,
+                                                   other]),
+        "rel_short": ("IFCRELDEFINESBYPROPERTIES", [guid, None, None, None, (one,)]),
+    }[kind])
+
+
+@given(steps=st.lists(st.tuples(st.sampled_from(_BUILDER_STEPS + _FOREIGN_STEPS),
+                                st.integers(0, 40), st.integers(0, 2)),
+                      max_size=12))
+@example(steps=[(kind, pick, 0) for pick, kind in enumerate(_FOREIGN_STEPS)])
+@settings(deadline=None)
+def test_rebuild_matches_the_per_entity_index_loop(steps):
+    session = Session(new_model(guid_seed=83))
+    model = session.model
+    builders.create_wall(model, (0, 0), (12, 0), 3.0, 0.2)
+    for number, (tool, pick, variant) in enumerate(steps, start=1):
+        if tool in _FOREIGN_STEPS:
+            _add_foreign(model, tool, pick)
+            continue
+        # the foreign walls without a GlobalId cannot be addressed
+        guids = [guid for guid in map(model.guid_of, scene.products_in_order(model))
+                 if guid is not None] or ["0" * 22]
+        guid = guids[pick % len(guids)]
+        arguments = {
+            "create_wall": {"start": [pick, variant], "end": [pick + 3, variant + 1],
+                            "height": 3.0, "thickness": 0.2},
+            "create_door": {"position": [pick % 12, 0]},
+            "create_slab": {"outline": [[0, 0], [pick + 1, 0], [pick + 1, variant + 1]],
+                            "thickness": 0.2},
+            "add_property_set": {"guid": guid, "pset_name": f"P{variant}",
+                                 "properties": {f"p{pick % 3}": pick}},
+            "add_classification": {"guid": guid, "system": "S", "code": f"C{variant}"},
+        }[tool]
+        response = handle_request(session, {
+            "jsonrpc": "2.0", "id": number, "method": "tools/call",
+            "params": {"name": tool, "arguments": arguments}})
+        assert "result" in response
+    assert_rebuild_matches_reference(model.entities)
+    assert_rebuild_matches_reference(load_model(model.to_bytes()).entities)
+
+
+def test_shared_global_id_is_an_error_on_load():
+    data, guid, (first, second) = shared_guid_step()
+    with pytest.raises(DuplicateGuid) as excinfo:
+        load_model(data)
+    assert excinfo.value.guid == guid
+    assert excinfo.value.entity_ids == (first, second)
+    assert str(excinfo.value) == f"duplicate GlobalId {guid!r} on #{first} and #{second}"
+
+
+def _records(data: bytes) -> dict[int, bytes]:
+    return {int(line[1:line.index(b"=")]): line
+            for line in data.splitlines() if line.startswith(b"#")}
+
+
+def test_records_with_one_body_share_values_but_not_lists():
+    data = two_wall_step()
+    model = load_model(data)
+    entities = model.entities
+    first, second = [i for i in sorted(model.by_class["IFCCARTESIANPOINT"])
+                     if entities[i].attributes == [(2.0, 0.0)]]
+    a, b = entities[first], entities[second]
+    assert a.attributes is not b.attributes
+    assert a.attributes[0] is b.attributes[0]
+    model.set_attr(b, "Coordinates", (3.0, 0.0))
+    assert a.attributes == [(2.0, 0.0)]
+    before, after = _records(data), _records(model.to_bytes())
+    assert after[second] == b"#%d=IFCCARTESIANPOINT((3.,0.));" % second
+    assert {i: line for i, line in after.items() if i != second} == \
+        {i: line for i, line in before.items() if i != second}
+
+
+def test_loaded_entities_share_class_names_and_equal_values():
+    model = load_model(two_wall_step())
+    entities = model.entities
+    for ids in model.by_class.values():
+        assert len({id(entities[i].class_name) for i in ids}) == 1
+    # records with references share their number and enumeration values
+    walls = [entities[i] for i in sorted(model.by_class["IFCWALL"])]
+    assert walls[0].attributes[8] is walls[1].attributes[8]  # .STANDARD.
+    profiles = [entities[i] for i in sorted(model.by_class["IFCRECTANGLEPROFILEDEF"])]
+    for index in (0, 3, 4):  # .AREA., 4., 0.2
+        assert profiles[0].attributes[index] is profiles[1].attributes[index]
+    # but never a reference
+    refs = [ref for inst in entities.values() for ref in iter_refs(inst.attributes)]
+    assert len({id(ref) for ref in refs}) == len(refs)
+    # equal bodies without references share every value
+    seen: dict = {}
+    for inst in entities.values():
+        if not any(iter_refs(inst.attributes)):
+            key = (inst.class_name, repr(inst.attributes))
+            for mine, theirs in zip(inst.attributes, seen.setdefault(key, inst.attributes)):
+                assert mine is theirs
 
 
 def test_containment_is_a_tree(l_building):
@@ -697,6 +837,7 @@ def _step_variant(kind: str) -> bytes:
         "syntax": head + b"#900=IFCWALL(@);\nENDSEC;" + tail,
         "duplicate": head + first + b"\nENDSEC;" + tail,
         "dangling": head + b"#900=IFCWALL(#901);\nENDSEC;" + tail,
+        "shared_guid": shared_guid_step()[0],
     }[kind]
 
 
@@ -710,7 +851,7 @@ def collector_state():
 @pytest.mark.parametrize("enabled", [True, False])
 @pytest.mark.parametrize("kind,error", [
     ("ok", None), ("syntax", StepSyntaxError), ("duplicate", DuplicateId),
-    ("dangling", DanglingRef)])
+    ("dangling", DanglingRef), ("shared_guid", DuplicateGuid)])
 def test_load_restores_the_collector_state(collector_state, kind, error, enabled):
     data = _step_variant(kind)
     (gc.enable if enabled else gc.disable)()

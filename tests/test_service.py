@@ -586,7 +586,7 @@ _REFERENCES = {name: (jsonschema.Draft202012Validator(d.input_schema),
 
 
 @pytest.mark.parametrize("name", list(TOOLS))
-@settings(deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_compiled_check_agrees_with_jsonschema(name, data):
     # JSON Schema 2020-12: a bool is not a number, "integer" takes 2.0, a
