@@ -73,6 +73,13 @@ class CannotDeleteSpatial(IfcError):
     pass
 
 
+class StillReferenced(IfcError):
+    def __init__(self, referrer_id: int, class_name: str):
+        super().__init__(f"#{referrer_id} ({class_name}) holds a single-valued reference "
+                         "to an entity the delete would remove")
+        self.referrer_id = referrer_id
+
+
 class InvalidPlacement(IfcError):
     pass
 

@@ -5,16 +5,20 @@ classifications, attribute edits and deletion with reference-counted
 resource cleanup. The model keeps no state it can derive: the spatial
 handles (``project_id``, ``storey_ids``, ...) are read from ``by_class``.
 
-Instance attributes are written only by ``IfcModel.add``,
-``IfcModel.set_attr``, ``IfcModel.relate`` and ``delete_element``.
+An entity's attributes are one immutable tuple, written only by
+``IfcModel.add``, ``IfcModel.set_attr``, ``IfcModel.relate`` and
+``delete_element``, each of which gives the entity a new tuple.
 Relationship records (the classes in ``schema.REL_SIDES``) are written
 only through ``add``, ``relate`` and ``delete_element``, and read through
 the relationship index (``IfcModel.rels``, ``IfcModel.rel_side`` and
 ``IfcModel.linked``), never by scanning a relationship class;
 ``delete_element`` takes only the deleted entities out of the indexes, and
-a load rebuilds them per class (``IfcModel.rebuild_indexes``). A loaded
-entity may share attribute values with others (see ``step``), so a value
-is replaced, never mutated in place.
+a load rebuilds them per class (``IfcModel.rebuild_indexes``). Loaded
+entities with equal bodies share one tuple (see ``step``); the tuple type
+keeps an edit of one from reaching the others.
+
+``delete_element`` applies one rule to every entity that references a
+deleted one, whatever its class: see its docstring.
 
 The graph is acyclic: an entity refers to another only by id
 (``EntityRef``), and no index holds an object that points back at its
@@ -39,6 +43,7 @@ from .errors import (
     InvalidParams,
     InvalidPlacement,
     PlacementCycle,
+    StillReferenced,
     UnknownAttribute,
     UnknownGuid,
     ZeroLengthAxis,
@@ -95,6 +100,11 @@ def _is_rooted(inst: EntityInstance) -> bool:
     return rooted
 
 
+def _replaced(attributes: tuple, index: int, value) -> tuple:
+    """``attributes`` with the value at ``index`` replaced by ``value``."""
+    return attributes[:index] + (value,) + attributes[index + 1:]
+
+
 def _insert(ids: list[int], rel_id: int):
     """Add ``rel_id`` to an ascending list of ids unless it is there already."""
     at = bisect.bisect_left(ids, rel_id)
@@ -134,7 +144,7 @@ class IfcModel:
     def add(self, class_name: str, attributes: list) -> int:
         entity_id = self.next_id
         self.next_id += 1
-        inst = EntityInstance(entity_id, class_name, list(attributes))
+        inst = EntityInstance(entity_id, class_name, tuple(attributes))
         self.entities[entity_id] = inst
         self._index(inst)
         return entity_id
@@ -261,8 +271,8 @@ class IfcModel:
             for rel_id in self.rels(relating_id, class_name, RELATING):
                 if rel_id not in self.rels(related_id, class_name, RELATED):
                     rel = self.entities[rel_id]
-                    rel.attributes[related_index] = \
-                        tuple(rel.attributes[related_index] or ()) + (EntityRef(related_id),)
+                    members = tuple(rel.attributes[related_index] or ()) + (EntityRef(related_id),)
+                    rel.attributes = _replaced(rel.attributes, related_index, members)
                     _insert(self.rel_index[class_name][RELATED].setdefault(related_id, []),
                             rel_id)
                 return rel_id
@@ -299,7 +309,7 @@ class IfcModel:
         index = schema.attribute_index(inst.class_name, name)
         if index is None or index >= len(inst.attributes):
             raise UnknownAttribute(name, inst.class_name)
-        inst.attributes[index] = value
+        inst.attributes = _replaced(inst.attributes, index, value)
 
     def next_name(self, class_name: str) -> str:
         short = schema.short_name(class_name)
@@ -836,11 +846,35 @@ def _cascade_set(model: IfcModel, start_id: int) -> set[int]:
     return result
 
 
+def _pruned(attributes: tuple, dead: set[int]) -> tuple[tuple, bool, bool]:
+    """``attributes`` less each reference into ``dead`` that an aggregate
+    lists; whether a reference into ``dead`` is left (a single-valued one);
+    and whether an aggregate was left empty."""
+    values = []
+    emptied = False
+    for value in attributes:
+        if isinstance(value, tuple):
+            kept = tuple(v for v in value if not (isinstance(v, EntityRef) and v.id in dead))
+            if len(kept) < len(value):
+                value = kept
+                emptied = emptied or not kept
+        values.append(value)
+    single = any(ref.id in dead for ref in iter_refs(values))
+    return tuple(values), single, emptied
+
+
 def delete_element(model: IfcModel, guid: str) -> int:
     """Delete a product and its exclusively-owned subgraph.
 
-    Shared resources (profiles, contexts, owner histories, ...) survive
-    whenever anything outside the deleted set still references them.
+    Every live entity that references a deleted one follows one rule. A
+    reference an aggregate lists is dropped from it. A relationship record,
+    or an entity without a GlobalId, dies too when a single-valued
+    attribute, or an aggregate now empty, pointed into the deleted set;
+    this repeats until nothing changes. Any other entity with a
+    single-valued reference into the set fails the delete with
+    :class:`StillReferenced`, and nothing is written. Shared resources
+    (profiles, contexts, owner histories, ...) survive whenever anything
+    outside the deleted set still references them.
     """
     inst = model.require_guid(guid)
     if inst.class_name in schema.SPATIAL_CLASSES:
@@ -848,59 +882,80 @@ def delete_element(model: IfcModel, guid: str) -> int:
     if inst.class_name not in schema.PRODUCT_CLASSES:
         raise CannotDeleteSpatial(f"{inst.class_name} is not a deletable product")
 
-    cascade = _cascade_set(model, inst.id)
-    dead = set(cascade)
-
-    # prune relationship records; a rel dies with its relating entity or
-    # when its related side loses its last member
-    touched = {rel_id for entity_id in cascade for class_name in schema.REL_SIDES
-               for side in (RELATING, RELATED)
-               for rel_id in model.rels(entity_id, class_name, side)}
-    for rel_id in touched:
-        rel = model.entities[rel_id]
-        index = schema.REL_SIDES[rel.class_name][RELATED]
-        related = rel.attributes[index]
-        if not cascade.intersection(model.rel_side(rel_id, RELATING)) \
-                and isinstance(related, tuple):
-            kept = tuple(r for r in related
-                         if not (isinstance(r, EntityRef) and r.id in cascade))
-            if kept:
-                rel.attributes[index] = kept
+    entities = model.entities
+    dead = _cascade_set(model, inst.id)
+    # the indexed relationship records holding a dead entity are its usual
+    # referrers; walking them in the first round saves a round when they die
+    roots = dead.union(rel_id for entity_id in dead for class_name in schema.REL_SIDES
+                       for side in (RELATING, RELATED)
+                       for rel_id in model.rels(entity_id, class_name, side))
+    candidates: set[int] = set()  # what may be freed once nothing live refers to it
+    referrers: dict[int, list[int]] = {}  # root or candidate -> its live referrers
+    while roots:
+        # new candidates for resource cleanup: the attribute closure of the roots
+        watched: dict[int, list[int]] = {entity_id: [] for entity_id in roots}
+        queue = list(roots)
+        while queue:
+            for ref in iter_refs(entities[queue.pop()].attributes):
+                if ref.id in dead or ref.id in candidates:
+                    continue
+                target = entities[ref.id]
+                if _is_rooted(target) and target.class_name not in _GC_SAFE_ROOTED:
+                    continue  # never sweep spatial/product/type entities
+                candidates.add(ref.id)
+                watched[ref.id] = []
+                queue.append(ref.id)
+        # one pass over the live entities finds who refers to each watched id
+        for entity_id, entity in entities.items():
+            if entity_id not in dead:
+                for ref in iter_refs(entity.attributes):
+                    found = watched.get(ref.id)
+                    if found is not None:
+                        found.append(entity_id)
+        referrers.update(watched)
+        # the rule; a record dying with referrers not yet known is a root
+        # of the next round
+        roots = set()
+        queue = [r for entity_id in watched if entity_id in dead for r in watched[entity_id]]
+        while queue:
+            entity_id = queue.pop()
+            if entity_id in dead:
                 continue
-        dead.add(rel_id)
+            entity = entities[entity_id]
+            _, single, emptied = _pruned(entity.attributes, dead)
+            if (single or emptied) and (entity.class_name.startswith("IFCREL")
+                                        or not _is_rooted(entity)):
+                dead.add(entity_id)
+                if entity_id in referrers:
+                    queue.extend(referrers[entity_id])
+                else:
+                    roots.add(entity_id)
 
-    # candidates for resource cleanup: the attribute closure of the dead set
-    candidates: set[int] = set()
-    queue = [i for i in dead]
-    while queue:
-        entity_id = queue.pop()
-        for ref in iter_refs(model.entities[entity_id].attributes):
-            if ref.id in dead or ref.id in candidates:
-                continue
-            target = model.entities[ref.id]
-            if _is_rooted(target) and target.class_name not in _GC_SAFE_ROOTED:
-                continue  # never sweep spatial/product/type entities
-            candidates.add(ref.id)
-            queue.append(ref.id)
-
-    # reference counting over the candidates: one pass counts the references
-    # from every entity that stays; a candidate whose count reaches zero dies
-    # and releases what it references (cycles among candidates stay)
-    counts = dict.fromkeys(candidates, 0)
-    for entity_id, entity in model.entities.items():
-        if entity_id not in dead:
-            for ref in iter_refs(entity.attributes):
-                if ref.id in counts:
-                    counts[ref.id] += 1
-    free = [entity_id for entity_id, count in counts.items() if count == 0]
+    # reference counting over the candidates: a candidate no live entity
+    # refers to dies and releases what it references (cycles among
+    # candidates stay)
+    counts = {c: sum(r not in dead for r in referrers[c]) for c in candidates}
+    free = [c for c, count in counts.items() if count == 0 and c not in dead]
     while free:
         entity_id = free.pop()
         dead.add(entity_id)
-        for ref in iter_refs(model.entities[entity_id].attributes):
+        for ref in iter_refs(entities[entity_id].attributes):
             if ref.id in counts:
                 counts[ref.id] -= 1
-                if counts[ref.id] == 0:
+                if counts[ref.id] == 0 and ref.id not in dead:
                     free.append(ref.id)
 
+    # every check passes before the first write
+    survivors = sorted({r for entity_id in dead for r in referrers[entity_id]
+                        if r not in dead})
+    pruned = []
+    for entity_id in survivors:
+        entity = entities[entity_id]
+        attributes, single, _ = _pruned(entity.attributes, dead)
+        if single:
+            raise StillReferenced(entity_id, entity.class_name)
+        pruned.append((entity, attributes))
+    for entity, attributes in pruned:
+        entity.attributes = attributes
     model._drop(dead)
     return len(dead)

@@ -13,14 +13,17 @@ a record the record path does not fully accept is read again from its start
 by the token path, which parses it or raises, so syntax errors and their
 line and column come from one place.
 
-Values that repeat across a file are built once per ``parse_step`` call
-and shared between the entities that hold them: class names, number and
-enumeration tokens, and the values of each distinct record body without
-references (every record with such a body gets a list of its own holding
-the shared values). References and strings elsewhere are built per record.
-Parsed values may therefore be shared and must never be mutated in place;
-an edit replaces a value in the entity's own attribute list. Nothing is
-cached between calls.
+An entity's attributes are one immutable tuple. Values that repeat across
+a file are built once per ``parse_step`` call and shared between the
+entities that hold them: class names, number and enumeration tokens, and
+the attribute tuple of each distinct record body without references, which
+every record with that body holds. References and strings elsewhere are
+built per record. An edit gives the entity a new tuple, so a shared value
+is never changed in place. Nothing is cached between calls.
+
+Writing formats and encodes the records a few thousand at a time and joins
+the encoded chunks once, so no list of every line, nor the whole file as
+one string, is built next to the bytes.
 """
 
 from __future__ import annotations
@@ -126,13 +129,7 @@ class EntityInstance:
 
     id: int
     class_name: str
-    attributes: list
-
-    def __post_init__(self):
-        if self.id <= 0:
-            raise ValueError("entity id must be positive")
-        if not self.class_name:
-            raise ValueError("class name must be non-empty")
+    attributes: tuple
 
 
 @dataclass
@@ -500,7 +497,7 @@ def _atom(token: str):
         return None
 
 
-def _record_args(text: str, start: int, end: int, refs: set, atoms: dict) -> list | None:
+def _record_args(text: str, start: int, end: int, refs: set, atoms: dict) -> tuple | None:
     """Attributes of the record body ``text[start:end]``, or ``None`` when
     the token path must read the record. Adds every referenced id to ``refs``.
 
@@ -576,7 +573,7 @@ def _record_args(text: str, start: int, end: int, refs: set, atoms: dict) -> lis
     if stack or typed is not None or (want_value and args):
         return None
     refs.update(found)
-    return args
+    return tuple(args)
 
 
 def _header_string(value, default: str = "") -> str:
@@ -647,13 +644,11 @@ def parse_step(data: bytes | str) -> tuple[StepHeader, dict[int, EntityInstance]
         if entity_id:
             start, stop = m.span(3)
             body = None if text.find("#", start, stop) >= 0 else text[start:stop]
-            shared = bodies.get(body)
-            if shared is not None:
-                args = list(shared)
-            else:
+            args = bodies.get(body)
+            if args is None:
                 args = _record_args(text, start, stop, refs, atoms)
                 if args is not None and body is not None:
-                    bodies[body] = tuple(args)
+                    bodies[body] = args
         if args is not None:
             name, end = m.group(2), m.end()
         else:
@@ -670,6 +665,7 @@ def parse_step(data: bytes | str) -> tuple[StepHeader, dict[int, EntityInstance]
             parser.advance()
             parser.expect_punct("=")
             name, args = parser.parse_record()
+            args = tuple(args)
             refs.update(ref.id for ref in iter_refs(args))
             end = tok.pos
         if entity_id in entities:
@@ -729,8 +725,16 @@ def format_value(value) -> str:
     raise TypeError(f"cannot serialize attribute value {value!r}")
 
 
+# records formatted and encoded together by write_step
+_WRITE_CHUNK = 4096
+
+
 def write_step(header: StepHeader, entities: dict[int, EntityInstance]) -> bytes:
-    """Serialize header + entities deterministically (ascending id order)."""
+    """Serialize header + entities deterministically (ascending id order).
+
+    The records are formatted and encoded ``_WRITE_CHUNK`` at a time, and
+    the encoded chunks are joined once.
+    """
     dangling = sorted(
         {ref.id for inst in entities.values() for ref in iter_refs(inst.attributes)
          if ref.id not in entities}
@@ -759,11 +763,13 @@ def write_step(header: StepHeader, entities: dict[int, EntityInstance]) -> bytes
     lines.append("FILE_SCHEMA(%s);" % format_value(tuple(header.file_schema)))
     lines.append("ENDSEC;")
     lines.append("DATA;")
-    for entity_id in sorted(entities):
-        inst = entities[entity_id]
-        args = ",".join(format_value(v) for v in inst.attributes)
-        lines.append(f"#{inst.id}={inst.class_name}({args});")
-    lines.append("ENDSEC;")
-    lines.append(ISO_CLOSE)
     lines.append("")
-    return "\n".join(lines).encode("iso-8859-1")
+    chunks = ["\n".join(lines).encode("iso-8859-1")]
+    ids = sorted(entities)
+    for start in range(0, len(ids), _WRITE_CHUNK):
+        chunks.append("".join(
+            f"#{inst.id}={inst.class_name}({','.join(map(format_value, inst.attributes))});\n"
+            for inst in map(entities.__getitem__, ids[start:start + _WRITE_CHUNK])
+        ).encode("iso-8859-1"))
+    chunks.append(f"ENDSEC;\n{ISO_CLOSE}\n".encode("iso-8859-1"))
+    return b"".join(chunks)

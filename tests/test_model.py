@@ -28,6 +28,7 @@ from ifcmcp.errors import (
     InvalidPlacement,
     PlacementCycle,
     StepSyntaxError,
+    StillReferenced,
     UnknownAttribute,
     UnknownGuid,
     ZeroLengthAxis,
@@ -50,7 +51,7 @@ from ifcmcp.model import (
     set_owner_history,
 )
 from ifcmcp.service import Session, handle_request
-from ifcmcp.step import EntityRef, iter_refs
+from ifcmcp.step import EntityRef, EnumToken, iter_refs, parse_step, write_step
 
 from conftest import shared_guid_step, two_wall_step
 
@@ -440,17 +441,18 @@ def _records(data: bytes) -> dict[int, bytes]:
             for line in data.splitlines() if line.startswith(b"#")}
 
 
-def test_records_with_one_body_share_values_but_not_lists():
+def test_records_with_one_body_share_one_tuple():
     data = two_wall_step()
     model = load_model(data)
     entities = model.entities
     first, second = [i for i in sorted(model.by_class["IFCCARTESIANPOINT"])
-                     if entities[i].attributes == [(2.0, 0.0)]]
+                     if entities[i].attributes == ((2.0, 0.0),)]
     a, b = entities[first], entities[second]
-    assert a.attributes is not b.attributes
+    assert {type(inst.attributes) for inst in entities.values()} == {tuple}
+    assert a.attributes is b.attributes
     assert a.attributes[0] is b.attributes[0]
     model.set_attr(b, "Coordinates", (3.0, 0.0))
-    assert a.attributes == [(2.0, 0.0)]
+    assert a.attributes == ((2.0, 0.0),)
     before, after = _records(data), _records(model.to_bytes())
     assert after[second] == b"#%d=IFCCARTESIANPOINT((3.,0.));" % second
     assert {i: line for i, line in after.items() if i != second} == \
@@ -599,7 +601,7 @@ def _reference_delete(model, guid: str) -> int:
             kept = tuple(r for r in related
                          if not (isinstance(r, EntityRef) and r.id in cascade))
             if kept:
-                rel.attributes[index] = kept
+                rel.attributes = model_mod._replaced(rel.attributes, index, kept)
                 continue
         dead.add(rel_id)
 
@@ -704,6 +706,112 @@ def test_delete_keeps_a_placement_cycle_only_the_wall_reached(fresh_model):
     assert {first, second, a2p, point} <= set(model.entities)
 
 
+# --- deletes next to records this kit does not write ---
+
+def _path_connection(model, relating: int, related: int) -> int:
+    return model.add("IFCRELCONNECTSPATHELEMENTS", [
+        model.guids.fresh(), None, None, None, None, EntityRef(relating),
+        EntityRef(related), (), (), EnumToken("ATEND"), EnumToken("ATSTART")])
+
+
+def _foreign_group(model, relating: int, members) -> int:
+    return model.add("IFCRELAGGREGATES", [model.guids.fresh(), None, None, None,
+                                          EntityRef(relating),
+                                          tuple(EntityRef(i) for i in members)])
+
+
+def test_delete_removes_foreign_records_that_refer_to_the_element():
+    model = new_model(guid_seed=11)
+    guids = [builders.create_wall(model, (0, 0), (4, 0), 3.0, 0.2),
+             builders.create_wall(model, (4, 0), (4, 4), 3.0, 0.2),
+             builders.create_wall(model, (4, 4), (0, 4), 3.0, 0.2)]
+    first, second, third = (model.require_guid(g).id for g in guids)
+    plain = model.to_bytes()
+    path = _path_connection(model, first, second)
+    # records listing a relationship record: one loses its only member,
+    # the other keeps the third wall
+    lone = _foreign_group(model, second, [path])
+    mixed = _foreign_group(model, third, [path, second])
+    model = load_model(model.to_bytes())
+    expected = load_model(plain)
+
+    removed = delete_element(model, guids[0])
+    assert removed == delete_element(expected, guids[0]) + 2
+    assert {path, lone} & set(model.entities) == set()
+    assert model.entities[mixed].attributes[5] == (EntityRef(second),)
+    assert model.rels(second, "IFCRELAGGREGATES", RELATED) == [mixed]
+    assert model.dangling_refs() == []
+    data = model.to_bytes()
+    assert write_step(*parse_step(data)) == data
+    assert_indexes_fresh(model)
+
+
+def test_delete_removes_a_referrer_without_a_global_id():
+    model = new_model(guid_seed=12)
+    guid = builders.create_wall(model, (0, 0), (4, 0), 3.0, 0.2)
+    wall = model.require_guid(guid).id
+    note = model.add("IFCXNOTE", ["kept apart", EntityRef(wall)])
+    listing = model.add("IFCXNOTE", ["lists the note", (EntityRef(note),)])
+    delete_element(model, guid)
+    assert {wall, note, listing} & set(model.entities) == set()
+    assert model.dangling_refs() == []
+
+
+def test_delete_fails_before_any_write_while_a_rooted_record_holds_the_element():
+    model = new_model(guid_seed=13)
+    guid = builders.create_wall(model, (0, 0), (4, 0), 3.0, 0.2)
+    wall = model.require_guid(guid).id
+    path = _path_connection(model, wall, wall)
+    tag = model.add("IFCXTAG", [model.guids.fresh(), EntityRef(wall)])
+    model = load_model(model.to_bytes())
+    before = model.to_bytes()
+    with pytest.raises(StillReferenced) as excinfo:
+        delete_element(model, guid)
+    assert excinfo.value.referrer_id == tag
+    assert path in model.entities
+    assert model.to_bytes() == before
+    assert _call(Session(model), "delete_element", {"guid": guid})["error"]["type"] == \
+        "StillReferenced"
+
+
+_FOREIGN = ["path", "group", "note", "material"]
+
+
+@given(steps=st.lists(st.tuples(st.sampled_from(_FOREIGN + ["delete"]),
+                                st.integers(0, 40), st.integers(0, 40)),
+                      max_size=12))
+@settings(max_examples=25, deadline=None)
+def test_deletes_among_foreign_records_leave_a_saveable_model(steps):
+    session = Session(new_model(guid_seed=48))
+    run_trace(session, json.loads((TRACES / "l_building.json").read_text()))
+    model = session.model
+    for kind, pick, other in steps:
+        products = scene.products_in_order(model)
+        rels = sorted(i for name, ids in model.by_class.items()
+                      if name.startswith("IFCREL") for i in ids)
+        if not products:
+            break
+        product = products[pick % len(products)]
+        if kind == "delete":
+            delete_element(model, model.guid_of(product))
+            assert model.dangling_refs() == []
+            data = model.to_bytes()
+            assert write_step(*parse_step(data)) == data
+            assert_indexes_fresh(model)
+        elif kind == "path":
+            _path_connection(model, product, products[other % len(products)])
+        elif kind == "group":
+            _foreign_group(model, product, [rels[other % len(rels)], rels[pick % len(rels)]])
+        elif kind == "note":
+            model.add("IFCXNOTE", [str(other), EntityRef(product)])
+        else:
+            material = model.add("IFCMATERIAL", [f"M{other}", None, None])
+            model.add("IFCRELASSOCIATESMATERIAL", [
+                model.guids.fresh(), None, None, None,
+                (EntityRef(product), EntityRef(products[other % len(products)])),
+                EntityRef(material)])
+
+
 # --- placement chains from files this kit did not write ---
 
 def _wall_with_placement(seed: int = 3):
@@ -736,7 +844,8 @@ def test_placement_cycle_is_an_in_band_error(tool, length):
     chain = [lp] + [model.add("IFCLOCALPLACEMENT", [None, a2p])
                     for _ in range(length - 1)]
     for child, parent in zip(chain, chain[1:] + chain[:1]):
-        model.entities[child].attributes[0] = EntityRef(parent)
+        inst = model.entities[child]
+        inst.attributes = model_mod._replaced(inst.attributes, 0, EntityRef(parent))
     with pytest.raises(PlacementCycle):
         load_model(model.to_bytes()).placement_of(model.require_guid(guid).id)
     arguments = {"guid": guid} if tool == "get_object_info" else {}
@@ -753,7 +862,7 @@ def test_long_placement_chain_resolves_like_a_short_one():
         parent = EntityRef(model.add("IFCLOCALPLACEMENT", [parent, a2p]))
         a2p = EntityRef(model.add("IFCAXIS2PLACEMENT3D", [
             EntityRef(model.add("IFCCARTESIANPOINT", [(0.0, 0.0, 0.0)])), None, None]))
-    model.entities[lp].attributes[:2] = [parent, a2p]
+    model.entities[lp].attributes = (parent, a2p)
     placement = model.placement_of(model.require_guid(guid).id)
     assert placement == expected
     assert _tool_error(model, "get_object_info", {"guid": guid}) is None
@@ -763,7 +872,8 @@ def test_long_placement_chain_resolves_like_a_short_one():
 def test_zero_length_direction_is_an_in_band_error(slot):
     model, guid, lp = _wall_with_placement()
     a2p = model.entities[model.entities[lp].attributes[1].id]
-    a2p.attributes[slot] = EntityRef(model.add("IFCDIRECTION", [(0.0, 0.0, 0.0)]))
+    a2p.attributes = model_mod._replaced(
+        a2p.attributes, slot, EntityRef(model.add("IFCDIRECTION", [(0.0, 0.0, 0.0)])))
     with pytest.raises(ZeroLengthAxis):
         model.placement_of(model.require_guid(guid).id)
     assert _tool_error(model, "get_object_info", {"guid": guid})["type"] == \
@@ -776,8 +886,8 @@ def _set_axes(model, lp: int, axis, ref_direction):
     (``None`` leaves the attribute unset)."""
     a2p = model.entities[model.entities[lp].attributes[1].id]
     for slot, ratios in ((1, axis), (2, ref_direction)):
-        a2p.attributes[slot] = None if ratios is None else EntityRef(
-            model.add("IFCDIRECTION", [ratios]))
+        a2p.attributes = model_mod._replaced(a2p.attributes, slot, None if ratios is None
+                                             else EntityRef(model.add("IFCDIRECTION", [ratios])))
 
 
 def test_ref_direction_is_projected_normal_to_the_axis():
@@ -818,7 +928,8 @@ def test_malformed_placement_is_an_in_band_error(slot, value):
     model, guid, lp = _wall_with_placement()
     if slot == "location":
         a2p = model.entities[model.entities[lp].attributes[1].id]
-        model.entities[a2p.attributes[0].id].attributes[0] = value
+        point = model.entities[a2p.attributes[0].id]
+        point.attributes = model_mod._replaced(point.attributes, 0, value)
     else:
         _set_axes(model, lp, **{"axis": None, "ref_direction": None, slot: value})
     with pytest.raises(InvalidPlacement):

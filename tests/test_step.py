@@ -56,7 +56,7 @@ def test_cartesian_point_record():
     _header, entities = parse_step(text)
     point = entities[2]
     assert point.class_name == "IFCCARTESIANPOINT"
-    assert point.attributes == [(0.0, 0.0, 0.0)]
+    assert point.attributes == ((0.0, 0.0, 0.0),)
 
 
 def test_value_variants_round_trip():
@@ -201,9 +201,44 @@ def test_syntax_error_carries_position():
 
 def test_write_rejects_dangling_refs():
     header, entities = parse_step(MINIMAL)
-    entities[1].attributes[0] = EntityRef(42)
+    entities[1].attributes = (EntityRef(42),) + entities[1].attributes[1:]
     with pytest.raises(DanglingRef):
         write_step(header, entities)
+
+
+def _write_per_record(header: StepHeader, entities: dict) -> bytes:
+    """The file as one ``"\\n".join`` of every line, kept as a reference."""
+    lines = [step.ISO_OPEN, "HEADER;",
+             "FILE_DESCRIPTION(%s,%s);" % (step.format_value(tuple(header.file_description) or ("",)),
+                                           step.format_value(header.implementation_level)),
+             "FILE_NAME(%s);" % ",".join(step.format_value(v) for v in (
+                 header.name, header.timestamp, tuple(header.author) or ("",),
+                 tuple(header.organization) or ("",), header.preprocessor_version,
+                 header.originating_system, header.authorization)),
+             "FILE_SCHEMA(%s);" % step.format_value(tuple(header.file_schema)),
+             "ENDSEC;", "DATA;"]
+    for entity_id in sorted(entities):
+        inst = entities[entity_id]
+        args = ",".join(step.format_value(v) for v in inst.attributes)
+        lines.append(f"#{inst.id}={inst.class_name}({args});")
+    lines += ["ENDSEC;", step.ISO_CLOSE, ""]
+    return "\n".join(lines).encode("iso-8859-1")
+
+
+def test_write_spanning_several_chunks_matches_a_per_record_join():
+    count = 2 * step._WRITE_CHUNK + 3
+    values = [(1.5, -2), "Wand \u00fc'\\", EnumToken("ELEMENT"), None, DERIVED,
+              TypedValue("IFCLABEL", "x"), True]
+    # ids out of order; each record refers to the one before, across a
+    # chunk boundary too
+    entities = {i: EntityInstance(i, "IFCX", (values[i % len(values)], i / 7,
+                                              EntityRef(max(1, i - 1))))
+                for i in sorted(range(1, count + 1), key=lambda i: (i % 3, -i))}
+    header = StepHeader(name="chunks", author=["a", "b"])
+    data = write_step(header, entities)
+    assert data == _write_per_record(header, entities)
+    assert data.count(b"\n#") == count
+    assert write_step(*parse_step(data)) == data
 
 
 def test_header_round_trip():
@@ -320,7 +355,7 @@ _HEADERS = st.builds(StepHeader, file_description=st.lists(_TEXT, max_size=2),
        attributes=st.tuples(st.lists(_attribute_values(), max_size=6),
                             st.lists(_attribute_values(), max_size=6)))
 def test_write_parse_write_round_trip_property(header, classes, attributes):
-    entities = {i + 1: EntityInstance(i + 1, cls, attrs)
+    entities = {i + 1: EntityInstance(i + 1, cls, tuple(attrs))
                 for i, (cls, attrs) in enumerate(zip(classes, attributes))}
     data = write_step(header, entities)
     assert write_step(*parse_step(data)) == data
@@ -358,16 +393,16 @@ def test_well_formed_records_skip_the_token_path(monkeypatch):
 
 
 @pytest.mark.parametrize("record,expected", [
-    pytest.param("#1=IFCWALL('a;b)c''d');", ["a;b)c'd"], id="string-with-semicolon-paren-quote"),
-    pytest.param("#1=IFCWALL('\\X2\\00FC\\X0\\');", ["ü"], id="x2-escape"),
+    pytest.param("#1=IFCWALL('a;b)c''d');", ("a;b)c'd",), id="string-with-semicolon-paren-quote"),
+    pytest.param("#1=IFCWALL('\\X2\\00FC\\X0\\');", ("ü",), id="x2-escape"),
     pytest.param("#1=IFCWALL(#0);", "line 8, col 12: entity ids must be positive",
                  id="zero-ref"),
     pytest.param("#0=IFCWALL();", "line 8, col 1: entity ids must be positive",
                  id="zero-id"),
-    pytest.param("#1=IFCWALL(IFCLABEL ('x'));", [TypedValue("IFCLABEL", "x")],
+    pytest.param("#1=IFCWALL(IFCLABEL ('x'));", (TypedValue("IFCLABEL", "x"),),
                  id="typed-value-with-space"),
-    pytest.param("#1=IFCWALL(IFCX(()));", [TypedValue("IFCX", ())], id="empty-typed-value"),
-    pytest.param("#1 = IFCWALL ( 1 ,\t.T. ,\r\n-2.5E1 ) ;", [1, True, -25.0],
+    pytest.param("#1=IFCWALL(IFCX(()));", (TypedValue("IFCX", ()),), id="empty-typed-value"),
+    pytest.param("#1 = IFCWALL ( 1 ,\t.T. ,\r\n-2.5E1 ) ;", (1, True, -25.0),
                  id="whitespace-between-tokens"),
     pytest.param("#1=IFCWALL(1,);", "line 8, col 15: expected a value, got ')'",
                  id="trailing-comma"),
@@ -375,7 +410,7 @@ def test_well_formed_records_skip_the_token_path(monkeypatch):
                  id="unbalanced-parens"),
     pytest.param("#1=IFCWALL IFCX;", "line 8, col 16: expected '(', got 'IFCX'",
                  id="keyword-without-paren"),
-    pytest.param("#1=IFCWALL(ISO-10303-21(1));", [TypedValue("ISO-10303-21", 1)],
+    pytest.param("#1=IFCWALL(ISO-10303-21(1));", (TypedValue("ISO-10303-21", 1),),
                  id="file-marker-as-keyword"),
     # the token path reads one token past a record before it checks the id
     pytest.param("#1=IFCWALL();#1=IFCWALL();@", "line 8, col 27: unexpected character '@'",
@@ -428,7 +463,7 @@ def _spaced(text: str, draw_blank) -> str:
                             st.lists(_attribute_values(), max_size=6)),
        data=st.data())
 def test_record_path_equals_token_path_property(header, classes, attributes, data):
-    entities = {i + 1: EntityInstance(i + 1, cls, attrs)
+    entities = {i + 1: EntityInstance(i + 1, cls, tuple(attrs))
                 for i, (cls, attrs) in enumerate(zip(classes, attributes))}
     text = write_step(header, entities).decode("iso-8859-1")
     expected = _outcome(_token_path(text))
