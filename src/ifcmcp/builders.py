@@ -78,7 +78,7 @@ def _place(model: IfcModel, parent_lp: int | None, origin: Point3,
 
 def ensure_wall_type(model: IfcModel) -> int:
     """Singleton default wall type, hidden from the viewport listing."""
-    existing = sorted(model.by_class.get("IFCWALLTYPE", ()))
+    existing = model.by_class.get("IFCWALLTYPE")
     if existing:
         return existing[0]
     return model.add("IFCWALLTYPE", [

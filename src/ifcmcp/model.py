@@ -4,6 +4,8 @@ Owns the spatial hierarchy, relationship management, property sets,
 classifications, attribute edits and deletion with reference-counted
 resource cleanup. The model keeps no state it can derive: the spatial
 handles (``project_id``, ``storey_ids``, ...) are read from ``by_class``.
+``by_class`` maps each class to the ascending list of its ids, with no
+duplicates and no empty list, so a reader of one class needs no sort.
 
 An entity's attributes are one immutable tuple, written only by
 ``IfcModel.add``, ``IfcModel.set_attr``, ``IfcModel.relate`` and
@@ -38,6 +40,7 @@ from dataclasses import dataclass
 from . import schema
 from .errors import (
     CannotDeleteSpatial,
+    DanglingRef,
     DuplicateGuid,
     EmptySpec,
     InvalidParams,
@@ -114,7 +117,7 @@ def _insert(ids: list[int], rel_id: int):
 
 def _lowest(class_name: str) -> property:
     """Read-only spatial handle: the lowest id of ``class_name``, or None."""
-    return property(lambda model: min(model.by_class.get(class_name, ()), default=None))
+    return property(lambda model: model.by_class.get(class_name, (None,))[0])
 
 
 class IfcModel:
@@ -130,7 +133,9 @@ class IfcModel:
         self.header = header or StepHeader()
         self.entities: dict[int, EntityInstance] = {}
         self.next_id = 1
-        self.by_class: dict[str, set[int]] = {}
+        # class name -> ascending ids of its entities; no class maps to an
+        # empty list
+        self.by_class: dict[str, list[int]] = {}
         self.by_guid: dict[str, int] = {}
         # relationship class -> per side, entity id -> ascending ids of the
         # records of that class that hold the entity on that side
@@ -150,7 +155,8 @@ class IfcModel:
         return entity_id
 
     def _index(self, inst: EntityInstance):
-        self.by_class.setdefault(inst.class_name, set()).add(inst.id)
+        # ids are issued in increasing order, so appending keeps the order
+        self.by_class.setdefault(inst.class_name, []).append(inst.id)
         # relationship records carry GlobalIds too but are not addressable
         # objects; keeping them out of by_guid matches the tool surface
         if _is_rooted(inst) and not inst.class_name.startswith("IFCREL") \
@@ -165,12 +171,12 @@ class IfcModel:
         """Remove the entities ``dead`` and their index entries.
 
         The indexes are left as a rebuild would make them: no empty class
-        sets or rel lists.
+        or rel lists.
         """
         for entity_id in dead:
             inst = self.entities[entity_id]
             ids = self.by_class[inst.class_name]
-            ids.remove(entity_id)
+            del ids[bisect.bisect_left(ids, entity_id)]
             if not ids:
                 del self.by_class[inst.class_name]
             first = inst.attributes[0] if inst.attributes else None
@@ -192,7 +198,9 @@ class IfcModel:
     def rebuild_indexes(self):
         """Index every entity, deciding per class what each one needs.
 
-        One pass fills ``by_class``. The rest is fixed per class: the
+        One pass fills ``by_class``, and each class's ids are sorted once
+        (in linear time when the entities come in id order, as in every file
+        this kit writes). The rest is fixed per class: the
         records of a ``schema.REL_SIDES`` class go into ``rel_index``, in
         ascending id order; the entities of a class that can carry a
         GlobalId go into ``by_guid`` (an unknown class, only where
@@ -202,19 +210,21 @@ class IfcModel:
         two entities hold one GlobalId.
         """
         entities = self.entities
-        by_class: dict[str, set[int]] = {}
+        by_class: dict[str, list[int]] = {}
         for inst in entities.values():
             ids = by_class.get(inst.class_name)
             if ids is None:
-                ids = by_class[inst.class_name] = set()
-            ids.add(inst.id)
+                ids = by_class[inst.class_name] = []
+            ids.append(inst.id)
+        for ids in by_class.values():
+            ids.sort()
         by_guid: dict[str, int] = {}
         self.by_class, self.by_guid = by_class, by_guid
         self.rel_index = {name: ({}, {}) for name in schema.REL_SIDES}
         for class_name, ids in by_class.items():
             sides = self.rel_index.get(class_name)
             if sides is not None:
-                for rel_id in sorted(ids):
+                for rel_id in ids:
                     for side, by_entity in enumerate(sides):
                         for entity_id in self.rel_side(rel_id, side):
                             rel_ids = by_entity.get(entity_id)
@@ -318,19 +328,20 @@ class IfcModel:
         return f"{short}_{count:03d}"
 
     def dangling_refs(self) -> list[int]:
-        return sorted({
-            ref.id
-            for inst in self.entities.values()
-            for ref in iter_refs(inst.attributes)
-            if ref.id not in self.entities
-        })
+        """Referenced ids that no entity has, ascending: the ids for which
+        ``to_bytes`` raises :class:`DanglingRef`, found by the same walk."""
+        try:
+            self.to_bytes()
+        except DanglingRef as exc:
+            return exc.ids
+        return []
 
     # --- spatial structure ---
 
     @property
     def storey_ids(self) -> list[int]:
-        """Storey ids, ascending."""
-        return sorted(self.by_class.get("IFCBUILDINGSTOREY", ()))
+        """Storey ids, ascending; a copy the caller may change."""
+        return list(self.by_class.get("IFCBUILDINGSTOREY", ()))
 
     def storeys(self) -> list[int]:
         """Storey ids ordered by elevation, then id."""
@@ -620,8 +631,11 @@ def _load(data: bytes | str, guid_seed: int | None) -> IfcModel:
 
 
 def open_model(path: str, guid_seed: int | None = None) -> IfcModel:
+    """Load the STEP file at ``path``. The file is decoded before the load,
+    so its bytes are freed before the graph is built."""
     with open(path, "rb") as fh:
-        return load_model(fh.read(), guid_seed=guid_seed)
+        text = fh.read().decode("iso-8859-1")
+    return load_model(text, guid_seed=guid_seed)
 
 
 # --- semantic operations ---
@@ -744,7 +758,7 @@ def add_classification(model: IfcModel, guid: str, system: str, code: str) -> st
     inst = model.require_guid(guid)
 
     classification_id = None
-    for cid in sorted(model.by_class.get("IFCCLASSIFICATION", ())):
+    for cid in model.by_class.get("IFCCLASSIFICATION", ()):
         if model.entities[cid].attributes[3] == system:
             classification_id = cid
             break
@@ -753,7 +767,7 @@ def add_classification(model: IfcModel, guid: str, system: str, code: str) -> st
                                       [None, None, None, system, None, None, None])
 
     reference_id = None
-    for rid in sorted(model.by_class.get("IFCCLASSIFICATIONREFERENCE", ())):
+    for rid in model.by_class.get("IFCCLASSIFICATIONREFERENCE", ()):
         ref = model.entities[rid]
         source = ref.attributes[3]
         if (ref.attributes[1] == code and isinstance(source, EntityRef)

@@ -38,7 +38,7 @@ def spatial_in_order(model: IfcModel) -> list[int]:
     if model.project_id is not None:
         ordered.append(model.project_id)
     for class_name in ("IFCSITE", "IFCBUILDING"):
-        ordered.extend(sorted(model.by_class.get(class_name, ())))
+        ordered.extend(model.by_class.get(class_name, ()))
     ordered.extend(model.storeys())
     return ordered
 
@@ -179,7 +179,7 @@ def get_ifc_scene_overview(model: IfcModel) -> dict:
         counts[camel] = counts.get(camel, 0) + 1
 
     floor_area = 0.0
-    for entity_id in sorted(model.by_class.get("IFCSLAB", ())):
+    for entity_id in model.by_class.get("IFCSLAB", ()):
         area = measure.element_area(model, entity_id)
         if area:
             floor_area += area

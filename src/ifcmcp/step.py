@@ -23,7 +23,8 @@ is never changed in place. Nothing is cached between calls.
 
 Writing formats and encodes the records a few thousand at a time and joins
 the encoded chunks once, so no list of every line, nor the whole file as
-one string, is built next to the bytes.
+one string, is built next to the bytes. Each reference is checked as it is
+formatted, so no separate pass looks for dangling ones.
 """
 
 from __future__ import annotations
@@ -195,6 +196,9 @@ def decode_step_string(raw: str) -> str:
 
 def encode_step_string(text: str) -> str:
     """Escape a Python string for embedding inside STEP quotes (ASCII-safe)."""
+    # printable ASCII without a quote or backslash needs no escape
+    if text.isascii() and text.isprintable() and "'" not in text and "\\" not in text:
+        return text
     out: list[str] = []
     run: list[str] = []  # pending non-ASCII chars for one \X2\ / \X4\ block
 
@@ -497,7 +501,7 @@ def _atom(token: str):
         return None
 
 
-def _record_args(text: str, start: int, end: int, refs: set, atoms: dict) -> tuple | None:
+def _record_args(text: str, start: int, end: int, refs: list, atoms: dict) -> tuple | None:
     """Attributes of the record body ``text[start:end]``, or ``None`` when
     the token path must read the record. Adds every referenced id to ``refs``.
 
@@ -572,7 +576,7 @@ def _record_args(text: str, start: int, end: int, refs: set, atoms: dict) -> tup
         want_value = False
     if stack or typed is not None or (want_value and args):
         return None
-    refs.update(found)
+    refs += found
     return tuple(args)
 
 
@@ -632,7 +636,7 @@ def parse_step(data: bytes | str) -> tuple[StepHeader, dict[int, EntityInstance]
     pos = tok.pos  # each record starts just past the previous ';', here DATA's
     parser.expect_punct(";")
     entities: dict[int, EntityInstance] = {}
-    refs: set[int] = set()
+    refs: list[int] = []  # every id referenced, checked once after the pass
     # shared values (see the module docstring), built once per call
     names: dict[str, str] = {}
     atoms: dict[str, object] = {}
@@ -666,7 +670,7 @@ def parse_step(data: bytes | str) -> tuple[StepHeader, dict[int, EntityInstance]
             parser.expect_punct("=")
             name, args = parser.parse_record()
             args = tuple(args)
-            refs.update(ref.id for ref in iter_refs(args))
+            refs.extend(ref.id for ref in iter_refs(args))
             end = tok.pos
         if entity_id in entities:
             # a syntax error in the next token is reported first, as the
@@ -680,7 +684,7 @@ def parse_step(data: bytes | str) -> tuple[StepHeader, dict[int, EntityInstance]
     parser.expect_keyword(ISO_CLOSE[:-1])
     parser.expect_punct(";")
 
-    dangling = sorted(refs - entities.keys())
+    dangling = {ref for ref in refs if ref not in entities}
     if dangling:
         raise DanglingRef(dangling)
     return header, entities
@@ -701,27 +705,32 @@ def iter_refs(value):
 
 # --- writer ---
 
-def format_value(value) -> str:
+def format_value(value, entities: dict | None = None, missing: set | None = None) -> str:
+    """STEP text of one attribute value. With ``entities``, each referenced
+    id that ``entities`` lacks is added to ``missing`` as it is formatted."""
+    # the commonest kinds of value first; bool before int, which it subclasses
     if value is None:
         return "$"
-    if value is DERIVED:
-        return "*"
+    if isinstance(value, EntityRef):
+        if entities is not None and value.id not in entities:
+            missing.add(value.id)
+        return f"#{value.id}"
+    if isinstance(value, float):
+        return format_real(value)
+    if isinstance(value, (tuple, list)):
+        return "(" + ",".join([format_value(v, entities, missing) for v in value]) + ")"
+    if isinstance(value, str):
+        return f"'{encode_step_string(value)}'"
+    if isinstance(value, EnumToken):
+        return f".{value.name}."
     if isinstance(value, bool):
         return ".T." if value else ".F."
     if isinstance(value, int):
         return str(value)
-    if isinstance(value, float):
-        return format_real(value)
-    if isinstance(value, str):
-        return f"'{encode_step_string(value)}'"
-    if isinstance(value, EntityRef):
-        return f"#{value.id}"
-    if isinstance(value, EnumToken):
-        return f".{value.name}."
+    if value is DERIVED:
+        return "*"
     if isinstance(value, TypedValue):
-        return f"{value.type_name}({format_value(value.value)})"
-    if isinstance(value, (tuple, list)):
-        return "(" + ",".join(format_value(v) for v in value) + ")"
+        return f"{value.type_name}({format_value(value.value, entities, missing)})"
     raise TypeError(f"cannot serialize attribute value {value!r}")
 
 
@@ -733,15 +742,10 @@ def write_step(header: StepHeader, entities: dict[int, EntityInstance]) -> bytes
     """Serialize header + entities deterministically (ascending id order).
 
     The records are formatted and encoded ``_WRITE_CHUNK`` at a time, and
-    the encoded chunks are joined once.
+    the encoded chunks are joined once. References are checked as they are
+    formatted: :class:`DanglingRef` lists every id that no entity has, and
+    is raised before any bytes are returned.
     """
-    dangling = sorted(
-        {ref.id for inst in entities.values() for ref in iter_refs(inst.attributes)
-         if ref.id not in entities}
-    )
-    if dangling:
-        raise DanglingRef(dangling)
-
     lines = [ISO_OPEN, "HEADER;"]
     descs = tuple(header.file_description) or ("",)
     lines.append(
@@ -766,10 +770,14 @@ def write_step(header: StepHeader, entities: dict[int, EntityInstance]) -> bytes
     lines.append("")
     chunks = ["\n".join(lines).encode("iso-8859-1")]
     ids = sorted(entities)
+    missing: set[int] = set()
     for start in range(0, len(ids), _WRITE_CHUNK):
         chunks.append("".join(
-            f"#{inst.id}={inst.class_name}({','.join(map(format_value, inst.attributes))});\n"
+            f"#{inst.id}={inst.class_name}("
+            f"{','.join([format_value(v, entities, missing) for v in inst.attributes])});\n"
             for inst in map(entities.__getitem__, ids[start:start + _WRITE_CHUNK])
         ).encode("iso-8859-1"))
+    if missing:
+        raise DanglingRef(missing)
     chunks.append(f"ENDSEC;\n{ISO_CLOSE}\n".encode("iso-8859-1"))
     return b"".join(chunks)

@@ -8,7 +8,8 @@ from ifcmcp.model import IfcModel, load_model, new_model
 
 # more examples in CI (--hypothesis-profile=ci) for the properties that
 # leave max_examples to the profile: the STEP round trip and record path
-# properties and the index rebuild property; the others fix their own count
+# properties, the index rebuild property and the record order property;
+# the others fix their own count
 settings.register_profile("ci", max_examples=500)
 
 SQUARE_WALLS = [

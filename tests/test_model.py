@@ -5,6 +5,7 @@ import gc
 import json
 import sys
 import threading
+import tracemalloc
 import weakref
 from copy import deepcopy
 from dataclasses import replace
@@ -33,6 +34,7 @@ from ifcmcp.errors import (
     UnknownGuid,
     ZeroLengthAxis,
 )
+from ifcmcp.guid import GuidGenerator
 from ifcmcp.model import (
     RELATED,
     RELATING,
@@ -282,10 +284,10 @@ def test_owner_history_empty_and_atomic(four_wall_model):
 
 def test_indexes_agree_with_scratch_rebuild(l_building):
     model, _ = l_building
-    by_class = {k: set(v) for k, v in model.by_class.items() if v}
+    by_class = {k: list(v) for k, v in model.by_class.items()}
     by_guid = dict(model.by_guid)
     model.rebuild_indexes()
-    assert {k: set(v) for k, v in model.by_class.items() if v} == by_class
+    assert model.by_class == by_class
     assert model.by_guid == by_guid
 
 
@@ -297,6 +299,8 @@ def assert_indexes_fresh(model):
     assert model.rel_index == scratch.rel_index
     assert model.by_class == scratch.by_class
     assert model.by_guid == scratch.by_guid
+    for ids in model.by_class.values():
+        assert all(a < b for a, b in zip(ids, ids[1:])), ids
 
 
 def _checked(model, handler):
@@ -434,6 +438,78 @@ def test_shared_global_id_is_an_error_on_load():
     assert excinfo.value.guid == guid
     assert excinfo.value.entity_ids == (first, second)
     assert str(excinfo.value) == f"duplicate GlobalId {guid!r} on #{first} and #{second}"
+
+
+def _step_file(records: list[bytes]) -> bytes:
+    """A STEP file whose DATA section holds ``records`` in the order given."""
+    head, _, rest = two_wall_step().partition(b"DATA;\n")
+    tail = rest[rest.index(b"ENDSEC;"):]
+    return head + b"DATA;\n" + b"\n".join(records) + b"\n" + tail
+
+
+def test_records_out_of_id_order_load_in_id_order():
+    guids = GuidGenerator(5)
+    shared = guids.fresh()
+    records = [
+        b"#40=IFCBUILDINGSTOREY('%s',$,'S40',$,$,$,$,$,.ELEMENT.,6.);" % guids.fresh().encode(),
+        b"#12=IFCPROJECT('%s',$,'P12',$,$,$,$,$,$);" % guids.fresh().encode(),
+        b"#30=IFCBUILDINGSTOREY('%s',$,'S30',$,$,$,$,$,.ELEMENT.,3.);" % guids.fresh().encode(),
+        b"#5=IFCPROJECT('%s',$,'P5',$,$,$,$,$,$);" % guids.fresh().encode(),
+        b"#20=IFCBUILDINGSTOREY('%s',$,'S20',$,$,$,$,$,.ELEMENT.,0.);" % guids.fresh().encode(),
+    ]
+    model = load_model(_step_file(records))
+    assert model.by_class["IFCPROJECT"] == [5, 12]
+    assert model.by_class["IFCBUILDINGSTOREY"] == [20, 30, 40]
+    assert model.project_id == 5
+    assert model.storey_ids == [20, 30, 40]
+    model.storey_ids.append(99)  # a copy: the index is untouched
+    assert_indexes_fresh(model)
+
+    # three walls with one GlobalId, read highest first: the error names
+    # the two lowest, whatever order a hash table would visit them in
+    walls = [b"#%d=IFCWALL('%s',$,'W',$,$,$,$,$,$);" % (i, shared.encode())
+             for i in (16, 13, 9)]
+    with pytest.raises(DuplicateGuid) as excinfo:
+        load_model(_step_file(records[1:2] + walls))
+    assert excinfo.value.entity_ids == (9, 13)
+
+
+@given(data=st.data())
+@settings(deadline=None)
+def test_index_is_the_same_whatever_the_record_order(data):
+    model = new_model(guid_seed=47)
+    model_mod.add_storey(model, "Upper", 3.0)
+    builders.create_wall(model, (0, 0), (4, 0), 3.0, 0.2)
+    builders.create_door(model, position=(2, 0, 0))
+    add_classification(model, model.guid_of(model.storey_ids[0]), "S", "C")
+    written = model.to_bytes()
+    records = list(_records(written).values())
+    shuffled = load_model(_step_file(data.draw(st.permutations(records))))
+    assert shuffled.by_class == model.by_class
+    assert shuffled.rel_index == model.rel_index
+    assert shuffled.by_guid == model.by_guid
+    assert (shuffled.project_id, shuffled.storey_ids) == (model.project_id, model.storey_ids)
+    assert_indexes_fresh(shuffled)
+    assert shuffled.to_bytes() == written
+
+
+def test_open_peaks_under_one_and_a_half_file_sizes_above_the_model(tmp_path):
+    model = new_model(guid_seed=61)
+    for row in range(200):
+        builders.create_wall(model, (0, row), (4, row), 3.0, 0.2)
+    path = tmp_path / "walls.ifc"
+    model.save(str(path))
+    size = path.stat().st_size
+    open_model(str(path))  # first-call imports stay out of the measure
+    gc.collect()
+    tracemalloc.start()
+    try:
+        loaded = open_model(str(path))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(loaded.entities) == len(model.entities)
+    assert peak - held < 1.5 * size, (peak - held) / size
 
 
 def _records(data: bytes) -> dict[int, bytes]:
