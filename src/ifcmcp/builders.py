@@ -241,8 +241,7 @@ def create_roof_over_walls(model: IfcModel, wall_guids: list[str],
 def _nearest_wall(model: IfcModel, point: Point2) -> tuple[int, float]:
     """Wall id and axis parameter (metres along axis) nearest to a 2D point."""
     best = None
-    for wall_id in sorted(entity_id for class_name in schema.WALL_CLASSES
-                          for entity_id in model.by_class.get(class_name, ())):
+    for wall_id in model.ids_of(schema.WALL_CLASSES.__contains__):
         axis = measure.wall_axis(model, wall_id)
         if axis is None:
             continue

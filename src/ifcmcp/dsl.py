@@ -431,11 +431,7 @@ def _select_entities(model: IfcModel, selector: str) -> list[int]:
             classes = (upper,)
         else:
             raise UnknownField(selector)
-    return sorted(
-        entity_id
-        for class_name in classes
-        for entity_id in model.by_class.get(class_name, ())
-    )
+    return model.ids_of(classes.__contains__)
 
 
 def _field_value(model: IfcModel, entity_id: int, name: str):

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 
 from . import schema
-from .geometry import Point2, Point3, Polygon2, TriMesh, polygon_area
+from .geometry import Point2, Point3, Polygon2, TriMesh, polygon_area, prism_mesh
 from .model import IfcModel
 from .step import EntityRef
 
@@ -171,7 +171,6 @@ def world_mesh(model: IfcModel, entity_id: int) -> TriMesh | None:
         poly = Polygon2([(x0, y0), (x1, y0), (x1, y1), (x0, y1)])
     else:
         poly = profile["polygon"]
-    from .geometry import prism_mesh  # local import to avoid cycle at module load
     prism = prism_mesh(poly, body["depth"])
     direction = body["direction"]
     origin = body["origin"]

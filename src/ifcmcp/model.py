@@ -36,6 +36,9 @@ import bisect
 import datetime as _dt
 import gc
 from dataclasses import dataclass
+from itertools import chain
+from pathlib import Path
+from typing import Callable
 
 from . import schema
 from .errors import (
@@ -291,6 +294,11 @@ class IfcModel:
         attributes[related_index] = EntityRef(related_id) if single \
             else (EntityRef(related_id),)
         return self.add(class_name, attributes)
+
+    def ids_of(self, wanted: Callable[[str], bool]) -> list[int]:
+        """Ascending ids of the entities whose class name ``wanted`` accepts."""
+        chosen = (ids for name, ids in self.by_class.items() if wanted(name))
+        return sorted(chain.from_iterable(chosen))
 
     def resolve(self, ref: EntityRef | int) -> EntityInstance:
         entity_id = ref.id if isinstance(ref, EntityRef) else ref
@@ -584,11 +592,15 @@ def load_model(data: bytes | str, guid_seed: int | None = None) -> IfcModel:
     because reference counting alone frees an acyclic model once it is
     dropped. A load switches the collector back on only if it found it on,
     so concurrent loads (one per TCP connection) cannot leave it off.
+    ``data`` is dropped once parsed, so on CPython 3.11+ text the caller
+    does not hold (see ``open_model``) is freed before the indexes are built.
     """
     enabled = gc.isenabled()
     gc.disable()
     try:
-        model = _load(data, guid_seed)
+        header, entities = parse_step(data)
+        del data
+        model = _build(header, entities, guid_seed)
     finally:
         if enabled:
             gc.enable()
@@ -596,8 +608,7 @@ def load_model(data: bytes | str, guid_seed: int | None = None) -> IfcModel:
     return model
 
 
-def _load(data: bytes | str, guid_seed: int | None) -> IfcModel:
-    header, entities = parse_step(data)
+def _build(header: StepHeader, entities: dict, guid_seed: int | None) -> IfcModel:
     model = IfcModel(header=header, guid_seed=guid_seed)
     model.entities = entities
     model.next_id = max(entities) + 1 if entities else 1
@@ -631,11 +642,9 @@ def _load(data: bytes | str, guid_seed: int | None) -> IfcModel:
 
 
 def open_model(path: str, guid_seed: int | None = None) -> IfcModel:
-    """Load the STEP file at ``path``. The file is decoded before the load,
-    so its bytes are freed before the graph is built."""
-    with open(path, "rb") as fh:
-        text = fh.read().decode("iso-8859-1")
-    return load_model(text, guid_seed=guid_seed)
+    """Load the STEP file at ``path``. Its bytes are freed once decoded and,
+    on CPython 3.11+, its text once parsed, both before the graph is built."""
+    return load_model(Path(path).read_bytes().decode("iso-8859-1"), guid_seed=guid_seed)
 
 
 # --- semantic operations ---

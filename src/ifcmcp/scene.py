@@ -44,21 +44,7 @@ def spatial_in_order(model: IfcModel) -> list[int]:
 
 
 def products_in_order(model: IfcModel) -> list[int]:
-    return sorted(
-        entity_id
-        for class_name in model.by_class
-        if class_name in schema.PRODUCT_CLASSES
-        for entity_id in model.by_class[class_name]
-    )
-
-
-def type_objects_in_order(model: IfcModel) -> list[int]:
-    return sorted(
-        entity_id
-        for class_name in model.by_class
-        if schema.is_type_object(class_name)
-        for entity_id in model.by_class[class_name]
-    )
+    return model.ids_of(schema.PRODUCT_CLASSES.__contains__)
 
 
 def _object_summary(model: IfcModel, entity_id: int) -> dict:
@@ -90,7 +76,7 @@ def get_scene_info(model: IfcModel, offset: int = 0,
     if limit < 1:
         limit = 1
     ordered = spatial_in_order(model) + products_in_order(model) \
-        + type_objects_in_order(model)
+        + model.ids_of(schema.is_type_object)
     total = len(ordered)
     page = ordered[offset:offset + limit]
     effective_limit = min(limit, total)
@@ -171,10 +157,7 @@ def get_object_info(model: IfcModel, guid: str) -> dict:
 def get_ifc_scene_overview(model: IfcModel) -> dict:
     products = products_in_order(model)
     counts: dict[str, int] = {}
-    for entity_id in products:
-        camel = schema.camel_case(model.entities[entity_id].class_name)
-        counts[camel] = counts.get(camel, 0) + 1
-    for entity_id in type_objects_in_order(model):
+    for entity_id in products + model.ids_of(schema.is_type_object):
         camel = schema.camel_case(model.entities[entity_id].class_name)
         counts[camel] = counts.get(camel, 0) + 1
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import codecs
 import json
 import math
+import operator
 import os
 import sys
 from dataclasses import dataclass, field
@@ -54,143 +55,154 @@ _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
 # JSON Schema 2020-12 validation semantics
 # (https://json-schema.org/draft/2020-12/json-schema-validation) for the
 # keywords the tool table uses: each keyword constrains only values of its
-# own type, a bool is not a number, and "integer" accepts an integral float.
-# A check looks a value's exact class up, so a value json.loads cannot
-# produce is never accepted here; jsonschema judges it instead.
+# own kind, a bool is not a number, "integer" accepts an integral float, and
+# "enum" applies to a value of any type. A violation is worded as jsonschema
+# 4.26 words it, so a client reads the same -32602 list it always has.
 
-SCHEMA_KEYWORDS = frozenset({
-    "type", "properties", "required", "additionalProperties", "enum",
-    "minimum", "maximum", "exclusiveMinimum", "minItems", "maxItems",
-    "items", "minLength", "maxLength", "minProperties",
-})
-_ANY_TYPE = ("object", "array", "string", "number", "integer", "boolean", "null")
+def _at_least(v, bound) -> bool:
+    return len(v) >= bound
 
 
-def _types(schema: dict) -> set[str]:
-    types = schema.get("type", _ANY_TYPE)
-    return {types} if isinstance(types, str) else set(types)
+def _at_most(v, bound) -> bool:
+    return len(v) <= bound
 
 
-def _accept(_value) -> bool:
-    return True
+def _too_few(noun_for_more: str) -> Callable:
+    return lambda v, bound: f"{v!r} {'should be non-empty' if bound == 1 else noun_for_more}"
 
 
-def _reject(_value) -> bool:
-    return False
+def _too_many(v, bound) -> str:
+    return f"{v!r} {'is expected to be empty' if bound == 0 else 'is too long'}"
 
 
-def _number_check(schema: dict, integral: bool) -> Callable:
-    low = schema.get("minimum", -math.inf)
-    high = schema.get("maximum", math.inf)
-    above = schema.get("exclusiveMinimum", -math.inf)
-    if integral:
-        return lambda v: v.is_integer() and low <= v <= high and v > above
-    return lambda v: low <= v <= high and v > above
+def _integral(v, types) -> bool:
+    # only a class that none of ``types`` takes whole gets here (_class_check)
+    return isinstance(v, float) and "integer" in types and v.is_integer()
 
 
-def _string_check(schema: dict) -> Callable:
-    shortest = schema.get("minLength", 0)
-    longest = schema.get("maxLength", math.inf)
-    if "enum" not in schema:
-        return lambda v: shortest <= len(v) <= longest
-    members = frozenset(schema["enum"])
-    return lambda v: v in members and shortest <= len(v) <= longest
+# keyword: (the kind of value it constrains, or None for every kind; whether
+# a value meets it, given the keyword's value b; the violation's wording).
+# A required key is a rule of its own, with the key as b. properties,
+# additionalProperties and items only descend.
+_RULES: dict[str, tuple] = {
+    "type": (None, _integral,
+             lambda v, b: f"{v!r} is not of type {', '.join(map(repr, b))}"),
+    "enum": (None, lambda v, b: v in b, lambda v, b: f"{v!r} is not one of {b!r}"),
+    "minimum": ("number", operator.ge, lambda v, b: f"{v!r} is less than the minimum of {b!r}"),
+    "maximum": ("number", operator.le, lambda v, b: f"{v!r} is greater than the maximum of {b!r}"),
+    "exclusiveMinimum": ("number", operator.gt,
+                         lambda v, b: f"{v!r} is less than or equal to the minimum of {b!r}"),
+    "minLength": ("string", _at_least, _too_few("is too short")),
+    "maxLength": ("string", _at_most, _too_many),
+    "minItems": ("array", _at_least, _too_few("is too short")),
+    "maxItems": ("array", _at_most, _too_many),
+    "minProperties": ("object", _at_least, _too_few("does not have enough properties")),
+    "required": ("object", operator.contains, lambda v, b: f"{b!r} is a required property"),
+    "properties": ("object", None, None),
+    "additionalProperties": ("object", None, None),
+    "items": ("array", None, None),
+}
+
+# the kinds of each class json.loads produces; bool first for __missing__
+_KINDS = {bool: {"boolean"}, int: {"number", "integer"}, float: {"number"},
+          str: {"string"}, list: {"array"}, dict: {"object"}, type(None): {"null"}}
 
 
-def _array_check(schema: dict) -> Callable:
-    shortest = schema.get("minItems", 0)
-    longest = schema.get("maxItems", math.inf)
-    item = _compile_check(schema.get("items", {}))
-    return lambda v: shortest <= len(v) <= longest and all(map(item, v))
+def _types(schema: dict) -> list[str]:
+    types = schema.get("type", [])
+    return [types] if isinstance(types, str) else list(types)
 
 
-def _object_check(schema: dict) -> Callable:
-    fewest = schema.get("minProperties", 0)
-    required = tuple(schema.get("required", ()))
-    properties = {key: _compile_check(sub)
-                  for key, sub in schema.get("properties", {}).items()}
-    other = _compile_check(schema.get("additionalProperties", {}))
-
-    def check(v):
-        if len(v) < fewest:
-            return False
-        for key in required:
-            if key not in v:
-                return False
-        for key, value in v.items():
-            if not properties.get(key, other)(value):
-                return False
-        return True
-    return check
-
-
-def _compile_check(schema: dict) -> Callable[[object], bool]:
-    """An accept check for ``schema``; raises on a keyword it does not cover."""
-    unknown = set(schema) - SCHEMA_KEYWORDS
-    if unknown:
-        raise ValueError(f"no compiled check for JSON Schema keyword(s) {sorted(unknown)}")
-    if not schema:
-        return _accept
-    types = _types(schema)
-    if "enum" in schema:
-        if not all(isinstance(member, str) for member in schema["enum"]):
-            raise ValueError("a compiled enum lists strings only")
-        types &= {"string"}  # only a string reaches the member lookup
-    integral = "number" not in types
-    numeric = not types.isdisjoint(("number", "integer"))
-    by_class = {
-        dict: _object_check(schema) if "object" in types else _reject,
-        list: _array_check(schema) if "array" in types else _reject,
-        str: _string_check(schema) if "string" in types else _reject,
-        int: _number_check(schema, integral=False) if numeric else _reject,
-        float: _number_check(schema, integral) if numeric else _reject,
-        bool: _accept if "boolean" in types else _reject,
-        type(None): _accept if "null" in types else _reject,
-    }
-    return lambda v: by_class.get(v.__class__, _reject)(v)
+def _no_violations(_value) -> tuple:
+    return ()
 
 
 def _int_of_float(v):
     return int(v) if v.__class__ is float else v
 
 
-def _compile_int_cast(schema: dict) -> Callable | None:
-    """A function that gives a valid value with the floats at ``schema``'s
-    integer-only ``properties`` and ``items`` positions as ``int``;
-    ``None`` where the schema has no such position."""
-    types = _types(schema)
-    if "integer" in types and "number" not in types:
-        return _int_of_float
-    item = _compile_int_cast(schema["items"]) if "items" in schema else None
-    if item is not None:
-        return lambda v: [item(x) for x in v] if v.__class__ is list else v
-    casts = {key: cast for key, sub in schema.get("properties", {}).items()
-             if (cast := _compile_int_cast(sub)) is not None}
-    if casts:
-        return lambda v: {key: casts[key](value) if key in casts else value
-                          for key, value in v.items()} if v.__class__ is dict else v
-    return None
-
-
-class CompiledSchema:
-    """A schema's ``is_valid``, compiled at construction, and its
-    ``iter_errors``, which a jsonschema validator built on first use gives.
-
-    Only a rejected value reaches ``iter_errors``, so jsonschema alone
-    words every violation, and is imported only when there is one."""
+class CompiledSchema(dict):
+    """A schema compiled with the schemas below it: value class -> the check
+    of a value of that class, compiled at the first such value, which gives
+    its violations as (path below the value, message) pairs. A keyword
+    outside ``_RULES`` raises ``ValueError`` at construction."""
 
     def __init__(self, schema: dict):
+        unknown = schema.keys() - _RULES.keys()
+        if unknown:
+            raise ValueError(f"no compiled check for JSON Schema keyword(s) {sorted(unknown)}")
+        if not all(isinstance(member, str) for member in schema.get("enum", ())):
+            raise ValueError("a compiled enum lists strings only")
         self.schema = schema
-        self.is_valid = _compile_check(schema)
-        self.int_cast = _compile_int_cast(schema) or (lambda v: v)
+        self.properties = {key: CompiledSchema(sub)
+                           for key, sub in schema.get("properties", {}).items()}
+        self.items = CompiledSchema(schema["items"]) if "items" in schema else None
+        self.extra = CompiledSchema(schema.get("additionalProperties", {})) \
+            if {"properties", "additionalProperties"} & schema.keys() else None
+
+    def __missing__(self, cls):
+        # a class json.loads does not produce: as its JSON base, or of no kind
+        base = next((json_class for json_class in _KINDS if issubclass(cls, json_class)), cls)
+        self[cls] = check = _class_check(self, cls) if base is cls else self[base]
+        return check
 
     @cached_property
-    def _validator(self):
-        import jsonschema
-        return jsonschema.Draft202012Validator(self.schema)
+    def int_cast(self) -> Callable | None:
+        """A function that gives a valid value with the floats at the
+        integer-only positions of this schema, its items and properties, as
+        ``int``; ``None`` where there is no such position."""
+        types = _types(self.schema)
+        if "integer" in types and "number" not in types:
+            return _int_of_float
+        item = self.items.int_cast if self.items is not None else None
+        if item is not None:
+            return lambda v: [item(x) for x in v] if v.__class__ is list else v
+        casts = {key: node.int_cast for key, node in self.properties.items()
+                 if node.int_cast is not None}
+        if casts:
+            return lambda v: {key: casts[key](value) if key in casts else value
+                              for key, value in v.items()} if v.__class__ is dict else v
+        return None
 
-    def iter_errors(self, instance):
-        return self._validator.iter_errors(instance)
+
+def _class_check(node: CompiledSchema, cls: type) -> Callable:
+    """``check(value)`` for the values of class ``cls``: the rules that can
+    fail for such a value, then the descent into its items or properties."""
+    schema, kinds = node.schema, _KINDS.get(cls, set())
+    rules = []
+    for keyword, bound in schema.items():
+        applies_to, meets, wording = _RULES[keyword]
+        if meets is None or applies_to not in (None, *kinds):
+            continue
+        if keyword == "type":
+            bound = _types(schema)
+            if not kinds.isdisjoint(bound):
+                continue  # every value of the class has one of the types
+        rules += [(meets, key, wording) for key in bound] if keyword == "required" \
+            else [(meets, bound, wording)]
+
+    def broken(v):
+        for meets, bound, _wording in rules:
+            if not meets(v, bound):
+                return [("", wording(v, bound)) for meets, bound, wording in rules
+                        if not meets(v, bound)]
+        return []
+
+    if "array" in kinds and node.items is not None:
+        members, properties, other = enumerate, {}, node.items
+    elif "object" in kinds and node.extra is not None:
+        members, properties, other = dict.items, node.properties, node.extra
+    else:
+        return broken if rules else _no_violations
+
+    def check(v):
+        found = broken(v)
+        for key, value in members(v):
+            inner = properties.get(key, other)[value.__class__](value)
+            if inner:
+                found += [(f"/{key}{path}", message) for path, message in inner]
+        return found
+    return check
 
 
 @dataclass(frozen=True)
@@ -228,19 +240,11 @@ class ToolDescriptor:
         }
 
 
-def validate_args(validator, args) -> list[dict]:
-    """Schema violations as (json-pointer path, message) pairs; no coercion.
-
-    ``validator`` is a :class:`CompiledSchema` or a jsonschema validator;
-    only ``iter_errors`` words a violation."""
-    if validator.is_valid(args):
-        return []
-    violations = []
-    for error in validator.iter_errors(args):
-        path = "/" + "/".join(str(p) for p in error.absolute_path)
-        violations.append({"path": path, "message": error.message})
-    violations.sort(key=lambda v: (v["path"], v["message"]))
-    return violations
+def validate_args(schema: CompiledSchema, args) -> list[dict]:
+    """Schema violations as (json-pointer path, message) pairs, sorted; no coercion."""
+    found = schema[args.__class__](args)
+    return [{"path": path, "message": message} for path, message in
+            sorted((path or "/", message) for path, message in found)] if found else []
 
 
 @dataclass
@@ -613,7 +617,8 @@ def handle_request(session: Session, raw) -> dict | None:
     request_id = message.get("id")
     is_notification = "id" not in message
     method = message.get("method")
-    params = message.get("params") or {}
+    # only an absent or null member means none, here and for arguments
+    params = {} if message.get("params") is None else message["params"]
     if not isinstance(params, dict):
         return None if is_notification else _error(
             request_id, -32602, "params must be an object")
@@ -633,7 +638,7 @@ def handle_request(session: Session, raw) -> dict | None:
         return reply({"tools": [d.wire_format() for d in session.tools.values()]})
     if method == "tools/call":
         name = params.get("name")
-        arguments = params.get("arguments") or {}
+        arguments = {} if params.get("arguments") is None else params["arguments"]
         descriptor = session.tools.get(name) if isinstance(name, str) else None
         if descriptor is None:
             payload = {"error": {"type": "UnknownTool",
@@ -648,8 +653,8 @@ def handle_request(session: Session, raw) -> dict | None:
                 return None
             return _error(request_id, -32602, "invalid params",
                           data={"violations": violations})
-        declared = {key: value for key, value in
-                    descriptor.validator.int_cast(arguments).items()
+        cast = descriptor.validator.int_cast
+        declared = {key: value for key, value in (cast(arguments) if cast else arguments).items()
                     if key in descriptor.properties}
         flags = {}
         try:

@@ -512,6 +512,30 @@ def test_open_peaks_under_one_and_a_half_file_sizes_above_the_model(tmp_path):
     assert peak - held < 1.5 * size, (peak - held) / size
 
 
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="before CPython 3.11 a caller keeps its arguments for the whole call")
+def test_a_load_frees_text_nobody_else_holds_before_the_indexes_are_built(monkeypatch):
+    class Text(str):  # a str that can be watched through a weak reference
+        pass
+
+    texts, alive_at_rebuild = [], []
+    rebuild = IfcModel.rebuild_indexes
+
+    def watched(model):
+        alive_at_rebuild.append(texts[0]() is not None)
+        rebuild(model)
+
+    def text() -> Text:
+        value = Text(two_wall_step().decode("iso-8859-1"))
+        texts.append(weakref.ref(value))
+        return value
+
+    monkeypatch.setattr(IfcModel, "rebuild_indexes", watched)
+    model = load_model(text())
+    assert alive_at_rebuild == [False]
+    assert model.to_bytes() == two_wall_step()
+
+
 def _records(data: bytes) -> dict[int, bytes]:
     return {int(line[1:line.index(b"=")]): line
             for line in data.splitlines() if line.startswith(b"#")}

@@ -6,7 +6,10 @@ import io
 import json
 import math
 import os
+from collections import OrderedDict
 from dataclasses import replace
+from decimal import Decimal
+from enum import IntEnum
 from pathlib import Path
 from unittest import mock
 
@@ -454,30 +457,64 @@ def test_sessions_share_the_table_entries_of_their_groups():
         assert descriptor is first.tools[name] is TOOLS[name]
 
 
+def _jsonschema_violations(reference, args) -> list[dict]:
+    """The violation list built from a jsonschema validator, the oracle."""
+    violations = [{"path": "/" + "/".join(str(p) for p in error.absolute_path),
+                   "message": error.message} for error in reference.iter_errors(args)]
+    return sorted(violations, key=lambda v: (v["path"], v["message"]))
+
+
 def test_validate_args_directly():
-    validator = jsonschema.Draft202012Validator(
+    compiled = CompiledSchema(
         {"type": "object",
          "properties": {"n": {"type": "number", "exclusiveMinimum": 0},
                         "items": {"type": "array", "minItems": 3}},
          "required": ["n"]})
-    assert validate_args(validator, {"n": 1.5}) == []
-    assert validate_args(validator, {"n": 0})[0]["path"] == "/n"
-    assert validate_args(validator, {})[0]["path"] == "/"
-    violations = validate_args(validator, {"n": 2, "items": [1, 2]})
-    assert violations[0]["path"] == "/items"
+    assert validate_args(compiled, {"n": 1.5}) == []
+    assert validate_args(compiled, {"n": 0}) == [
+        {"path": "/n", "message": "0 is less than or equal to the minimum of 0"}]
+    assert validate_args(compiled, {}) == [
+        {"path": "/", "message": "'n' is a required property"}]
+    assert validate_args(compiled, {"n": 2, "items": [1, 2]}) == [
+        {"path": "/items", "message": "[1, 2] is too short"}]
     # no coercion: a numeric string is not a number
-    assert validate_args(validator, {"n": "3"})
+    assert validate_args(compiled, {"n": "3"}) == [
+        {"path": "/n", "message": "'3' is not of type 'number'"}]
+    # sorted by path, then message; the root sorts as "/"
+    assert validate_args(compiled, {"": 1, "items": 1}) == [
+        {"path": "/", "message": "'n' is a required property"},
+        {"path": "/items", "message": "1 is not of type 'array'"}]
 
 
 def test_cached_validator_reports_like_a_fresh_one(session):
     descriptor = session.tools["create_wall"]
     assert descriptor.validator is descriptor.validator
-    fresh = jsonschema.Draft202012Validator(descriptor.input_schema)
+    fresh = CompiledSchema(descriptor.input_schema)
+    reference = jsonschema.Draft202012Validator(descriptor.input_schema)
     for args in ({"start": [0], "end": [1, 2, 3, 4], "height": -1},
                  {"start": [0, 0], "end": [1, 0], "height": 3, "thickness": 0.2},
                  {"start": "x", "thickness": "0.2", "extra": 1}):
         assert validate_args(descriptor.validator, args) == \
-            validate_args(fresh, args)
+            validate_args(fresh, args) == _jsonschema_violations(reference, args)
+
+
+# a value handle_request can be given in a message that is not JSON text:
+# checked as the JSON class it derives from, else of no JSON type
+@pytest.mark.parametrize("value, accepted_at", [
+    ((1, 2), None), ({1, 2}, None), (b"ab", None), (Decimal("1.5"), None),
+    (OrderedDict(), "o"), (OrderedDict(a=[1]), "o"),
+    (IntEnum("Small", "ONE").ONE, "n"), (type("Text", (str,), {})("hip"), "s"),
+])
+def test_a_value_json_cannot_hold_is_checked_as_its_json_class(value, accepted_at):
+    compiled = CompiledSchema({"type": "object", "properties": {
+        "n": {"type": "integer", "minimum": 0},
+        "s": {"type": "string", "enum": ["hip"]},
+        "a": {"type": "array", "items": {"type": "integer"}},
+        "o": {"type": "object", "additionalProperties": {"type": "array"}}}})
+    for key in "nsao":
+        violations = validate_args(compiled, {key: value})
+        assert (violations == []) == (key == accepted_at), (key, violations)
+        assert all(v["path"] == "/" + key for v in violations)
 
 
 # --- the compiled argument check against jsonschema ---
@@ -590,11 +627,12 @@ _REFERENCES = {name: (jsonschema.Draft202012Validator(d.input_schema),
 @given(data=st.data())
 def test_compiled_check_agrees_with_jsonschema(name, data):
     # JSON Schema 2020-12: a bool is not a number, "integer" takes 2.0, a
-    # keyword constrains only values of its type, enum takes any value
+    # keyword constrains only values of its type, enum takes any value; and
+    # every violation is worded as jsonschema words it
     reference, arguments = _REFERENCES[name]
     arguments = data.draw(arguments)
-    assert TOOLS[name].validator.is_valid(arguments) == \
-        (not list(reference.iter_errors(arguments)))
+    assert validate_args(TOOLS[name].validator, arguments) == \
+        _jsonschema_violations(reference, arguments)
 
 
 @pytest.mark.parametrize("schema", [
@@ -645,23 +683,22 @@ def test_integral_float_answers_like_the_integer(tool, arguments):
     assert models[1] == models[0]
 
 
-_COLD_START = """
+# serves the lines in argv[2] on a fresh session, with jsonschema
+# unimportable if argv[1] is "blocked"
+_SERVE_WITHOUT_JSONSCHEMA = """
 import io, json, sys
+if sys.argv[1] == "blocked":
+    sys.modules["jsonschema"] = None  # any import of it raises ImportError
 import ifcmcp.cli
 from ifcmcp.model import new_model
 from ifcmcp.service import Session, serve_stdio
 
-session = Session(new_model(guid_seed=9))
-def serve(lines):
-    out = io.StringIO()
-    serve_stdio(session, stdin=io.StringIO("".join(l + "\\n" for l in lines)), stdout=out)
-    return out.getvalue().splitlines()
-valid = serve(json.loads(sys.argv[1]))
-loaded_after_valid = "jsonschema" in sys.modules
-invalid = serve([sys.argv[2]])
-print(json.dumps({"valid": valid, "loaded_after_valid": loaded_after_valid,
-                  "loaded_after_invalid": "jsonschema" in sys.modules,
-                  "invalid": invalid}))
+lines = json.loads(sys.argv[2])
+out = io.StringIO()
+serve_stdio(Session(new_model(guid_seed=9)),
+            stdin=io.StringIO("".join(line + "\\n" for line in lines)), stdout=out)
+print(json.dumps({"replies": out.getvalue().splitlines(),
+                  "loaded": sys.modules.get("jsonschema") is not None}))
 """
 
 
@@ -678,28 +715,50 @@ def _run_cold(script: str, *args: str) -> dict:
     return json.loads(proc.stdout)
 
 
-def test_jsonschema_is_imported_only_to_word_a_rejection():
+def test_serving_does_not_need_jsonschema():
     def line(number, tool, arguments):
         return json.dumps({"jsonrpc": "2.0", "id": number, "method": "tools/call",
                            "params": {"name": tool, "arguments": arguments}})
-    valid = [
+    bad_arguments = {"start": [0], "end": [1, "a"], "height": True, "thickness": 0}
+    lines = [
         json.dumps({"jsonrpc": "2.0", "id": 1, "method": "initialize"}),
         line(2, "create_wall", {"start": [0, 0], "end": [6, 0], "height": 3.0,
                                 "thickness": 0.2}),
-        line(3, "get_scene_info", {"offset": 1, "limit": 2.0}),
-        line(4, "execute_ifc_query", {"query": "walls | count"}),
+        line(3, "create_wall", bad_arguments),
+        line(4, "get_scene_info", {"offset": 1, "limit": 2.0}),
+        line(5, "capture_elevation_view", {"view": 3}),
+        line(6, "execute_ifc_query", {"query": "walls | count"}),
     ]
-    bad_arguments = {"start": [0], "end": [1, "a"], "height": True, "thickness": 0}
-    report = _run_cold(_COLD_START, json.dumps(valid), line(5, "create_wall", bad_arguments))
-    assert len(report["valid"]) == 4
-    assert all("result" in json.loads(reply) for reply in report["valid"])
-    assert not report["loaded_after_valid"]
-    assert report["loaded_after_invalid"]
-    fresh = jsonschema.Draft202012Validator(TOOLS["create_wall"].input_schema)
-    expected = {"jsonrpc": "2.0", "id": 5, "error": {
-        "code": -32602, "message": "invalid params",
-        "data": {"violations": validate_args(fresh, bad_arguments)}}}
-    assert report["invalid"] == [json.dumps(expected)]
+    blocked = _run_cold(_SERVE_WITHOUT_JSONSCHEMA, "blocked", json.dumps(lines))
+    importable = _run_cold(_SERVE_WITHOUT_JSONSCHEMA, "importable", json.dumps(lines))
+    assert not blocked["loaded"] and not importable["loaded"]
+    assert blocked["replies"] == importable["replies"]
+    replies = [json.loads(reply) for reply in blocked["replies"]]
+    assert [reply["id"] for reply in replies] == [1, 2, 3, 4, 5, 6]
+    for reply in (replies[1], replies[3], replies[5]):
+        assert not reply["result"].get("isError"), reply
+    for reply, (tool, arguments) in ((replies[2], ("create_wall", bad_arguments)),
+                                     (replies[4], ("capture_elevation_view", {"view": 3}))):
+        reference = jsonschema.Draft202012Validator(TOOLS[tool].input_schema)
+        assert reply["error"] == {"code": -32602, "message": "invalid params", "data": {
+            "violations": _jsonschema_violations(reference, arguments)}}
+
+
+INVALID_PARAMS = Path(__file__).parent / "fixtures" / "invalid_params.json"
+
+
+def test_invalid_params_replies_match_the_recorded_fixture():
+    # faulty calls for every tool, each with the -32602 reply line recorded
+    # when jsonschema worded every violation; replayed byte for byte
+    records = json.loads(INVALID_PARAMS.read_text(encoding="utf-8"))
+    assert {json.loads(r["request"])["params"]["name"] for r in records} == set(TOOLS)
+    session = Session(new_model(guid_seed=1))
+    for record in records:
+        assert json.dumps(handle_request(session, record["request"])) == record["reply"]
+        params = json.loads(record["request"])["params"]
+        reference = jsonschema.Draft202012Validator(TOOLS[params["name"]].input_schema)
+        assert json.loads(record["reply"])["error"]["data"]["violations"] == \
+            _jsonschema_violations(reference, params["arguments"])
 
 
 # what a server start-up must not import: each tool layer loads at the first
@@ -879,6 +938,25 @@ def test_malformed_params_rejected(session):
         {"jsonrpc": "2.0", "id": 10, "method": "tools/call",
          "params": {"name": ["bad"], "arguments": {}}}))
     assert response["result"]["isError"] is True
+
+
+@pytest.mark.parametrize("member", [[], False, 0, "", [1], 1, "x"])
+def test_only_an_absent_or_null_member_means_none(session, member):
+    # arguments: a non-object is a violation at the root, even a falsy one
+    response = call(session, "get_ifc_scene_overview", member)
+    assert response["error"] == {"code": -32602, "message": "invalid params", "data": {
+        "violations": [{"path": "/", "message": f"{member!r} is not of type 'object'"}]}}
+    # params: a non-object is malformed, even a falsy one
+    response = rpc(session, "tools/list", member)
+    assert response["error"] == {"code": -32602, "message": "params must be an object"}
+    # absent or null: no arguments, no params
+    for arguments in (None, {}):
+        assert not call(session, "get_ifc_scene_overview", arguments)["result"].get("isError")
+    for message in ({"jsonrpc": "2.0", "id": 2, "method": "tools/list"},
+                    {"jsonrpc": "2.0", "id": 2, "method": "tools/list", "params": None}):
+        assert len(handle_request(session, json.dumps(message))["result"]["tools"]) == len(TOOLS)
+    assert not rpc(session, "tools/call", {"name": "get_ifc_scene_overview"})["result"].get(
+        "isError")
 
 
 def test_deeply_nested_queries_get_one_parse_error_each():
