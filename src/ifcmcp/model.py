@@ -15,9 +15,14 @@ only through ``add``, ``relate`` and ``delete_element``, and read through
 the relationship index (``IfcModel.rels``, ``IfcModel.rel_side`` and
 ``IfcModel.linked``), never by scanning a relationship class;
 ``delete_element`` takes only the deleted entities out of the indexes, and
-a load rebuilds them per class (``IfcModel.rebuild_indexes``). Loaded
-entities with equal bodies share one tuple (see ``step``); the tuple type
-keeps an edit of one from reaching the others.
+a load rebuilds them per class (``IfcModel.rebuild_indexes``).
+
+Equal values are held once. Loaded entities with equal bodies share one
+tuple (see ``step``), and so do added entities whose one attribute is a
+tuple of equal plain values (numbers, strings, booleans, ``None``): the
+points and directions of built geometry. ``IfcModel.add`` looks each such
+attribute tuple up in one dict on the model. The tuple type keeps an edit
+of one entity from reaching the others.
 
 ``delete_element`` applies one rule to every entity that references a
 deleted one, whatever its class: see its docstring.
@@ -35,6 +40,7 @@ from __future__ import annotations
 import bisect
 import datetime as _dt
 import gc
+import marshal
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -98,6 +104,10 @@ class PropertySpec:
 RELATING, RELATED = 0, 1
 
 
+# types of the plain values in an attribute tuple ``IfcModel.add`` shares
+_PLAIN = frozenset((int, float, str, bool, type(None)))
+
+
 def _is_rooted(inst: EntityInstance) -> bool:
     """Whether an entity carries a GlobalId; unknown classes sniff attribute 0."""
     rooted = schema.is_rooted(inst.class_name)
@@ -146,13 +156,27 @@ class IfcModel:
             name: ({}, {}) for name in schema.REL_SIDES}
         self.guids = GuidGenerator(guid_seed)
         self._name_counters: dict[str, int] = {}
+        # marshal key -> the first attribute tuple ``add`` stored with it
+        self._plain: dict[bytes, tuple] = {}
 
     # --- low-level graph access ---
 
     def add(self, class_name: str, attributes: list) -> int:
+        """Add an entity; returns its id. One attribute that is a tuple of
+        plain values is stored as the attribute tuple an equal earlier
+        ``add`` stored."""
         entity_id = self.next_id
         self.next_id += 1
-        inst = EntityInstance(entity_id, class_name, tuple(attributes))
+        attributes = tuple(attributes)
+        if len(attributes) == 1 and type(attributes[0]) is tuple \
+                and _PLAIN.issuperset(map(type, attributes[0])):
+            # a test per record, not per value, keeps this cheap; marshal
+            # tells apart what == and the STEP text conflate (0.0 and -0.0;
+            # 1, 1.0 and True), and its version 2 writes no back-references
+            # or interning marks, so equal values give one key whoever else
+            # holds them
+            attributes = self._plain.setdefault(marshal.dumps(attributes, 2), attributes)
+        inst = EntityInstance(entity_id, class_name, attributes)
         self.entities[entity_id] = inst
         self._index(inst)
         return entity_id
@@ -161,9 +185,11 @@ class IfcModel:
         # ids are issued in increasing order, so appending keeps the order
         self.by_class.setdefault(inst.class_name, []).append(inst.id)
         # relationship records carry GlobalIds too but are not addressable
-        # objects; keeping them out of by_guid matches the tool surface
-        if _is_rooted(inst) and not inst.class_name.startswith("IFCREL") \
-                and inst.attributes and isinstance(inst.attributes[0], str):
+        # objects; keeping them out of by_guid matches the tool surface.
+        # The cheapest test comes first: most records (points, directions,
+        # placements, shapes) start with no string
+        if inst.attributes and isinstance(inst.attributes[0], str) \
+                and not inst.class_name.startswith("IFCREL") and _is_rooted(inst):
             self.by_guid[inst.attributes[0]] = inst.id
         if inst.class_name in schema.REL_SIDES:
             for side, by_entity in enumerate(self.rel_index[inst.class_name]):
@@ -582,8 +608,10 @@ def add_storey(model: IfcModel, name: str, elevation: float) -> int:
     return storey
 
 
-def load_model(data: bytes | str, guid_seed: int | None = None) -> IfcModel:
-    """Rebuild an IfcModel (indexes, name counters) from STEP text.
+def load_model(data: bytes | str | Callable[[], bytes | str],
+               guid_seed: int | None = None) -> IfcModel:
+    """Rebuild an IfcModel (indexes, name counters) from STEP text, or from
+    a function that returns the text.
 
     The cyclic collector is paused for the load: the graph it builds is
     acyclic, so no collection could free any of it. On success
@@ -592,13 +620,17 @@ def load_model(data: bytes | str, guid_seed: int | None = None) -> IfcModel:
     because reference counting alone frees an acyclic model once it is
     dropped. A load switches the collector back on only if it found it on,
     so concurrent loads (one per TCP connection) cannot leave it off.
-    ``data`` is dropped once parsed, so on CPython 3.11+ text the caller
-    does not hold (see ``open_model``) is freed before the indexes are built.
+
+    The text is dropped once parsed, so it is freed before the indexes are
+    built unless someone else holds it. Text passed in is also held by the
+    caller, for the whole call before CPython 3.11; text a function returns
+    is a temporary of the ``parse_step`` call alone, on every version, which
+    is how ``open_model`` passes a file.
     """
     enabled = gc.isenabled()
     gc.disable()
     try:
-        header, entities = parse_step(data)
+        header, entities = parse_step(data() if callable(data) else data)
         del data
         model = _build(header, entities, guid_seed)
     finally:
@@ -642,9 +674,10 @@ def _build(header: StepHeader, entities: dict, guid_seed: int | None) -> IfcMode
 
 
 def open_model(path: str, guid_seed: int | None = None) -> IfcModel:
-    """Load the STEP file at ``path``. Its bytes are freed once decoded and,
-    on CPython 3.11+, its text once parsed, both before the graph is built."""
-    return load_model(Path(path).read_bytes().decode("iso-8859-1"), guid_seed=guid_seed)
+    """Load the STEP file at ``path``. Its bytes are freed once decoded and
+    its text once parsed, both before the graph is built."""
+    return load_model(lambda: Path(path).read_bytes().decode("iso-8859-1"),
+                      guid_seed=guid_seed)
 
 
 # --- semantic operations ---

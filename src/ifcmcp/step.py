@@ -18,17 +18,20 @@ a file are built once per ``parse_step`` call and shared between the
 entities that hold them: class names, number and enumeration tokens, and
 the attribute tuple of each distinct record body without references, which
 every record with that body holds. References and strings elsewhere are
-built per record. An edit gives the entity a new tuple, so a shared value
-is never changed in place. Nothing is cached between calls.
+built per record, but a reference to an entity already read holds that
+entity's own id ``int``. An edit gives the entity a new tuple, so a shared
+value is never changed in place. Nothing is cached between calls.
 
-Writing formats and encodes the records a few thousand at a time and joins
-the encoded chunks once, so no list of every line, nor the whole file as
-one string, is built next to the bytes. Each reference is checked as it is
+Writing formats and encodes the records about a thousand at a time and
+writes each encoded chunk into one buffer, whose bytes are returned without
+a copy, so no list of every line, no list of chunks and no whole file as one
+string is built next to the bytes. Each reference is checked as it is
 formatted, so no separate pass looks for dangling ones.
 """
 
 from __future__ import annotations
 
+import io
 import math
 import re
 from dataclasses import dataclass, field
@@ -234,30 +237,34 @@ _MAX_REAL_15_DIGITS = 1.79769313486231e308
 
 
 def format_real(x: float) -> str:
-    """Shortest decimal form (<= 15 significant digits) with a STEP dot."""
+    """Shortest decimal form (<= 15 significant digits) with a STEP dot.
+
+    ``repr`` is the shortest form that reads back as ``x``, so its digit
+    count is the least precision at which ``%g`` round-trips, and ``%g`` at
+    that precision gives the same digits. Where ``%g`` would print them in
+    fixed notation, ``repr`` less its trailing zeros is the text; otherwise
+    ``x`` is formatted once, at that precision.
+    """
     if x != x or x in (float("inf"), float("-inf")):
         raise ValueError(f"cannot serialize non-finite real {x!r}")
-    s = None
-    for prec in range(1, 16):
-        cand = f"{x:.{prec}g}"
-        if float(cand) == x:
-            s = cand
-            break
-    if s is None:
+    mantissa, e, _ = repr(x).partition("e")
+    whole, _, fraction = mantissa.lstrip("-").partition(".")
+    digits = len((whole + fraction).strip("0"))
+    if digits > 15:
         # needs more than 15 digits: drop the tail, then canonicalize the
         # truncated value so that parse -> write is a fixpoint immediately
         truncated = float(f"{x:.15g}")
         if math.isinf(truncated):  # rounded up past the largest finite real
             truncated = math.copysign(_MAX_REAL_15_DIGITS, x)
         return format_real(truncated)
-    if "e" in s or "E" in s:
-        mantissa, exp = re.split("[eE]", s)
-        if "." not in mantissa:
-            mantissa += "."
-        return f"{mantissa}E{int(exp)}"
-    if "." not in s:
-        s += "."
-    return s
+    # %g prints fixed notation while the exponent is below the precision:
+    # a whole part of at most ``digits`` digits, or zero
+    if not e and (len(whole) <= digits or not x):
+        return mantissa.rstrip("0")
+    mantissa, _, exponent = ("%.*g" % (digits, x)).partition("e")
+    if "." not in mantissa:
+        mantissa += "."
+    return f"{mantissa}E{int(exponent)}"
 
 
 # --- tokenizer ---
@@ -501,10 +508,13 @@ def _atom(token: str):
         return None
 
 
-def _record_args(text: str, start: int, end: int, refs: list, atoms: dict) -> tuple | None:
+def _record_args(text: str, start: int, end: int, entities: dict, refs: list,
+                 atoms: dict) -> tuple | None:
     """Attributes of the record body ``text[start:end]``, or ``None`` when
-    the token path must read the record. Adds every referenced id to ``refs``.
+    the token path must read the record.
 
+    A reference to an entity of ``entities`` (one already read) is built on
+    that entity's own id; every other referenced id is added to ``refs``.
     ``atoms`` maps each number or enumeration token already read to its
     value, so equal tokens across the file share one value."""
     args: list = []
@@ -512,7 +522,7 @@ def _record_args(text: str, start: int, end: int, refs: list, atoms: dict) -> tu
     stack: list = []      # (enclosing items, typed-value name or None) per open list
     typed = None          # keyword still waiting for its '('
     want_value = True     # else after a value: ',' or ')'
-    found: list = []      # ids referenced by this record
+    found: list = []      # ids referenced by this record and not yet read
     for token in _VALUE_RE.findall(text, start, end):
         c = token[0]
         if not want_value:
@@ -550,8 +560,12 @@ def _record_args(text: str, start: int, end: int, refs: list, atoms: dict) -> tu
             ref = int(token[1:])
             if not ref:
                 return None
-            found.append(ref)
-            value = EntityRef(ref)
+            target = entities.get(ref)
+            if target is None:
+                found.append(ref)
+                value = EntityRef(ref)
+            else:
+                value = EntityRef(target.id)
         elif c == "$":
             value = None
         elif c == "'":
@@ -592,8 +606,10 @@ def _header_strings(value) -> list[str]:
 def parse_step(data: bytes | str) -> tuple[StepHeader, dict[int, EntityInstance]]:
     """Parse a STEP exchange file into a header and entity map.
 
-    Forward references are permitted; every reference is checked after
-    the full pass and :class:`DanglingRef` raised if any fail to resolve.
+    Forward references are permitted; every reference to an entity not
+    read yet is checked after the full pass and :class:`DanglingRef` raised
+    if any fail to resolve. A reference to an entity already read holds
+    that entity's id object, so the model keeps no second int per id.
     """
     text = data.decode("iso-8859-1") if isinstance(data, (bytes, bytearray)) else data
     parser = _Parser(text)
@@ -636,7 +652,7 @@ def parse_step(data: bytes | str) -> tuple[StepHeader, dict[int, EntityInstance]
     pos = tok.pos  # each record starts just past the previous ';', here DATA's
     parser.expect_punct(";")
     entities: dict[int, EntityInstance] = {}
-    refs: list[int] = []  # every id referenced, checked once after the pass
+    refs: list[int] = []  # ids referenced before their record, checked after the pass
     # shared values (see the module docstring), built once per call
     names: dict[str, str] = {}
     atoms: dict[str, object] = {}
@@ -650,7 +666,7 @@ def parse_step(data: bytes | str) -> tuple[StepHeader, dict[int, EntityInstance]
             body = None if text.find("#", start, stop) >= 0 else text[start:stop]
             args = bodies.get(body)
             if args is None:
-                args = _record_args(text, start, stop, refs, atoms)
+                args = _record_args(text, start, stop, entities, refs, atoms)
                 if args is not None and body is not None:
                     bodies[body] = args
         if args is not None:
@@ -734,17 +750,19 @@ def format_value(value, entities: dict | None = None, missing: set | None = None
     raise TypeError(f"cannot serialize attribute value {value!r}")
 
 
-# records formatted and encoded together by write_step
-_WRITE_CHUNK = 4096
+# records formatted and encoded together by write_step; a chunk's lines,
+# text and bytes are alive at once, so a small chunk keeps the peak of a
+# write near the size of the file
+_WRITE_CHUNK = 1024
 
 
 def write_step(header: StepHeader, entities: dict[int, EntityInstance]) -> bytes:
     """Serialize header + entities deterministically (ascending id order).
 
     The records are formatted and encoded ``_WRITE_CHUNK`` at a time, and
-    the encoded chunks are joined once. References are checked as they are
-    formatted: :class:`DanglingRef` lists every id that no entity has, and
-    is raised before any bytes are returned.
+    each encoded chunk is written into one buffer. References are checked
+    as they are formatted: :class:`DanglingRef` lists every id that no
+    entity has, and is raised before any bytes are returned.
     """
     lines = [ISO_OPEN, "HEADER;"]
     descs = tuple(header.file_description) or ("",)
@@ -768,16 +786,17 @@ def write_step(header: StepHeader, entities: dict[int, EntityInstance]) -> bytes
     lines.append("ENDSEC;")
     lines.append("DATA;")
     lines.append("")
-    chunks = ["\n".join(lines).encode("iso-8859-1")]
+    out = io.BytesIO()
+    out.write("\n".join(lines).encode("iso-8859-1"))
     ids = sorted(entities)
     missing: set[int] = set()
     for start in range(0, len(ids), _WRITE_CHUNK):
-        chunks.append("".join(
+        out.write("".join(
             f"#{inst.id}={inst.class_name}("
             f"{','.join([format_value(v, entities, missing) for v in inst.attributes])});\n"
             for inst in map(entities.__getitem__, ids[start:start + _WRITE_CHUNK])
         ).encode("iso-8859-1"))
     if missing:
         raise DanglingRef(missing)
-    chunks.append(f"ENDSEC;\n{ISO_CLOSE}\n".encode("iso-8859-1"))
-    return b"".join(chunks)
+    out.write(f"ENDSEC;\n{ISO_CLOSE}\n".encode("iso-8859-1"))
+    return out.getvalue()

@@ -7,9 +7,10 @@ from ifcmcp import builders
 from ifcmcp.model import IfcModel, load_model, new_model
 
 # more examples in CI (--hypothesis-profile=ci) for the properties that
-# leave max_examples to the profile: the STEP round trip and record path
-# properties, the index rebuild property and the record order property;
-# the others fix their own count
+# leave max_examples to the profile: the STEP round trip, record path and
+# real formatting properties, the index rebuild property, the record order
+# property and the shared attribute tuple property; the others fix their
+# own count
 settings.register_profile("ci", max_examples=500)
 
 SQUARE_WALLS = [

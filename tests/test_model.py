@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ifcmcp
-from ifcmcp import builders, scene, schema
+from ifcmcp import builders, scene, schema, step
 from ifcmcp import model as model_mod
 from ifcmcp.cli import run_trace
 from ifcmcp.errors import (
@@ -512,12 +512,33 @@ def test_open_peaks_under_one_and_a_half_file_sizes_above_the_model(tmp_path):
     assert peak - held < 1.5 * size, (peak - held) / size
 
 
-@pytest.mark.skipif(sys.version_info < (3, 11),
-                    reason="before CPython 3.11 a caller keeps its arguments for the whole call")
-def test_a_load_frees_text_nobody_else_holds_before_the_indexes_are_built(monkeypatch):
-    class Text(str):  # a str that can be watched through a weak reference
-        pass
+def test_save_peaks_under_one_point_six_file_sizes(fresh_model):
+    model = fresh_model
+    row = 0
+    # many chunks, so one chunk's temporaries are a small share of the file
+    while len(model.entities) < 16 * step._WRITE_CHUNK:
+        builders.create_wall(model, (0, row), (4, row), 3.0, 0.2)
+        row += 1
+    size = len(model.to_bytes())
+    gc.collect()
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        data = model.to_bytes()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(data) == size
+    assert peak - held < 1.6 * size, (peak - held) / size
 
+
+class _Text(str):
+    """A str that can be watched through a weak reference."""
+
+
+def test_open_frees_its_text_before_the_indexes_are_built(monkeypatch, tmp_path):
+    # on every CPython version: open_model never passes its text as an
+    # argument of a call that spans the index build
     texts, alive_at_rebuild = [], []
     rebuild = IfcModel.rebuild_indexes
 
@@ -525,8 +546,37 @@ def test_a_load_frees_text_nobody_else_holds_before_the_indexes_are_built(monkey
         alive_at_rebuild.append(texts[0]() is not None)
         rebuild(model)
 
-    def text() -> Text:
-        value = Text(two_wall_step().decode("iso-8859-1"))
+    class Raw(bytes):
+        def decode(self, *args):
+            value = _Text(bytes.decode(self, *args))
+            texts.append(weakref.ref(value))
+            return value
+
+    class WatchedPath(type(tmp_path)):
+        def read_bytes(self):
+            return Raw(super().read_bytes())
+
+    path = tmp_path / "walls.ifc"
+    path.write_bytes(two_wall_step())
+    monkeypatch.setattr(model_mod, "Path", WatchedPath)
+    monkeypatch.setattr(IfcModel, "rebuild_indexes", watched)
+    model = open_model(str(path))
+    assert alive_at_rebuild == [False]
+    assert model.to_bytes() == two_wall_step()
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="before CPython 3.11 a caller keeps its arguments for the whole call")
+def test_a_load_frees_text_nobody_else_holds_before_the_indexes_are_built(monkeypatch):
+    texts, alive_at_rebuild = [], []
+    rebuild = IfcModel.rebuild_indexes
+
+    def watched(model):
+        alive_at_rebuild.append(texts[0]() is not None)
+        rebuild(model)
+
+    def text() -> _Text:
+        value = _Text(two_wall_step().decode("iso-8859-1"))
         texts.append(weakref.ref(value))
         return value
 
@@ -580,6 +630,92 @@ def test_loaded_entities_share_class_names_and_equal_values():
             key = (inst.class_name, repr(inst.attributes))
             for mine, theirs in zip(inst.attributes, seen.setdefault(key, inst.attributes)):
                 assert mine is theirs
+
+
+def test_built_records_with_equal_plain_values_share_one_tuple():
+    model = new_model("My Project", guid_seed=71)
+    builders.create_wall(model, (0, 0), (4, 0), 3.0, 0.2)
+    builders.create_wall(model, (0, 2), (4, 2), 3.0, 0.2)
+    entities = model.entities
+    first, second = [i for i in sorted(model.by_class["IFCCARTESIANPOINT"])
+                     if entities[i].attributes == ((2.0, 0.0),)]
+    a, b = entities[first], entities[second]
+    assert a.attributes is b.attributes
+    data = model.to_bytes()
+    model.set_attr(b, "Coordinates", (3.0, 0.0))
+    assert a.attributes == ((2.0, 0.0),)
+    before, after = _records(data), _records(model.to_bytes())
+    assert after[second] == b"#%d=IFCCARTESIANPOINT((3.,0.));" % second
+    assert {i: line for i, line in after.items() if i != second} == \
+        {i: line for i, line in before.items() if i != second}
+    # a later equal add shares the tuple the edit left alone
+    third = model.add("IFCCARTESIANPOINT", [(2.0, 0.0)])
+    assert entities[third].attributes is a.attributes
+
+
+def test_add_keeps_values_that_compare_equal_apart():
+    model = IfcModel()
+    passed = [("IFCCARTESIANPOINT", [(0.0, 0.0)]), ("IFCCARTESIANPOINT", [(-0.0, 0.0)]),
+              ("IFCDIRECTION", [(1, 0.0, 0.0)]), ("IFCDIRECTION", [(1.0, 0.0, 0.0)]),
+              ("IFCDIRECTION", [(True, 0.0, 0.0)])]
+    ids = [model.add(class_name, attributes) for class_name, attributes in passed]
+    stored = [model.entities[i].attributes for i in ids]
+    assert [repr(attributes) for attributes in stored] == \
+        [repr(tuple(attributes)) for _, attributes in passed]
+    assert len({id(attributes) for attributes in stored}) == len(stored)
+    assert model.to_bytes().endswith(
+        b"DATA;\n#1=IFCCARTESIANPOINT((0.,0.));\n#2=IFCCARTESIANPOINT((-0.,0.));\n"
+        b"#3=IFCDIRECTION((1,0.,0.));\n#4=IFCDIRECTION((1.,0.,0.));\n"
+        b"#5=IFCDIRECTION((.T.,0.,0.));\nENDSEC;\nEND-ISO-10303-21;\n")
+
+
+# few values, so that values == conflates (0.0 and -0.0; 0, 0.0 and False;
+# 1, 1.0 and True) often meet in one sequence
+_PLAIN_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 0, False, 1, 1.0, True, None, "", "a"]),
+    st.integers(-2, 2), st.floats(allow_nan=False), st.text(max_size=1))
+_POINTS = st.lists(_PLAIN_VALUES, max_size=3).map(lambda values: [tuple(values)])
+
+
+@settings(deadline=None)
+@given(st.lists(st.one_of(_POINTS, st.lists(_PLAIN_VALUES, max_size=2)), max_size=12))
+@example([[(0.0,)], [(-0.0,)], [(0,)], [(False,)], [(1,)], [(1.0,)], [(True,)],
+          [(1, 0.0)], [(True, -0.0)], [(1, 0.0)]])
+def test_add_shares_exactly_the_tuples_of_equal_plain_values(sequence):
+    model = IfcModel()
+    ids = [model.add("IFCCARTESIANPOINT", attributes) for attributes in sequence]
+    stored = [model.entities[i].attributes for i in ids]
+    # every stored tuple reads back as what was passed, type for type
+    assert [repr(attributes) for attributes in stored] == \
+        [repr(tuple(attributes)) for attributes in sequence]
+    # and two records of one tuple attribute share their attribute tuple
+    # exactly when they read back alike
+    points = [attributes for attributes in stored
+              if len(attributes) == 1 and type(attributes[0]) is tuple]
+    for mine in points:
+        for theirs in points:
+            assert (mine is theirs) == (repr(mine) == repr(theirs))
+
+
+def test_a_reference_to_a_record_already_read_holds_its_id():
+    model = new_model("My Project", guid_seed=71)
+    for row in range(40):
+        builders.create_wall(model, (0, row), (4, row), 3.0, 0.2)
+    entities = load_model(model.to_bytes()).entities
+    keys = {key: key for key in entities}  # each id to the dict's own key object
+    backward = [(inst.id, ref) for inst in entities.values()
+                for ref in iter_refs(inst.attributes) if ref.id < inst.id]
+    assert sum(ref.id > 256 for _, ref in backward) > 100  # past the small-int cache
+    for referrer, ref in backward:
+        assert ref.id is keys[ref.id], (referrer, ref)
+    # a forward reference may dangle, whichever path read its record
+    text = ("ISO-10303-21;HEADER;FILE_DESCRIPTION((''),'2;1');"
+            "FILE_NAME('','',(''),(''),'','','');FILE_SCHEMA(('IFC4'));ENDSEC;DATA;\n"
+            "#1=IFCX(#2,#900,(#901,#1));\n#2=IFCX(#1,#899);\n#3=IFCX(/**/#902,#2);\n"
+            "#1000=IFCX(#950,#2);\nENDSEC;END-ISO-10303-21;")
+    with pytest.raises(DanglingRef) as excinfo:
+        parse_step(text)
+    assert excinfo.value.ids == [899, 900, 901, 902, 950]
 
 
 def test_containment_is_a_tree(l_building):

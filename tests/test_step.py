@@ -148,6 +148,52 @@ def test_format_real_round_trips_random_values():
         assert format_real(second) == text
 
 
+def _format_real_by_trial(x: float) -> str:
+    """The first ``%g`` precision from 1 to 15 that reads back as ``x``,
+    else ``x`` cut to 15 digits: how reals were once written, kept as an
+    oracle."""
+    for prec in range(1, 16):
+        text = f"{x:.{prec}g}"
+        if float(text) == x:
+            break
+    else:
+        truncated = float(f"{x:.15g}")
+        if truncated in (float("inf"), float("-inf")):
+            truncated = 1.79769313486231e308 if x > 0 else -1.79769313486231e308
+        return _format_real_by_trial(truncated)
+    mantissa, _, exponent = text.partition("e")
+    if "." not in mantissa:
+        mantissa += "."
+    return f"{mantissa}E{int(exponent)}" if exponent else mantissa
+
+
+_REALS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e15, 1e16, 1e17,
+                     9.999999999999999e15, 123456789012345.67, 0.1 + 0.2]),
+    st.floats(min_value=1e15, max_value=1e17),
+    st.floats(min_value=-1e17, max_value=-1e15),
+    # subnormals
+    st.floats(min_value=-2.2250738585072014e-308, max_value=2.2250738585072014e-308),
+    # short decimals, and values that need 16 or 17 digits
+    st.integers(-10**6, 10**6).map(lambda n: n / 1000),
+    st.integers(10**15, 10**17).map(lambda n: n / 10**16),
+)
+
+
+@settings(deadline=None)
+@given(_REALS)
+def test_format_real_matches_formatting_by_trial(x):
+    assert format_real(x) == _format_real_by_trial(x)
+
+
+def test_format_real_matches_formatting_by_trial_at_every_power_of_two():
+    # the only reals whose rounding interval is not centred on them
+    for exponent in range(-1074, 1024):
+        for x in (2.0 ** exponent, -(2.0 ** exponent)):
+            assert format_real(x) == _format_real_by_trial(x), x
+
+
 def test_write_parse_write_fixpoint_fresh_model():
     model = new_model(guid_seed=6)
     first = model.to_bytes()
