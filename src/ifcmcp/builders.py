@@ -238,6 +238,17 @@ def create_roof_over_walls(model: IfcModel, wall_guids: list[str],
                        base_z=base_z, name=name)
 
 
+def _project_on_axis(axis: dict, point: Point2) -> tuple[float, float]:
+    """Metres along a wall axis to the axis point nearest to a 2D point, and
+    the distance between the two."""
+    sx, sy = axis["start"].x, axis["start"].y
+    ex, ey = axis["end"].x, axis["end"].y
+    t = ((point.x - sx) * (ex - sx) + (point.y - sy) * (ey - sy)) / (axis["length"] ** 2)
+    t = min(max(t, 0.0), 1.0)
+    px, py = sx + t * (ex - sx), sy + t * (ey - sy)
+    return t * axis["length"], math.hypot(point.x - px, point.y - py)
+
+
 def _nearest_wall(model: IfcModel, point: Point2) -> tuple[int, float]:
     """Wall id and axis parameter (metres along axis) nearest to a 2D point."""
     best = None
@@ -245,15 +256,9 @@ def _nearest_wall(model: IfcModel, point: Point2) -> tuple[int, float]:
         axis = measure.wall_axis(model, wall_id)
         if axis is None:
             continue
-        sx, sy = axis["start"].x, axis["start"].y
-        ex, ey = axis["end"].x, axis["end"].y
-        length = axis["length"]
-        t = ((point.x - sx) * (ex - sx) + (point.y - sy) * (ey - sy)) / (length ** 2)
-        t = min(max(t, 0.0), 1.0)
-        px, py = sx + t * (ex - sx), sy + t * (ey - sy)
-        distance = math.hypot(point.x - px, point.y - py)
+        along, distance = _project_on_axis(axis, point)
         if best is None or distance < best[2]:
-            best = (wall_id, t * length, distance)
+            best = (wall_id, along, distance)
     if best is None:
         raise InvalidParams("model has no walls to host the opening")
     return best[0], best[1]
@@ -274,15 +279,8 @@ def _create_filled_opening(model: IfcModel, filler_class: str,
         if wall.class_name not in schema.WALL_CLASSES:
             raise InvalidParams(f"{wall_guid} is not a wall")
         wall_id = wall.id
-        if position_along_axis is None:
-            if position is None:
-                raise InvalidParams("provide position_along_axis or a position point")
-            point = Point2(float(position[0]), float(position[1]))
-            axis = measure.wall_axis(model, wall_id)
-            sx, sy = axis["start"].x, axis["start"].y
-            ex, ey = axis["end"].x, axis["end"].y
-            t = ((point.x - sx) * (ex - sx) + (point.y - sy) * (ey - sy)) / (axis["length"] ** 2)
-            position_along_axis = min(max(t, 0.0), 1.0) * axis["length"]
+        if position_along_axis is None and position is None:
+            raise InvalidParams("provide position_along_axis or a position point")
     else:
         if position is None:
             raise InvalidParams("provide a wall GUID or a position point")
@@ -292,6 +290,9 @@ def _create_filled_opening(model: IfcModel, filler_class: str,
     axis = measure.wall_axis(model, wall_id)
     if axis is None:
         raise InvalidParams("host wall has no axis profile")
+    if position_along_axis is None:
+        point = Point2(float(position[0]), float(position[1]))
+        position_along_axis, _distance = _project_on_axis(axis, point)
     pos = float(position_along_axis)
     if pos - width / 2 < -1e-9 or pos + width / 2 > axis["length"] + 1e-9:
         raise OpeningOutOfBounds(

@@ -151,13 +151,17 @@ def _load_trace(path: str) -> dict:
         raise StepFailed(0, f"trace is not valid JSON: {exc}") from exc
 
 
+def _open(path: str, seed: int | None = None) -> IfcModel:
+    try:
+        return open_model(path, guid_seed=seed)
+    except OSError as exc:
+        raise IoError(path, str(exc)) from exc
+
+
 def _open_or_new(args) -> IfcModel:
     seed = getattr(args, "seed", None)
     if getattr(args, "model", None):
-        try:
-            return open_model(args.model, guid_seed=seed)
-        except OSError as exc:
-            raise IoError(args.model, str(exc)) from exc
+        return _open(args.model, seed)
     return new_model(guid_seed=seed)
 
 
@@ -236,19 +240,13 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "open":
-        try:
-            model = open_model(args.file)
-        except OSError as exc:
-            raise IoError(args.file, str(exc)) from exc
+        model = _open(args.file)
         from .scene import get_ifc_scene_overview
         print(json.dumps(get_ifc_scene_overview(model), indent=2))
         return 0
 
     if args.command == "save":
-        try:
-            model = open_model(args.file)
-        except OSError as exc:
-            raise IoError(args.file, str(exc)) from exc
+        model = _open(args.file)
         model.save(args.out)
         print(f"wrote {args.out} ({len(model.entities)} entities)")
         return 0
@@ -271,10 +269,7 @@ def _dispatch(args) -> int:
 
     if args.command == "snapshot":
         from .snapshot import render_elevation, render_plan
-        try:
-            model = open_model(args.file)
-        except OSError as exc:
-            raise IoError(args.file, str(exc)) from exc
+        model = _open(args.file)
         wrote = False
         if args.plan:
             svg = render_plan(model, storey_guid=args.storey,

@@ -8,7 +8,8 @@
               | set_pset("Pset", "Prop", expr)
 
 Expressions are C-like (==, !=, <, <=, >, >=, &&, ||, +, -, *, /) over
-number/string/bool literals, derived fields (length, height, area,
+finite number, string and bool literals (a number literal that overflows a
+double is a parse error), derived fields (length, height, area,
 elevation, storey, name, guid, class), raw attributes (.Name) and
 property-set access (pset("P").Prop or pset("P")["U-value"]).
 
@@ -18,9 +19,11 @@ terminates within a fixed expression-step budget.
 
 from __future__ import annotations
 
+import math
+import operator
 import re
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal
+from decimal import ROUND_HALF_UP, Context, Decimal
 
 from . import measure, schema
 from .errors import (
@@ -62,23 +65,31 @@ SELECTOR_CLASSES: dict[str, tuple[str, ...]] = {
     "sites": ("IFCSITE",),
 }
 
-DERIVED_FIELDS = ("length", "height", "area", "elevation", "storey",
-                  "name", "guid", "class")
+
+def _storey_name(model: IfcModel, entity_id: int) -> str | None:
+    storey_id = model.storey_of(entity_id)
+    return _name_of(model, storey_id) if storey_id is not None else None
+
+
+# derived fields: name -> value of one element, or None where it has none
+FIELDS = {
+    "length": measure.element_length,
+    "height": measure.element_height,
+    "area": measure.element_area,
+    "elevation": measure.element_elevation,
+    "storey": _storey_name,
+    "name": _name_of,
+    "guid": IfcModel.guid_of,
+    "class": lambda model, entity_id: schema.camel_case(
+        model.entities[entity_id].class_name),
+}
 
 
 # --- AST ---
 
 @dataclass
-class Num:
-    value: float
-
-@dataclass
-class Str:
-    value: str
-
-@dataclass
-class Bool:
-    value: bool
+class Const:
+    value: float | str | bool
 
 @dataclass
 class Field:
@@ -127,20 +138,60 @@ class Agg:
     kind: str
     expr: object | None
 
-@dataclass
-class Rename:
-    template: str
+
+class _Mutation:
+    """A terminal that writes: ``plan`` gives one element's new value, or
+    raises before anything is written; ``write`` stores it; ``summary`` is
+    its log line, formatted with its fields and ``count``."""
+
+    attribute = "Name"
+
+    def write(self, model: IfcModel, entity_id: int, value):
+        model.set_attr(model.entities[entity_id], self.attribute, value)
 
 @dataclass
-class SetAttr:
+class Rename(_Mutation):
+    template: str
+    summary = "renamed {count} element(s)"
+
+    def plan(self, model: IfcModel, entity_id: int, budget: _Budget):
+        return _render_template(model, entity_id, self.template)
+
+@dataclass
+class SetAttr(_Mutation):
     name: str
     expr: object
+    summary = "set {name} on {count} element(s)"
+    attribute = property(lambda self: self.name)
+
+    def plan(self, model: IfcModel, entity_id: int, budget: _Budget):
+        class_name = model.entities[entity_id].class_name
+        if self.name not in EDITABLE_ATTRIBUTES or \
+                schema.attribute_index(class_name, self.name) is None:
+            raise UnknownAttribute(self.name, class_name)
+        if class_name in schema.SPATIAL_CLASSES and \
+                self.name not in ("Name", "Description"):
+            raise InvalidParams(f"only Name/Description may be set on {class_name}")
+        value = _eval(model, entity_id, self.expr, budget)
+        if value is not None and not isinstance(value, (str, int, float, bool)):
+            raise TypeMismatch(f"cannot store {value!r} in an attribute")
+        return value
 
 @dataclass
-class SetPset:
+class SetPset(_Mutation):
     pset: str
     prop: str
     expr: object
+    summary = "set {pset}.{prop} on {count} element(s)"
+
+    def plan(self, model: IfcModel, entity_id: int, budget: _Budget):
+        value = _eval(model, entity_id, self.expr, budget)
+        if not isinstance(value, (str, int, float, bool)):
+            raise TypeMismatch(f"cannot store {value!r} as a property value")
+        return value
+
+    def write(self, model: IfcModel, entity_id: int, value):
+        set_pset_property(model, model.guid_of(entity_id), self.pset, self.prop, value)
 
 @dataclass
 class QueryProgram:
@@ -150,7 +201,7 @@ class QueryProgram:
 
     @property
     def is_mutation(self) -> bool:
-        return isinstance(self.terminal, (Rename, SetAttr, SetPset))
+        return isinstance(self.terminal, _Mutation)
 
 
 # --- lexer ---
@@ -180,8 +231,28 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 def _unquote(raw: str) -> str:
-    body = raw[1:-1]
-    return re.sub(r"\\(.)", r"\1", body)
+    return re.sub(r"\\(.)", r"\1", raw[1:-1])
+
+
+# binary operators by precedence level, loosest first; a comparison takes
+# one operator, the other levels chain to the left
+_LEVELS = (("||",), ("&&",), ("==", "!=", "<=", ">=", "<", ">"), ("+", "-"),
+           ("*", "/"))
+_COMPARISONS = _LEVELS[2]
+
+# stage name -> (AST node, the parser methods of its arguments inside the
+# parentheses: an expression, a list of them, a string or a name); a stage
+# without arguments takes no parentheses
+_STAGES = {
+    "filter": (Filter, ("parse_expr",)),
+    "select": (Select, ("parse_exprs",)),
+    "count": (lambda: Agg("count", None), ()),
+    **{kind: (lambda expr, kind=kind: Agg(kind, expr), ("parse_expr",))
+       for kind in ("sum", "min", "max", "avg", "list")},
+    "rename": (Rename, ("expect_string",)),
+    "set": (SetAttr, ("expect_ident", "parse_expr")),
+    "set_pset": (SetPset, ("expect_string", "expect_string", "parse_expr")),
+}
 
 
 class _QueryParser:
@@ -225,6 +296,12 @@ class _QueryParser:
         self.advance()
         return _unquote(value)
 
+    def parse_exprs(self) -> list:
+        exprs = [self.parse_expr()]
+        while self.accept_op(","):
+            exprs.append(self.parse_expr())
+        return exprs
+
     def parse_program(self) -> QueryProgram:
         selector = self.expect_ident()
         filters: list[Filter] = []
@@ -247,131 +324,58 @@ class _QueryParser:
 
     def parse_stage(self):
         name = self.expect_ident()
-        if name == "filter":
-            self.expect_op("(")
-            expr = self.parse_expr()
+        if name not in _STAGES:
+            self.fail(f"a stage ({', '.join(_STAGES)})")
+        node, parsers = _STAGES[name]
+        args = []
+        for index, parser in enumerate(parsers):
+            self.expect_op("," if index else "(")
+            args.append(getattr(self, parser)())
+        if parsers:
             self.expect_op(")")
-            return Filter(expr)
-        if name == "select":
-            self.expect_op("(")
-            exprs = [self.parse_expr()]
-            while self.accept_op(","):
-                exprs.append(self.parse_expr())
-            self.expect_op(")")
-            return Select(exprs)
-        if name == "count":
-            return Agg("count", None)
-        if name in ("sum", "min", "max", "avg", "list"):
-            self.expect_op("(")
-            expr = self.parse_expr()
-            self.expect_op(")")
-            return Agg(name, expr)
-        if name == "rename":
-            self.expect_op("(")
-            template = self.expect_string()
-            self.expect_op(")")
-            return Rename(template)
-        if name == "set":
-            self.expect_op("(")
-            attr = self.expect_ident()
-            self.expect_op(",")
-            expr = self.parse_expr()
-            self.expect_op(")")
-            return SetAttr(attr, expr)
-        if name == "set_pset":
-            self.expect_op("(")
-            pset = self.expect_string()
-            self.expect_op(",")
-            prop = self.expect_string()
-            self.expect_op(",")
-            expr = self.parse_expr()
-            self.expect_op(")")
-            return SetPset(pset, prop, expr)
-        self.fail("a stage (filter, select, count, sum, min, max, avg, "
-                  "list, rename, set, set_pset)")
+        return node(*args)
 
     def parse_expr(self):
-        node = self.parse_or()
+        node = self.parse_binary(0)
         if self.depth + _depth(node) > MAX_EXPR_DEPTH:
             self.fail(f"an expression nested at most {MAX_EXPR_DEPTH} deep")
         return node
 
-    def parse_or(self):
-        node = self.parse_and()
-        while self.accept_op("||"):
-            node = BinOp("||", node, self.parse_and())
+    def parse_binary(self, level: int):
+        """The operators of ``_LEVELS[level]`` over the tighter levels."""
+        if level == len(_LEVELS):
+            return self.parse_unary()
+        node = self.parse_binary(level + 1)
+        ops = _LEVELS[level]
+        while self.current[0] == "op" and self.current[1] in ops:
+            op = self.current[1]
+            self.advance()
+            node = BinOp(op, node, self.parse_binary(level + 1))
+            if ops is _COMPARISONS:
+                break
         return node
-
-    def parse_and(self):
-        node = self.parse_cmp()
-        while self.accept_op("&&"):
-            node = BinOp("&&", node, self.parse_cmp())
-        return node
-
-    def parse_cmp(self):
-        node = self.parse_add()
-        for op in ("==", "!=", "<=", ">=", "<", ">"):
-            if self.accept_op(op):
-                return BinOp(op, node, self.parse_add())
-        return node
-
-    def parse_add(self):
-        node = self.parse_mul()
-        while True:
-            if self.accept_op("+"):
-                node = BinOp("+", node, self.parse_mul())
-            elif self.accept_op("-"):
-                node = BinOp("-", node, self.parse_mul())
-            else:
-                return node
-
-    def parse_mul(self):
-        node = self.parse_unary()
-        while True:
-            if self.accept_op("*"):
-                node = BinOp("*", node, self.parse_unary())
-            elif self.accept_op("/"):
-                node = BinOp("/", node, self.parse_unary())
-            else:
-                return node
 
     def parse_unary(self):
         ops = []
         while self.current[0] == "op" and self.current[1] in ("-", "!"):
             ops.append(self.current[1])
             self.advance()
-        node = self.parse_postfix()
+        node = self.parse_primary()
         for op in reversed(ops):
             node = UnOp(op, node)
         return node
 
-    def parse_postfix(self):
-        node = self.parse_primary()
-        while True:
-            kind, value, _pos = self.current
-            if kind == "op" and value == "." and isinstance(node, PsetProp) \
-                    and node.prop == "":
-                self.advance()
-                node = PsetProp(node.pset, self.expect_ident())
-            elif kind == "op" and value == "[" and isinstance(node, PsetProp) \
-                    and node.prop == "":
-                self.advance()
-                prop = self.expect_string()
-                self.expect_op("]")
-                node = PsetProp(node.pset, prop)
-            else:
-                if isinstance(node, PsetProp) and node.prop == "":
-                    self.fail("a property access after pset(...)")
-                return node
-
     def parse_primary(self):
         kind, value, pos = self.current
         if kind == "num":
+            number = float(value)
+            if not math.isfinite(number):
+                self.fail("a number literal that fits a double")
             self.advance()
-            return Num(float(value))
+            return Const(number)
         if kind == "str":
             self.advance()
-            return Str(_unquote(value))
+            return Const(_unquote(value))
         if kind == "op" and value == "(":
             if self.depth >= MAX_EXPR_DEPTH:
                 self.fail(f"an expression nested at most {MAX_EXPR_DEPTH} deep")
@@ -387,17 +391,23 @@ class _QueryParser:
         if kind == "ident":
             if value in ("true", "false"):
                 self.advance()
-                return Bool(value == "true")
+                return Const(value == "true")
             if value == "pset":
                 self.advance()
                 self.expect_op("(")
                 pset = self.expect_string()
                 self.expect_op(")")
-                return PsetProp(pset, "")  # completed by postfix access
-            if value in DERIVED_FIELDS:
+                if self.accept_op("."):
+                    return PsetProp(pset, self.expect_ident())
+                if self.accept_op("["):
+                    prop = self.expect_string()
+                    self.expect_op("]")
+                    return PsetProp(pset, prop)
+                self.fail("a property access after pset(...)")
+            if value in FIELDS:
                 self.advance()
                 return Field(value)
-            raise ParseError(pos, f"a field name (one of {', '.join(DERIVED_FIELDS)})")
+            raise ParseError(pos, f"a field name (one of {', '.join(FIELDS)})")
         self.fail("a value")
 
 
@@ -434,50 +444,33 @@ def _select_entities(model: IfcModel, selector: str) -> list[int]:
     return model.ids_of(classes.__contains__)
 
 
-def _field_value(model: IfcModel, entity_id: int, name: str):
-    if name == "length":
-        return measure.element_length(model, entity_id)
-    if name == "height":
-        return measure.element_height(model, entity_id)
-    if name == "area":
-        return measure.element_area(model, entity_id)
-    if name == "elevation":
-        return measure.element_elevation(model, entity_id)
-    if name == "storey":
-        storey_id = model.storey_of(entity_id)
-        return _name_of(model, storey_id) if storey_id is not None else None
-    if name == "name":
-        return _name_of(model, entity_id)
-    if name == "guid":
-        return model.guid_of(entity_id)
-    if name == "class":
-        return schema.camel_case(model.entities[entity_id].class_name)
-    raise UnknownField(name)
+def _finite(value):
+    """``value``, or a ``TypeMismatch`` if it is a float that is not finite:
+    no infinity or NaN reaches a reply or the model."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise TypeMismatch(f"{value!r} is not a finite number")
+    return value
 
 
 def _eval(model: IfcModel, entity_id: int, node, budget: _Budget):
     budget.spend()
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Str):
-        return node.value
-    if isinstance(node, Bool):
+    if isinstance(node, Const):
         return node.value
     if isinstance(node, Field):
-        return _field_value(model, entity_id, node.name)
+        return _finite(FIELDS[node.name](model, entity_id))
     if isinstance(node, RawAttr):
         inst = model.entities[entity_id]
         index = schema.attribute_index(inst.class_name, node.name)
         if index is None or index >= len(inst.attributes):
             raise UnknownField(node.name)
         value = inst.attributes[index]
-        return value if isinstance(value, (str, int, float, bool)) else None
+        return _finite(value) if isinstance(value, (str, int, float, bool)) else None
     if isinstance(node, PsetProp):
-        return psets_of(model, entity_id).get(node.pset, {}).get(node.prop)
+        return _finite(psets_of(model, entity_id).get(node.pset, {}).get(node.prop))
     if isinstance(node, UnOp):
         value = _eval(model, entity_id, node.operand, budget)
         if node.op == "-":
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
+            if not _is_number(value):
                 raise TypeMismatch(f"unary - needs a number, got {value!r}")
             return -value
         if not isinstance(value, bool):
@@ -488,10 +481,8 @@ def _eval(model: IfcModel, entity_id: int, node, budget: _Budget):
         if node.op in ("&&", "||"):
             if not isinstance(left, bool):
                 raise TypeMismatch(f"{node.op} needs booleans, got {left!r}")
-            if node.op == "&&" and not left:
-                return False
-            if node.op == "||" and left:
-                return True
+            if left == (node.op == "||"):  # false && ..., true || ...
+                return left
             right = _eval(model, entity_id, node.right, budget)
             if not isinstance(right, bool):
                 raise TypeMismatch(f"{node.op} needs booleans, got {right!r}")
@@ -505,52 +496,47 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+_ORDER = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+               "/": operator.truediv}
+
+
 def _binary(op: str, left, right):
     if op in ("==", "!="):
         equal = left == right if type(left) is type(right) or (
             _is_number(left) and _is_number(right)) else False
         return equal if op == "==" else not equal
-    if op in ("<", "<=", ">", ">="):
+    if op in _ORDER:
         if left is None or right is None:
             return False
         if _is_number(left) and _is_number(right) or (
                 isinstance(left, str) and isinstance(right, str)):
-            if op == "<":
-                return left < right
-            if op == "<=":
-                return left <= right
-            if op == ">":
-                return left > right
-            return left >= right
+            return _ORDER[op](left, right)
         raise TypeMismatch(f"cannot order {left!r} and {right!r}")
     if not (_is_number(left) and _is_number(right)):
         raise TypeMismatch(f"{op} needs numbers, got {left!r} and {right!r}")
-    if op == "+":
-        return left + right
-    if op == "-":
-        return left - right
-    if op == "*":
-        return left * right
-    if right == 0:
+    if op == "/" and right == 0:
         raise TypeMismatch("division by zero")
-    return left / right
+    return _finite(_ARITHMETIC[op](left, right))
 
 
 def format_decimal(value: float) -> str:
-    """One decimal place, half-up: 3 -> '3.0', 2.25 -> '2.3'."""
-    return str(Decimal(repr(float(value))).quantize(Decimal("0.1"),
-                                                    rounding=ROUND_HALF_UP))
+    """One decimal place, half-up: 3 -> '3.0', 2.25 -> '2.3'. The context
+    holds the 310 digits of the largest double to one decimal place."""
+    return str(Decimal(repr(float(value))).quantize(
+        Decimal("0.1"), rounding=ROUND_HALF_UP, context=_DECIMAL_CONTEXT))
 
 
+_DECIMAL_CONTEXT = Context(prec=310)
 _TEMPLATE_RE = re.compile(r"\{([A-Za-z_][A-Za-z0-9_]*)\}")
 
 
 def _render_template(model: IfcModel, entity_id: int, template: str) -> str:
     def substitute(match):
         field = match.group(1)
-        if field not in DERIVED_FIELDS:
+        if field not in FIELDS:
             raise UnknownField(field)
-        value = _field_value(model, entity_id, field)
+        value = _finite(FIELDS[field](model, entity_id))
         if value is None:
             raise TypeMismatch(f"{field} is unavailable for this element")
         if _is_number(value):
@@ -558,6 +544,15 @@ def _render_template(model: IfcModel, entity_id: int, template: str) -> str:
         return str(value)
 
     return _TEMPLATE_RE.sub(substitute, template)
+
+
+# aggregates over the numbers of the selected elements
+_AGGREGATES = {
+    "sum": lambda values: float(sum(values)),
+    "min": lambda values: min(values, default=None),
+    "max": lambda values: max(values, default=None),
+    "avg": lambda values: float(sum(values)) / len(values) if values else None,
+}
 
 
 def eval_query(model: IfcModel, program: QueryProgram):
@@ -579,8 +574,15 @@ def eval_query(model: IfcModel, program: QueryProgram):
         selected = kept
 
     terminal = program.terminal
-    if isinstance(terminal, (Rename, SetAttr, SetPset)):
-        changed = _apply_mutation(model, selected, terminal, budget, log)
+    if isinstance(terminal, _Mutation):
+        # plan first so validation failures leave the model untouched
+        plan = [(entity_id, terminal.plan(model, entity_id, budget))
+                for entity_id in selected]
+        changed = []
+        for entity_id, value in plan:
+            changed.append(model.guid_of(entity_id))
+            terminal.write(model, entity_id, value)
+        log.append(terminal.summary.format(count=len(changed), **vars(terminal)))
         return {"changed": changed, "count": len(changed)}, log, changed
 
     if isinstance(terminal, Select):
@@ -605,14 +607,7 @@ def eval_query(model: IfcModel, program: QueryProgram):
     for value in values:
         if not _is_number(value):
             raise TypeMismatch(f"{kind}() needs numbers, got {value!r}")
-    if kind == "sum":
-        result = float(sum(values))
-    elif kind == "min":
-        result = min(values) if values else None
-    elif kind == "max":
-        result = max(values) if values else None
-    else:  # avg
-        result = float(sum(values)) / len(values) if values else None
+    result = _finite(_AGGREGATES[kind](values))
     log.append(f"{kind} = {result}")
     return result, log, []
 
@@ -621,52 +616,3 @@ def _jsonable(value):
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
     return str(value)
-
-
-def _apply_mutation(model: IfcModel, selected: list[int], terminal,
-                    budget: _Budget, log: list[str]) -> list[str]:
-    # plan first so validation failures leave the model untouched
-    plan: list[tuple[int, object]] = []
-    for entity_id in selected:
-        inst = model.entities[entity_id]
-        if isinstance(terminal, Rename):
-            plan.append((entity_id, _render_template(model, entity_id,
-                                                     terminal.template)))
-        elif isinstance(terminal, SetAttr):
-            if terminal.name not in EDITABLE_ATTRIBUTES:
-                raise UnknownAttribute(terminal.name, inst.class_name)
-            if schema.attribute_index(inst.class_name, terminal.name) is None:
-                raise UnknownAttribute(terminal.name, inst.class_name)
-            if inst.class_name in schema.SPATIAL_CLASSES and \
-                    terminal.name not in ("Name", "Description"):
-                raise InvalidParams(
-                    f"only Name/Description may be set on {inst.class_name}")
-            value = _eval(model, entity_id, terminal.expr, budget)
-            if value is not None and not isinstance(value, (str, int, float, bool)):
-                raise TypeMismatch(f"cannot store {value!r} in an attribute")
-            plan.append((entity_id, value))
-        else:
-            value = _eval(model, entity_id, terminal.expr, budget)
-            if not isinstance(value, (str, int, float, bool)):
-                raise TypeMismatch(f"cannot store {value!r} as a property value")
-            plan.append((entity_id, value))
-
-    changed: list[str] = []
-    for entity_id, value in plan:
-        inst = model.entities[entity_id]
-        guid = model.guid_of(entity_id)
-        if isinstance(terminal, Rename):
-            model.set_attr(inst, "Name", value)
-        elif isinstance(terminal, SetAttr):
-            model.set_attr(inst, terminal.name, value)
-        else:
-            set_pset_property(model, guid, terminal.pset, terminal.prop, value)
-        changed.append(guid)
-    if isinstance(terminal, Rename):
-        log.append(f"renamed {len(changed)} element(s)")
-    elif isinstance(terminal, SetAttr):
-        log.append(f"set {terminal.name} on {len(changed)} element(s)")
-    else:
-        log.append(f"set {terminal.pset}.{terminal.prop} on {len(changed)} element(s)")
-    return changed
-

@@ -368,10 +368,14 @@ class _Tokenizer:
         m = _NUMBER_RE.match(self.text, self.pos)
         if not m:
             raise self.error("malformed number")
+        if m.group(1) is None and m.group(2) is None:
+            self.pos = m.end()
+            return (_T_INT, int(m.group(0)))
+        value = float(m.group(0))
+        if not math.isfinite(value):
+            raise self.error(f"real {m.group(0)} does not fit a double")
         self.pos = m.end()
-        if m.group(1) is not None or m.group(2) is not None:
-            return (_T_REAL, float(m.group(0)))
-        return (_T_INT, int(m.group(0)))
+        return (_T_REAL, value)
 
 
 # --- parser ---
@@ -495,15 +499,18 @@ _VALUE_RE = re.compile(
 
 def _atom(token: str):
     """Value of a number or enumeration token, or ``None`` for a stray
-    character such as a lone ``.``, ``+``, ``/`` or ``=``."""
+    character such as a lone ``.``, ``+``, ``/`` or ``=`` and for a real
+    that overflows a double, which the token path then rejects."""
     if token[0] == ".":
         if len(token) == 1:
             return None
         name = token[1:-1]
         return True if name == "T" else False if name == "F" else EnumToken(name)
     try:
-        return float(token) if "." in token or "E" in token or "e" in token \
-            else int(token)
+        if "." in token or "E" in token or "e" in token:
+            value = float(token)
+            return value if math.isfinite(value) else None
+        return int(token)
     except ValueError:
         return None
 

@@ -9,8 +9,9 @@ from ifcmcp.model import IfcModel, load_model, new_model
 # more examples in CI (--hypothesis-profile=ci) for the properties that
 # leave max_examples to the profile: the STEP round trip, record path and
 # real formatting properties, the index rebuild property, the record order
-# property and the shared attribute tuple property; the others fix their
-# own count
+# property, the shared attribute tuple property and the query fuzzing
+# property (test_every_query_gets_one_reply_and_leaves_a_saveable_model);
+# the others fix their own count
 settings.register_profile("ci", max_examples=500)
 
 SQUARE_WALLS = [

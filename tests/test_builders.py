@@ -217,6 +217,18 @@ def test_door_by_position_picks_nearest_wall(l_building):
     assert info["placement"]["origin"][1] == pytest.approx(0.0)
 
 
+def test_door_by_position_in_a_wall_without_axis_is_invalid(fresh_model):
+    # a mesh wall has no axis to project the position onto
+    mesh = TriMesh([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)],
+                   [(0, 2, 1), (0, 1, 3), (0, 3, 2), (1, 2, 3)])
+    wall = builders.create_mesh_element(fresh_model, "IfcWall", mesh, "Mesh wall")
+    before = fresh_model.to_bytes()
+    for where in ({"position": (0.5, 0, 0)}, {"position_along_axis": 0.5}):
+        with pytest.raises(InvalidParams, match="host wall has no axis profile"):
+            builders.create_door(fresh_model, wall_guid=wall, **where)
+    assert fresh_model.to_bytes() == before
+
+
 def test_opening_out_of_bounds(four_wall_model):
     model = four_wall_model
     wall_guid = model.guid_of(sorted(model.by_class["IFCWALL"])[0])

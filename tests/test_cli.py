@@ -35,6 +35,17 @@ def test_open_missing_file_exits_2(capsys):
     assert "IoError" in capsys.readouterr().err
 
 
+def test_save_of_a_real_that_overflows_exits_1(tmp_path, capsys):
+    data = new_model(guid_seed=5).to_bytes()
+    source = tmp_path / "overflow.ifc"
+    source.write_bytes(data.replace(b"#1=IFCCARTESIANPOINT((0.,", b"#1=IFCCARTESIANPOINT((1.E400,", 1))
+    out = tmp_path / "out.ifc"
+    assert main(["save", str(source), str(out)]) == 1
+    assert capsys.readouterr().err == \
+        "ifcmcp: StepSyntaxError: line 8, col 23: real 1.E400 does not fit a double\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", [["open"], ["serve", "--model"]])
 def test_shared_global_id_fails_open_and_serve(tmp_path, capsys, command):
     data, guid, (first, second) = shared_guid_step()

@@ -340,6 +340,11 @@ _TAIL = "ENDSEC;\nEND-ISO-10303-21;\n"
                  "unterminated string literal", id="unterminated-string"),
     pytest.param(_HEAD + "#1=IFCWALL($ $);\n" + _TAIL, 8, 15,
                  "expected ')', got '$'", id="parser-error-after-token"),
+    # float() reads these as infinity, which no STEP file can hold
+    *(pytest.param(_HEAD + f"#1=IFCCARTESIANPOINT(({real},0.,0.));\n" + _TAIL, 8, 23,
+                   f"real {real} does not fit a double", id=f"real-overflow-{name}")
+      for name, real in (("1.E400", "1.E400"), ("negative", "-1.E400"),
+                         ("2.5E+308", "2.5E+308"), ("400-digits", "1" * 400 + "."))),
 ])
 def test_syntax_error_positions(text, line, col, message):
     with pytest.raises(StepSyntaxError) as excinfo:
