@@ -11,7 +11,10 @@ JSON-RPC service (:mod:`ifcmcp.service`) driven by :mod:`ifcmcp.cli`.
 Importing the package loads the kernel and the model graph only. The tool
 layers in ``LAYERS`` load at their first read as a package attribute
 (``ifcmcp.dsl``, PEP 562), so a server answers its first request without
-them, and each loads at the first tool call that needs it.
+them, and each loads at the first tool call that needs it. Geometry is one
+of them: the model reads ``ifcmcp.geometry`` when it first resolves a
+placement. The modules a server imports before its first reply use no
+dataclass, and nothing there imports ``secrets`` or ``datetime``.
 """
 
 import importlib
@@ -22,7 +25,7 @@ from .step import parse_step, write_step
 
 __version__ = "0.1.0"
 
-LAYERS = frozenset({"builders", "dsl", "scene", "snapshot"})
+LAYERS = frozenset({"builders", "dsl", "geometry", "scene", "snapshot"})
 
 
 def __getattr__(name: str):

@@ -452,6 +452,16 @@ def _finite(value):
     return value
 
 
+def _float(value) -> float:
+    """``float(value)``, or a ``TypeMismatch`` for an integer beyond the
+    double range, which a loaded file may hold."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise TypeMismatch(
+            f"an integer of {value.bit_length()} bits is too large for a double") from None
+
+
 def _eval(model: IfcModel, entity_id: int, node, budget: _Budget):
     budget.spend()
     if isinstance(node, Const):
@@ -517,6 +527,9 @@ def _binary(op: str, left, right):
         raise TypeMismatch(f"{op} needs numbers, got {left!r} and {right!r}")
     if op == "/" and right == 0:
         raise TypeMismatch("division by zero")
+    if op == "/" or float in (left.__class__, right.__class__):
+        # the result is a double, so an integer operand must fit one
+        left, right = _float(left), _float(right)
     return _finite(_ARITHMETIC[op](left, right))
 
 
@@ -546,12 +559,13 @@ def _render_template(model: IfcModel, entity_id: int, template: str) -> str:
     return _TEMPLATE_RE.sub(substitute, template)
 
 
-# aggregates over the numbers of the selected elements
+# aggregates over the numbers of the selected elements; min and max keep
+# the exact value, sum and avg add doubles
 _AGGREGATES = {
-    "sum": lambda values: float(sum(values)),
+    "sum": lambda values: sum(map(_float, values), 0.0),
     "min": lambda values: min(values, default=None),
     "max": lambda values: max(values, default=None),
-    "avg": lambda values: float(sum(values)) / len(values) if values else None,
+    "avg": lambda values: sum(map(_float, values)) / len(values) if values else None,
 }
 
 

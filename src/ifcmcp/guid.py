@@ -7,8 +7,8 @@ leading character only ever encodes the top 2 bits ('0'..'3').
 
 from __future__ import annotations
 
+import os
 import random
-import secrets
 
 from .errors import GuidError
 
@@ -69,7 +69,9 @@ class GuidGenerator:
 
     def fresh(self) -> str:
         while True:
-            bits = self._rng.getrandbits(128) if self._rng else secrets.randbits(128)
+            # os.urandom is the source secrets.randbits reads, without its imports
+            bits = (self._rng.getrandbits(128) if self._rng
+                    else int.from_bytes(os.urandom(16), "big"))
             text = guid_encode(bits)
             if text not in self._issued:
                 self._issued.add(text)

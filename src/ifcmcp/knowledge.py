@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from pathlib import Path
 
 from .errors import EmptyIndex, IoError
@@ -27,13 +27,8 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-@dataclass
-class DocChunk:
-    doc_id: str
-    chunk_index: int
-    text: str
-    source_path: str
-    tags: list[str]
+# one retrievable piece of a document; ``tags`` is a list of strings
+DocChunk = namedtuple("DocChunk", "doc_id chunk_index text source_path tags")
 
 
 def chunk_text(text: str) -> list[str]:

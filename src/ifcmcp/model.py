@@ -33,18 +33,21 @@ holder. ``load_model`` relies on this: it runs with the cyclic garbage
 collector paused and freezes what it built, and reference counting alone
 frees a dropped model. A ``PlacementRelTo`` cycle in a file is a cycle of
 ids, not of objects; ``resolve_placement`` reports it as ``PlacementCycle``.
+The placement code reads :mod:`ifcmcp.geometry` as a package attribute, so
+the module loads at the first placement resolved, not with the model.
 """
 
 from __future__ import annotations
 
 import bisect
-import datetime as _dt
 import gc
 import marshal
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain
 from pathlib import Path
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
+
+import ifcmcp
 
 from . import schema
 from .errors import (
@@ -60,7 +63,6 @@ from .errors import (
     UnknownGuid,
     ZeroLengthAxis,
 )
-from .geometry import Placement, Point3
 from .guid import GuidGenerator, is_guid
 from .step import (
     DERIVED,
@@ -74,15 +76,18 @@ from .step import (
     write_step,
 )
 
+if TYPE_CHECKING:
+    from .geometry import Placement, Point3
+
 EDITABLE_ATTRIBUTES = ("Name", "Description", "ObjectType", "LongName", "Tag")
 
 _FIXED_TIMESTAMP = "2024-01-01T00:00:00"
 
 
-@dataclass
-class PropertySpec:
-    pset_name: str
-    properties: list[tuple[str, object]]
+class PropertySpec(namedtuple("PropertySpec", "pset_name properties")):
+    """A property set to add: its name and its ``(name, value)`` pairs."""
+
+    __slots__ = ()
 
     def validate(self):
         if not self.pset_name:
@@ -416,40 +421,42 @@ class IfcModel:
         """Local frame of an axis placement. As IFC's ``IfcBuildAxes`` does,
         the x axis is ``RefDirection`` projected onto the plane normal to
         ``Axis`` (``IfcFirstProjAxis``), so the two need not be orthogonal."""
+        geometry = ifcmcp.geometry
         inst = self.entities[a2p_id]
         coords = self.resolve(inst.attributes[0]).attributes[0]
         if not _numbers(coords, 2, 3):
             raise InvalidPlacement(f"IFCCARTESIANPOINT #{inst.attributes[0].id} "
                                    "of a placement needs 2 or 3 numeric coordinates")
-        origin = Point3(*coords, *(0.0,) * (3 - len(coords)))
+        origin = geometry.Point3(*coords, *(0.0,) * (3 - len(coords)))
         if inst.class_name != "IFCAXIS2PLACEMENT3D":
-            return Placement(origin)
+            return geometry.Placement(origin)
         axis, ref_direction = inst.attributes[1], inst.attributes[2]
         has_axis = isinstance(axis, EntityRef)
         if not has_axis and not isinstance(ref_direction, EntityRef):
-            return Placement(origin)
-        z_axis = _unit(self._direction(axis)) if has_axis else Point3(0.0, 0.0, 1.0)
+            return geometry.Placement(origin)
+        z_axis = _unit(self._direction(axis)) if has_axis else geometry.Point3(0.0, 0.0, 1.0)
         if isinstance(ref_direction, EntityRef):
             x_axis = self._direction(ref_direction)
         elif z_axis.y == z_axis.z == 0.0:
             # IFC's default (1,0,0) would have no part normal to this axis
-            x_axis = Point3(0.0, 1.0, 0.0)
+            x_axis = geometry.Point3(0.0, 1.0, 0.0)
         else:
-            x_axis = Point3(1.0, 0.0, 0.0)
-        return Placement(origin, z_axis, _first_proj_axis(z_axis, x_axis))
+            x_axis = geometry.Point3(1.0, 0.0, 0.0)
+        return geometry.Placement(origin, z_axis, _first_proj_axis(z_axis, x_axis))
 
     def _direction(self, ref: EntityRef) -> Point3:
         ratios = self.resolve(ref).attributes[0]
         if not _numbers(ratios, 3):
             raise InvalidPlacement(
                 f"IFCDIRECTION #{ref.id} of a 3D placement needs 3 numeric direction ratios")
-        return Point3(*ratios)
+        return ifcmcp.geometry.Point3(*ratios)
 
     def resolve_placement(self, placement_id: int | None) -> Placement:
         """World frame of a placement, composed down its ``PlacementRelTo``
         chain; a chain that returns to a placement raises PlacementCycle."""
+        geometry = ifcmcp.geometry
         if placement_id is None:
-            return Placement()
+            return geometry.Placement()
         chain: list[Placement] = []  # local frames, innermost first
         seen: set[int] = set()
         while True:
@@ -468,7 +475,7 @@ class IfcModel:
         world = chain.pop()
         while chain:
             local = chain.pop()
-            world = Placement(
+            world = geometry.Placement(
                 origin=world.to_world(local.origin),
                 z_axis=world.rotate(local.z_axis),
                 x_axis=world.rotate(local.x_axis),
@@ -479,10 +486,10 @@ class IfcModel:
         inst = self.entities[entity_id]
         index = schema.attribute_index(inst.class_name, "ObjectPlacement")
         if index is None or index >= len(inst.attributes):
-            return Placement()
+            return ifcmcp.geometry.Placement()
         ref = inst.attributes[index]
         if not isinstance(ref, EntityRef):
-            return Placement()
+            return ifcmcp.geometry.Placement()
         return self.resolve_placement(ref.id)
 
     # --- persistence ---
@@ -512,7 +519,7 @@ def _unit(v: Point3) -> Point3:
     length = _length(v)
     if length == 0.0:
         raise ZeroLengthAxis(f"direction {tuple(v)} has zero length")
-    return Point3(v.x / length, v.y / length, v.z / length)
+    return ifcmcp.geometry.Point3(v.x / length, v.y / length, v.z / length)
 
 
 def _first_proj_axis(z_axis: Point3, direction: Point3) -> Point3:
@@ -521,8 +528,9 @@ def _first_proj_axis(z_axis: Point3, direction: Point3) -> Point3:
     dot = direction.x * z_axis.x + direction.y * z_axis.y + direction.z * z_axis.z
     if dot == 0.0:
         return _unit(direction)
-    x_axis = Point3(direction.x - dot * z_axis.x, direction.y - dot * z_axis.y,
-                    direction.z - dot * z_axis.z)
+    x_axis = ifcmcp.geometry.Point3(direction.x - dot * z_axis.x,
+                                    direction.y - dot * z_axis.y,
+                                    direction.z - dot * z_axis.z)
     if _length(x_axis) <= 1e-9 * _length(direction):
         raise ZeroLengthAxis(
             f"RefDirection {tuple(direction)} is parallel to Axis {tuple(z_axis)}")
@@ -532,7 +540,8 @@ def _first_proj_axis(z_axis: Point3, direction: Point3) -> Point3:
 def _timestamp(deterministic: bool) -> str:
     if deterministic:
         return _FIXED_TIMESTAMP
-    return _dt.datetime.now(_dt.timezone.utc).strftime("%Y-%m-%dT%H:%M:%S")
+    import datetime  # only an unseeded new model reads the clock
+    return datetime.datetime.now(datetime.timezone.utc).strftime("%Y-%m-%dT%H:%M:%S")
 
 
 def new_model(project_name: str = "My Project",

@@ -22,7 +22,7 @@ import math
 import operator
 import os
 import sys
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property
 from typing import Callable
 
@@ -30,7 +30,6 @@ import ifcmcp
 
 from . import model as model_mod
 from .errors import MAX_QUERY_BYTES, DuplicateName, IfcError, InvalidParams
-from .geometry import TriMesh
 from .knowledge import KnowledgeIndex, index_corpus
 from .model import IfcModel, PropertySpec
 
@@ -205,23 +204,22 @@ def _class_check(node: CompiledSchema, cls: type) -> Callable:
     return check
 
 
-@dataclass(frozen=True)
-class ToolDescriptor:
-    """A tool shared by all sessions: its wire format and ``handler(session, **args)``."""
+class ToolDescriptor(namedtuple("ToolDescriptor", "name group description properties "
+                                "required handler read_only destructive validator")):
+    """A tool shared by all sessions: its wire format and ``handler(session, **args)``.
 
-    name: str
-    group: str
-    description: str
-    properties: dict
-    required: list[str]
-    handler: Callable
-    read_only: bool = False
-    destructive: bool = False
-    validator: CompiledSchema = field(init=False, repr=False, compare=False)
+    ``validator`` is compiled from the other fields when the descriptor is
+    built, so an uncovered schema keyword fails the import of the table.
+    """
 
-    def __post_init__(self):
-        # compiled with the table, so an uncovered keyword fails the import
-        object.__setattr__(self, "validator", CompiledSchema(self.input_schema))
+    __slots__ = ()
+
+    def __new__(cls, name: str, group: str, description: str, properties: dict,
+                required: list[str], handler: Callable, read_only: bool = False,
+                destructive: bool = False):
+        tool = super().__new__(cls, name, group, description, properties, required,
+                               handler, read_only, destructive, None)
+        return tool._replace(validator=CompiledSchema(tool.input_schema))
 
     @property
     def input_schema(self) -> dict:
@@ -247,13 +245,14 @@ def validate_args(schema: CompiledSchema, args) -> list[dict]:
             sorted((path or "/", message) for path, message in found)] if found else []
 
 
-@dataclass
 class Session:
     """One client connection: one model, strictly serial tool calls."""
 
-    model: IfcModel
-    groups: tuple[str, ...] = GROUPS
-    knowledge: KnowledgeIndex | None = None
+    def __init__(self, model: IfcModel, groups: tuple[str, ...] = GROUPS,
+                 knowledge: KnowledgeIndex | None = None):
+        self.model = model
+        self.groups = groups
+        self.knowledge = knowledge
 
     @cached_property
     def tools(self) -> dict[str, ToolDescriptor]:
@@ -475,7 +474,7 @@ TOOLS = tool_table([
          "name": {"type": "string"}, "storey": _GUID},
         ["ifc_class", "vertices", "faces", "name"],
         lambda s, vertices, faces, **a: {"guid": ifcmcp.builders.create_mesh_element(
-            s.model, mesh=TriMesh(vertices, faces), **a)},
+            s.model, mesh=ifcmcp.geometry.TriMesh(vertices, faces), **a)},
     ),
 
     # --- edit ---

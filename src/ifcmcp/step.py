@@ -33,8 +33,9 @@ from __future__ import annotations
 
 import io
 import math
+import operator
 import re
-from dataclasses import dataclass, field
+from itertools import islice
 
 from .errors import DanglingRef, DuplicateId, StepSyntaxError
 
@@ -127,27 +128,60 @@ class _Derived:
 DERIVED = _Derived()
 
 
-@dataclass(slots=True)
-class EntityInstance:
+class _Record:
+    """Equality and ``repr`` over the fields a subclass names in ``__slots__``."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__name__}({fields})"
+
+
+class EntityInstance(_Record):
     """One STEP record: ``#id=CLASS(attr, attr, ...);``"""
 
-    id: int
-    class_name: str
-    attributes: tuple
+    __slots__ = ("id", "class_name", "attributes")
+
+    def __init__(self, id: int, class_name: str, attributes: tuple):
+        self.id = id
+        self.class_name = class_name
+        self.attributes = attributes
 
 
-@dataclass
-class StepHeader:
-    file_description: list[str] = field(default_factory=lambda: [""])
-    implementation_level: str = "2;1"
-    name: str = ""
-    timestamp: str = ""
-    author: list[str] = field(default_factory=lambda: [""])
-    organization: list[str] = field(default_factory=lambda: [""])
-    preprocessor_version: str = "ifcmcp 0.1.0"
-    originating_system: str = "ifcmcp"
-    authorization: str = ""
-    file_schema: list[str] = field(default_factory=lambda: ["IFC4"])
+class StepHeader(_Record):
+    """The fields of the HEADER section's three records."""
+
+    __slots__ = ("file_description", "implementation_level", "name", "timestamp",
+                 "author", "organization", "preprocessor_version",
+                 "originating_system", "authorization", "file_schema")
+
+    def __init__(self, file_description: list[str] | None = None,
+                 implementation_level: str = "2;1", name: str = "",
+                 timestamp: str = "", author: list[str] | None = None,
+                 organization: list[str] | None = None,
+                 preprocessor_version: str = "ifcmcp 0.1.0",
+                 originating_system: str = "ifcmcp", authorization: str = "",
+                 file_schema: list[str] | None = None):
+        self.file_description = [""] if file_description is None else file_description
+        self.implementation_level = implementation_level
+        self.name = name
+        self.timestamp = timestamp
+        self.author = [""] if author is None else author
+        self.organization = [""] if organization is None else organization
+        self.preprocessor_version = preprocessor_version
+        self.originating_system = originating_system
+        self.authorization = authorization
+        self.file_schema = ["IFC4"] if file_schema is None else file_schema
 
 
 # --- string escape handling ---
@@ -795,14 +829,18 @@ def write_step(header: StepHeader, entities: dict[int, EntityInstance]) -> bytes
     lines.append("")
     out = io.BytesIO()
     out.write("\n".join(lines).encode("iso-8859-1"))
-    ids = sorted(entities)
+    # the ids of kit models and of files in id order already ascend, and
+    # then no sorted copy of them is made
+    if all(map(operator.lt, entities, islice(entities, 1, None))):
+        records = iter(entities.values())
+    else:
+        records = map(entities.__getitem__, sorted(entities))
     missing: set[int] = set()
-    for start in range(0, len(ids), _WRITE_CHUNK):
-        out.write("".join(
+    while chunk := "".join(
             f"#{inst.id}={inst.class_name}("
             f"{','.join([format_value(v, entities, missing) for v in inst.attributes])});\n"
-            for inst in map(entities.__getitem__, ids[start:start + _WRITE_CHUNK])
-        ).encode("iso-8859-1"))
+            for inst in islice(records, _WRITE_CHUNK)):
+        out.write(chunk.encode("iso-8859-1"))
     if missing:
         raise DanglingRef(missing)
     out.write(f"ENDSEC;\n{ISO_CLOSE}\n".encode("iso-8859-1"))

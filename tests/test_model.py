@@ -8,7 +8,6 @@ import threading
 import tracemalloc
 import weakref
 from copy import deepcopy
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -327,8 +326,8 @@ def test_rel_index_matches_rebuild_after_every_step(trace, steps):
     session = Session(new_model(guid_seed=31))
     model = session.model
     for name, descriptor in session.tools.items():
-        session.tools[name] = replace(descriptor,
-                                      handler=_checked(model, descriptor.handler))
+        session.tools[name] = descriptor._replace(
+            handler=_checked(model, descriptor.handler))
     run_trace(session, json.loads((TRACES / f"{trace}.json").read_text()))
     for number, (tool, pick, variant) in enumerate(steps, start=1):
         targets = scene.spatial_in_order(model) + scene.products_in_order(model)
@@ -755,6 +754,8 @@ def test_storey_selection_by_elevation(fresh_model):
 # the only functions that may write instance attributes: (class, function)
 ATTRIBUTE_WRITERS = {("IfcModel", "add"), ("IfcModel", "set_attr"),
                      ("IfcModel", "relate"), (None, "delete_element")}
+# the constructor fills in a new entity; it writes no existing one
+CONSTRUCTOR = ("step.py", ("EntityInstance", "__init__"))
 _LIST_MUTATORS = {"append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse"}
 
 
@@ -800,6 +801,8 @@ def test_only_the_listed_writers_write_instance_attributes():
     stray = []
     for path in sorted(source.glob("*.py")):
         for scope, line in _attribute_writes(ast.parse(path.read_text(encoding="utf-8"))):
+            if (path.name, scope) == CONSTRUCTOR:
+                continue
             if path.name != "model.py" or scope not in ATTRIBUTE_WRITERS:
                 stray.append(f"{path.name}:{line} in {scope}")
     assert stray == []

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from ifcmcp import builders, dsl
 from ifcmcp.geometry import TriMesh
-from ifcmcp.model import add_storey, edit_attributes, new_model, set_pset_property
+from ifcmcp.model import (add_storey, edit_attributes, load_model, new_model,
+                          set_pset_property)
 from ifcmcp.service import Session, handle_request, serve_stdio
 
 DSL_QUERIES = Path(__file__).parent / "fixtures" / "dsl_queries.json"
@@ -157,6 +158,28 @@ def test_a_template_renders_the_largest_field_values():
     assert ask(session, "walls | list(name)")["result"] == ["W-1" + "0" * 29 + ".0"]
     assert dsl.format_decimal(1.7976931348623157e308) == "17976931348623157" + "0" * 292 + ".0"
     model.to_bytes()
+
+
+def test_an_integer_beyond_the_double_range_is_a_type_mismatch():
+    # a file may hold an integer no double holds; max keeps it exact, and
+    # every computation on doubles refuses it in-band
+    model = new_model(guid_seed=8)
+    wall = builders.create_wall(model, (0, 0), (4, 0), 3.0, 0.2)
+    set_pset_property(model, wall, "P", "x", 7)
+    huge = int("9" * 400)
+    session = Session(load_model(
+        model.to_bytes().replace(b"IFCINTEGER(7)", b"IFCINTEGER(%d)" % huge)))
+    before = session.model.to_bytes()
+    message = "an integer of 1329 bits is too large for a double"
+    for query in ('walls | sum(pset("P").x)', 'walls | avg(pset("P").x)',
+                  'walls | list(pset("P").x * 1.5)', 'walls | list(pset("P").x / 3)',
+                  'walls | filter(pset("P").x + length > 0) | count',
+                  'walls | set_pset("P", "y", pset("P").x - 0.5)'):
+        assert ask(session, query)["error"] == {"type": "TypeMismatch",
+                                                "message": message}, query
+    assert ask(session, 'walls | max(pset("P").x)')["result"] == huge
+    assert ask(session, 'walls | list(-pset("P").x)')["result"] == [-huge]
+    assert session.model.to_bytes() == before
 
 
 def test_the_deepest_queries_the_parser_accepts_are_evaluated():

@@ -7,7 +7,6 @@ import json
 import math
 import os
 from collections import OrderedDict
-from dataclasses import replace
 from decimal import Decimal
 from enum import IntEnum
 from pathlib import Path
@@ -762,9 +761,11 @@ def test_invalid_params_replies_match_the_recorded_fixture():
 
 
 # what a server start-up must not import: each tool layer loads at the first
-# call that needs it, and socketserver only for a TCP listener
+# call that needs it, socketserver only for a TCP listener, and no module
+# read before the first reply needs dataclasses, secrets or datetime
 LOADED_LATER = ["ifcmcp.builders", "ifcmcp.skeleton", "ifcmcp.dsl", "ifcmcp.scene",
-                "ifcmcp.snapshot", "ifcmcp.measure", "socketserver"]
+                "ifcmcp.snapshot", "ifcmcp.measure", "ifcmcp.geometry", "socketserver",
+                "dataclasses", "inspect", "secrets", "hashlib", "datetime"]
 
 _LAYER_START = """
 import io, json, sys
@@ -798,6 +799,7 @@ def test_tool_layers_are_imported_at_their_first_call():
     recorded = json.loads(WIRE_FORMAT.read_text(encoding="utf-8"))[",".join(GROUPS)]
     assert json.dumps(listed["reply"]["result"]) == json.dumps(recorded)
     assert "ifcmcp.builders" in created["loaded"]
+    assert "ifcmcp.geometry" in created["loaded"]
     assert "ifcmcp.dsl" not in created["loaded"]
     assert "ifcmcp.dsl" in queried["loaded"]
     assert "ifcmcp.snapshot" not in queried["loaded"]
@@ -1060,7 +1062,7 @@ def test_handler_fault_gets_internal_error_and_serving_goes_on():
         raise ValueError("unsupported profile class IFCCIRCLEPROFILEDEF")
 
     overview = session.tools["get_ifc_scene_overview"]
-    session.tools[overview.name] = replace(overview, handler=faulty)
+    session.tools[overview.name] = overview._replace(handler=faulty)
     lines = [json.dumps({"jsonrpc": "2.0", "id": 1, "method": "tools/call",
                          "params": {"name": "get_ifc_scene_overview", "arguments": {}}}),
              json.dumps({"jsonrpc": "2.0", "id": 2, "method": "ping"})]

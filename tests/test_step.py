@@ -287,6 +287,20 @@ def test_write_spanning_several_chunks_matches_a_per_record_join():
     assert write_step(*parse_step(data)) == data
 
 
+def test_write_sorts_only_a_dict_out_of_id_order(monkeypatch):
+    header, entities = parse_step(new_model(guid_seed=9).to_bytes())
+    sorts = []
+    monkeypatch.setattr(step, "sorted", lambda ids: sorts.append(1) or sorted(ids),
+                        raising=False)
+    ascending = write_step(header, entities)
+    assert sorts == []
+    ids = list(entities)
+    # one pair swapped, the order reversed, and the last id moved first
+    for order in (ids[:3] + [ids[4], ids[3]] + ids[5:], ids[::-1], ids[-1:] + ids[:-1]):
+        assert write_step(header, {i: entities[i] for i in order}) == ascending
+    assert len(sorts) == 3
+
+
 def test_header_round_trip():
     header = StepHeader(name="house", timestamp="2024-05-05T01:02:03",
                         author=["a"], organization=["o"],
