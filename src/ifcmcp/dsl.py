@@ -444,11 +444,25 @@ def _select_entities(model: IfcModel, selector: str) -> list[int]:
     return model.ids_of(classes.__contains__)
 
 
+# an integer of at most this many bits has fewer than 640 digits, the least
+# limit that sys.set_int_max_str_digits accepts
+_SHORT_INT_BITS = 2000
+
+
 def _finite(value):
-    """``value``, or a ``TypeMismatch`` if it is a float that is not finite:
-    no infinity or NaN reaches a reply or the model."""
-    if isinstance(value, float) and not math.isfinite(value):
-        raise TypeMismatch(f"{value!r} is not a finite number")
+    """``value``, or a ``TypeMismatch`` if it is a float that is not finite
+    or an integer of more digits than ``str`` writes
+    (``sys.get_int_max_str_digits()``): no infinity, NaN or integer that
+    JSON cannot write reaches a reply or the model."""
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise TypeMismatch(f"{value!r} is not a finite number")
+    elif isinstance(value, int) and value.bit_length() > _SHORT_INT_BITS:
+        try:
+            str(value)
+        except ValueError:
+            raise TypeMismatch(f"an integer of {value.bit_length()} bits has too many "
+                               "digits to write") from None
     return value
 
 

@@ -7,20 +7,24 @@ tokens, typed values, ``*``). Lists are stored as tuples so nesting is
 preserved exactly on round-trip.
 
 Reading has two paths. Each well-formed DATA record is matched whole by one
-pattern and its values are built in one loop (the record path). Comments,
-the header and every error take the token path (``_Tokenizer``/``_Parser``):
-a record the record path does not fully accept is read again from its start
-by the token path, which parses it or raises, so syntax errors and their
-line and column come from one place.
+pattern, and its body is cut once at its commas (the record path). A body
+without lists maps each item to its value in one C call; any other body is
+read item by item, as openers, one value and closers, with the items of a
+string that holds a comma joined again. Comments, the header, typed lists
+and every error take the token path (``_Tokenizer``/``_Parser``): a record
+the record path does not fully accept is read again from its start by the
+token path, which parses it or raises, so syntax errors and their line and
+column come from one place.
 
 An entity's attributes are one immutable tuple. Values that repeat across
 a file are built once per ``parse_step`` call and shared between the
 entities that hold them: class names, number and enumeration tokens, and
 the attribute tuple of each distinct record body without references, which
 every record with that body holds. References and strings elsewhere are
-built per record, but a reference to an entity already read holds that
-entity's own id ``int``. An edit gives the entity a new tuple, so a shared
-value is never changed in place. Nothing is cached between calls.
+built per record, but every reference holds its entity's own id ``int``:
+one to an entity already read at once, any other after the pass. An edit
+gives the entity a new tuple, so a shared value is never changed in place.
+Nothing is cached between calls.
 
 Writing formats and encodes the records about a thousand at a time and
 writes each encoded chunk into one buffer, whose bytes are returned without
@@ -361,7 +365,10 @@ class _Tokenizer:
             m = _REF_RE.match(text, self.pos)
             if not m:
                 raise self.error("malformed entity reference")
-            ref = int(m.group(1))
+            try:
+                ref = int(m.group(1))
+            except ValueError:  # more digits than int() reads
+                raise self.error(f"entity id of {len(m.group(1))} digits is too long") from None
             if ref <= 0:
                 raise self.error("entity ids must be positive")
             self.pos = m.end()
@@ -403,8 +410,13 @@ class _Tokenizer:
         if not m:
             raise self.error("malformed number")
         if m.group(1) is None and m.group(2) is None:
+            try:
+                value = int(m.group(0))
+            except ValueError:  # more digits than int() reads
+                digits = len(m.group(0).lstrip("+-"))
+                raise self.error(f"integer of {digits} digits is too long") from None
             self.pos = m.end()
-            return (_T_INT, int(m.group(0)))
+            return (_T_INT, value)
         value = float(m.group(0))
         if not math.isfinite(value):
             raise self.error(f"real {m.group(0)} does not fit a double")
@@ -512,8 +524,8 @@ class _Parser:
 
 # --- record path ---
 #
-# One pattern matches a whole well-formed DATA record; its body is split
-# into tokens by one findall, and _record_args builds the values. Anything
+# One pattern matches a whole well-formed DATA record, and _read_body builds
+# the values of its body from the body's comma-separated items. Anything
 # either step does not fully accept goes to _Parser from the record's start,
 # which parses it or raises, so every syntax error comes from the token path.
 
@@ -523,115 +535,143 @@ _WS = r"[ \t\r\n]*"
 _STRING = r"'[^']*(?:''[^']*)*'(?!')"
 _RECORD_RE = re.compile(
     rf"{_WS}#(\d+){_WS}={_WS}([A-Z][A-Z0-9_]*){_WS}\(([^';]*(?:{_STRING}[^';]*)*)\){_WS};")
-# the tokenizer's token patterns, then any other non-blank character (the
-# punctuation and the characters no token accepts); the record pattern has
-# already matched every quote of the body as part of a string
-_VALUE_RE = re.compile(
-    rf"{_STRING}|#\d+|\.[A-Z_][A-Z0-9_]*\.|[+-]?\d+(?:\.\d*)?(?:[Ee][+-]?\d+)?"
-    r"|[A-Z][A-Z0-9_]*|[^ \t\r\n]")
+_BLANKS = " \t\r\n"
+_OPENERS = "(" + _BLANKS
+_CLOSERS = ")" + _BLANKS
 
 
-def _atom(token: str):
-    """Value of a number or enumeration token, or ``None`` for a stray
-    character such as a lone ``.``, ``+``, ``/`` or ``=`` and for a real
-    that overflows a double, which the token path then rejects."""
-    if token[0] == ".":
-        if len(token) == 1:
-            return None
-        name = token[1:-1]
-        return True if name == "T" else False if name == "F" else EnumToken(name)
-    try:
-        if "." in token or "E" in token or "e" in token:
-            value = float(token)
-            return value if math.isfinite(value) else None
-        return int(token)
-    except ValueError:
-        return None
+class _Unread(Exception):
+    """Raised for a record body that the token path must read."""
 
 
-def _record_args(text: str, start: int, end: int, entities: dict, refs: list,
-                 atoms: dict) -> tuple | None:
-    """Attributes of the record body ``text[start:end]``, or ``None`` when
-    the token path must read the record.
+class _Values(dict):
+    """The value of each value token (a number, enumeration, string,
+    reference, ``$`` or ``*``, with or without blanks around it) read in
+    one ``parse_step`` call, built on first use.
 
-    A reference to an entity of ``entities`` (one already read) is built on
-    that entity's own id; every other referenced id is added to ``refs``.
-    ``atoms`` maps each number or enumeration token already read to its
-    value, so equal tokens across the file share one value."""
-    args: list = []
-    items = args
-    stack: list = []      # (enclosing items, typed-value name or None) per open list
-    typed = None          # keyword still waiting for its '('
-    want_value = True     # else after a value: ',' or ')'
-    found: list = []      # ids referenced by this record and not yet read
-    for token in _VALUE_RE.findall(text, start, end):
-        c = token[0]
-        if not want_value:
-            if c == ",":
-                want_value = True
-                continue
-            if c != ")":
-                return None
-        elif typed is not None and c != "(":
-            return None
-        if c == ")":
-            # a list closes after a value, or right after its '('
-            if not stack or (want_value and items):
-                return None
-            outer, name = stack.pop()
-            if name is None:
-                value = tuple(items)
-            else:
-                value = TypedValue(name, items[0] if len(items) == 1 else tuple(items))
-            items = outer
-            items.append(value)
-            want_value = False
-            continue
-        if c == "(":
-            # leave lists near the depth limit to the parser, which counts them
-            if len(stack) >= MAX_LIST_DEPTH - 2:
-                return None
-            stack.append((items, typed))
-            items = []
-            typed = None
-            continue
+    Number and enumeration tokens, ``$`` and ``*`` are kept, so equal tokens
+    across the file share one value. References and strings are built at
+    each use and not kept. A reference to an entity of ``entities`` (one
+    already read) is built on that entity's own id; every other reference
+    is added to ``refs``. A token that the token path would not read as
+    that one value raises ``_Unread``."""
+
+    __slots__ = ("entities", "refs")
+
+    def __init__(self, entities: dict, refs: list):
+        super().__init__({"$": None, "*": DERIVED})
+        self.entities = entities
+        self.refs = refs
+
+    def __missing__(self, token: str):
+        c = token[:1]
         if c == "#":
-            if len(token) == 1:
-                return None
-            ref = int(token[1:])
-            if not ref:
-                return None
-            target = entities.get(ref)
-            if target is None:
-                found.append(ref)
+            digits = token[1:]
+            if digits.isdecimal():
+                try:
+                    ref = int(digits)
+                except ValueError:  # more digits than int() reads
+                    raise _Unread from None
+                target = self.entities.get(ref)
+                if target is not None:
+                    return EntityRef(target.id)
+                if not ref:
+                    raise _Unread
                 value = EntityRef(ref)
-            else:
-                value = EntityRef(target.id)
-        elif c == "$":
-            value = None
-        elif c == "'":
-            value = token[1:-1]
-            if "''" in value:
-                value = value.replace("''", "'")
-            if "\\" in value:
-                value = decode_step_string(value)
-        elif c == "*":
-            value = DERIVED
-        elif "A" <= c <= "Z":
-            typed = token
+                self.refs.append(value)
+                return value
+        elif c == "'" and token[-1] == "'" and len(token) > 1:
+            text = token[1:-1]
+            if "'" in text:
+                # one string: no quote inside but the doubled ones
+                if "'" in text.replace("''", ""):
+                    raise _Unread
+                text = text.replace("''", "'")
+            return decode_step_string(text) if "\\" in text else text
+        key = token.strip(_BLANKS)
+        if key != token:
+            value = self[key]
+            if key in self:
+                self[token] = value
+            return value
+        # the token path reads any other token; a number or an enumeration
+        # is kept, so each is read once per file, and the rest is left to it
+        try:
+            parser = _Parser(token)
+            value = parser.parse_value()
+        except StepSyntaxError:
+            raise _Unread from None
+        if parser.current[0] != _T_EOF or type(value) not in (int, float, bool, EnumToken):
+            raise _Unread
+        self[token] = value
+        return value
+
+
+def _read_body(body: str, values: _Values) -> tuple:
+    """Attributes of a record body, or ``_Unread`` for a body that the
+    token path must read.
+
+    A body without ``(`` is one value per comma-separated item. Otherwise
+    each item is read as openers, one value (or ``KEYWORD(value)``, a typed
+    value) and closers; ``()`` is the only list without a value. An item
+    with an odd number of quotes is joined with the next, as a comma of a
+    string split it (the record pattern matched each quote of the body as
+    part of a string, so the body's count is even)."""
+    parts = body.split(",")
+    if "(" not in body:
+        try:
+            return tuple([*map(values.__getitem__, parts)])
+        except _Unread:
+            if not body.strip(_BLANKS):
+                return ()
+    args = items = []
+    stack: list = []  # the enclosing items of each open list
+    i, n = 0, len(parts)
+    while i < n:
+        item = parts[i]
+        i += 1
+        if "'" in item:
+            quotes = item.count("'")
+            if quotes % 2:
+                j = i
+                while quotes % 2:
+                    quotes += parts[j].count("'")
+                    j += 1
+                item = ",".join(parts[i - 1:j])
+                i = j
+        if "(" not in item and ")" not in item:
+            items.append(values[item])
             continue
-        else:
-            value = atoms.get(token)
-            if value is None:
-                value = _atom(token)
-                if value is None:
-                    return None
-                atoms[token] = value
-        items.append(value)
-        want_value = False
-    if stack or typed is not None or (want_value and args):
-        return None
-    refs += found
+        rest = item.lstrip(_OPENERS)
+        opened = item.count("(", 0, len(item) - len(rest))
+        if opened:
+            # leave lists near the depth limit to the parser, which counts them
+            if len(stack) + opened > MAX_LIST_DEPTH - 2:
+                raise _Unread
+            for _ in range(opened):
+                stack.append(items)
+                items = []
+        token = rest.rstrip(_CLOSERS)
+        closers = rest.count(")", len(token))
+        if "A" <= token[:1] <= "Z":
+            m = _KEYWORD_RE.match(token)
+            inner = token[m.end():].lstrip(_BLANKS)
+            if inner[:1] != "(" or not closers:
+                raise _Unread
+            items.append(TypedValue(m.group(), values[inner[1:]]))
+            closers -= 1
+        elif token:
+            items.append(values[token])
+        elif not (opened and closers):
+            raise _Unread  # a missing value; only a list may be empty
+        for _ in range(closers):
+            if not stack:
+                raise _Unread
+            value = tuple(items)
+            items = stack.pop()
+            items.append(value)
+    if stack:
+        raise _Unread
     return tuple(args)
 
 
@@ -649,8 +689,8 @@ def parse_step(data: bytes | str) -> tuple[StepHeader, dict[int, EntityInstance]
 
     Forward references are permitted; every reference to an entity not
     read yet is checked after the full pass and :class:`DanglingRef` raised
-    if any fail to resolve. A reference to an entity already read holds
-    that entity's id object, so the model keeps no second int per id.
+    if any fail to resolve. Every reference holds its entity's id object,
+    so the model keeps no second int per id.
     """
     text = data.decode("iso-8859-1") if isinstance(data, (bytes, bytearray)) else data
     parser = _Parser(text)
@@ -693,25 +733,34 @@ def parse_step(data: bytes | str) -> tuple[StepHeader, dict[int, EntityInstance]
     pos = tok.pos  # each record starts just past the previous ';', here DATA's
     parser.expect_punct(";")
     entities: dict[int, EntityInstance] = {}
-    refs: list[int] = []  # ids referenced before their record, checked after the pass
+    # references that get their entity's id after the pass: each one read
+    # before its record, and each one the token path reads
+    refs: list[EntityRef] = []
     # shared values (see the module docstring), built once per call
     names: dict[str, str] = {}
-    atoms: dict[str, object] = {}
+    values = _Values(entities, refs)
     bodies: dict[str, tuple] = {}  # body without references -> its values
     while True:
         m = _RECORD_RE.match(text, pos)
-        entity_id = int(m.group(1)) if m else 0
         args = None
-        if entity_id:
-            start, stop = m.span(3)
-            body = None if text.find("#", start, stop) >= 0 else text[start:stop]
-            args = bodies.get(body)
-            if args is None:
-                args = _record_args(text, start, stop, entities, refs, atoms)
-                if args is not None and body is not None:
-                    bodies[body] = args
+        if m is not None:
+            digits, name, body = m.groups()
+            try:
+                entity_id = int(digits)
+            except ValueError:  # more digits than int() reads
+                entity_id = 0
+            if entity_id:
+                try:
+                    if "#" in body:
+                        args = _read_body(body, values)
+                    else:
+                        args = bodies.get(body)
+                        if args is None:
+                            args = bodies[body] = _read_body(body, values)
+                except _Unread:
+                    pass  # the token path reads it
         if args is not None:
-            name, end = m.group(2), m.end()
+            end = m.end()
         else:
             tok.pos = pos
             parser.advance()
@@ -727,7 +776,7 @@ def parse_step(data: bytes | str) -> tuple[StepHeader, dict[int, EntityInstance]
             parser.expect_punct("=")
             name, args = parser.parse_record()
             args = tuple(args)
-            refs.extend(ref.id for ref in iter_refs(args))
+            refs.extend(iter_refs(args))
             end = tok.pos
         if entity_id in entities:
             # a syntax error in the next token is reported first, as the
@@ -741,7 +790,13 @@ def parse_step(data: bytes | str) -> tuple[StepHeader, dict[int, EntityInstance]
     parser.expect_keyword(ISO_CLOSE[:-1])
     parser.expect_punct(";")
 
-    dangling = {ref for ref in refs if ref not in entities}
+    dangling = set()
+    for ref in refs:
+        target = entities.get(ref.id)
+        if target is None:
+            dangling.add(ref.id)
+        else:
+            ref.id = target.id
     if dangling:
         raise DanglingRef(dangling)
     return header, entities

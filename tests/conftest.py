@@ -8,10 +8,12 @@ from ifcmcp.model import IfcModel, load_model, new_model
 
 # more examples in CI (--hypothesis-profile=ci) for the properties that
 # leave max_examples to the profile: the STEP round trip, record path and
-# real formatting properties, the index rebuild property, the record order
-# property, the shared attribute tuple property and the query fuzzing
-# property (test_every_query_gets_one_reply_and_leaves_a_saveable_model);
-# the others fix their own count
+# real formatting properties, the edited-records property
+# (test_edited_records_read_alike_on_both_paths_property), the index
+# rebuild property, the record order property, the shared attribute tuple
+# property and the query fuzzing property
+# (test_every_query_gets_one_reply_and_leaves_a_saveable_model); the others
+# fix their own count
 settings.register_profile("ci", max_examples=500)
 
 SQUARE_WALLS = [

@@ -702,11 +702,19 @@ def test_a_reference_to_a_record_already_read_holds_its_id():
         builders.create_wall(model, (0, row), (4, row), 3.0, 0.2)
     entities = load_model(model.to_bytes()).entities
     keys = {key: key for key in entities}  # each id to the dict's own key object
-    backward = [(inst.id, ref) for inst in entities.values()
-                for ref in iter_refs(inst.attributes) if ref.id < inst.id]
-    assert sum(ref.id > 256 for _, ref in backward) > 100  # past the small-int cache
-    for referrer, ref in backward:
+    refs = [(inst.id, ref) for inst in entities.values() for ref in iter_refs(inst.attributes)]
+    # past the small-int cache, both before and after their record
+    assert sum(ref.id > 256 for referrer, ref in refs if ref.id < referrer) > 100
+    assert sum(ref.id > 256 for referrer, ref in refs if ref.id > referrer) > 10
+    for referrer, ref in refs:
         assert ref.id is keys[ref.id], (referrer, ref)
+    # and so does each reference that the token path reads
+    text = model.to_bytes().decode("iso-8859-1").replace("\n#", "/**/\n#")
+    entities = load_model(text.encode("iso-8859-1")).entities
+    keys = {key: key for key in entities}
+    for inst in entities.values():
+        for ref in iter_refs(inst.attributes):
+            assert ref.id is keys[ref.id], (inst.id, ref)
     # a forward reference may dangle, whichever path read its record
     text = ("ISO-10303-21;HEADER;FILE_DESCRIPTION((''),'2;1');"
             "FILE_NAME('','',(''),(''),'','','');FILE_SCHEMA(('IFC4'));ENDSEC;DATA;\n"

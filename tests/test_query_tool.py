@@ -182,6 +182,27 @@ def test_an_integer_beyond_the_double_range_is_a_type_mismatch():
     assert session.model.to_bytes() == before
 
 
+def test_an_integer_too_long_to_write_is_a_type_mismatch():
+    # integer products stay exact, so 12 factors of a loaded 400-digit
+    # integer pass the digits that str() and json write (4,300 by default)
+    model = new_model(guid_seed=8)
+    wall = builders.create_wall(model, (0, 0), (4, 0), 3.0, 0.2)
+    set_pset_property(model, wall, "P", "x", 7)
+    session = Session(load_model(
+        model.to_bytes().replace(b"IFCINTEGER(7)", b"IFCINTEGER(%s)" % (b"9" * 400))))
+    before = session.model.to_bytes()
+    factor = 'pset("P").x'
+    product = " * ".join([factor] * 12)
+    for query in (f"walls | list({product})", f"walls | max({product})",
+                  f'walls | set_pset("P", "y", {product})'):
+        error = ask(session, query)["error"]
+        assert error["type"] == "TypeMismatch", query
+        assert error["message"].endswith("bits has too many digits to write"), query
+    ten = " * ".join([factor] * 10)
+    assert ask(session, f"walls | list({ten})")["result"] == [int("9" * 400) ** 10]
+    assert session.model.to_bytes() == before
+
+
 def test_the_deepest_queries_the_parser_accepts_are_evaluated():
     # parsing at the nesting limit is tested on its own; these go through
     # the server and must give results, not a RecursionError

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import operator
 import re
 import sys
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from ifcmcp import builders, step
 from ifcmcp.errors import DanglingRef, DuplicateId, StepSyntaxError
-from ifcmcp.model import new_model
+from ifcmcp.model import new_model, set_pset_property
 from ifcmcp.step import (
     DERIVED,
     MAX_LIST_DEPTH,
@@ -359,6 +360,13 @@ _TAIL = "ENDSEC;\nEND-ISO-10303-21;\n"
                    f"real {real} does not fit a double", id=f"real-overflow-{name}")
       for name, real in (("1.E400", "1.E400"), ("negative", "-1.E400"),
                          ("2.5E+308", "2.5E+308"), ("400-digits", "1" * 400 + "."))),
+    # int() reads at most sys.get_int_max_str_digits() digits, 4,300 by default
+    pytest.param(_HEAD + "#1=IFCX(" + "9" * 5000 + ");\n" + _TAIL, 8, 9,
+                 "integer of 5000 digits is too long", id="5000-digit-integer"),
+    pytest.param(_HEAD + "#" + "1" * 5000 + "=IFCX(1);\n" + _TAIL, 8, 1,
+                 "entity id of 5000 digits is too long", id="5000-digit-id"),
+    pytest.param(_HEAD + "#1=IFCX(#" + "1" * 5000 + ");\n" + _TAIL, 8, 9,
+                 "entity id of 5000 digits is too long", id="5000-digit-reference"),
 ])
 def test_syntax_error_positions(text, line, col, message):
     with pytest.raises(StepSyntaxError) as excinfo:
@@ -438,14 +446,20 @@ def _outcome(text):
 
 def _token_path(text):
     # a comment at the end of the line before each record sends that record
-    # to the token path without moving any record's line or column
-    return text.replace("\n#", "/**/\n#")
+    # to the token path without moving any record's line or column; it goes
+    # only between the quotes' strings (the even pieces), so no string that
+    # spans lines gains one
+    pieces = text.split("'")
+    pieces[::2] = [piece.replace("\n#", "/**/\n#") for piece in pieces[::2]]
+    return "'".join(pieces)
 
 
 def test_well_formed_records_skip_the_token_path(monkeypatch):
     model = new_model(guid_seed=9)
     builders.create_wall(model, (0, 0), (4, 0), 2.5, 0.2, name="O'Brien;)")
+    builders.create_wall(model, (0, 2), (4, 2), 2.5, 0.2, name="Wall, (ext.) O'Brien;)")
     data = model.to_bytes()
+    assert b"'Wall, (ext.) O''Brien;)'" in data
     calls = []
     original = step._Parser.parse_record
     monkeypatch.setattr(step._Parser, "parse_record",
@@ -480,6 +494,29 @@ def test_well_formed_records_skip_the_token_path(monkeypatch):
     # the token path reads one token past a record before it checks the id
     pytest.param("#1=IFCWALL();#1=IFCWALL();@", "line 8, col 27: unexpected character '@'",
                  id="duplicate-id-then-stray-character"),
+    # a comma splits the body, so the items of a string are joined again
+    pytest.param("#1=IFCWALL('a,b(c)d''e;f',',',')','(',(',;'),IFCLABEL('(,)'));",
+                 ("a,b(c)d'e;f", ",", ")", "(", (",;",), TypedValue("IFCLABEL", "(,)")),
+                 id="strings-with-commas-parens-quotes-semicolons"),
+    pytest.param("#1=IFCWALL( 1, ( 2 ,\t3 ) , IFCLABEL ( 'x' ) ,$ ,( ( ) ) );",
+                 (1, (2, 3), TypedValue("IFCLABEL", "x"), None, ((),)),
+                 id="blanks-after-commas-and-inside-parens"),
+    pytest.param("#1=IFCWALL(#007,(+1.5E-3,-0.),#01);#7=IFCX();",
+                 (EntityRef(7), (0.0015, -0.0), EntityRef(1)), id="leading-zeros-and-signs"),
+    pytest.param("#1=IFCWALL((IFCLABEL('a'),IFCREAL(2.5)),1);",
+                 ((TypedValue("IFCLABEL", "a"), TypedValue("IFCREAL", 2.5)), 1),
+                 id="typed-values-in-a-list"),
+    pytest.param("#1=IFCWALL(IFCX((1,2)));", (TypedValue("IFCX", (1, 2)),),
+                 id="typed-list"),
+    pytest.param("#1=IFCWALL((),1);", ((), 1), id="empty-list-first"),
+    pytest.param("#1=IFCWALL(1,(),2);", (1, (), 2), id="empty-list-between"),
+    pytest.param("#1=IFCWALL(1,(()));", (1, ((),)), id="empty-list-last"),
+    pytest.param("#1=IFCWALL( \t\r\n );", (), id="blank-body"),
+    pytest.param("#1=IFCWALL(1,,2);", "line 8, col 15: expected a value, got ','",
+                 id="missing-value"),
+    pytest.param("#1=IFCWALL((1)2);", "line 8, col 16: expected ')', got 2",
+                 id="value-after-a-list"),
+    pytest.param("#1=IFCWALL(IFCX());", (TypedValue("IFCX", ()),), id="typed-nothing"),
 ])
 def test_record_path_matches_token_path(record, expected):
     text = _HEAD + record + "\n" + _TAIL
@@ -534,3 +571,50 @@ def test_record_path_equals_token_path_property(header, classes, attributes, dat
     expected = _outcome(_token_path(text))
     assert _outcome(text) == expected
     assert _outcome(_spaced(text, lambda: data.draw(_BLANKS))) == expected
+
+
+@functools.lru_cache(maxsize=None)
+def _kit_records() -> tuple[str, tuple[str, ...], str]:
+    """A small kit file as the text before its records, its DATA records
+    (one a line) and the text after them. Its strings hold commas,
+    parentheses, quotes and escapes, and its lists, typed values and
+    references come from walls, a door, a slab, a roof and properties."""
+    model = new_model(guid_seed=9)
+    wall = builders.create_wall(model, (0, 0), (4, 0), 2.5, 0.2, name="Wall, (ext.) O'Brien;)")
+    builders.create_door(model, wall, position_along_axis=1.0)
+    builders.create_slab(model, [(0, 0), (4, 0), (4, 3)], 0.2, name="Dalle \u00e9")
+    builders.create_roof(model, [(0, 0), (4, 0), (4, 3), (0, 3)], base_z=2.5)
+    for prop, value in (("n", 7), ("ok", True), ("label", "a,b"), ("k", -0.5)):
+        set_pset_property(model, wall, "P", prop, value)
+    head, data = model.to_bytes().decode("iso-8859-1").split("DATA;\n", 1)
+    records, tail = data.split("\nENDSEC;")
+    return head + "DATA;\n", tuple(records.split("\n")), "\nENDSEC;" + tail
+
+
+# STEP punctuation, quotes, digits, keywords, blanks and escapes; no '/',
+# which could open a comment that _token_path's comments would close
+_EDIT_PIECES = st.sampled_from([*"(),;=#$*.+-", "'", "''", *"0123456789", "E", "T",
+                                "IFCLABEL", "IFCX(", "ENDSEC", " ", "\t", "\n", "\r\n",
+                                "\\X2\\", "\\X0\\", "#0"])
+
+
+@settings(deadline=None)
+@given(edits=st.lists(st.tuples(st.integers(min_value=0), st.integers(min_value=0),
+                                st.sampled_from(["insert", "delete", "replace"]),
+                                _EDIT_PIECES), min_size=1, max_size=3))
+def test_edited_records_read_alike_on_both_paths_property(edits):
+    head, records, tail = _kit_records()
+    records = list(records)
+    for index, at, kind, piece in edits:
+        index %= len(records)
+        record = records[index]
+        at %= len(record) + 1
+        if kind == "insert":
+            record = record[:at] + piece + record[at:]
+        elif kind == "delete":
+            record = record[:at] + record[at + 1:]
+        else:
+            record = record[:at] + piece + record[at + len(piece):]
+        records[index] = record
+    text = head + "\n".join(records) + tail
+    assert _outcome(text) == _outcome(_token_path(text))
