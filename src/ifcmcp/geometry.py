@@ -255,10 +255,6 @@ class TriMesh:
         zs = [v.z for v in self.vertices]
         return Point3(min(xs), min(ys), min(zs)), Point3(max(xs), max(ys), max(zs))
 
-    def translated(self, dx: float, dy: float, dz: float) -> "TriMesh":
-        return TriMesh([(v.x + dx, v.y + dy, v.z + dz) for v in self.vertices],
-                       list(self.faces))
-
 
 def ear_clip(points: list[Point2]) -> list[tuple[int, int, int]]:
     """Triangulate a simple CCW polygon by ear clipping.

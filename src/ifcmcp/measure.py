@@ -157,14 +157,21 @@ def world_bbox(model: IfcModel, entity_id: int) -> tuple[Point3, Point3] | None:
 
 
 def world_mesh(model: IfcModel, entity_id: int) -> TriMesh | None:
-    """Body geometry tessellated into world coordinates."""
+    """Body geometry tessellated into world coordinates.
+
+    An extrusion's prism is built in the profile plane. Each of its
+    vertices is shifted down by the depth when the extrusion points down,
+    then by the solid's origin, as it is placed in the world, so only the
+    prism and the returned mesh are built and checked. Nothing is kept
+    between calls.
+    """
     body = body_of(model, entity_id)
     if body is None:
         return None
-    placement = model.placement_of(entity_id)
+    to_world = model.placement_of(entity_id).to_world
     if body["kind"] == "mesh":
         mesh = body["mesh"]
-        return TriMesh([placement.to_world(v) for v in mesh.vertices], mesh.faces)
+        return TriMesh([to_world(v) for v in mesh.vertices], mesh.faces)
     profile = body["profile"]
     if profile["kind"] == "rect":
         x0, y0, x1, y1 = profile["bbox"]
@@ -172,12 +179,13 @@ def world_mesh(model: IfcModel, entity_id: int) -> TriMesh | None:
     else:
         poly = profile["polygon"]
     prism = prism_mesh(poly, body["depth"])
-    direction = body["direction"]
-    origin = body["origin"]
-    if direction.z < 0:  # downward extrusion: shift so the prism tops out at origin
-        prism = prism.translated(0.0, 0.0, -body["depth"])
-    prism = prism.translated(origin.x, origin.y, origin.z)
-    return TriMesh([placement.to_world(v) for v in prism.vertices], prism.faces)
+    points = prism.vertices
+    if body["direction"].z < 0:  # downward extrusion: the prism tops out at origin
+        down = -body["depth"]
+        points = [(x + 0.0, y + 0.0, z + down) for x, y, z in points]
+    ox, oy, oz = body["origin"]
+    return TriMesh([to_world(Point3(x + ox, y + oy, z + oz)) for x, y, z in points],
+                   prism.faces)
 
 
 def wall_axis(model: IfcModel, wall_id: int) -> dict | None:

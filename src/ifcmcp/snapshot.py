@@ -8,6 +8,7 @@ Product GlobalIds are embedded as element ids so clients can hit-test.
 from __future__ import annotations
 
 import math
+from array import array
 
 from . import measure, schema
 from .errors import EmptyModel, UnknownGuid
@@ -265,56 +266,59 @@ _VIEWS = {
 
 
 def render_elevation(model: IfcModel, view: str = "south") -> str:
-    """Orthographic elevation; products painted back-to-front."""
+    """Orthographic elevation; products painted back-to-front.
+
+    One product's world mesh is held at a time: it is projected once, the
+    running extents take its screen coordinates, and only its mean depth,
+    its id and its visible faces, depth-sorted as screen coordinates, are
+    kept for painting.
+    """
     if view not in _VIEWS:
         raise ValueError(f"view must be one of {sorted(_VIEWS)}, got {view!r}")
-    right, depth_axis = _VIEWS[view]
+    (rx, ry, rz), (dx, dy, dz) = _VIEWS[view]
     products = products_in_order(model)
     if not products:
         raise EmptyModel("the model contains no products to render")
 
-    def project(p: Point3) -> tuple[float, float, float]:
-        sx = p.x * right.x + p.y * right.y + p.z * right.z
-        depth = p.x * depth_axis.x + p.y * depth_axis.y + p.z * depth_axis.z
-        return sx, p.z, depth
-
     items = []
+    min_x = min_z = math.inf
+    max_x = max_z = -math.inf
     for entity_id in products:
         mesh = measure.world_mesh(model, entity_id)
         if mesh is None:
             continue
-        projected = [project(v) for v in mesh.vertices]
-        mean_depth = sum(p[2] for p in projected) / len(projected)
-        items.append((mean_depth, entity_id, mesh, projected))
-    if not items:
-        raise EmptyModel("no product has renderable geometry")
-
-    xs = [p[0] for _d, _e, _m, proj in items for p in proj]
-    zs = [p[1] for _d, _e, _m, proj in items for p in proj]
-    canvas = _Canvas(min(xs), min(zs), max(xs), max(zs))
-
-    # far products first; nearer ones paint over them
-    items.sort(key=lambda item: (-item[0], item[1]))
-    for _depth, entity_id, mesh, projected in items:
+        vertices = mesh.vertices
+        xs = [p.x * rx + p.y * ry + p.z * rz for p in vertices]
+        zs = [p.z for p in vertices]
+        depths = [p.x * dx + p.y * dy + p.z * dz for p in vertices]
+        min_x, max_x = min(min_x, min(xs)), max(max_x, max(xs))
+        min_z, max_z = min(min_z, min(zs)), max(max_z, max(zs))
         faces = []
         for index, (a, b, c) in enumerate(mesh.faces):
-            pa, pb, pc = mesh.vertices[a], mesh.vertices[b], mesh.vertices[c]
+            pa, pb, pc = vertices[a], vertices[b], vertices[c]
             ux, uy, uz = pb.x - pa.x, pb.y - pa.y, pb.z - pa.z
             vx, vy, vz = pc.x - pa.x, pc.y - pa.y, pc.z - pa.z
             nx, ny, nz = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
-            facing = nx * depth_axis.x + ny * depth_axis.y + nz * depth_axis.z
-            if facing >= -1e-9:
+            if nx * dx + ny * dy + nz * dz >= -1e-9:
                 continue  # back or edge-on face
-            face_depth = (projected[a][2] + projected[b][2] + projected[c][2]) / 3.0
-            faces.append((face_depth, index, (a, b, c)))
-        if not faces:
-            continue
-        faces.sort(key=lambda f: (-f[0], f[1]))
+            faces.append(((depths[a] + depths[b] + depths[c]) / 3.0, index, a, b, c))
+        if faces:
+            # far faces first; six floats a face, x and z of each corner
+            faces.sort(key=lambda f: (-f[0], f[1]))
+            corners = array("d", [v for _fd, _index, *tri in faces
+                                  for i in tri for v in (xs[i], zs[i])])
+            items.append((sum(depths) / len(depths), entity_id, corners))
+    if min_x == math.inf:
+        raise EmptyModel("no product has renderable geometry")
+    canvas = _Canvas(min_x, min_z, max_x, max_z)
+
+    # far products first; nearer ones paint over them
+    items.sort(key=lambda item: (-item[0], item[1]))
+    for _depth, entity_id, corners in items:
         canvas.open_group(model.guid_of(entity_id), _name_of(model, entity_id))
-        for _fd, _index, (a, b, c) in faces:
-            canvas.path(
-                [(projected[i][0], projected[i][1]) for i in (a, b, c)],
-                fill=_GENERIC_FILL, stroke=_GLYPH_STROKE, width=0.5,
-            )
+        for k in range(0, len(corners), 6):
+            ax, az, bx, bz, cx, cz = corners[k:k + 6]
+            canvas.path([(ax, az), (bx, bz), (cx, cz)],
+                        fill=_GENERIC_FILL, stroke=_GLYPH_STROKE, width=0.5)
         canvas.close_group()
     return canvas.render()

@@ -190,8 +190,29 @@ class StepHeader(_Record):
 
 # --- string escape handling ---
 
+_HEX_DIGITS = frozenset("0123456789ABCDEFabcdef")
+
+
+def _code_point(code: int, escape: str) -> str:
+    if code > 0x10FFFF:
+        raise ValueError(f"{escape} escape codes {code:X}, above 10FFFF")
+    return chr(code)
+
+
+def _hex_chars(digits: str, width: int, escape: str) -> list[str]:
+    """The characters that ``escape`` codes as ``width`` hex digits each."""
+    if not _HEX_DIGITS.issuperset(digits):
+        raise ValueError(f"{escape} escape {digits!r} holds a character that is not a hex digit")
+    return [_code_point(int(digits[j:j + width], 16), escape)
+            for j in range(0, len(digits), width)]
+
+
 def decode_step_string(raw: str) -> str:
-    """Decode a STEP string body (quotes already stripped, ``''`` collapsed)."""
+    """Decode a STEP string body (quotes already stripped, ``''`` collapsed).
+
+    Raises ``ValueError`` for an escape that holds a character other than a
+    hex digit or codes a character above U+10FFFF.
+    """
     out: list[str] = []
     i = 0
     n = len(raw)
@@ -210,8 +231,7 @@ def decode_step_string(raw: str) -> str:
                 out.append(c)
                 i += 1
                 continue
-            hexrun = raw[i + 4:end]
-            out.extend(chr(int(hexrun[j:j + 4], 16)) for j in range(0, len(hexrun), 4))
+            out.extend(_hex_chars(raw[i + 4:end], 4, "\\X2\\"))
             i = end + 4
         elif raw.startswith("\\X4\\", i):
             end = raw.find("\\X0\\", i + 4)
@@ -219,15 +239,14 @@ def decode_step_string(raw: str) -> str:
                 out.append(c)
                 i += 1
                 continue
-            hexrun = raw[i + 4:end]
-            out.extend(chr(int(hexrun[j:j + 8], 16)) for j in range(0, len(hexrun), 8))
+            out.extend(_hex_chars(raw[i + 4:end], 8, "\\X4\\"))
             i = end + 4
         elif raw.startswith("\\X\\", i) and i + 5 <= n:
-            out.append(chr(int(raw[i + 3:i + 5], 16)))
+            out.extend(_hex_chars(raw[i + 3:i + 5], 2, "\\X\\"))
             i += 5
         elif raw.startswith("\\S\\", i) and i + 4 <= n:
             # ISO 8859 shifted character: add 0x80 to the following char
-            out.append(chr(ord(raw[i + 3]) + 0x80))
+            out.append(_code_point(ord(raw[i + 3]) + 0x80, "\\S\\"))
             i += 4
         else:
             out.append(c)
@@ -402,8 +421,12 @@ class _Tokenizer:
                 parts.append("'")
                 i = j + 2
                 continue
+            try:
+                value = decode_step_string("".join(parts))
+            except ValueError as exc:  # a malformed escape; pos is at the opening quote
+                raise self.error(str(exc)) from None
             self.pos = j + 1
-            return (_T_STRING, decode_step_string("".join(parts)))
+            return (_T_STRING, value)
 
     def _number(self) -> tuple[str, object]:
         m = _NUMBER_RE.match(self.text, self.pos)
@@ -587,7 +610,12 @@ class _Values(dict):
                 if "'" in text.replace("''", ""):
                     raise _Unread
                 text = text.replace("''", "'")
-            return decode_step_string(text) if "\\" in text else text
+            if "\\" not in text:
+                return text
+            try:
+                return decode_step_string(text)
+            except ValueError:  # a malformed escape
+                raise _Unread from None
         key = token.strip(_BLANKS)
         if key != token:
             value = self[key]

@@ -9,7 +9,8 @@ from ifcmcp.model import IfcModel, load_model, new_model
 # more examples in CI (--hypothesis-profile=ci) for the properties that
 # leave max_examples to the profile: the STEP round trip, record path and
 # real formatting properties, the edited-records property
-# (test_edited_records_read_alike_on_both_paths_property), the index
+# (test_edited_records_read_alike_on_both_paths_property), the escape
+# property (test_escapes_read_alike_on_both_paths_or_fail_as_syntax_errors_property), the index
 # rebuild property, the record order property, the shared attribute tuple
 # property and the query fuzzing property
 # (test_every_query_gets_one_reply_and_leaves_a_saveable_model); the others

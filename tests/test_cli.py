@@ -46,6 +46,17 @@ def test_save_of_a_real_that_overflows_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_open_of_a_malformed_escape_exits_1(tmp_path, capsys):
+    data = new_model(guid_seed=5).to_bytes()
+    path = tmp_path / "escape.ifc"
+    path.write_bytes(data.replace(b"'My Site'", b"'\\X2\\00G0\\X0\\'", 1))
+    assert main(["open", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("ifcmcp: StepSyntaxError: line 20, col 40: "
+                            "\\X2\\ escape '00G0' holds a character that is not a hex digit\n")
+
+
 @pytest.mark.parametrize("command", [["open"], ["serve", "--model"]])
 def test_shared_global_id_fails_open_and_serve(tmp_path, capsys, command):
     data, guid, (first, second) = shared_guid_step()

@@ -46,7 +46,7 @@ def query_session() -> Session:
                                        "IfcBuildingElementProxy",
                                        "IfcFurnishingElement", "IfcColumn")):
         vertices, faces = _TETRA
-        mesh = TriMesh(vertices, faces).translated(2.0 * index, 10.0, 0.0)
+        mesh = TriMesh([(x + 2.0 * index, y + 10.0, z) for x, y, z in vertices], faces)
         builders.create_mesh_element(model, ifc_class, mesh, f"Mesh {index}")
     # enough proxies, without placement or shape, that a long query runs out
     # of expression steps

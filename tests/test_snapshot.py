@@ -1,11 +1,18 @@
 from __future__ import annotations
 
+import gc
+import hashlib
 import re
+import tracemalloc
 
 import pytest
 
 from ifcmcp import builders, snapshot
 from ifcmcp.errors import EmptyModel
+from ifcmcp.geometry import Polygon2, prism_mesh
+from ifcmcp.model import new_model
+
+from conftest import build_l_building
 
 
 def ids_in_svg(svg: str) -> list[str]:
@@ -104,6 +111,55 @@ def test_elevation_deterministic(l_building):
     for view in ("north", "south", "east", "west"):
         assert snapshot.render_elevation(model, view) == \
             snapshot.render_elevation(model, view)
+
+
+# sha256 of each view of _every_body_kind_model(), recorded before the
+# renderer worked one product at a time
+_ELEVATION_SHA256 = {
+    "north": "10aae3bbbd503015568d1471a01fe440d0bd9c481379a5100b7c1b0ab82dd931",
+    "south": "c2862f4f56412028ac27e307c9697ce3fe5e85ea01d8d57a81e66f30c5bf60c5",
+    "east": "99870ac83fbfbc60de449f7118a0f6d58789242b21390804a4e8bb09cf208849",
+    "west": "137889b8ba238faf053c3ce22e069222f89fa1a7075f74bc23e265e8a3e3970f",
+}
+
+
+def _every_body_kind_model():
+    """The L building (rectangle walls, polygon slabs extruded downward, a
+    brep roof, a door) plus a window, a triangular slab and a mesh element."""
+    model, handles = build_l_building()
+    builders.create_window(model, wall_guid=handles["walls"][1], position_along_axis=2.0)
+    builders.create_slab(model, [(6, 6), (9, 6), (8, 9)], 0.2, elevation=1.0)
+    table = prism_mesh(Polygon2([(1, 1), (2.5, 1), (2, 2), (1, 1.5)]), 0.8)
+    builders.create_mesh_element(model, "IFCFURNISHINGELEMENT", table, "Table")
+    return model
+
+
+def test_elevation_bytes_are_pinned():
+    model = _every_body_kind_model()
+    digests = {view: hashlib.sha256(snapshot.render_elevation(model, view).encode()).hexdigest()
+               for view in _ELEVATION_SHA256}
+    assert digests == _ELEVATION_SHA256
+
+
+def test_elevation_memory_stays_near_the_size_of_its_svg():
+    # 200 kit walls, half of them askew. Each product's mesh is dropped once
+    # read and each painted face kept as six floats, which measures 5.4x the
+    # SVG; holding every mesh until the last face is painted measures 13.5x
+    model = new_model("My Project", guid_seed=5)
+    for i in range(20):
+        for j in range(10):
+            skew = 0.5 if (i + j) % 2 else 0.0
+            builders.create_wall(model, (i * 3.0, j * 2.0), (i * 3.0 + 2.5, j * 2.0 + skew),
+                                 3.0, 0.2)
+    snapshot.render_elevation(model, "south")  # one-time allocations stay outside the trace
+    gc.collect()
+    tracemalloc.start()
+    try:
+        svg = snapshot.render_elevation(model, "south")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9 * len(svg)
 
 
 def test_elevation_empty(fresh_model):

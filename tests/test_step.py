@@ -367,6 +367,19 @@ _TAIL = "ENDSEC;\nEND-ISO-10303-21;\n"
                  "entity id of 5000 digits is too long", id="5000-digit-id"),
     pytest.param(_HEAD + "#1=IFCX(#" + "1" * 5000 + ");\n" + _TAIL, 8, 9,
                  "entity id of 5000 digits is too long", id="5000-digit-reference"),
+    # a malformed escape is reported at the string that holds it
+    pytest.param(_HEAD + "#1=IFCX('\\X2\\00G0\\X0\\');\n" + _TAIL, 8, 9,
+                 "\\X2\\ escape '00G0' holds a character that is not a hex digit",
+                 id="x2-escape-not-hex"),
+    pytest.param(_HEAD + "#1=IFCX('\\X\\G1');\n" + _TAIL, 8, 9,
+                 "\\X\\ escape 'G1' holds a character that is not a hex digit",
+                 id="x-escape-not-hex"),
+    pytest.param(_HEAD + "#1=IFCX('\\X4\\FFFFFFFF\\X0\\');\n" + _TAIL, 8, 9,
+                 "\\X4\\ escape codes FFFFFFFF, above 10FFFF", id="x4-escape-too-high"),
+    pytest.param(_HEAD + "#1=IFCX(1,\n ('a', '\\X4\\00110000\\X0\\'));\n" + _TAIL, 9, 8,
+                 "\\X4\\ escape codes 110000, above 10FFFF", id="x4-escape-in-a-list"),
+    pytest.param(_HEAD + "#1=IFCX('\\S\\\U0010ffff');\n" + _TAIL, 8, 9,
+                 "\\S\\ escape codes 11007F, above 10FFFF", id="s-escape-too-high"),
 ])
 def test_syntax_error_positions(text, line, col, message):
     with pytest.raises(StepSyntaxError) as excinfo:
@@ -571,6 +584,27 @@ def test_record_path_equals_token_path_property(header, classes, attributes, dat
     expected = _outcome(_token_path(text))
     assert _outcome(text) == expected
     assert _outcome(_spaced(text, lambda: data.draw(_BLANKS))) == expected
+
+
+# escapes, hex digits and other characters, in any order
+_ESCAPE_PIECES = st.one_of(
+    st.sampled_from(["\\X2\\", "\\X4\\", "\\X\\", "\\S\\", "\\\\", "\\X0\\", "\\"]),
+    st.text(alphabet="0123456789ABCDEFabcdef", min_size=1, max_size=8),
+    st.characters(),
+)
+
+
+@settings(deadline=None)
+@given(st.lists(_ESCAPE_PIECES, max_size=8).map("".join))
+def test_escapes_read_alike_on_both_paths_or_fail_as_syntax_errors_property(body):
+    literal = "'" + body.replace("'", "''") + "'"
+    text = _HEAD + f"#1=IFCX({literal},(1,{literal}));\n" + _TAIL
+    outcome = _outcome(text)
+    assert outcome == _outcome(_token_path(text))
+    assert outcome[0] in ("ok", "StepSyntaxError")
+    if outcome[0] == "ok":
+        value = step.decode_step_string(body)
+        assert parse_step(text)[1][1].attributes == (value, (1, value))
 
 
 @functools.lru_cache(maxsize=None)
