@@ -76,6 +76,16 @@ def _place(model: IfcModel, parent_lp: int | None, origin: Point3,
     return model.add("IFCLOCALPLACEMENT", [parent, EntityRef(a2p)])
 
 
+def _add_product(model: IfcModel, class_name: str, lp: int, shape: int,
+                 name: str | None, *rest) -> tuple[str, int]:
+    """Add a product placed at ``lp`` with body ``shape``; returns (GlobalId,
+    id). ``rest`` follows the eight attributes every product shares."""
+    guid = model.guids.fresh()
+    return guid, model.add(class_name, [
+        guid, None, name or model.next_name(class_name), None, None,
+        EntityRef(lp), EntityRef(shape), None, *rest])
+
+
 def ensure_wall_type(model: IfcModel) -> int:
     """Singleton default wall type, hidden from the viewport listing."""
     existing = model.by_class.get("IFCWALLTYPE")
@@ -103,11 +113,7 @@ def create_wall(model: IfcModel, start, end, height: float, thickness: float,
     lp = _place(model, _storey_placement_id(model, storey_id),
                 Point3(start.x, start.y, 0.0), x_axis=frame.x_axis)
     shape = extrude_profile(model, profile, height)
-    guid = model.guids.fresh()
-    wall = model.add("IFCWALL", [
-        guid, None, name or model.next_name("IFCWALL"), None, None,
-        EntityRef(lp), EntityRef(shape), None, EnumToken("STANDARD"),
-    ])
+    guid, wall = _add_product(model, "IFCWALL", lp, shape, name, EnumToken("STANDARD"))
     model.contain_in_storey(wall, storey_id)
     model.relate("IFCRELDEFINESBYTYPE", ensure_wall_type(model), wall)
     return guid
@@ -145,11 +151,7 @@ def create_slab(model: IfcModel, outline, thickness: float, elevation: float = 0
                 Point3(0.0, 0.0, local_z))
     # top face at the given elevation: extrude downward by the thickness
     shape = extrude_profile(model, poly, thickness, direction=Point3(0.0, 0.0, -1.0))
-    guid = model.guids.fresh()
-    slab = model.add("IFCSLAB", [
-        guid, None, name or model.next_name("IFCSLAB"), None, None,
-        EntityRef(lp), EntityRef(shape), None, EnumToken("FLOOR"),
-    ])
+    guid, slab = _add_product(model, "IFCSLAB", lp, shape, name, EnumToken("FLOOR"))
     model.contain_in_storey(slab, storey_id)
     return guid
 
@@ -187,11 +189,7 @@ def create_roof(model: IfcModel, outline, style: str = "hip",
         shape = extrude_profile(model, poly, FLAT_ROOF_THICKNESS)
     else:
         shape = mesh_to_brep(model, mesh)
-    guid = model.guids.fresh()
-    roof = model.add("IFCROOF", [
-        guid, None, name or model.next_name("IFCROOF"), None, None,
-        EntityRef(lp), EntityRef(shape), None, EnumToken(predefined),
-    ])
+    guid, roof = _add_product(model, "IFCROOF", lp, shape, name, EnumToken(predefined))
     model.contain_in_storey(roof, storey_id)
     return guid, warnings
 
@@ -313,21 +311,14 @@ def _create_filled_opening(model: IfcModel, filler_class: str,
 
     opening_lp = _place(model, wall_lp, Point3(pos, 0.0, sill))
     opening_shape = extrude_profile(model, box, height)
-    opening_guid = model.guids.fresh()
-    opening = model.add("IFCOPENINGELEMENT", [
-        opening_guid, None, model.next_name("IFCOPENINGELEMENT"), None, None,
-        EntityRef(opening_lp), EntityRef(opening_shape), None, EnumToken("OPENING"),
-    ])
+    opening_guid, opening = _add_product(model, "IFCOPENINGELEMENT", opening_lp,
+                                         opening_shape, None, EnumToken("OPENING"))
     model.relate("IFCRELVOIDSELEMENT", wall_id, opening)
 
     filler_lp = _place(model, opening_lp, Point3(0.0, 0.0, 0.0))
     filler_shape = extrude_profile(model, box, height)
-    filler_guid = model.guids.fresh()
-    filler = model.add(filler_class, [
-        filler_guid, None, name or model.next_name(filler_class), None, None,
-        EntityRef(filler_lp), EntityRef(filler_shape), None,
-        float(height), float(width), None, None, None,
-    ])
+    filler_guid, filler = _add_product(model, filler_class, filler_lp, filler_shape, name,
+                                       float(height), float(width), None, None, None)
     model.relate("IFCRELFILLSELEMENT", opening, filler)
     storey_id = model.storey_of(wall_id) or model.default_storey()
     model.contain_in_storey(filler, storey_id)
@@ -380,11 +371,8 @@ def create_stairs(model: IfcModel, origin, direction_deg: float,
     lp = _place(model, _storey_placement_id(model, storey_id),
                 Point3(origin.x, origin.y, local_z), x_axis=x_axis)
     shape = mesh_to_brep(model, mesh)
-    guid = model.guids.fresh()
-    stair = model.add("IFCSTAIR", [
-        guid, None, name or model.next_name("IFCSTAIR"), None, None,
-        EntityRef(lp), EntityRef(shape), None, EnumToken("STRAIGHT_RUN_STAIR"),
-    ])
+    guid, stair = _add_product(model, "IFCSTAIR", lp, shape, name,
+                               EnumToken("STRAIGHT_RUN_STAIR"))
     model.contain_in_storey(stair, storey_id)
     return guid
 
@@ -399,11 +387,8 @@ def create_mesh_element(model: IfcModel, ifc_class: str, mesh: TriMesh,
     storey_id = _resolve_storey(model, storey)
     lp = _place(model, _storey_placement_id(model, storey_id), Point3(0.0, 0.0, 0.0))
     shape = mesh_to_brep(model, mesh)
-    guid = model.guids.fresh()
-    attrs = [guid, None, name or model.next_name(ifc_class), None, None,
-             EntityRef(lp), EntityRef(shape), None]
-    if len(schema.ATTRIBUTES[ifc_class]) > 8:
-        attrs.append(None)  # PredefinedType where the class has one
-    element = model.add(ifc_class, attrs)
+    # PredefinedType, left unset, where the class has one
+    rest = [None] if len(schema.ATTRIBUTES[ifc_class]) > 8 else []
+    guid, element = _add_product(model, ifc_class, lp, shape, name, *rest)
     model.contain_in_storey(element, storey_id)
     return guid

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (
@@ -156,7 +157,7 @@ def polygon_area(poly: Polygon2) -> float:
 
 @dataclass(frozen=True)
 class Placement:
-    """Right-handed local frame: y-axis is implied by z cross x."""
+    """Right-handed local frame: y-axis is z cross x, computed once per frame."""
 
     origin: Point3 = Point3(0.0, 0.0, 0.0)
     z_axis: Point3 = Point3(0.0, 0.0, 1.0)
@@ -172,7 +173,7 @@ class Placement:
         if abs(dot) > 1e-9:
             raise ValueError("placement axes are not orthogonal")
 
-    @property
+    @cached_property
     def y_axis(self) -> Point3:
         z, x = self.z_axis, self.x_axis
         return Point3(z.y * x.z - z.z * x.y, z.z * x.x - z.x * x.z,

@@ -24,8 +24,8 @@ points and directions of built geometry. ``IfcModel.add`` looks each such
 attribute tuple up in one dict on the model. The tuple type keeps an edit
 of one entity from reaching the others.
 
-``delete_element`` applies one rule to every entity that references a
-deleted one, whatever its class: see its docstring.
+``delete_element`` builds one referrer map per call and applies one rule
+to every entity that references a deleted one, whatever its class.
 
 The graph is acyclic: an entity refers to another only by id
 (``EntityRef``), and no index holds an object that points back at its
@@ -931,15 +931,15 @@ def _pruned(attributes: tuple, dead: set[int]) -> tuple[tuple, bool, bool]:
 def delete_element(model: IfcModel, guid: str) -> int:
     """Delete a product and its exclusively-owned subgraph.
 
-    Every live entity that references a deleted one follows one rule. A
-    reference an aggregate lists is dropped from it. A relationship record,
-    or an entity without a GlobalId, dies too when a single-valued
-    attribute, or an aggregate now empty, pointed into the deleted set;
-    this repeats until nothing changes. Any other entity with a
-    single-valued reference into the set fails the delete with
-    :class:`StillReferenced`, and nothing is written. Shared resources
-    (profiles, contexts, owner histories, ...) survive whenever anything
-    outside the deleted set still references them.
+    One pass over the entities builds one referrer map per call (id -> ids
+    of the entities that refer to it). Every entity that references a
+    deleted one follows one rule. A reference an aggregate lists is dropped
+    from it. A relationship record, or an entity without a GlobalId, dies
+    too when a single-valued attribute, or an aggregate now empty, pointed
+    into the deleted set; each death re-examines its referrers. Any other
+    entity with a single-valued reference into the set fails the delete
+    with :class:`StillReferenced`, and nothing is written. Shared resources
+    (profiles, owner histories, ...) survive while anything else uses them.
     """
     inst = model.require_guid(guid)
     if inst.class_name in schema.SPATIAL_CLASSES:
@@ -948,70 +948,50 @@ def delete_element(model: IfcModel, guid: str) -> int:
         raise CannotDeleteSpatial(f"{inst.class_name} is not a deletable product")
 
     entities = model.entities
+    referrers: dict[int, list[int]] = {}
+    for entity_id, entity in entities.items():
+        for ref in iter_refs(entity.attributes):
+            referrers.setdefault(ref.id, []).append(entity_id)
     dead = _cascade_set(model, inst.id)
-    # the indexed relationship records holding a dead entity are its usual
-    # referrers; walking them in the first round saves a round when they die
-    roots = dead.union(rel_id for entity_id in dead for class_name in schema.REL_SIDES
-                       for side in (RELATING, RELATED)
-                       for rel_id in model.rels(entity_id, class_name, side))
-    candidates: set[int] = set()  # what may be freed once nothing live refers to it
-    referrers: dict[int, list[int]] = {}  # root or candidate -> its live referrers
-    while roots:
-        # new candidates for resource cleanup: the attribute closure of the roots
-        watched: dict[int, list[int]] = {entity_id: [] for entity_id in roots}
-        queue = list(roots)
-        while queue:
-            for ref in iter_refs(entities[queue.pop()].attributes):
-                if ref.id in dead or ref.id in candidates:
-                    continue
-                target = entities[ref.id]
-                if _is_rooted(target) and target.class_name not in _GC_SAFE_ROOTED:
-                    continue  # never sweep spatial/product/type entities
-                candidates.add(ref.id)
-                watched[ref.id] = []
-                queue.append(ref.id)
-        # one pass over the live entities finds who refers to each watched id
-        for entity_id, entity in entities.items():
-            if entity_id not in dead:
-                for ref in iter_refs(entity.attributes):
-                    found = watched.get(ref.id)
-                    if found is not None:
-                        found.append(entity_id)
-        referrers.update(watched)
-        # the rule; a record dying with referrers not yet known is a root
-        # of the next round
-        roots = set()
-        queue = [r for entity_id in watched if entity_id in dead for r in watched[entity_id]]
-        while queue:
-            entity_id = queue.pop()
-            if entity_id in dead:
-                continue
-            entity = entities[entity_id]
-            _, single, emptied = _pruned(entity.attributes, dead)
-            if (single or emptied) and (entity.class_name.startswith("IFCREL")
-                                        or not _is_rooted(entity)):
-                dead.add(entity_id)
-                if entity_id in referrers:
-                    queue.extend(referrers[entity_id])
-                else:
-                    roots.add(entity_id)
+    queue = [r for entity_id in dead for r in referrers.get(entity_id, ())]
+    while queue:
+        entity_id = queue.pop()
+        if entity_id in dead:
+            continue
+        entity = entities[entity_id]
+        _, single, emptied = _pruned(entity.attributes, dead)
+        if (single or emptied) and (entity.class_name.startswith("IFCREL")
+                                    or not _is_rooted(entity)):
+            dead.add(entity_id)
+            queue.extend(referrers.get(entity_id, ()))
 
-    # reference counting over the candidates: a candidate no live entity
-    # refers to dies and releases what it references (cycles among
-    # candidates stay)
+    # resource cleanup counts references to what the dead set reaches: a
+    # candidate no live entity refers to dies and releases what it
+    # references (cycles among candidates stay)
+    candidates: set[int] = set()
+    queue = list(dead)
+    while queue:
+        for ref in iter_refs(entities[queue.pop()].attributes):
+            if ref.id in dead or ref.id in candidates:
+                continue
+            target = entities[ref.id]
+            if _is_rooted(target) and target.class_name not in _GC_SAFE_ROOTED:
+                continue  # never sweep spatial/product/type entities
+            candidates.add(ref.id)
+            queue.append(ref.id)
     counts = {c: sum(r not in dead for r in referrers[c]) for c in candidates}
-    free = [c for c, count in counts.items() if count == 0 and c not in dead]
+    free = [c for c, count in counts.items() if count == 0]
     while free:
         entity_id = free.pop()
         dead.add(entity_id)
         for ref in iter_refs(entities[entity_id].attributes):
             if ref.id in counts:
                 counts[ref.id] -= 1
-                if counts[ref.id] == 0 and ref.id not in dead:
+                if counts[ref.id] == 0:
                     free.append(ref.id)
 
     # every check passes before the first write
-    survivors = sorted({r for entity_id in dead for r in referrers[entity_id]
+    survivors = sorted({r for entity_id in dead for r in referrers.get(entity_id, ())
                         if r not in dead})
     pruned = []
     for entity_id in survivors:

@@ -203,6 +203,8 @@ def _hex_chars(digits: str, width: int, escape: str) -> list[str]:
     """The characters that ``escape`` codes as ``width`` hex digits each."""
     if not _HEX_DIGITS.issuperset(digits):
         raise ValueError(f"{escape} escape {digits!r} holds a character that is not a hex digit")
+    if len(digits) % width:
+        raise ValueError(f"{escape} escape {digits!r} is not a run of {width}-digit codes")
     return [_code_point(int(digits[j:j + width], 16), escape)
             for j in range(0, len(digits), width)]
 
@@ -211,7 +213,8 @@ def decode_step_string(raw: str) -> str:
     """Decode a STEP string body (quotes already stripped, ``''`` collapsed).
 
     Raises ``ValueError`` for an escape that holds a character other than a
-    hex digit or codes a character above U+10FFFF.
+    hex digit, a ``\\X2\\`` or ``\\X4\\`` run that is not a whole number of
+    4- or 8-digit codes, or one that codes a character above U+10FFFF.
     """
     out: list[str] = []
     i = 0

@@ -12,9 +12,11 @@ from ifcmcp.model import IfcModel, load_model, new_model
 # (test_edited_records_read_alike_on_both_paths_property), the escape
 # property (test_escapes_read_alike_on_both_paths_or_fail_as_syntax_errors_property), the index
 # rebuild property, the record order property, the shared attribute tuple
-# property and the query fuzzing property
-# (test_every_query_gets_one_reply_and_leaves_a_saveable_model); the others
-# fix their own count
+# property, the query fuzzing property
+# (test_every_query_gets_one_reply_and_leaves_a_saveable_model) and the two
+# delete properties (test_delete_matches_the_whole_graph_sweep and
+# test_deletes_among_foreign_records_leave_a_saveable_model); the others fix
+# their own count
 settings.register_profile("ci", max_examples=500)
 
 SQUARE_WALLS = [

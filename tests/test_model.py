@@ -908,7 +908,7 @@ _GROWTH_STEPS = ["create_wall", "create_door", "add_property_set",
 @example(trace="semantic_edits",
          steps=[("set_owner_history", 4, 0), ("add_property_set", 4, 1),
                 ("delete_element", 4, 0), ("delete_element", 0, 0)])
-@settings(max_examples=30, deadline=None)
+@settings(deadline=None)
 def test_delete_matches_the_whole_graph_sweep(trace, steps):
     session = Session(new_model(guid_seed=47))
     model = session.model
@@ -993,14 +993,21 @@ def test_delete_removes_foreign_records_that_refer_to_the_element():
     assert_indexes_fresh(model)
 
 
-def test_delete_removes_a_referrer_without_a_global_id():
+@pytest.mark.parametrize("links", [1, 2, 3, 4])
+def test_delete_removes_a_referrer_without_a_global_id(links):
     model = new_model(guid_seed=12)
     guid = builders.create_wall(model, (0, 0), (4, 0), 3.0, 0.2)
     wall = model.require_guid(guid).id
-    note = model.add("IFCXNOTE", ["kept apart", EntityRef(wall)])
-    listing = model.add("IFCXNOTE", ["lists the note", (EntityRef(note),)])
+    # a chain of notes without a GlobalId back to the wall: the first refers
+    # to it by a single value, the next lists the first, and so on in turn
+    chain = [wall]
+    for link in range(links):
+        ref = EntityRef(chain[-1])
+        chain.append(model.add("IFCXNOTE", [f"link {link}", (ref,) if link % 2 else ref]))
+    kept = model.add("IFCXNOTE", ["refers to nothing deleted", EntityRef(model.project_id)])
     delete_element(model, guid)
-    assert {wall, note, listing} & set(model.entities) == set()
+    assert set(chain) & set(model.entities) == set()
+    assert kept in model.entities
     assert model.dangling_refs() == []
 
 
@@ -1027,7 +1034,7 @@ _FOREIGN = ["path", "group", "note", "material"]
 @given(steps=st.lists(st.tuples(st.sampled_from(_FOREIGN + ["delete"]),
                                 st.integers(0, 40), st.integers(0, 40)),
                       max_size=12))
-@settings(max_examples=25, deadline=None)
+@settings(deadline=None)
 def test_deletes_among_foreign_records_leave_a_saveable_model(steps):
     session = Session(new_model(guid_seed=48))
     run_trace(session, json.loads((TRACES / "l_building.json").read_text()))

@@ -380,6 +380,12 @@ _TAIL = "ENDSEC;\nEND-ISO-10303-21;\n"
                  "\\X4\\ escape codes 110000, above 10FFFF", id="x4-escape-in-a-list"),
     pytest.param(_HEAD + "#1=IFCX('\\S\\\U0010ffff');\n" + _TAIL, 8, 9,
                  "\\S\\ escape codes 11007F, above 10FFFF", id="s-escape-too-high"),
+    # each character of a \X2\ or \X4\ run is exactly 4 or 8 hex digits
+    *(pytest.param(_HEAD + f"#1=IFCX('{escape}{digits}\\X0\\');\n" + _TAIL, 8, 9,
+                   f"{escape} escape '{digits}' is not a run of {width}-digit codes",
+                   id=f"short-{name}-run-{digits}")
+      for name, escape, width, digits in (("x2", "\\X2\\", 4, "41"), ("x2", "\\X2\\", 4, "00410"),
+                                          ("x4", "\\X4\\", 8, "41"))),
 ])
 def test_syntax_error_positions(text, line, col, message):
     with pytest.raises(StepSyntaxError) as excinfo:
