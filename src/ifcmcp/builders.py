@@ -208,16 +208,14 @@ def create_roof_over_walls(model: IfcModel, wall_guids: list[str],
         axes.append(axis)
 
     tol = 1e-6
-    remaining = list(range(len(axes)))
-    first = axes[remaining.pop(0)]
-    loop = [Point2(first["start"].x, first["start"].y),
-            Point2(first["end"].x, first["end"].y)]
+    ends = [(Point2(*axis.start[:2]), Point2(*axis.end[:2])) for axis in axes]
+    remaining = list(range(1, len(ends)))
+    loop = list(ends[0])
     while remaining:
         tail = loop[-1]
         hit = None
         for index in remaining:
-            s = Point2(axes[index]["start"].x, axes[index]["start"].y)
-            e = Point2(axes[index]["end"].x, axes[index]["end"].y)
+            s, e = ends[index]
             if dist2(s, tail) < tol:
                 hit, nxt = index, e
                 break
@@ -231,20 +229,19 @@ def create_roof_over_walls(model: IfcModel, wall_guids: list[str],
     if dist2(loop[-1], loop[0]) > tol:
         raise WallsNotClosed("wall chain does not return to its start")
     outline = Polygon2(loop[:-1])
-    base_z = max(axis["base_z"] + axis["height"] for axis in axes)
+    base_z = max(axis.placement.origin.z + axis.height for axis in axes)
     return create_roof(model, outline, style=style, slope_deg=slope_deg,
                        base_z=base_z, name=name)
 
 
-def _project_on_axis(axis: dict, point: Point2) -> tuple[float, float]:
+def _project_on_axis(axis: measure.WallAxis, point: Point2) -> tuple[float, float]:
     """Metres along a wall axis to the axis point nearest to a 2D point, and
     the distance between the two."""
-    sx, sy = axis["start"].x, axis["start"].y
-    ex, ey = axis["end"].x, axis["end"].y
-    t = ((point.x - sx) * (ex - sx) + (point.y - sy) * (ey - sy)) / (axis["length"] ** 2)
+    (sx, sy, _sz), (ex, ey, _ez) = axis.start, axis.end
+    t = ((point.x - sx) * (ex - sx) + (point.y - sy) * (ey - sy)) / (axis.length ** 2)
     t = min(max(t, 0.0), 1.0)
     px, py = sx + t * (ex - sx), sy + t * (ey - sy)
-    return t * axis["length"], math.hypot(point.x - px, point.y - py)
+    return t * axis.length, math.hypot(point.x - px, point.y - py)
 
 
 def _nearest_wall(model: IfcModel, point: Point2) -> tuple[int, float]:
@@ -292,18 +289,18 @@ def _create_filled_opening(model: IfcModel, filler_class: str,
         point = Point2(float(position[0]), float(position[1]))
         position_along_axis, _distance = _project_on_axis(axis, point)
     pos = float(position_along_axis)
-    if pos - width / 2 < -1e-9 or pos + width / 2 > axis["length"] + 1e-9:
+    if pos - width / 2 < -1e-9 or pos + width / 2 > axis.length + 1e-9:
         raise OpeningOutOfBounds(
             f"opening spans [{pos - width / 2:.3f}, {pos + width / 2:.3f}] m "
-            f"on a {axis['length']:.3f} m wall"
+            f"on a {axis.length:.3f} m wall"
         )
-    if sill + height > axis["height"] + 1e-9:
+    if sill + height > axis.height + 1e-9:
         raise OpeningOutOfBounds(
             f"opening top at {sill + height:.3f} m exceeds wall height "
-            f"{axis['height']:.3f} m"
+            f"{axis.height:.3f} m"
         )
 
-    thickness = axis["thickness"]
+    thickness = axis.thickness
     wall_lp = model.entities[wall_id].attributes[5].id
     half_w = width / 2
     box = Polygon2([(-half_w, -thickness / 2), (half_w, -thickness / 2),

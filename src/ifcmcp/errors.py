@@ -113,6 +113,10 @@ class EmptyMesh(IfcError):
     pass
 
 
+class InvalidBody(IfcError):
+    pass
+
+
 class DegenerateFace(IfcError):
     def __init__(self, index: int, message: str = ""):
         super().__init__(message or f"degenerate or invalid face at index {index}")

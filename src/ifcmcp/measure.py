@@ -1,20 +1,100 @@
 """Derived geometric quantities read back from representation subgraphs.
 
-Everything here re-derives measurements from the entity graph itself (no
-cached Python-side state), so results stay valid across save/load cycles.
+This is the one module that reads a product's body records: ``body_of``
+decodes them into an immutable ``Extrusion`` or a ``TriMesh``, and
+``wall_axis`` gives an immutable ``WallAxis``. Every point, number and
+reference of a body goes through one checked reader, so a malformed record
+raises ``InvalidBody`` naming its ``#id``, class and attribute; a profile
+class the kit does not write measures as ``None``. Everything is re-derived
+from the entity graph on each call, so results stay valid across save/load
+cycles.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 from . import schema
-from .geometry import Point2, Point3, Polygon2, TriMesh, polygon_area, prism_mesh
-from .model import IfcModel
+from .errors import InvalidBody
+from .geometry import Placement, Point2, Point3, Polygon2, TriMesh, polygon_area, prism_mesh
+from .model import _REALS, IfcModel, _numbers
 from .step import EntityRef
 
 
-def body_of(model: IfcModel, entity_id: int) -> dict | None:
+class Extrusion(NamedTuple):
+    """An extruded area solid in its product's frame. ``bbox`` (x0, y0, x1,
+    y1) and ``area`` are the profile's; ``polygon`` is None for a rectangle."""
+
+    bbox: tuple[float, float, float, float]
+    area: float
+    depth: float
+    direction: Point3
+    origin: Point3
+    polygon: Polygon2 | None
+
+    @property
+    def outline(self) -> Polygon2:
+        """The profile; a rectangle runs counter-clockwise from (x0, y0)."""
+        if self.polygon is not None:
+            return self.polygon
+        x0, y0, x1, y1 = self.bbox
+        return Polygon2([(x0, y0), (x1, y0), (x1, y1), (x0, y1)])
+
+
+class WallAxis(NamedTuple):
+    """World-space axis segment and dimensions of a wall built by this kit."""
+
+    start: Point3
+    end: Point3
+    length: float
+    thickness: float
+    height: float
+    placement: Placement
+
+
+# what _read takes an attribute to be, besides a tuple of allowed lengths
+REF = "a reference"
+REFS = "a list of references"
+NUMBER = "a number"
+
+
+def _read(model: IfcModel, record, index: int, name: str, expected):
+    """Attribute ``name`` (at ``index``) of a body record: the entity a REF
+    names, the entities of REFS, a NUMBER as a float, or for a tuple of
+    lengths that many floats. Anything else raises InvalidBody."""
+    try:
+        value = record.attributes[index]
+        if expected is REF:
+            if type(value) is EntityRef:
+                return model.entities[value.id]
+        elif expected is REFS:
+            if type(value) is tuple:
+                return [model.entities[v.id] for v in value]
+        elif expected is NUMBER:
+            if type(value) in _REALS:
+                return float(value)
+        elif _numbers(value, *expected):
+            return tuple(map(float, value))
+    except (IndexError, AttributeError, OverflowError):  # also a listed non-reference
+        pass
+    if not isinstance(expected, str):
+        expected = " or ".join(map(str, expected)) + " numbers"
+    raise InvalidBody(f"{record.class_name} #{record.id} of a body needs {expected} "
+                      f"as its {name}")
+
+
+def _location(model: IfcModel, record, index: int) -> Point3:
+    """Location of the optional ``Position`` at ``index``; z is 0 for a 2D
+    point, and the origin stands in for an unset position."""
+    if index < len(record.attributes) and record.attributes[index] is None:
+        return Point3(0.0, 0.0, 0.0)
+    position = _read(model, record, index, "Position", REF)
+    coords = _read(model, _read(model, position, 0, "Location", REF), 0, "Coordinates", (2, 3))
+    return Point3(*coords, *(0.0,) * (3 - len(coords)))
+
+
+def body_of(model: IfcModel, entity_id: int) -> Extrusion | TriMesh | None:
     """Decode the Body shape representation of a product, if it has one."""
     inst = model.entities[entity_id]
     index = schema.attribute_index(inst.class_name, "Representation")
@@ -23,15 +103,13 @@ def body_of(model: IfcModel, entity_id: int) -> dict | None:
     pds_ref = inst.attributes[index]
     if not isinstance(pds_ref, EntityRef):
         return None
-    pds = model.entities[pds_ref.id]
-    for rep_ref in pds.attributes[2] or ():
-        rep = model.entities[rep_ref.id]
+    for rep in _read(model, model.entities[pds_ref.id], 2, "Representations", REFS):
         if rep.class_name != "IFCSHAPEREPRESENTATION" or rep.attributes[1] != "Body":
             continue
-        items = rep.attributes[3] or ()
+        items = _read(model, rep, 3, "Items", REFS)
         if not items:
             continue
-        item = model.entities[items[0].id]
+        item = items[0]
         if item.class_name == "IFCEXTRUDEDAREASOLID":
             return _decode_extrusion(model, item)
         if item.class_name == "IFCFACETEDBREP":
@@ -39,99 +117,61 @@ def body_of(model: IfcModel, entity_id: int) -> dict | None:
     return None
 
 
-def _decode_profile(model: IfcModel, profile_id: int) -> dict | None:
-    """A rectangle or a polygon; None for a profile class the kit does not write."""
-    profile = model.entities[profile_id]
+def _decode_extrusion(model: IfcModel, solid) -> Extrusion | None:
+    """None for a profile class other than a rectangle or a polyline polygon."""
+    profile = _read(model, solid, 0, "SweptArea", REF)
+    polygon = None
     if profile.class_name == "IFCRECTANGLEPROFILEDEF":
-        xdim = float(profile.attributes[3])
-        ydim = float(profile.attributes[4])
-        cx = cy = 0.0
-        position = profile.attributes[2]
-        if isinstance(position, EntityRef):
-            location = model.entities[position.id].attributes[0]
-            coords = model.entities[location.id].attributes[0]
-            cx, cy = float(coords[0]), float(coords[1])
-        return {
-            "kind": "rect",
-            "xdim": xdim,
-            "ydim": ydim,
-            "area": xdim * ydim,
-            "bbox": (cx - xdim / 2, cy - ydim / 2, cx + xdim / 2, cy + ydim / 2),
-        }
-    if profile.class_name == "IFCARBITRARYCLOSEDPROFILEDEF":
-        curve = model.entities[profile.attributes[2].id]
-        points = []
-        for ref in curve.attributes[0] or ():
-            coords = model.entities[ref.id].attributes[0]
-            points.append(Point2(float(coords[0]), float(coords[1])))
+        xdim = _read(model, profile, 3, "XDim", NUMBER)
+        ydim = _read(model, profile, 4, "YDim", NUMBER)
+        cx, cy, _cz = _location(model, profile, 2)
+        bbox = (cx - xdim / 2, cy - ydim / 2, cx + xdim / 2, cy + ydim / 2)
+        area = xdim * ydim
+    elif profile.class_name == "IFCARBITRARYCLOSEDPROFILEDEF":
+        curve = _read(model, profile, 2, "OuterCurve", REF)
+        points = [Point2(*_read(model, point, 0, "Coordinates", (2, 3))[:2])
+                  for point in _read(model, curve, 0, "Points", REFS)]
         if len(points) > 1 and math.hypot(points[0].x - points[-1].x,
                                           points[0].y - points[-1].y) < 1e-9:
             points = points[:-1]
-        poly = Polygon2(points)
-        x0, y0, x1, y1 = poly.bounds()
-        return {
-            "kind": "polygon",
-            "polygon": poly,
-            "area": polygon_area(poly),
-            "bbox": (x0, y0, x1, y1),
-        }
-    return None
-
-
-def _decode_extrusion(model: IfcModel, solid) -> dict | None:
-    profile = _decode_profile(model, solid.attributes[0].id)
-    if profile is None:
+        polygon = Polygon2(points)
+        bbox, area = polygon.bounds(), polygon_area(polygon)
+    else:
         return None
-    direction = model.entities[solid.attributes[2].id].attributes[0]
-    depth = float(solid.attributes[3])
-    origin = Point3(0.0, 0.0, 0.0)
-    position = solid.attributes[1]
-    if isinstance(position, EntityRef):
-        coords = model.entities[model.entities[position.id].attributes[0].id].attributes[0]
-        values = list(coords) + [0.0] * (3 - len(coords))
-        origin = Point3(*[float(v) for v in values[:3]])
-    return {
-        "kind": "extrusion",
-        "profile": profile,
-        "depth": depth,
-        "direction": Point3(*(float(v) for v in direction)),
-        "origin": origin,
-    }
+    direction = _read(model, solid, 2, "ExtrudedDirection", REF)
+    return Extrusion(bbox, area, _read(model, solid, 3, "Depth", NUMBER),
+                     Point3(*_read(model, direction, 0, "DirectionRatios", (3,))),
+                     _location(model, solid, 1), polygon)
 
 
-def _decode_brep(model: IfcModel, brep) -> dict:
-    shell = model.entities[brep.attributes[0].id]
-    vertices: list[Point3] = []
+def _decode_brep(model: IfcModel, brep) -> TriMesh:
+    vertices: list[tuple[float, float, float]] = []
     vertex_index: dict[int, int] = {}
     faces: list[tuple[int, int, int]] = []
-    for face_ref in shell.attributes[0] or ():
-        face = model.entities[face_ref.id]
-        for bound_ref in face.attributes[0] or ():
-            bound = model.entities[bound_ref.id]
-            loop = model.entities[bound.attributes[0].id]
+    shell = _read(model, brep, 0, "Outer", REF)
+    for face in _read(model, shell, 0, "CfsFaces", REFS):
+        for bound in _read(model, face, 0, "Bounds", REFS):
+            loop = _read(model, bound, 0, "Bound", REF)
             ids = []
-            for point_ref in loop.attributes[0] or ():
-                if point_ref.id not in vertex_index:
-                    coords = model.entities[point_ref.id].attributes[0]
-                    vertex_index[point_ref.id] = len(vertices)
-                    vertices.append(Point3(*(float(v) for v in coords)))
-                ids.append(vertex_index[point_ref.id])
+            for point in _read(model, loop, 0, "Polygon", REFS):
+                if point.id not in vertex_index:
+                    vertex_index[point.id] = len(vertices)
+                    vertices.append(_read(model, point, 0, "Coordinates", (3,)))
+                ids.append(vertex_index[point.id])
             for k in range(1, len(ids) - 1):  # fan for polygonal loops
                 faces.append((ids[0], ids[k], ids[k + 1]))
-    mesh = TriMesh(vertices, faces)
-    return {"kind": "mesh", "mesh": mesh}
+    return TriMesh(vertices, faces)
 
 
 def local_bbox(model: IfcModel, entity_id: int) -> tuple[Point3, Point3] | None:
     body = body_of(model, entity_id)
     if body is None:
         return None
-    if body["kind"] == "mesh":
-        return body["mesh"].bounds()
-    x0, y0, x1, y1 = body["profile"]["bbox"]
-    ox, oy, oz = body["origin"]
-    d = body["direction"]
-    depth = body["depth"]
+    if isinstance(body, TriMesh):
+        return body.bounds()
+    x0, y0, x1, y1 = body.bbox
+    ox, oy, oz = body.origin
+    d, depth = body.direction, body.depth
     dx, dy, dz = d.x * depth, d.y * depth, d.z * depth
     return (
         Point3(ox + x0 + min(dx, 0.0), oy + y0 + min(dy, 0.0), oz + min(dz, 0.0)),
@@ -143,17 +183,10 @@ def world_bbox(model: IfcModel, entity_id: int) -> tuple[Point3, Point3] | None:
     box = local_bbox(model, entity_id)
     if box is None:
         return None
-    placement = model.placement_of(entity_id)
-    lo, hi = box
-    corners = [
-        Point3(x, y, z)
-        for x in (lo.x, hi.x) for y in (lo.y, hi.y) for z in (lo.z, hi.z)
-    ]
-    world = [placement.to_world(c) for c in corners]
-    return (
-        Point3(min(c.x for c in world), min(c.y for c in world), min(c.z for c in world)),
-        Point3(max(c.x for c in world), max(c.y for c in world), max(c.z for c in world)),
-    )
+    to_world = model.placement_of(entity_id).to_world
+    (x0, y0, z0), (x1, y1, z1) = box
+    corners = [to_world(Point3(x, y, z)) for x in (x0, x1) for y in (y0, y1) for z in (z0, z1)]
+    return Point3(*map(min, zip(*corners))), Point3(*map(max, zip(*corners)))
 
 
 def world_mesh(model: IfcModel, entity_id: int) -> TriMesh | None:
@@ -169,83 +202,53 @@ def world_mesh(model: IfcModel, entity_id: int) -> TriMesh | None:
     if body is None:
         return None
     to_world = model.placement_of(entity_id).to_world
-    if body["kind"] == "mesh":
-        mesh = body["mesh"]
-        return TriMesh([to_world(v) for v in mesh.vertices], mesh.faces)
-    profile = body["profile"]
-    if profile["kind"] == "rect":
-        x0, y0, x1, y1 = profile["bbox"]
-        poly = Polygon2([(x0, y0), (x1, y0), (x1, y1), (x0, y1)])
-    else:
-        poly = profile["polygon"]
-    prism = prism_mesh(poly, body["depth"])
+    if isinstance(body, TriMesh):
+        return TriMesh([to_world(v) for v in body.vertices], body.faces)
+    prism = prism_mesh(body.outline, body.depth)
     points = prism.vertices
-    if body["direction"].z < 0:  # downward extrusion: the prism tops out at origin
-        down = -body["depth"]
+    if body.direction.z < 0:  # downward extrusion: the prism tops out at origin
+        down = -body.depth
         points = [(x + 0.0, y + 0.0, z + down) for x, y, z in points]
-    ox, oy, oz = body["origin"]
+    ox, oy, oz = body.origin
     return TriMesh([to_world(Point3(x + ox, y + oy, z + oz)) for x, y, z in points],
                    prism.faces)
 
 
-def wall_axis(model: IfcModel, wall_id: int) -> dict | None:
-    """World-space axis segment and dimensions of a wall built by this kit."""
+def wall_axis(model: IfcModel, wall_id: int) -> WallAxis | None:
+    """The axis of a wall whose body is an extrusion along its local x."""
     body = body_of(model, wall_id)
-    if body is None or body["kind"] != "extrusion":
+    if not isinstance(body, Extrusion):
         return None
-    profile = body["profile"]
-    x0, y0, x1, y1 = profile["bbox"]
-    length = x1 - x0
-    thickness = y1 - y0
+    x0, y0, x1, y1 = body.bbox
     placement = model.placement_of(wall_id)
-    start = placement.to_world(Point3(x0, 0.0, 0.0))
-    end = placement.to_world(Point3(x1, 0.0, 0.0))
-    return {
-        "start": start,
-        "end": end,
-        "length": length,
-        "thickness": thickness,
-        "height": body["depth"],
-        "base_z": placement.origin.z,
-        "placement": placement,
-    }
+    return WallAxis(placement.to_world(Point3(x0, 0.0, 0.0)),
+                    placement.to_world(Point3(x1, 0.0, 0.0)),
+                    x1 - x0, y1 - y0, body.depth, placement)
 
 
 def element_length(model: IfcModel, entity_id: int) -> float | None:
-    inst = model.entities[entity_id]
-    if inst.class_name in schema.WALL_CLASSES:
+    if model.entities[entity_id].class_name in schema.WALL_CLASSES:
         axis = wall_axis(model, entity_id)
-        return axis["length"] if axis else None
+        return axis.length if axis else None
     box = local_bbox(model, entity_id)
-    if box is None:
-        return None
-    return box[1].x - box[0].x
+    return None if box is None else box[1].x - box[0].x
 
 
 def element_height(model: IfcModel, entity_id: int) -> float | None:
     body = body_of(model, entity_id)
-    if body is None:
-        return None
-    if body["kind"] == "extrusion":
-        return body["depth"]
-    lo, hi = body["mesh"].bounds()
-    return hi.z - lo.z
+    if isinstance(body, TriMesh):
+        lo, hi = body.bounds()
+        return hi.z - lo.z
+    return None if body is None else body.depth
 
 
 def element_area(model: IfcModel, entity_id: int) -> float | None:
-    """Slabs: profile area. Walls: axis length times height."""
-    inst = model.entities[entity_id]
-    body = body_of(model, entity_id)
-    if body is None:
-        return None
-    if inst.class_name in schema.WALL_CLASSES:
+    """Walls: axis length times height. Other extrusions: profile area."""
+    if model.entities[entity_id].class_name in schema.WALL_CLASSES:
         axis = wall_axis(model, entity_id)
-        if axis is None:
-            return None
-        return axis["length"] * axis["height"]
-    if body["kind"] == "extrusion":
-        return body["profile"]["area"]
-    return None
+        return None if axis is None else axis.length * axis.height
+    body = body_of(model, entity_id)
+    return body.area if isinstance(body, Extrusion) else None
 
 
 def element_elevation(model: IfcModel, entity_id: int) -> float:

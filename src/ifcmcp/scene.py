@@ -215,10 +215,10 @@ def get_door_properties(model: IfcModel, guid: str) -> dict:
         raise NotADoor(f"{guid} is {schema.camel_case(inst.class_name)}, not IfcDoor")
     body = measure.body_of(model, inst.id)
     width = height = None
-    if body is not None and body["kind"] == "extrusion":
-        x0, _y0, x1, _y1 = body["profile"]["bbox"]
+    if isinstance(body, measure.Extrusion):
+        x0, _y0, x1, _y1 = body.bbox
         width = _round(x1 - x0)
-        height = _round(body["depth"])
+        height = _round(body.depth)
     rels = _relationships(model, inst.id)
     host_wall = rels.get("host_wall")
     sill = 0.0

@@ -139,13 +139,13 @@ class _Vertex:
                               self.prev.point, self.prev.bisector_dir)
             if i_prev is not None:
                 dist = _line_distance(self.edge_left.p, self.edge_left.v, i_prev)
-                events.append(_Event(dist, i_prev, "edge", self.prev, self))
+                events.append(_Event(dist, i_prev, True, self.prev, self))
         if self.next is not None:
             i_next = _ray_ray(self.point, self.bisector_dir,
                               self.next.point, self.next.bisector_dir)
             if i_next is not None:
                 dist = _line_distance(self.edge_right.p, self.edge_right.v, i_next)
-                events.append(_Event(dist, i_next, "edge", self, self.next))
+                events.append(_Event(dist, i_next, True, self, self.next))
         if not events:
             return None
         return min(events, key=lambda ev: dist2(self.point, ev.point))
@@ -176,16 +176,16 @@ class _Vertex:
         x_edge = _cross(edge.v, _norm(_sub(b, edge.p))) > -_EPS
         if not (x_start and x_end and x_edge):
             return None
-        return _Event(_line_distance(edge.p, edge.v, b), b, "split", self, edge)
+        return _Event(_line_distance(edge.p, edge.v, b), b, False, self, edge)
 
 
 class _Event:
-    __slots__ = ("distance", "point", "kind", "a", "b")
+    __slots__ = ("distance", "point", "is_edge", "a", "b")
 
-    def __init__(self, distance: float, point: Point2, kind: str, a, b):
+    def __init__(self, distance: float, point: Point2, is_edge: bool, a, b):
         self.distance = distance
         self.point = point
-        self.kind = kind
+        self.is_edge = is_edge
         self.a = a  # vertex (edge: left vertex; split: the reflex vertex)
         self.b = b  # edge event: right vertex; split event: opposite edge
 
@@ -406,7 +406,7 @@ def skeletonize(points: list[Point2]) -> list[Subtree]:
         if guard > limit:
             raise SkeletonFailure("event loop failed to terminate")
         _, _, event = heapq.heappop(queue)
-        if event.kind == "edge":
+        if event.is_edge:
             if not (event.a.valid and event.b.valid):
                 continue
             arc, new_events = slav.handle_edge_event(event)

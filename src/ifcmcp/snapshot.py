@@ -93,9 +93,7 @@ class _Canvas:
 
 def _wall_frame(axis) -> tuple[Point2, Point2, Point2]:
     """2D origin, unit axis direction and unit normal of a wall."""
-    start = Point2(axis["start"].x, axis["start"].y)
-    end = Point2(axis["end"].x, axis["end"].y)
-    length = axis["length"]
+    start, end, length = Point2(*axis.start[:2]), Point2(*axis.end[:2]), axis.length
     direction = Point2((end.x - start.x) / length, (end.y - start.y) / length)
     normal = Point2(-direction.y, direction.x)
     return start, direction, normal
@@ -159,8 +157,8 @@ def render_plan(model: IfcModel, storey_guid: str | None = None,
     xs: list[float] = []
     ys: list[float] = []
     for _entity_id, axis in walls:
-        xs.extend((axis["start"].x, axis["end"].x))
-        ys.extend((axis["start"].y, axis["end"].y))
+        xs.extend((axis.start.x, axis.end.x))
+        ys.extend((axis.start.y, axis.end.y))
     for entity_id in slabs:
         box = measure.world_bbox(model, entity_id)
         if box is not None:
@@ -175,25 +173,18 @@ def render_plan(model: IfcModel, storey_guid: str | None = None,
 
     for entity_id in slabs:
         body = measure.body_of(model, entity_id)
-        if body is None or body["kind"] != "extrusion":
+        if not isinstance(body, measure.Extrusion):
             continue
-        placement = model.placement_of(entity_id)
-        profile = body["profile"]
-        if profile["kind"] == "polygon":
-            pts = [placement.to_world(Point3(p.x, p.y, 0.0))
-                   for p in profile["polygon"].vertices]
-        else:
-            x0, y0, x1, y1 = profile["bbox"]
-            pts = [placement.to_world(Point3(x, y, 0.0))
-                   for x, y in ((x0, y0), (x1, y0), (x1, y1), (x0, y1))]
+        to_world = model.placement_of(entity_id).to_world
+        pts = [to_world(Point3(p.x, p.y, 0.0)) for p in body.outline.vertices]
         canvas.path([(p.x, p.y) for p in pts], fill="none", stroke=_SLAB_STROKE,
                     width=1.5, element_id=model.guid_of(entity_id),
                     title=_name_of(model, entity_id))
 
     for entity_id, axis in walls:
         start, direction, normal = _wall_frame(axis)
-        half = axis["thickness"] / 2.0
-        length = axis["length"]
+        half = axis.thickness / 2.0
+        length = axis.length
         corners = [
             _axis_point(start, direction, normal, 0.0, -half),
             _axis_point(start, direction, normal, length, -half),
@@ -209,11 +200,11 @@ def render_plan(model: IfcModel, storey_guid: str | None = None,
             if box is None or not (box[0].z - 1e-9 <= cut_z <= box[1].z + 1e-9):
                 continue
             body = measure.body_of(model, opening_id)
-            if body is None or body["kind"] != "extrusion":
+            if not isinstance(body, measure.Extrusion):
                 continue
-            x0, _y0, x1, _y1 = body["profile"]["bbox"]
+            x0, _y0, x1, _y1 = body.bbox
             local = model.placement_of(opening_id).origin
-            wall_origin = axis["placement"].origin
+            wall_origin = axis.placement.origin
             along0 = (local.x - wall_origin.x) * direction.x \
                 + (local.y - wall_origin.y) * direction.y + x0
             along1 = along0 + (x1 - x0)

@@ -55,7 +55,7 @@ def test_wall_chain_l_outline(fresh_model):
                                        close=True)
     assert len(guids) == 6
     total = sum(
-        measure.wall_axis(fresh_model, fresh_model.by_guid[g])["length"]
+        measure.wall_axis(fresh_model, fresh_model.by_guid[g]).length
         for g in guids
     )
     perimeter = Polygon2(L_OUTLINE).perimeter()
@@ -71,7 +71,7 @@ def test_wall_chain_square_perimeter(fresh_model):
     pts = [(0, 0), (10, 0), (10, 10), (0, 10)]
     guids = builders.create_wall_chain(fresh_model, pts, 3.0, 0.25, close=True)
     total = sum(
-        measure.wall_axis(fresh_model, fresh_model.by_guid[g])["length"]
+        measure.wall_axis(fresh_model, fresh_model.by_guid[g]).length
         for g in guids
     )
     assert abs(total - 40.0) < 1e-9

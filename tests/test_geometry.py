@@ -127,8 +127,23 @@ def test_extrude_l_shape_takes_arbitrary_path_and_volume():
     solid_ids = model.by_class["IFCEXTRUDEDAREASOLID"]
     assert len(solid_ids) == 1
     body = measure._decode_extrusion(model, model.entities[next(iter(solid_ids))])
-    assert body["profile"]["area"] * body["depth"] == pytest.approx(75 * 0.25)
+    assert body.area * body.depth == pytest.approx(75 * 0.25)
     assert pds in model.entities
+
+
+def test_decoded_bodies_and_axes_are_immutable(four_wall_model):
+    # a cache of decoded geometry may hand one value to every caller
+    wall = sorted(four_wall_model.by_class["IFCWALL"])[0]
+    body = measure.body_of(four_wall_model, wall)
+    axis = measure.wall_axis(four_wall_model, wall)
+    assert isinstance(body, measure.Extrusion) and isinstance(axis, measure.WallAxis)
+    assert (body.depth, axis.length, axis.height) == (3.0, 10.0, 3.0)
+    for value in (body, axis):
+        for field in value._fields:
+            with pytest.raises(AttributeError):
+                setattr(value, field, getattr(value, field))
+    assert body.polygon is None and body.outline.vertices == (
+        (0.0, -0.125), (10.0, -0.125), (10.0, 0.125), (0.0, 0.125))
 
 
 def test_extrusion_volume_against_signed_volume_oracle():

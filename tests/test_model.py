@@ -1057,7 +1057,10 @@ def test_deletes_among_foreign_records_leave_a_saveable_model(steps):
         elif kind == "group":
             _foreign_group(model, product, [rels[other % len(rels)], rels[pick % len(rels)]])
         elif kind == "note":
-            model.add("IFCXNOTE", [str(other), EntityRef(product)])
+            # a product, or an earlier note, which dies only after what it names
+            notes = model.by_class.get("IFCXNOTE", ())
+            target = notes[other // 2 % len(notes)] if notes and other % 2 else product
+            model.add("IFCXNOTE", [str(other), EntityRef(target)])
         else:
             material = model.add("IFCMATERIAL", [f"M{other}", None, None])
             model.add("IFCRELASSOCIATESMATERIAL", [

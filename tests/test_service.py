@@ -22,6 +22,7 @@ from ifcmcp import knowledge as knowledge_mod
 from ifcmcp import model as model_mod
 from ifcmcp import service as service_mod
 from ifcmcp.errors import DuplicateName
+from ifcmcp.geometry import Polygon2, prism_mesh
 from ifcmcp.knowledge import KnowledgeIndex
 from ifcmcp.model import load_model, new_model
 from ifcmcp.service import (
@@ -1114,6 +1115,76 @@ def test_foreign_profiles_degrade_in_band():
         assert payload_of(response)["error"]["type"] == error_type, tool
     # and the model can still be saved
     session.model.to_bytes()
+
+
+def _shape(model, product_id):
+    """The product's IFCPRODUCTDEFINITIONSHAPE."""
+    return model.resolve(model.entities[product_id].attributes[6])
+
+
+def _solid(model, product_id):
+    """First item of a product's Body representation."""
+    return model.resolve(model.resolve(_shape(model, product_id).attributes[2][0])
+                         .attributes[3][0])
+
+
+def _first_brep_point(model, product_id):
+    face = model.resolve(model.resolve(_solid(model, product_id).attributes[0]).attributes[0][0])
+    return model.resolve(model.resolve(model.resolve(face.attributes[0][0]).attributes[0])
+                         .attributes[0][0])
+
+
+def _profile(model, product_id):
+    return model.resolve(_solid(model, product_id).attributes[0])
+
+
+# product, the body record edited, its attribute index and name, and the
+# value written there (None is an unset attribute, $)
+_MALFORMED_BODIES = [
+    pytest.param("wall", _profile, 3, "XDim", None, id="rectangle-xdim-unset"),
+    pytest.param("wall", _solid, 2, "ExtrudedDirection", None, id="extrusion-direction-unset"),
+    pytest.param("wall", _solid, 3, "Depth", None, id="extrusion-depth-unset"),
+    pytest.param("wall", _solid, 3, "Depth", "x", id="extrusion-depth-string"),
+    pytest.param("wall", _solid, 3, "Depth", 10 ** 399, id="extrusion-depth-400-digits"),
+    pytest.param("slab", _profile, 2, "OuterCurve", None, id="polygon-curve-unset"),
+    pytest.param("wall", lambda m, p: m.resolve(_solid(m, p).attributes[2]), 0,
+                 "DirectionRatios", (0.0, 0.0), id="extrusion-direction-2-ratios"),
+    pytest.param("table", _first_brep_point, 0, "Coordinates", (1.0, 1.0),
+                 id="brep-point-2-coordinates"),
+    pytest.param("slab", lambda m, p: m.resolve(_profile(m, p).attributes[2]), 0, "Points",
+                 (1.0, 2.0), id="polyline-points-not-references"),
+    pytest.param("wall", _shape, 2, "Representations", (1.0,),
+                 id="shape-representations-not-references"),
+]
+
+
+@pytest.mark.parametrize("product, record_of, index, attribute, value", _MALFORMED_BODIES)
+def test_malformed_body_records_are_in_band_errors(product, record_of, index, attribute,
+                                                   value):
+    model = new_model(guid_seed=9)
+    guids = {
+        "wall": builders.create_wall(model, (0, 0), (5, 0), 3.0, 0.2),
+        "slab": builders.create_slab(model, [(0, 0), (5, 0), (5, 4), (2, 4), (0, 2)], 0.2),
+        "table": builders.create_mesh_element(
+            model, "IFCFURNISHINGELEMENT",
+            prism_mesh(Polygon2([(1, 1), (2.5, 1), (2, 2), (1, 1.5)]), 0.8), "Table"),
+    }
+    record = record_of(model, model.by_guid[guids[product]])
+    record.attributes = model_mod._replaced(record.attributes, index, value)
+    data = model.to_bytes()
+    session = Session(load_model(data))
+    calls = [("get_ifc_scene_overview", {}), ("capture_plan_view", {}),
+             ("capture_elevation_view", {"view": "south"}),
+             ("execute_ifc_query", {"query": "all | list(area)"}),
+             ("execute_ifc_query", {"query": "all | list(height)"}),
+             ("get_object_info", {"guid": guids[product]})]
+    for number, (tool, arguments) in enumerate(calls, start=1):
+        response = call(session, tool, arguments, number)
+        assert response["result"]["isError"] is True, (tool, response)
+        error = payload_of(response)["error"]
+        assert error["type"] == "InvalidBody", tool
+        assert f"#{record.id} " in error["message"] and attribute in error["message"]
+    assert session.model.to_bytes() == data
 
 
 def test_overflowing_payload_gets_internal_error_in_strict_json(session):

@@ -12,7 +12,7 @@ from ifcmcp.errors import EmptyModel
 from ifcmcp.geometry import Polygon2, prism_mesh
 from ifcmcp.model import new_model
 
-from conftest import build_l_building
+from conftest import SQUARE_WALLS, build_l_building
 
 
 def ids_in_svg(svg: str) -> list[str]:
@@ -139,6 +139,33 @@ def test_elevation_bytes_are_pinned():
     digests = {view: hashlib.sha256(snapshot.render_elevation(model, view).encode()).hexdigest()
                for view in _ELEVATION_SHA256}
     assert digests == _ELEVATION_SHA256
+
+
+def _four_walls_and_rect_slab():
+    """Four kit walls round a square and a slab whose outline is an
+    axis-aligned rectangle, so it is written as IFCRECTANGLEPROFILEDEF."""
+    model = new_model("My Project", guid_seed=1234)
+    for start, end in SQUARE_WALLS:
+        builders.create_wall(model, start, end, 3.0, 0.25)
+    builders.create_slab(model, [(1, 2), (9, 2), (9, 8), (1, 8)], 0.2)
+    return model
+
+
+# sha256 of render_plan for each model, recorded before the plan's slab
+# outline was read the same way for rectangle and polygon profiles
+_PLAN_SHA256 = {
+    "every_body_kind": "c0e33387502bae160a8d39d5fa2753c07998b5ec0ae294810eaee596aa04cb4c",
+    "four_walls_and_rect_slab": "6763802e63cd02388820f60d33e1091d22e3657bfdc622ed59bf8d6939bfbe93",
+}
+
+
+def test_plan_bytes_are_pinned():
+    models = {"every_body_kind": _every_body_kind_model(),
+              "four_walls_and_rect_slab": _four_walls_and_rect_slab()}
+    assert models["four_walls_and_rect_slab"].by_class["IFCRECTANGLEPROFILEDEF"]
+    digests = {name: hashlib.sha256(snapshot.render_plan(model).encode()).hexdigest()
+               for name, model in models.items()}
+    assert digests == _PLAN_SHA256
 
 
 def test_elevation_memory_stays_near_the_size_of_its_svg():
