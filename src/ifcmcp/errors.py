@@ -81,7 +81,7 @@ class StillReferenced(IfcError):
 
 
 class InvalidPlacement(IfcError):
-    pass
+    part = "placement"  # what ``model.read`` names a malformed record a part of
 
 
 class PlacementCycle(IfcError):
@@ -114,7 +114,7 @@ class EmptyMesh(IfcError):
 
 
 class InvalidBody(IfcError):
-    pass
+    part = "body"
 
 
 class DegenerateFace(IfcError):

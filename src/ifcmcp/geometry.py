@@ -127,9 +127,6 @@ class Polygon2:
         for i, a in enumerate(verts):
             yield a, verts[(i + 1) % len(verts)]
 
-    def perimeter(self) -> float:
-        return sum(dist2(a, b) for a, b in self.edges())
-
     def bounds(self) -> tuple[float, float, float, float]:
         xs = [p.x for p in self.vertices]
         ys = [p.y for p in self.vertices]
@@ -315,26 +312,6 @@ def _point_in_tri(p: Point2, a: Point2, b: Point2, c: Point2) -> bool:
     d2 = _cross(b, c, p)
     d3 = _cross(c, a, p)
     return d1 >= -1e-12 and d2 >= -1e-12 and d3 >= -1e-12
-
-
-def box_mesh(sx: float, sy: float, sz: float,
-             origin: Point3 = Point3(0.0, 0.0, 0.0)) -> TriMesh:
-    """Axis-aligned box with outward-wound faces, corner at ``origin``."""
-    ox, oy, oz = origin
-    v = [
-        (ox, oy, oz), (ox + sx, oy, oz), (ox + sx, oy + sy, oz), (ox, oy + sy, oz),
-        (ox, oy, oz + sz), (ox + sx, oy, oz + sz),
-        (ox + sx, oy + sy, oz + sz), (ox, oy + sy, oz + sz),
-    ]
-    f = [
-        (0, 2, 1), (0, 3, 2),  # bottom
-        (4, 5, 6), (4, 6, 7),  # top
-        (0, 1, 5), (0, 5, 4),  # front
-        (1, 2, 6), (1, 6, 5),  # right
-        (2, 3, 7), (2, 7, 6),  # back
-        (3, 0, 4), (3, 4, 7),  # left
-    ]
-    return TriMesh(v, f)
 
 
 def prism_mesh(profile: Polygon2, depth: float, axis: str = "z") -> TriMesh:

@@ -3,11 +3,11 @@
 This is the one module that reads a product's body records: ``body_of``
 decodes them into an immutable ``Extrusion`` or a ``TriMesh``, and
 ``wall_axis`` gives an immutable ``WallAxis``. Every point, number and
-reference of a body goes through one checked reader, so a malformed record
-raises ``InvalidBody`` naming its ``#id``, class and attribute; a profile
-class the kit does not write measures as ``None``. Everything is re-derived
-from the entity graph on each call, so results stay valid across save/load
-cycles.
+reference of a body goes through ``model.read``, the one checked reader
+that also serves placements, so a malformed record raises ``InvalidBody``
+naming its ``#id``, class and attribute; a profile class the kit does not
+write measures as ``None``. Everything is re-derived from the entity graph
+on each call, so results stay valid across save/load cycles.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import NamedTuple
 from . import schema
 from .errors import InvalidBody
 from .geometry import Placement, Point2, Point3, Polygon2, TriMesh, polygon_area, prism_mesh
-from .model import _REALS, IfcModel, _numbers
+from .model import NUMBER, REF, REFS, IfcModel, read
 from .step import EntityRef
 
 
@@ -53,44 +53,14 @@ class WallAxis(NamedTuple):
     placement: Placement
 
 
-# what _read takes an attribute to be, besides a tuple of allowed lengths
-REF = "a reference"
-REFS = "a list of references"
-NUMBER = "a number"
-
-
-def _read(model: IfcModel, record, index: int, name: str, expected):
-    """Attribute ``name`` (at ``index``) of a body record: the entity a REF
-    names, the entities of REFS, a NUMBER as a float, or for a tuple of
-    lengths that many floats. Anything else raises InvalidBody."""
-    try:
-        value = record.attributes[index]
-        if expected is REF:
-            if type(value) is EntityRef:
-                return model.entities[value.id]
-        elif expected is REFS:
-            if type(value) is tuple:
-                return [model.entities[v.id] for v in value]
-        elif expected is NUMBER:
-            if type(value) in _REALS:
-                return float(value)
-        elif _numbers(value, *expected):
-            return tuple(map(float, value))
-    except (IndexError, AttributeError, OverflowError):  # also a listed non-reference
-        pass
-    if not isinstance(expected, str):
-        expected = " or ".join(map(str, expected)) + " numbers"
-    raise InvalidBody(f"{record.class_name} #{record.id} of a body needs {expected} "
-                      f"as its {name}")
-
-
 def _location(model: IfcModel, record, index: int) -> Point3:
     """Location of the optional ``Position`` at ``index``; z is 0 for a 2D
     point, and the origin stands in for an unset position."""
     if index < len(record.attributes) and record.attributes[index] is None:
         return Point3(0.0, 0.0, 0.0)
-    position = _read(model, record, index, "Position", REF)
-    coords = _read(model, _read(model, position, 0, "Location", REF), 0, "Coordinates", (2, 3))
+    position = read(model, record, index, "Position", REF, InvalidBody)
+    location = read(model, position, 0, "Location", REF, InvalidBody)
+    coords = read(model, location, 0, "Coordinates", (2, 3), InvalidBody)
     return Point3(*coords, *(0.0,) * (3 - len(coords)))
 
 
@@ -103,10 +73,11 @@ def body_of(model: IfcModel, entity_id: int) -> Extrusion | TriMesh | None:
     pds_ref = inst.attributes[index]
     if not isinstance(pds_ref, EntityRef):
         return None
-    for rep in _read(model, model.entities[pds_ref.id], 2, "Representations", REFS):
+    shape = model.entities[pds_ref.id]
+    for rep in read(model, shape, 2, "Representations", REFS, InvalidBody):
         if rep.class_name != "IFCSHAPEREPRESENTATION" or rep.attributes[1] != "Body":
             continue
-        items = _read(model, rep, 3, "Items", REFS)
+        items = read(model, rep, 3, "Items", REFS, InvalidBody)
         if not items:
             continue
         item = items[0]
@@ -119,18 +90,18 @@ def body_of(model: IfcModel, entity_id: int) -> Extrusion | TriMesh | None:
 
 def _decode_extrusion(model: IfcModel, solid) -> Extrusion | None:
     """None for a profile class other than a rectangle or a polyline polygon."""
-    profile = _read(model, solid, 0, "SweptArea", REF)
+    profile = read(model, solid, 0, "SweptArea", REF, InvalidBody)
     polygon = None
     if profile.class_name == "IFCRECTANGLEPROFILEDEF":
-        xdim = _read(model, profile, 3, "XDim", NUMBER)
-        ydim = _read(model, profile, 4, "YDim", NUMBER)
+        xdim = read(model, profile, 3, "XDim", NUMBER, InvalidBody)
+        ydim = read(model, profile, 4, "YDim", NUMBER, InvalidBody)
         cx, cy, _cz = _location(model, profile, 2)
         bbox = (cx - xdim / 2, cy - ydim / 2, cx + xdim / 2, cy + ydim / 2)
         area = xdim * ydim
     elif profile.class_name == "IFCARBITRARYCLOSEDPROFILEDEF":
-        curve = _read(model, profile, 2, "OuterCurve", REF)
-        points = [Point2(*_read(model, point, 0, "Coordinates", (2, 3))[:2])
-                  for point in _read(model, curve, 0, "Points", REFS)]
+        curve = read(model, profile, 2, "OuterCurve", REF, InvalidBody)
+        points = [Point2(*read(model, point, 0, "Coordinates", (2, 3), InvalidBody)[:2])
+                  for point in read(model, curve, 0, "Points", REFS, InvalidBody)]
         if len(points) > 1 and math.hypot(points[0].x - points[-1].x,
                                           points[0].y - points[-1].y) < 1e-9:
             points = points[:-1]
@@ -138,25 +109,25 @@ def _decode_extrusion(model: IfcModel, solid) -> Extrusion | None:
         bbox, area = polygon.bounds(), polygon_area(polygon)
     else:
         return None
-    direction = _read(model, solid, 2, "ExtrudedDirection", REF)
-    return Extrusion(bbox, area, _read(model, solid, 3, "Depth", NUMBER),
-                     Point3(*_read(model, direction, 0, "DirectionRatios", (3,))),
-                     _location(model, solid, 1), polygon)
+    direction = read(model, solid, 2, "ExtrudedDirection", REF, InvalidBody)
+    ratios = read(model, direction, 0, "DirectionRatios", (3,), InvalidBody)
+    return Extrusion(bbox, area, read(model, solid, 3, "Depth", NUMBER, InvalidBody),
+                     Point3(*ratios), _location(model, solid, 1), polygon)
 
 
 def _decode_brep(model: IfcModel, brep) -> TriMesh:
     vertices: list[tuple[float, float, float]] = []
     vertex_index: dict[int, int] = {}
     faces: list[tuple[int, int, int]] = []
-    shell = _read(model, brep, 0, "Outer", REF)
-    for face in _read(model, shell, 0, "CfsFaces", REFS):
-        for bound in _read(model, face, 0, "Bounds", REFS):
-            loop = _read(model, bound, 0, "Bound", REF)
+    shell = read(model, brep, 0, "Outer", REF, InvalidBody)
+    for face in read(model, shell, 0, "CfsFaces", REFS, InvalidBody):
+        for bound in read(model, face, 0, "Bounds", REFS, InvalidBody):
+            loop = read(model, bound, 0, "Bound", REF, InvalidBody)
             ids = []
-            for point in _read(model, loop, 0, "Polygon", REFS):
+            for point in read(model, loop, 0, "Polygon", REFS, InvalidBody):
                 if point.id not in vertex_index:
                     vertex_index[point.id] = len(vertices)
-                    vertices.append(_read(model, point, 0, "Coordinates", (3,)))
+                    vertices.append(read(model, point, 0, "Coordinates", (3,), InvalidBody))
                 ids.append(vertex_index[point.id])
             for k in range(1, len(ids) - 1):  # fan for polygonal loops
                 faces.append((ids[0], ids[k], ids[k + 1]))

@@ -42,6 +42,7 @@ from __future__ import annotations
 import bisect
 import gc
 import marshal
+import math
 from collections import namedtuple
 from itertools import chain
 from pathlib import Path
@@ -52,9 +53,9 @@ import ifcmcp
 from . import schema
 from .errors import (
     CannotDeleteSpatial,
-    DanglingRef,
     DuplicateGuid,
     EmptySpec,
+    InvalidBody,
     InvalidParams,
     InvalidPlacement,
     PlacementCycle,
@@ -366,15 +367,6 @@ class IfcModel:
         self._name_counters[short] = count
         return f"{short}_{count:03d}"
 
-    def dangling_refs(self) -> list[int]:
-        """Referenced ids that no entity has, ascending: the ids for which
-        ``to_bytes`` raises :class:`DanglingRef`, found by the same walk."""
-        try:
-            self.to_bytes()
-        except DanglingRef as exc:
-            return exc.ids
-        return []
-
     # --- spatial structure ---
 
     @property
@@ -387,8 +379,11 @@ class IfcModel:
         return sorted(self.storey_ids, key=lambda i: (self.storey_elevation(i), i))
 
     def storey_elevation(self, storey_id: int) -> float:
-        value = self.entities[storey_id].attributes[9]
-        return float(value) if isinstance(value, (int, float)) else 0.0
+        """A storey's ``Elevation``; 0.0 when unset."""
+        inst = self.entities[storey_id]
+        if len(inst.attributes) > 9 and inst.attributes[9] is None:
+            return 0.0
+        return read(self, inst, 9, "Elevation", NUMBER, InvalidPlacement)
 
     def default_storey(self) -> int:
         storeys = self.storeys()
@@ -417,61 +412,55 @@ class IfcModel:
 
     # --- placement resolution ---
 
-    def _axis2placement(self, a2p_id: int) -> Placement:
+    def _axis2placement(self, inst: EntityInstance) -> Placement:
         """Local frame of an axis placement. As IFC's ``IfcBuildAxes`` does,
         the x axis is ``RefDirection`` projected onto the plane normal to
         ``Axis`` (``IfcFirstProjAxis``), so the two need not be orthogonal."""
         geometry = ifcmcp.geometry
-        inst = self.entities[a2p_id]
-        coords = self.resolve(inst.attributes[0]).attributes[0]
-        if not _numbers(coords, 2, 3):
-            raise InvalidPlacement(f"IFCCARTESIANPOINT #{inst.attributes[0].id} "
-                                   "of a placement needs 2 or 3 numeric coordinates")
+        location = read(self, inst, 0, "Location", REF, InvalidPlacement)
+        coords = read(self, location, 0, "Coordinates", (2, 3), InvalidPlacement)
         origin = geometry.Point3(*coords, *(0.0,) * (3 - len(coords)))
-        if inst.class_name != "IFCAXIS2PLACEMENT3D":
+        if inst.class_name != "IFCAXIS2PLACEMENT3D" or inst.attributes[1:] == (None, None):
             return geometry.Placement(origin)
-        axis, ref_direction = inst.attributes[1], inst.attributes[2]
-        has_axis = isinstance(axis, EntityRef)
-        if not has_axis and not isinstance(ref_direction, EntityRef):
-            return geometry.Placement(origin)
-        z_axis = _unit(self._direction(axis)) if has_axis else geometry.Point3(0.0, 0.0, 1.0)
-        if isinstance(ref_direction, EntityRef):
-            x_axis = self._direction(ref_direction)
-        elif z_axis.y == z_axis.z == 0.0:
+        axis = self._direction(inst, 1, "Axis")
+        ref_direction = self._direction(inst, 2, "RefDirection")
+        z_axis = geometry.Point3(0.0, 0.0, 1.0) if axis is None else _unit(axis)
+        if ref_direction is None:
             # IFC's default (1,0,0) would have no part normal to this axis
-            x_axis = geometry.Point3(0.0, 1.0, 0.0)
-        else:
-            x_axis = geometry.Point3(1.0, 0.0, 0.0)
-        return geometry.Placement(origin, z_axis, _first_proj_axis(z_axis, x_axis))
+            ref_direction = geometry.Point3(0.0, 1.0, 0.0) if z_axis.y == z_axis.z == 0.0 \
+                else geometry.Point3(1.0, 0.0, 0.0)
+        return geometry.Placement(origin, z_axis, _first_proj_axis(z_axis, ref_direction))
 
-    def _direction(self, ref: EntityRef) -> Point3:
-        ratios = self.resolve(ref).attributes[0]
-        if not _numbers(ratios, 3):
-            raise InvalidPlacement(
-                f"IFCDIRECTION #{ref.id} of a 3D placement needs 3 numeric direction ratios")
-        return ifcmcp.geometry.Point3(*ratios)
+    def _direction(self, inst: EntityInstance, index: int, name: str) -> Point3 | None:
+        """The direction an axis placement names at ``index``; None when unset."""
+        if index < len(inst.attributes) and inst.attributes[index] is None:
+            return None
+        direction = read(self, inst, index, name, REF, InvalidPlacement)
+        return ifcmcp.geometry.Point3(
+            *read(self, direction, 0, "DirectionRatios", (3,), InvalidPlacement))
 
     def resolve_placement(self, placement_id: int | None) -> Placement:
         """World frame of a placement, composed down its ``PlacementRelTo``
-        chain; a chain that returns to a placement raises PlacementCycle."""
+        chain; an unset ``PlacementRelTo`` is the root, and a chain that
+        returns to a placement raises PlacementCycle."""
         geometry = ifcmcp.geometry
         if placement_id is None:
             return geometry.Placement()
         chain: list[Placement] = []  # local frames, innermost first
         seen: set[int] = set()
+        inst = self.entities[placement_id]
         while True:
-            if placement_id in seen:
-                raise PlacementCycle(placement_id)
-            seen.add(placement_id)
-            inst = self.entities[placement_id]
+            if inst.id in seen:
+                raise PlacementCycle(inst.id)
+            seen.add(inst.id)
             if inst.class_name != "IFCLOCALPLACEMENT":
-                chain.append(self._axis2placement(placement_id))
+                chain.append(self._axis2placement(inst))
                 break
-            parent_ref, relative_ref = inst.attributes[0], inst.attributes[1]
-            chain.append(self._axis2placement(relative_ref.id))
-            if not isinstance(parent_ref, EntityRef):
+            chain.append(self._axis2placement(
+                read(self, inst, 1, "RelativePlacement", REF, InvalidPlacement)))
+            if inst.attributes[0] is None:
                 break
-            placement_id = parent_ref.id
+            inst = read(self, inst, 0, "PlacementRelTo", REF, InvalidPlacement)
         world = chain.pop()
         while chain:
             local = chain.pop()
@@ -503,12 +492,45 @@ class IfcModel:
             fh.write(data)
 
 
+# what ``read`` takes an attribute to be, besides a tuple of allowed lengths
+REF = "a reference"
+REFS = "a list of references"
+NUMBER = "a number"
+
 _REALS = frozenset((int, float))
+_FLOATS = frozenset((float,))
 
 
-def _numbers(values, *sizes: int) -> bool:
-    return (isinstance(values, tuple) and len(values) in sizes
-            and _REALS.issuperset(map(type, values)))
+def read(model: IfcModel, record: EntityInstance, index: int, name: str, expected,
+         error: type[InvalidBody | InvalidPlacement]):
+    """Attribute ``name`` (at ``index``) of a file record that becomes
+    geometry: the entity a REF names, the entities of REFS, a NUMBER as a
+    float, or for a tuple of lengths that many floats. Anything else raises
+    ``error``, the in-band error of the part the record belongs to, naming
+    the record's class, ``#id`` and ``name``. The file's reals are finite,
+    so only an integer past the double range is refused for its size."""
+    try:
+        value = record.attributes[index]
+        if expected is REF:
+            if type(value) is EntityRef:
+                return model.entities[value.id]
+        elif expected is REFS:
+            if type(value) is tuple:
+                return [model.entities[v.id] for v in value]
+        elif expected is NUMBER:
+            if type(value) in _REALS:
+                return float(value)
+        elif type(value) is tuple and len(value) in expected:
+            if _FLOATS.issuperset(map(type, value)):  # the common case: no copy
+                return value
+            if _REALS.issuperset(map(type, value)):
+                return tuple(map(float, value))
+    except (IndexError, AttributeError, OverflowError):  # also a listed non-reference
+        pass
+    if not isinstance(expected, str):
+        expected = " or ".join(map(str, expected)) + " numbers"
+    raise error(f"{record.class_name} #{record.id} of a {error.part} needs {expected} "
+                f"as its {name}")
 
 
 def _length(v: Point3) -> float:
@@ -516,22 +538,35 @@ def _length(v: Point3) -> float:
 
 
 def _unit(v: Point3) -> Point3:
-    length = _length(v)
-    if length == 0.0:
-        raise ZeroLengthAxis(f"direction {tuple(v)} has zero length")
+    """``v`` scaled to unit length. A vector whose squared length would
+    overflow, or lose its digits to underflow, is first divided by its
+    largest component."""
+    try:
+        length = _length(v)
+    except OverflowError:
+        length = math.inf
+    if not 1e-150 < length < 1e150:
+        scale = max(map(abs, v))
+        if scale == 0.0:
+            raise ZeroLengthAxis(f"direction {tuple(v)} has zero length")
+        v = ifcmcp.geometry.Point3(v.x / scale, v.y / scale, v.z / scale)
+        length = _length(v)
     return ifcmcp.geometry.Point3(v.x / length, v.y / length, v.z / length)
 
 
 def _first_proj_axis(z_axis: Point3, direction: Point3) -> Point3:
     """Unit ``direction`` less its part along the unit ``z_axis``. A direction
-    already normal to the axis is only normalised, so no rounding is added."""
-    dot = direction.x * z_axis.x + direction.y * z_axis.y + direction.z * z_axis.z
+    already normal to the axis is only normalised, so no rounding is added.
+    One within about 1e-6 rad of the axis counts as parallel: a shorter
+    remainder, once normalised, need not be normal to the axis within
+    ``Placement``'s 1e-9."""
+    unit = _unit(direction)
+    dot = unit.x * z_axis.x + unit.y * z_axis.y + unit.z * z_axis.z
     if dot == 0.0:
-        return _unit(direction)
-    x_axis = ifcmcp.geometry.Point3(direction.x - dot * z_axis.x,
-                                    direction.y - dot * z_axis.y,
-                                    direction.z - dot * z_axis.z)
-    if _length(x_axis) <= 1e-9 * _length(direction):
+        return unit
+    x_axis = ifcmcp.geometry.Point3(unit.x - dot * z_axis.x, unit.y - dot * z_axis.y,
+                                    unit.z - dot * z_axis.z)
+    if _length(x_axis) <= 1e-6:
         raise ZeroLengthAxis(
             f"RefDirection {tuple(direction)} is parallel to Axis {tuple(z_axis)}")
     return _unit(x_axis)

@@ -13,10 +13,12 @@ from ifcmcp.model import IfcModel, load_model, new_model
 # property (test_escapes_read_alike_on_both_paths_or_fail_as_syntax_errors_property), the index
 # rebuild property, the record order property, the shared attribute tuple
 # property, the query fuzzing property
-# (test_every_query_gets_one_reply_and_leaves_a_saveable_model) and the two
+# (test_every_query_gets_one_reply_and_leaves_a_saveable_model), the two
 # delete properties (test_delete_matches_the_whole_graph_sweep and
-# test_deletes_among_foreign_records_leave_a_saveable_model); the others fix
-# their own count
+# test_deletes_among_foreign_records_leave_a_saveable_model) and the
+# placement-slot property
+# (test_any_value_in_a_placement_slot_is_a_frame_or_an_in_band_error); the
+# others fix their own count
 settings.register_profile("ci", max_examples=500)
 
 SQUARE_WALLS = [

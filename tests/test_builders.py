@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from ifcmcp import builders, measure, scene, schema, skeleton
@@ -58,7 +60,7 @@ def test_wall_chain_l_outline(fresh_model):
         measure.wall_axis(fresh_model, fresh_model.by_guid[g]).length
         for g in guids
     )
-    perimeter = Polygon2(L_OUTLINE).perimeter()
+    perimeter = sum(math.dist(a, b) for a, b in Polygon2(L_OUTLINE).edges())
     assert abs(total - perimeter) < 1e-9
 
 

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from ifcmcp import builders
 from ifcmcp.cli import main, run_trace
 from ifcmcp.errors import StepFailed
 from ifcmcp.guid import is_guid
@@ -206,6 +207,23 @@ def test_snapshot_command(tmp_path, capsys):
     svg = plan.read_text(encoding="utf-8")
     assert svg.count('fill="#4a4a4a"') == 4
     assert elev.read_text(encoding="utf-8").startswith("<svg")
+
+
+def test_snapshot_of_a_placement_past_the_double_range_exits_1(tmp_path, capsys):
+    model = new_model(guid_seed=5)
+    wall = model.require_guid(builders.create_wall(model, (0, 0), (5, 0), 3.0, 0.2))
+    a2p = model.resolve(model.resolve(wall.attributes[5]).attributes[1])
+    point = model.resolve(a2p.attributes[0])
+    point.attributes = ((int("9" * 400), 0.0, 0.0),)
+    path = tmp_path / "huge.ifc"
+    path.write_bytes(model.to_bytes())
+    plan = tmp_path / "plan.svg"
+    assert main(["snapshot", str(path), "--plan", str(plan)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"ifcmcp: InvalidPlacement: IFCCARTESIANPOINT #{point.id} "
+                            "of a placement needs 2 or 3 numbers as its Coordinates\n")
+    assert not plan.exists()
 
 
 def test_snapshot_missing_model(tmp_path):

@@ -18,7 +18,6 @@ from ifcmcp.geometry import (
     Point3,
     Polygon2,
     TriMesh,
-    box_mesh,
     ear_clip,
     extrude_profile,
     mesh_to_brep,
@@ -174,7 +173,7 @@ def test_mesh_to_brep_tetrahedron():
 
 def test_mesh_to_brep_dedups_cube_vertices():
     model = new_model(guid_seed=15)
-    cube = box_mesh(1.0, 1.0, 1.0)
+    cube = prism_mesh(Polygon2([(0, 0), (1, 0), (1, 1), (0, 1)]), 1.0)
     assert len(cube.faces) == 12
     mesh_to_brep(model, cube)
     points = [
@@ -205,7 +204,7 @@ def test_mesh_error_leaves_model_untouched():
 
 
 def test_box_and_prism_watertight():
-    assert box_mesh(2, 3, 4).is_watertight()
+    assert prism_mesh(Polygon2([(0, 0), (1, 0), (1, 1), (0, 1)]), 1.0).is_watertight()
     assert prism_mesh(Polygon2(L_SHAPE), 1.0).is_watertight()
     assert prism_mesh(Polygon2([(0, 0), (4, 0), (4, 2), (0, 2)]), 1.5,
                       axis="y").is_watertight()

@@ -60,6 +60,16 @@ TRACES = Path(__file__).resolve().parent.parent / "traces"
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
+def dangling_refs(model: IfcModel) -> list[int]:
+    """Referenced ids that no entity has, ascending: the ids for which
+    ``to_bytes`` raises :class:`DanglingRef`, found by the same walk."""
+    try:
+        model.to_bytes()
+    except DanglingRef as exc:
+        return exc.ids
+    return []
+
+
 def add_bare_wall(model) -> str:
     """Wall without builder extras (no type object), for low-level tests."""
     guid = model.guids.fresh()
@@ -205,7 +215,7 @@ def test_classification_removed_with_last_element(four_wall_model):
     guid = model.guid_of(wall)
     add_classification(model, guid, "Uniclass 2015", "Ss_25_10_20")
     delete_element(model, guid)
-    assert model.dangling_refs() == []
+    assert dangling_refs(model) == []
     assert not model.by_class.get("IFCRELASSOCIATESCLASSIFICATION")
     assert not model.by_class.get("IFCCLASSIFICATION")
 
@@ -215,7 +225,7 @@ def test_delete_bare_wall_returns_to_spatial_only(fresh_model):
     assert scene.get_scene_info(fresh_model)["total"] == 5
     delete_element(fresh_model, guid)
     assert scene.get_scene_info(fresh_model)["total"] == 4
-    assert fresh_model.dangling_refs() == []
+    assert dangling_refs(fresh_model) == []
 
 
 def test_delete_wall_cascades_door_and_opening(four_wall_model):
@@ -224,7 +234,7 @@ def test_delete_wall_cascades_door_and_opening(four_wall_model):
     door, opening = builders.create_door(model, wall_guid=wall_guid,
                                          position_along_axis=5.0)
     delete_element(model, wall_guid)
-    assert model.dangling_refs() == []
+    assert dangling_refs(model) == []
     assert door not in model.by_guid
     assert opening not in model.by_guid
     assert not model.by_class.get("IFCRELVOIDSELEMENT")
@@ -238,7 +248,7 @@ def test_delete_door_removes_opening(four_wall_model):
     door, opening = builders.create_door(model, wall_guid=wall_guid,
                                          position_along_axis=5.0)
     delete_element(model, door)
-    assert model.dangling_refs() == []
+    assert dangling_refs(model) == []
     assert opening not in model.by_guid
     assert not model.by_class.get("IFCOPENINGELEMENT")
     assert len(model.by_class["IFCWALL"]) == 4  # host survives
@@ -744,7 +754,7 @@ def test_dangling_scan_clean_after_operation_mix(l_building):
     add_classification(model, handles["walls"][1], "S", "C1")
     delete_element(model, handles["walls"][2])
     delete_element(model, handles["door"])
-    assert model.dangling_refs() == []
+    assert dangling_refs(model) == []
 
 
 def test_storey_selection_by_elevation(fresh_model):
@@ -755,7 +765,7 @@ def test_storey_selection_by_elevation(fresh_model):
     assert fresh_model.storey_for_elevation(3.5) == upper
     assert fresh_model.storey_for_elevation(10.0) == upper
     assert fresh_model.storey_for_elevation(-5.0) == fresh_model.storeys()[0]
-    assert fresh_model.dangling_refs() == []
+    assert dangling_refs(fresh_model) == []
 
 
 
@@ -987,7 +997,7 @@ def test_delete_removes_foreign_records_that_refer_to_the_element():
     assert {path, lone} & set(model.entities) == set()
     assert model.entities[mixed].attributes[5] == (EntityRef(second),)
     assert model.rels(second, "IFCRELAGGREGATES", RELATED) == [mixed]
-    assert model.dangling_refs() == []
+    assert dangling_refs(model) == []
     data = model.to_bytes()
     assert write_step(*parse_step(data)) == data
     assert_indexes_fresh(model)
@@ -1008,7 +1018,7 @@ def test_delete_removes_a_referrer_without_a_global_id(links):
     delete_element(model, guid)
     assert set(chain) & set(model.entities) == set()
     assert kept in model.entities
-    assert model.dangling_refs() == []
+    assert dangling_refs(model) == []
 
 
 def test_delete_fails_before_any_write_while_a_rooted_record_holds_the_element():
@@ -1048,7 +1058,7 @@ def test_deletes_among_foreign_records_leave_a_saveable_model(steps):
         product = products[pick % len(products)]
         if kind == "delete":
             delete_element(model, model.guid_of(product))
-            assert model.dangling_refs() == []
+            assert dangling_refs(model) == []
             data = model.to_bytes()
             assert write_step(*parse_step(data)) == data
             assert_indexes_fresh(model)
@@ -1177,22 +1187,132 @@ def test_ref_direction_parallel_to_the_axis_is_an_in_band_error():
         "ZeroLengthAxis"
 
 
+def test_ref_direction_nearly_parallel_to_a_slanted_axis_is_an_in_band_error():
+    # 1e-8 rad apart: the projection is too short to be normal to the axis
+    # to within the frame's tolerance once normalised
+    model, guid, lp = _wall_with_placement()
+    _set_axes(model, lp, (-0.8133531280381473, 0.5738018711060714, 0.09595885485838479),
+              (-0.8133531325241078, 0.5738018781406922, 0.09595885999922568))
+    with pytest.raises(ZeroLengthAxis):
+        model.placement_of(model.require_guid(guid).id)
+    assert _tool_error(model, "get_object_info", {"guid": guid})["type"] == \
+        "ZeroLengthAxis"
+
+
+_HUGE = int("9" * 400)  # an integer past the double range
+
+
 @pytest.mark.parametrize("slot, value", [
     ("axis", (1.0, 0.0)), ("ref_direction", (1.0, 0.0)),
     ("ref_direction", ("a", 0.0, 0.0)), ("location", (1.0, 2.0, 3.0, 4.0)),
-    ("location", ("a", 2.0, 3.0))])
+    ("location", ("a", 2.0, 3.0)),
+    pytest.param("location", (_HUGE, 0.0, 0.0), id="location-400-digits"),
+    pytest.param("ref_direction", (_HUGE, 0.0, 0.0), id="ref_direction-400-digits"),
+    pytest.param("RelativePlacement", None, id="relative-placement-unset"),
+    pytest.param("Location", None, id="location-unset"),
+    pytest.param("Location", (1.0, 2.0, 3.0), id="location-not-a-reference"),
+    pytest.param("Elevation", _HUGE, id="storey-elevation-400-digits")])
 def test_malformed_placement_is_an_in_band_error(slot, value):
     model, guid, lp = _wall_with_placement()
-    if slot == "location":
-        a2p = model.entities[model.entities[lp].attributes[1].id]
-        point = model.entities[a2p.attributes[0].id]
-        point.attributes = model_mod._replaced(point.attributes, 0, value)
-    else:
+    wall = model.require_guid(guid).id
+    a2p = model.entities[model.entities[lp].attributes[1].id]
+    # the record the value goes into, the attribute's index and name, and
+    # the product whose info reads it
+    record, index, attribute, product = {
+        "location": (model.entities[a2p.attributes[0].id], 0, "Coordinates", guid),
+        "Location": (a2p, 0, "Location", guid),
+        "RelativePlacement": (model.entities[lp], 1, "RelativePlacement", guid),
+        "Elevation": (model.entities[model.storey_of(wall)], 9, "Elevation",
+                      model.guid_of(model.storey_of(wall))),
+    }.get(slot, (None, 0, "DirectionRatios", guid))
+    if record is None:
         _set_axes(model, lp, **{"axis": None, "ref_direction": None, slot: value})
-    with pytest.raises(InvalidPlacement):
-        model.placement_of(model.require_guid(guid).id)
-    assert _tool_error(model, "get_object_info", {"guid": guid})["type"] == \
-        "InvalidPlacement"
+        record = model.resolve(a2p.attributes[1 if slot == "axis" else 2])
+    else:
+        record.attributes = model_mod._replaced(record.attributes, index, value)
+    if slot != "Elevation":
+        with pytest.raises(InvalidPlacement):
+            model.placement_of(wall)
+    session = Session(load_model(model.to_bytes()))
+    before = session.model.to_bytes()
+    for tool, arguments in [("get_object_info", {"guid": product}),
+                            ("get_ifc_scene_overview", {}), ("capture_plan_view", {})]:
+        error = _call(session, tool, arguments)["error"]
+        assert error["type"] == "InvalidPlacement", tool
+        assert f"{record.class_name} #{record.id} of a placement needs " in error["message"]
+        assert error["message"].endswith(f" as its {attribute}"), error["message"]
+    assert session.model.to_bytes() == before
+
+
+# a STEP value a foreign file may hold where a placement wants a reference
+# or numbers: unset, text, integers past the double range, reals of any
+# size, tuples of any length, a reference to an existing entity of any class
+# ("entity", pick) or to a new IFCDIRECTION of any ratios ("record", ratios)
+_NUMBER = st.one_of(st.integers(-_HUGE, _HUGE), st.floats(allow_nan=False,
+                                                          allow_infinity=False))
+_STEP_VALUES = st.deferred(lambda: st.one_of(
+    st.none(), st.text(max_size=3), _NUMBER,
+    st.lists(_STEP_VALUES, max_size=4).map(tuple),
+    st.tuples(st.just("entity"), st.integers(0, 10 ** 6)),
+    st.tuples(st.just("record"), st.lists(_NUMBER, max_size=4).map(tuple))))
+_PLACEMENT_SLOTS = {  # slot -> (record of the wall's placement, attribute index)
+    "RelativePlacement": (lambda model, lp: lp, 1),
+    "PlacementRelTo": (lambda model, lp: lp, 0),
+    "Location": (lambda model, lp: model.resolve(lp.attributes[1]), 0),
+    "Axis": (lambda model, lp: model.resolve(lp.attributes[1]), 1),
+    "RefDirection": (lambda model, lp: model.resolve(lp.attributes[1]), 2),
+    "Coordinates": (lambda model, lp: model.resolve(
+        model.resolve(lp.attributes[1]).attributes[0]), 0),
+}
+
+
+@given(edits=st.lists(st.tuples(st.sampled_from(sorted(_PLACEMENT_SLOTS)), _STEP_VALUES),
+                      min_size=1, max_size=4))
+@settings(deadline=None)
+@example(edits=[("Axis", ("record", (1e300, -1e300, 0.0)))])
+@example(edits=[("RefDirection", ("record", (1e-160, 0.0, 0.0)))])
+def test_any_value_in_a_placement_slot_is_a_frame_or_an_in_band_error(edits):
+    model, guid, lp = _wall_with_placement()
+    ids = sorted(model.entities)
+
+    def stored(value):
+        if type(value) is not tuple:
+            return value
+        if value[:1] == ("entity",):
+            return EntityRef(ids[value[1] % len(ids)])
+        if value[:1] == ("record",):
+            return EntityRef(model.add("IFCDIRECTION", [value[1]]))
+        return tuple(map(stored, value))
+
+    for slot, value in edits:
+        record_of, index = _PLACEMENT_SLOTS[slot]
+        try:
+            record = record_of(model, model.entities[lp])
+        except (AttributeError, IndexError, KeyError, TypeError):
+            continue  # an earlier edit took away the path to this slot
+        if index < len(record.attributes):
+            record.attributes = model_mod._replaced(record.attributes, index, stored(value))
+    try:
+        placement = model.placement_of(model.require_guid(guid).id)
+    except (InvalidPlacement, ZeroLengthAxis, PlacementCycle):
+        return
+    assert isinstance(placement, ifcmcp.geometry.Placement)
+
+
+@pytest.mark.parametrize("tool, sill", [("create_door", 0.0), ("create_window", 0.9)])
+def test_an_opening_in_a_wall_without_a_placement_is_placed_in_the_world(tool, sill):
+    model, guid, _lp = _wall_with_placement()
+    wall = model.require_guid(guid)
+    wall.attributes = model_mod._replaced(wall.attributes, 5, None)
+    session = Session(load_model(model.to_bytes()))
+    result = _call(session, tool, {"wall_guid": guid, "position_along_axis": 2.0})
+    assert "error" not in result, result
+    # an unset ObjectPlacement is the world frame, so the opening is placed
+    # in it, as placement_of reads the wall
+    opening = session.model.require_guid(result["opening"]).id
+    assert session.model.placement_of(opening).origin == (2.0, 0.0, sill)
+    assert load_model(session.model.to_bytes()).to_bytes() == session.model.to_bytes()
+
 
 # --- the collector during and after a load ---
 
