@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (
@@ -38,10 +39,6 @@ class Point3(NamedTuple):
     z: float
 
 
-def _finite(*values: float) -> bool:
-    return all(math.isfinite(v) for v in values)
-
-
 def dist2(a: Point2, b: Point2) -> float:
     return math.hypot(b.x - a.x, b.y - a.y)
 
@@ -56,23 +53,22 @@ def _segments_cross(p1: Point2, p2: Point2, q1: Point2, q2: Point2) -> bool:
     d2 = _cross(q1, q2, p2)
     d3 = _cross(p1, p2, q1)
     d4 = _cross(p1, p2, q2)
-    if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)):
-        return True
-    return False
+    return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0))
 
 
 class Polygon2:
     """Simple polygon, stored counter-clockwise.
 
     Consecutive vertices closer than 1e-6 m are merged; reversed input is
-    accepted and flipped so that ``signed_area`` is always positive.
+    accepted and flipped so that ``signed_area`` is always positive. The
+    ``vertices`` tuple is fixed once built.
     """
 
     __slots__ = ("vertices",)
 
     def __init__(self, points):
         pts = [Point2(float(x), float(y)) for x, y in points]
-        if any(not _finite(p.x, p.y) for p in pts):
+        if not all(map(math.isfinite, chain.from_iterable(pts))):
             raise DegeneratePolygon("polygon has non-finite coordinates")
         # a run of consecutive points (around the ring) each closer than
         # POINT_TOL to the one before collapses to its smallest point (by x,
@@ -108,19 +104,13 @@ class Polygon2:
                 if _segments_cross(cleaned[i], cleaned[(i + 1) % n],
                                    cleaned[j], cleaned[(j + 1) % n]):
                     raise DegeneratePolygon("polygon is self-intersecting")
-        self.vertices = tuple(cleaned)
+        object.__setattr__(self, "vertices", tuple(cleaned))
 
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-    def __iter__(self):
-        return iter(self.vertices)
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Polygon2 is immutable: cannot set {name!r}")
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Polygon2) and other.vertices == self.vertices
-
-    def __repr__(self) -> str:
-        return f"Polygon2({list(self.vertices)!r})"
 
     def edges(self):
         verts = self.vertices
@@ -128,9 +118,7 @@ class Polygon2:
             yield a, verts[(i + 1) % len(verts)]
 
     def bounds(self) -> tuple[float, float, float, float]:
-        xs = [p.x for p in self.vertices]
-        ys = [p.y for p in self.vertices]
-        return min(xs), min(ys), max(xs), max(ys)
+        return (*map(min, zip(*self.vertices)), *map(max, zip(*self.vertices)))
 
     def is_axis_aligned_rect(self) -> bool:
         if len(self.vertices) != 4:
@@ -143,13 +131,7 @@ class Polygon2:
 
 def polygon_area(poly: Polygon2) -> float:
     """Shoelace area; positive because polygons are stored CCW."""
-    verts = poly.vertices
-    area2 = sum(
-        verts[i].x * verts[(i + 1) % len(verts)].y
-        - verts[(i + 1) % len(verts)].x * verts[i].y
-        for i in range(len(verts))
-    )
-    return area2 / 2.0
+    return sum(a.x * b.y - b.x * a.y for a, b in poly.edges()) / 2.0
 
 
 @dataclass(frozen=True)
@@ -201,30 +183,13 @@ def _tri_area3(a: Point3, b: Point3, c: Point3) -> float:
     return 0.5 * math.sqrt(cx * cx + cy * cy + cz * cz)
 
 
-class TriMesh:
-    """Indexed triangle mesh; validates indices and face areas on build."""
+class TriMesh(NamedTuple):
+    """Indexed triangle mesh: a tuple of ``Point3`` and a tuple of index
+    triples. Building one checks nothing: a mesh entering the kit is built
+    by ``checked_mesh``, one derived from checked parts directly."""
 
-    __slots__ = ("vertices", "faces")
-
-    def __init__(self, vertices, faces):
-        self.vertices = [Point3(float(x), float(y), float(z)) for x, y, z in vertices]
-        self.faces: list[tuple[int, int, int]] = []
-        if not self.vertices or not faces:
-            raise EmptyMesh("mesh has no vertices or faces")
-        for v in self.vertices:
-            if not _finite(v.x, v.y, v.z):
-                raise EmptyMesh("mesh has non-finite coordinates")
-        n = len(self.vertices)
-        for index, face in enumerate(faces):
-            tri = tuple(int(i) for i in face)
-            if len(tri) != 3:
-                raise DegenerateFace(index, f"face {index} is not a triangle")
-            if any(i < 0 or i >= n for i in tri):
-                raise DegenerateFace(index, f"face {index} has out-of-range vertex index")
-            a, b, c = (self.vertices[i] for i in tri)
-            if _tri_area3(a, b, c) <= MIN_FACE_AREA:
-                raise DegenerateFace(index, f"face {index} is degenerate")
-            self.faces.append(tri)
+    vertices: tuple[Point3, ...]
+    faces: tuple[tuple[int, int, int], ...]
 
     def is_watertight(self) -> bool:
         """Every undirected edge used exactly twice, once per direction."""
@@ -237,21 +202,32 @@ class TriMesh:
                 return False
         return True
 
-    def volume(self) -> float:
-        """Signed volume via divergence theorem (positive when outward-wound)."""
-        total = 0.0
-        for a, b, c in self.faces:
-            p, q, r = self.vertices[a], self.vertices[b], self.vertices[c]
-            total += (p.x * (q.y * r.z - q.z * r.y)
-                      - p.y * (q.x * r.z - q.z * r.x)
-                      + p.z * (q.x * r.y - q.y * r.x))
-        return total / 6.0
-
     def bounds(self) -> tuple[Point3, Point3]:
-        xs = [v.x for v in self.vertices]
-        ys = [v.y for v in self.vertices]
-        zs = [v.z for v in self.vertices]
-        return Point3(min(xs), min(ys), min(zs)), Point3(max(xs), max(ys), max(zs))
+        return Point3(*map(min, zip(*self.vertices))), Point3(*map(max, zip(*self.vertices)))
+
+
+def checked_mesh(vertices, faces) -> TriMesh:
+    """The mesh of a tool's arguments, a file's brep or a roof's skeleton.
+    EmptyMesh for no vertices or faces or a coordinate not finite, else
+    DegenerateFace for the first face that is not three in-range indices
+    spanning more than ``MIN_FACE_AREA``."""
+    points = tuple(Point3(float(x), float(y), float(z)) for x, y, z in vertices)
+    if not points or not faces:
+        raise EmptyMesh("mesh has no vertices or faces")
+    if not all(map(math.isfinite, chain.from_iterable(points))):
+        raise EmptyMesh("mesh has non-finite coordinates")
+    n = len(points)
+    tris: list[tuple[int, int, int]] = []
+    for index, face in enumerate(faces):
+        tri = tuple(int(i) for i in face)
+        if len(tri) != 3:
+            raise DegenerateFace(index, f"face {index} is not a triangle")
+        if any(i < 0 or i >= n for i in tri):
+            raise DegenerateFace(index, f"face {index} has out-of-range vertex index")
+        if _tri_area3(*(points[i] for i in tri)) <= MIN_FACE_AREA:
+            raise DegenerateFace(index, f"face {index} is degenerate")
+        tris.append(tri)
+    return TriMesh(points, tuple(tris))
 
 
 def ear_clip(points: list[Point2]) -> list[tuple[int, int, int]]:
@@ -319,20 +295,26 @@ def prism_mesh(profile: Polygon2, depth: float, axis: str = "z") -> TriMesh:
 
     ``axis='z'``: profile in XY, extruded +Z. ``axis='y'``: profile in XZ
     (x right, second coordinate up), extruded +Y — used for stair flights.
+
+    Faces come in pairs of equal area (a cap triangle and its twin, the
+    halves of a side). A checked profile can still make a pair too thin
+    (an ear of at most ``MIN_FACE_AREA``, a short edge on a thin depth), so
+    the first face of each pair alone is checked: DegenerateFace.
     """
     if depth <= 0:
         raise NonPositiveDepth(f"extrusion depth must be positive, got {depth}")
-    pts = list(profile.vertices)
+    depth = float(depth)
+    pts = profile.vertices
     n = len(pts)
     if axis == "z":
-        bottom = [(p.x, p.y, 0.0) for p in pts]
-        top = [(p.x, p.y, depth) for p in pts]
+        bottom = [Point3(p.x, p.y, 0.0) for p in pts]
+        top = [Point3(p.x, p.y, depth) for p in pts]
     elif axis == "y":
-        bottom = [(p.x, 0.0, p.y) for p in pts]
-        top = [(p.x, depth, p.y) for p in pts]
+        bottom = [Point3(p.x, 0.0, p.y) for p in pts]
+        top = [Point3(p.x, depth, p.y) for p in pts]
     else:
         raise ValueError(f"unsupported extrusion axis {axis!r}")
-    verts = bottom + top
+    verts = tuple(bottom + top)
     tris = ear_clip(pts)
     faces: list[tuple[int, int, int]] = []
     if axis == "z":
@@ -352,7 +334,12 @@ def prism_mesh(profile: Polygon2, depth: float, axis: str = "z") -> TriMesh:
             j = (i + 1) % n
             faces.append((i, n + j, j))
             faces.append((i, n + i, n + j))
-    return TriMesh(verts, faces)
+    mesh = TriMesh(verts, tuple(faces))
+    for index in range(0, len(faces), 2):
+        a, b, c = faces[index]
+        if _tri_area3(verts[a], verts[b], verts[c]) <= MIN_FACE_AREA:
+            raise DegenerateFace(index, f"face {index} is degenerate")
+    return mesh
 
 
 def wall_axis_to_profile(start: Point2, end: Point2,

@@ -13,11 +13,13 @@ on each call, so results stay valid across save/load cycles.
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import NamedTuple
 
 from . import schema
-from .errors import InvalidBody
-from .geometry import Placement, Point2, Point3, Polygon2, TriMesh, polygon_area, prism_mesh
+from .errors import EmptyMesh, InvalidBody
+from .geometry import (Placement, Point2, Point3, Polygon2, TriMesh, checked_mesh,
+                       polygon_area, prism_mesh)
 from .model import NUMBER, REF, REFS, IfcModel, read
 from .step import EntityRef
 
@@ -131,7 +133,7 @@ def _decode_brep(model: IfcModel, brep) -> TriMesh:
                 ids.append(vertex_index[point.id])
             for k in range(1, len(ids) - 1):  # fan for polygonal loops
                 faces.append((ids[0], ids[k], ids[k + 1]))
-    return TriMesh(vertices, faces)
+    return checked_mesh(vertices, faces)
 
 
 def local_bbox(model: IfcModel, entity_id: int) -> tuple[Point3, Point3] | None:
@@ -165,24 +167,26 @@ def world_mesh(model: IfcModel, entity_id: int) -> TriMesh | None:
 
     An extrusion's prism is built in the profile plane. Each of its
     vertices is shifted down by the depth when the extrusion points down,
-    then by the solid's origin, as it is placed in the world, so only the
-    prism and the returned mesh are built and checked. Nothing is kept
-    between calls.
+    then by the solid's origin, as it is placed in the world. The mesh is
+    derived from a checked body, so only its coordinates are checked, as
+    huge origins overflow there (EmptyMesh). Nothing is kept between calls.
     """
     body = body_of(model, entity_id)
     if body is None:
         return None
     to_world = model.placement_of(entity_id).to_world
     if isinstance(body, TriMesh):
-        return TriMesh([to_world(v) for v in body.vertices], body.faces)
-    prism = prism_mesh(body.outline, body.depth)
-    points = prism.vertices
-    if body.direction.z < 0:  # downward extrusion: the prism tops out at origin
-        down = -body.depth
-        points = [(x + 0.0, y + 0.0, z + down) for x, y, z in points]
-    ox, oy, oz = body.origin
-    return TriMesh([to_world(Point3(x + ox, y + oy, z + oz)) for x, y, z in points],
-                   prism.faces)
+        vertices, faces = tuple(map(to_world, body.vertices)), body.faces
+    else:
+        vertices, faces = prism_mesh(body.outline, body.depth)
+        if body.direction.z < 0:  # downward extrusion: the prism tops out at origin
+            vertices = [(x + 0.0, y + 0.0, z - body.depth) for x, y, z in vertices]
+        ox, oy, oz = body.origin
+        vertices = tuple([to_world(Point3(x + ox, y + oy, z + oz)) for x, y, z in vertices])
+    mesh = TriMesh(vertices, faces)
+    if not all(map(math.isfinite, chain.from_iterable(vertices))):
+        raise EmptyMesh("mesh has non-finite coordinates")
+    return mesh
 
 
 def wall_axis(model: IfcModel, wall_id: int) -> WallAxis | None:

@@ -441,8 +441,9 @@ class IfcModel:
 
     def resolve_placement(self, placement_id: int | None) -> Placement:
         """World frame of a placement, composed down its ``PlacementRelTo``
-        chain; an unset ``PlacementRelTo`` is the root, and a chain that
-        returns to a placement raises PlacementCycle."""
+        chain; an unset ``PlacementRelTo`` is the root. A chain that returns
+        to a placement raises PlacementCycle, and finite origins that add up
+        to one that is not InvalidPlacement."""
         geometry = ifcmcp.geometry
         if placement_id is None:
             return geometry.Placement()
@@ -469,6 +470,10 @@ class IfcModel:
                 z_axis=world.rotate(local.z_axis),
                 x_axis=world.rotate(local.x_axis),
             )
+        if not all(map(math.isfinite, world.origin)):
+            inst = self.entities[placement_id]
+            raise InvalidPlacement(f"{inst.class_name} #{inst.id} of a placement "
+                                   "has a world origin that is not finite")
         return world
 
     def placement_of(self, entity_id: int) -> Placement:

@@ -474,7 +474,7 @@ TOOLS = tool_table([
          "name": {"type": "string"}, "storey": _GUID},
         ["ifc_class", "vertices", "faces", "name"],
         lambda s, vertices, faces, **a: {"guid": ifcmcp.builders.create_mesh_element(
-            s.model, mesh=ifcmcp.geometry.TriMesh(vertices, faces), **a)},
+            s.model, mesh=ifcmcp.geometry.checked_mesh(vertices, faces), **a)},
     ),
 
     # --- edit ---

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import SkeletonFailure, SlopeOutOfRange
-from .geometry import Point2, Polygon2, TriMesh, ear_clip, dist2
+from .geometry import Point2, Polygon2, TriMesh, checked_mesh, dist2, ear_clip
 
 _EPS = 1e-9
 _MERGE_TOL = 1e-7
@@ -526,7 +526,7 @@ def hip_roof_solid(outline: Polygon2, slope_deg: float, base_z: float) -> TriMes
             tris.append((loop[a], loop[b], loop[c]))
     for a, b, c in ear_clip(points):
         tris.append((a, c, b))  # floor of the roof solid, wound downward
-    mesh = TriMesh(verts, tris)
+    mesh = checked_mesh(verts, tris)
     if not mesh.is_watertight():
         raise SkeletonFailure("roof mesh is not watertight")
     return mesh
@@ -570,7 +570,7 @@ def gable_roof_solid(outline: Polygon2, slope_deg: float, base_z: float) -> TriM
         (3, 0, 5),              # vertical gable end over d->a
         (0, 2, 1), (0, 3, 2),   # floor
     ]
-    mesh = TriMesh(verts, faces)
+    mesh = checked_mesh(verts, faces)
     if not mesh.is_watertight():
         raise SkeletonFailure("gable roof mesh is not watertight")
     return mesh

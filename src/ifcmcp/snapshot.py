@@ -11,8 +11,8 @@ import math
 from array import array
 
 from . import measure, schema
-from .errors import EmptyModel, UnknownGuid
-from .geometry import Point2, Point3
+from .errors import DegenerateFace, EmptyModel, UnknownGuid
+from .geometry import MIN_FACE_AREA, Point2, Point3
 from .model import RELATING, IfcModel
 from .scene import _name_of, products_in_order
 
@@ -290,6 +290,8 @@ def render_elevation(model: IfcModel, view: str = "south") -> str:
             ux, uy, uz = pb.x - pa.x, pb.y - pa.y, pb.z - pa.z
             vx, vy, vz = pc.x - pa.x, pc.y - pa.y, pc.z - pa.z
             nx, ny, nz = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
+            if 0.5 * math.sqrt(nx * nx + ny * ny + nz * nz) <= MIN_FACE_AREA:  # flat in the world
+                raise DegenerateFace(index, f"face {index} is degenerate")
             if nx * dx + ny * dy + nz * dz >= -1e-9:
                 continue  # back or edge-on face
             faces.append(((depths[a] + depths[b] + depths[c]) / 3.0, index, a, b, c))

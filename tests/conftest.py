@@ -15,10 +15,13 @@ from ifcmcp.model import IfcModel, load_model, new_model
 # property, the query fuzzing property
 # (test_every_query_gets_one_reply_and_leaves_a_saveable_model), the two
 # delete properties (test_delete_matches_the_whole_graph_sweep and
-# test_deletes_among_foreign_records_leave_a_saveable_model) and the
+# test_deletes_among_foreign_records_leave_a_saveable_model), the
 # placement-slot property
-# (test_any_value_in_a_placement_slot_is_a_frame_or_an_in_band_error); the
-# others fix their own count
+# (test_any_value_in_a_placement_slot_is_a_frame_or_an_in_band_error) and the
+# mesh parity properties (test_checked_mesh_answers_as_every_mesh_was_checked,
+# test_prism_mesh_answers_as_every_mesh_was_checked and
+# test_tools_answer_as_when_every_mesh_was_checked); the others fix their own
+# count
 settings.register_profile("ci", max_examples=500)
 
 SQUARE_WALLS = [
@@ -29,6 +32,18 @@ SQUARE_WALLS = [
 ]
 
 L_OUTLINE = [(0, 0), (10, 0), (10, 5), (5, 5), (5, 10), (0, 10)]
+
+
+def signed_volume(mesh) -> float:
+    """Volume a closed mesh encloses, by the divergence theorem; positive
+    when its faces wind outward."""
+    total = 0.0
+    for a, b, c in mesh.faces:
+        p, q, r = mesh.vertices[a], mesh.vertices[b], mesh.vertices[c]
+        total += (p.x * (q.y * r.z - q.z * r.y)
+                  - p.y * (q.x * r.z - q.z * r.x)
+                  + p.z * (q.x * r.y - q.y * r.x))
+    return total / 6.0
 
 
 def two_wall_step() -> bytes:

@@ -13,7 +13,7 @@ import time
 from pathlib import Path
 
 from ifcmcp import builders, dsl, measure, scene, snapshot
-from ifcmcp.geometry import Polygon2, TriMesh
+from ifcmcp.geometry import Polygon2, checked_mesh
 from ifcmcp.guid import guid_decode, guid_encode
 from ifcmcp.knowledge import index_corpus
 from ifcmcp.model import new_model, open_model, psets_of
@@ -42,7 +42,7 @@ def _mesh_fixture_model():
     model = new_model(guid_seed=501)
     builders.create_mesh_element(
         model, "IFCBUILDINGELEMENTPROXY",
-        TriMesh([(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2)],
+        checked_mesh([(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2)],
                 [(0, 2, 1), (0, 1, 3), (1, 2, 3), (0, 3, 2)]),
         "Arch")
     builders.create_stairs(model, (5, 0, 0), 30.0, 3.0, 4.0, 12, 1.2)

@@ -15,10 +15,10 @@ from ifcmcp.errors import (
     UnknownStorey,
     WallsNotClosed,
 )
-from ifcmcp.geometry import Polygon2, TriMesh
+from ifcmcp.geometry import Polygon2, checked_mesh
 from ifcmcp.model import add_storey, load_model, new_model
 
-from conftest import L_OUTLINE, SQUARE_WALLS
+from conftest import L_OUTLINE, SQUARE_WALLS, signed_volume
 
 
 def test_create_wall_basic(fresh_model):
@@ -149,7 +149,7 @@ def test_roof_gable_falls_back_to_hip(fresh_model):
 def test_roof_flat_volume(fresh_model):
     guid, _ = builders.create_roof(fresh_model, L_OUTLINE, style="flat")
     mesh = measure.world_mesh(fresh_model, fresh_model.by_guid[guid])
-    assert mesh.volume() == pytest.approx(75.0 * builders.FLAT_ROOF_THICKNESS)
+    assert signed_volume(mesh) == pytest.approx(75.0 * builders.FLAT_ROOF_THICKNESS)
 
 
 def test_roof_hip_failure_falls_back_flat(fresh_model, monkeypatch):
@@ -174,7 +174,7 @@ def test_roof_over_walls_matches_direct_outline(four_wall_model):
     assert min(v.z for v in mesh.vertices) == pytest.approx(3.0)  # wall top
     assert max(v.z for v in mesh.vertices) == pytest.approx(
         max(v.z for v in direct.vertices))
-    assert mesh.volume() == pytest.approx(direct.volume())
+    assert signed_volume(mesh) == pytest.approx(signed_volume(direct))
 
 
 def test_roof_over_walls_open_circuit(fresh_model):
@@ -221,7 +221,7 @@ def test_door_by_position_picks_nearest_wall(l_building):
 
 def test_door_by_position_in_a_wall_without_axis_is_invalid(fresh_model):
     # a mesh wall has no axis to project the position onto
-    mesh = TriMesh([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)],
+    mesh = checked_mesh([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)],
                    [(0, 2, 1), (0, 1, 3), (0, 3, 2), (1, 2, 3)])
     wall = builders.create_mesh_element(fresh_model, "IfcWall", mesh, "Mesh wall")
     before = fresh_model.to_bytes()
@@ -304,7 +304,7 @@ def test_stairs_invalid(fresh_model):
 
 
 def test_mesh_element_allowlist(fresh_model):
-    tetra = TriMesh(
+    tetra = checked_mesh(
         [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)],
         [(0, 2, 1), (0, 1, 3), (1, 2, 3), (0, 3, 2)],
     )
@@ -319,7 +319,7 @@ def test_mesh_element_allowlist(fresh_model):
 
 
 def test_mesh_element_round_trips(fresh_model):
-    tetra = TriMesh(
+    tetra = checked_mesh(
         [(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2)],
         [(0, 2, 1), (0, 1, 3), (1, 2, 3), (0, 3, 2)],
     )
@@ -327,7 +327,7 @@ def test_mesh_element_round_trips(fresh_model):
                                         tetra, "Arch")
     reloaded = load_model(fresh_model.to_bytes())
     mesh = measure.world_mesh(reloaded, reloaded.by_guid[guid])
-    assert mesh.volume() == pytest.approx(tetra.volume())
+    assert signed_volume(mesh) == pytest.approx(signed_volume(tetra))
 
 
 def test_creation_ops_round_trip_scene(l_building):
@@ -343,7 +343,7 @@ def test_every_guid_resolvable(l_building):
     builders.create_stairs(model, (1, 1, 0), 0.0, 3.0, 4.0, 10, 1.0)
     builders.create_mesh_element(
         model, "IFCFURNISHINGELEMENT",
-        TriMesh([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)],
+        checked_mesh([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)],
                 [(0, 2, 1), (0, 1, 3), (1, 2, 3), (0, 3, 2)]),
         "Table")
     info = scene.get_scene_info(model)

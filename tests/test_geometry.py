@@ -17,7 +17,7 @@ from ifcmcp.geometry import (
     Point2,
     Point3,
     Polygon2,
-    TriMesh,
+    checked_mesh,
     ear_clip,
     extrude_profile,
     mesh_to_brep,
@@ -26,6 +26,8 @@ from ifcmcp.geometry import (
     wall_axis_to_profile,
 )
 from ifcmcp.model import new_model
+
+from conftest import signed_volume
 
 L_SHAPE = [(0, 0), (10, 0), (10, 5), (5, 5), (5, 10), (0, 10)]
 
@@ -75,7 +77,7 @@ def test_degenerate_polygons_rejected():
 
 def test_close_vertices_merged():
     poly = Polygon2([(0, 0), (1, 0), (1, 1e-8), (1, 1), (0, 1)])
-    assert len(poly) == 4
+    assert len(poly.vertices) == 4
 
 
 def test_wall_axis_profile_basic():
@@ -149,9 +151,9 @@ def test_extrusion_volume_against_signed_volume_oracle():
     poly = Polygon2([(0, 0), (10, 0), (10, 0.25), (0, 0.25)])
     mesh = prism_mesh(poly, 3.0)
     assert mesh.is_watertight()
-    assert mesh.volume() == pytest.approx(10 * 0.25 * 3.0, rel=1e-9)
+    assert signed_volume(mesh) == pytest.approx(10 * 0.25 * 3.0, rel=1e-9)
     mesh_l = prism_mesh(Polygon2(L_SHAPE), 0.25)
-    assert mesh_l.volume() == pytest.approx(75 * 0.25, rel=1e-9)
+    assert signed_volume(mesh_l) == pytest.approx(75 * 0.25, rel=1e-9)
 
 
 def test_extrude_rejects_bad_depth():
@@ -162,7 +164,7 @@ def test_extrude_rejects_bad_depth():
 
 def test_mesh_to_brep_tetrahedron():
     model = new_model(guid_seed=14)
-    mesh = TriMesh(
+    mesh = checked_mesh(
         [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)],
         [(0, 2, 1), (0, 1, 3), (1, 2, 3), (0, 3, 2)],
     )
@@ -188,18 +190,18 @@ def test_mesh_to_brep_dedups_cube_vertices():
 
 def test_trimesh_validation():
     with pytest.raises(EmptyMesh):
-        TriMesh([], [])
+        checked_mesh([], [])
     with pytest.raises(DegenerateFace):
-        TriMesh([(0, 0, 0), (1, 0, 0), (0, 1, 0)], [(0, 1, 5)])
+        checked_mesh([(0, 0, 0), (1, 0, 0), (0, 1, 0)], [(0, 1, 5)])
     with pytest.raises(DegenerateFace):
-        TriMesh([(0, 0, 0), (1, 0, 0), (2, 0, 0)], [(0, 1, 2)])  # zero area
+        checked_mesh([(0, 0, 0), (1, 0, 0), (2, 0, 0)], [(0, 1, 2)])  # zero area
 
 
 def test_mesh_error_leaves_model_untouched():
     model = new_model(guid_seed=16)
     before = model.to_bytes()
     with pytest.raises(DegenerateFace):
-        TriMesh([(0, 0, 0), (1, 0, 0), (0, 1, 0)], [(0, 1, 7)])
+        checked_mesh([(0, 0, 0), (1, 0, 0), (0, 1, 0)], [(0, 1, 7)])
     assert model.to_bytes() == before
 
 

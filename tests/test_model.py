@@ -1244,6 +1244,25 @@ def test_malformed_placement_is_an_in_band_error(slot, value):
     assert session.model.to_bytes() == before
 
 
+def test_finite_origins_that_add_up_past_the_double_range_are_an_in_band_error():
+    # the wall's and its storey's points are finite, their sum is not
+    model, guid, lp = _wall_with_placement()
+    storey_lp = model.entities[model.storey_of(model.require_guid(guid).id)].attributes[5].id
+    for placement in (lp, storey_lp):
+        frame = model.resolve(model.entities[placement].attributes[1])
+        frame.attributes = model_mod._replaced(frame.attributes, 0, EntityRef(
+            model.add("IFCCARTESIANPOINT", [(1e308, 0.0, 0.0)])))
+    session = Session(load_model(model.to_bytes()))
+    before = session.model.to_bytes()
+    for tool, arguments in [("get_object_info", {"guid": guid}), ("get_ifc_scene_overview", {}),
+                            ("capture_plan_view", {}), ("capture_elevation_view", {"view": "south"})]:
+        assert _call(session, tool, arguments)["error"] == {
+            "type": "InvalidPlacement",
+            "message": f"IFCLOCALPLACEMENT #{lp} of a placement has a world origin that is not "
+                       "finite"}, tool
+    assert session.model.to_bytes() == before
+
+
 # a STEP value a foreign file may hold where a placement wants a reference
 # or numbers: unset, text, integers past the double range, reals of any
 # size, tuples of any length, a reference to an existing entity of any class

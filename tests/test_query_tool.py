@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ifcmcp import builders, dsl
-from ifcmcp.geometry import TriMesh
+from ifcmcp.geometry import checked_mesh
 from ifcmcp.model import (add_storey, edit_attributes, load_model, new_model,
                           set_pset_property)
 from ifcmcp.service import Session, handle_request, serve_stdio
@@ -46,7 +46,7 @@ def query_session() -> Session:
                                        "IfcBuildingElementProxy",
                                        "IfcFurnishingElement", "IfcColumn")):
         vertices, faces = _TETRA
-        mesh = TriMesh([(x + 2.0 * index, y + 10.0, z) for x, y, z in vertices], faces)
+        mesh = checked_mesh([(x + 2.0 * index, y + 10.0, z) for x, y, z in vertices], faces)
         builders.create_mesh_element(model, ifc_class, mesh, f"Mesh {index}")
     # enough proxies, without placement or shape, that a long query runs out
     # of expression steps

@@ -8,6 +8,8 @@ from ifcmcp.errors import SkeletonFailure, SlopeOutOfRange
 from ifcmcp.geometry import Polygon2
 from ifcmcp.skeleton import gable_roof_solid, hip_roof_solid, skeletonize
 
+from conftest import signed_volume
+
 SQUARE = [(0, 0), (10, 0), (10, 10), (0, 10)]
 RECT = [(0, 0), (10, 0), (10, 4), (0, 4)]
 L_SHAPE = [(0, 0), (10, 0), (10, 5), (5, 5), (5, 10), (0, 10)]
@@ -59,7 +61,7 @@ def test_base_z_offsets_entire_mesh():
 def test_roofs_watertight_and_positive_volume(outline):
     mesh = hip_roof_solid(Polygon2(outline), 35.0, 0.0)
     assert mesh.is_watertight()
-    assert mesh.volume() > 0
+    assert signed_volume(mesh) > 0
 
 
 def test_l_shape_skeleton_structure():

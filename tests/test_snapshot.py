@@ -8,9 +8,9 @@ import tracemalloc
 import pytest
 
 from ifcmcp import builders, snapshot
-from ifcmcp.errors import EmptyModel
+from ifcmcp.errors import EmptyModel, UnknownGuid
 from ifcmcp.geometry import Polygon2, prism_mesh
-from ifcmcp.model import new_model
+from ifcmcp.model import add_storey, new_model
 
 from conftest import SQUARE_WALLS, build_l_building
 
@@ -166,6 +166,38 @@ def test_plan_bytes_are_pinned():
     digests = {name: hashlib.sha256(snapshot.render_plan(model).encode()).hexdigest()
                for name, model in models.items()}
     assert digests == _PLAN_SHA256
+
+
+def _every_body_kind_model_with_level_2():
+    """``_every_body_kind_model()`` plus a storey at 3.5 m holding a wall
+    and a slab of its own."""
+    model = _every_body_kind_model()
+    level_2 = model.guid_of(add_storey(model, "Level 2", 3.5))
+    builders.create_wall(model, (0, 0), (10, 0), 3.0, 0.25, storey=level_2)
+    builders.create_slab(model, [(0, 0), (10, 0), (10, 5), (0, 5)], 0.2,
+                         elevation=3.5, storey=level_2)
+    return model, level_2
+
+
+# sha256 of the render_plan branches that the pins above leave out, recorded
+# before meshes were built unchecked: an explicit storey, and a cut at 0.5 m
+# that crosses the 0.8 m mesh-element table (a generic product)
+_PLAN_BRANCH_SHA256 = {
+    "level_2": "e212edff9a81265d4806c4078236a9b0a801b632482cd6d6cd4af883d9838f58",
+    "cut_at_half_a_metre": "6ef8606d06a742f1ae99078a37e4da2a46def510322df82ec2875db9daddacf8",
+}
+
+
+def test_plan_branches_are_pinned():
+    model, level_2 = _every_body_kind_model_with_level_2()
+    svgs = {"level_2": snapshot.render_plan(model, storey_guid=level_2),
+            "cut_at_half_a_metre": snapshot.render_plan(_every_body_kind_model(),
+                                                        cut_height=0.5)}
+    assert svgs["cut_at_half_a_metre"].count('stroke="#808080" stroke-width="1.00"') == 1
+    digests = {name: hashlib.sha256(svg.encode()).hexdigest() for name, svg in svgs.items()}
+    assert digests == _PLAN_BRANCH_SHA256
+    with pytest.raises(UnknownGuid):
+        snapshot.render_plan(model, storey_guid=model.guid_of(model.by_class["IFCWALL"][0]))
 
 
 def test_elevation_memory_stays_near_the_size_of_its_svg():
