@@ -111,6 +111,7 @@ def create_wall(model: IfcModel, start, end, height: float, thickness: float,
     storey_id = _resolve_storey(model, storey)
 
     profile, frame = wall_axis_to_profile(start, end, thickness)
+    prism_mesh(profile, height)  # a face an elevation cannot draw: DegenerateFace before any write
     lp = _place(model, _placement_id(model, storey_id),
                 Point3(start.x, start.y, 0.0), x_axis=frame.x_axis)
     shape = extrude_profile(model, profile, height)
@@ -148,6 +149,7 @@ def create_slab(model: IfcModel, outline, thickness: float, elevation: float = 0
     poly = outline if isinstance(outline, Polygon2) else Polygon2(outline)
     storey_id = _resolve_storey(model, storey, elevation=elevation)
     local_z = elevation - model.storey_elevation(storey_id)
+    prism_mesh(poly, thickness)  # a face an elevation cannot draw: DegenerateFace before any write
     lp = _place(model, _placement_id(model, storey_id),
                 Point3(0.0, 0.0, local_z))
     # top face at the given elevation: extrude downward by the thickness
@@ -183,6 +185,8 @@ def create_roof(model: IfcModel, outline, style: str = "hip",
         except SkeletonFailure as exc:
             warnings.append(f"hip roof unavailable ({exc}); using flat roof")
             style = "flat"
+    if style == "flat":
+        prism_mesh(poly, FLAT_ROOF_THICKNESS)  # DegenerateFace before any write
 
     lp = _place(model, _placement_id(model, storey_id),
                 Point3(0.0, 0.0, local_z))
@@ -305,6 +309,7 @@ def _create_filled_opening(model: IfcModel, filler_class: str,
     half_w = width / 2
     box = Polygon2([(-half_w, -thickness / 2), (half_w, -thickness / 2),
                     (half_w, thickness / 2), (-half_w, thickness / 2)])
+    prism_mesh(box, height)  # a face an elevation cannot draw: DegenerateFace before any write
 
     opening_lp = _place(model, _placement_id(model, wall_id), Point3(pos, 0.0, sill))
     opening_shape = extrude_profile(model, box, height)

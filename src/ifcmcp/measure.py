@@ -1,13 +1,16 @@
 """Derived geometric quantities read back from representation subgraphs.
 
 This is the one module that reads a product's body records: ``body_of``
-decodes them into an immutable ``Extrusion`` or a ``TriMesh``, and
-``wall_axis`` gives an immutable ``WallAxis``. Every point, number and
-reference of a body goes through ``model.read``, the one checked reader
-that also serves placements, so a malformed record raises ``InvalidBody``
-naming its ``#id``, class and attribute; a profile class the kit does not
-write measures as ``None``. Everything is re-derived from the entity graph
-on each call, so results stay valid across save/load cycles.
+decodes them into an immutable ``Extrusion`` or a ``TriMesh``. ``bounds``
+and ``axis`` derive a world box and an immutable ``WallAxis`` from a decoded
+body and its product's ``Placement``, so a caller that holds both reads the
+product once; ``world_bbox`` and ``wall_axis`` compose them from an id.
+Every point, number and reference of a body goes through ``model.read``,
+the one checked reader that also serves placements, so a malformed record
+raises ``InvalidBody`` naming its ``#id``, class and attribute; a profile
+class the kit does not write measures as ``None``. Everything is re-derived
+from the entity graph on each call, so results stay valid across save/load
+cycles.
 """
 
 from __future__ import annotations
@@ -136,10 +139,8 @@ def _decode_brep(model: IfcModel, brep) -> TriMesh:
     return checked_mesh(vertices, faces)
 
 
-def local_bbox(model: IfcModel, entity_id: int) -> tuple[Point3, Point3] | None:
-    body = body_of(model, entity_id)
-    if body is None:
-        return None
+def _local_box(body: Extrusion | TriMesh) -> tuple[Point3, Point3]:
+    """Box of a decoded body in its product's frame."""
     if isinstance(body, TriMesh):
         return body.bounds()
     x0, y0, x1, y1 = body.bbox
@@ -152,14 +153,28 @@ def local_bbox(model: IfcModel, entity_id: int) -> tuple[Point3, Point3] | None:
     )
 
 
-def world_bbox(model: IfcModel, entity_id: int) -> tuple[Point3, Point3] | None:
-    box = local_bbox(model, entity_id)
-    if box is None:
-        return None
-    to_world = model.placement_of(entity_id).to_world
-    (x0, y0, z0), (x1, y1, z1) = box
+def bounds(body: Extrusion | TriMesh, placement: Placement) -> tuple[Point3, Point3]:
+    """World box of a decoded body placed in its product's frame. A finite
+    body and frame can still overflow there: InvalidBody."""
+    (x0, y0, z0), (x1, y1, z1) = _local_box(body)
+    to_world = placement.to_world
     corners = [to_world(Point3(x, y, z)) for x in (x0, x1) for y in (y0, y1) for z in (z0, z1)]
+    if not all(map(math.isfinite, chain.from_iterable(corners))):
+        raise InvalidBody("a body's world bounding box is not finite")
     return Point3(*map(min, zip(*corners))), Point3(*map(max, zip(*corners)))
+
+
+def axis(body: Extrusion, placement: Placement) -> WallAxis:
+    """The axis of a wall whose body is an extrusion along its local x."""
+    x0, y0, x1, y1 = body.bbox
+    return WallAxis(placement.to_world(Point3(x0, 0.0, 0.0)),
+                    placement.to_world(Point3(x1, 0.0, 0.0)),
+                    x1 - x0, y1 - y0, body.depth, placement)
+
+
+def world_bbox(model: IfcModel, entity_id: int) -> tuple[Point3, Point3] | None:
+    body = body_of(model, entity_id)
+    return None if body is None else bounds(body, model.placement_of(entity_id))
 
 
 def world_mesh(model: IfcModel, entity_id: int) -> TriMesh | None:
@@ -190,23 +205,19 @@ def world_mesh(model: IfcModel, entity_id: int) -> TriMesh | None:
 
 
 def wall_axis(model: IfcModel, wall_id: int) -> WallAxis | None:
-    """The axis of a wall whose body is an extrusion along its local x."""
     body = body_of(model, wall_id)
-    if not isinstance(body, Extrusion):
-        return None
-    x0, y0, x1, y1 = body.bbox
-    placement = model.placement_of(wall_id)
-    return WallAxis(placement.to_world(Point3(x0, 0.0, 0.0)),
-                    placement.to_world(Point3(x1, 0.0, 0.0)),
-                    x1 - x0, y1 - y0, body.depth, placement)
+    return axis(body, model.placement_of(wall_id)) if isinstance(body, Extrusion) else None
 
 
 def element_length(model: IfcModel, entity_id: int) -> float | None:
     if model.entities[entity_id].class_name in schema.WALL_CLASSES:
         axis = wall_axis(model, entity_id)
         return axis.length if axis else None
-    box = local_bbox(model, entity_id)
-    return None if box is None else box[1].x - box[0].x
+    body = body_of(model, entity_id)
+    if body is None:
+        return None
+    lo, hi = _local_box(body)
+    return hi.x - lo.x
 
 
 def element_height(model: IfcModel, entity_id: int) -> float | None:

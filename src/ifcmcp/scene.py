@@ -161,23 +161,18 @@ def get_ifc_scene_overview(model: IfcModel) -> dict:
         camel = schema.camel_case(model.entities[entity_id].class_name)
         counts[camel] = counts.get(camel, 0) + 1
 
+    # one read of each product: a slab's profile area and every world box
     floor_area = 0.0
-    for entity_id in model.by_class.get("IFCSLAB", ()):
-        area = measure.element_area(model, entity_id)
-        if area:
-            floor_area += area
-
-    bbox = None
+    boxes = []
     for entity_id in products:
-        box = measure.world_bbox(model, entity_id)
-        if box is None:
+        body = measure.body_of(model, entity_id)
+        if body is None:
             continue
-        lo, hi = box
-        if bbox is None:
-            bbox = [list(lo), list(hi)]
-        else:
-            bbox[0] = [min(a, b) for a, b in zip(bbox[0], lo)]
-            bbox[1] = [max(a, b) for a, b in zip(bbox[1], hi)]
+        if isinstance(body, measure.Extrusion) and body.area \
+                and model.entities[entity_id].class_name == "IFCSLAB":
+            floor_area += body.area
+        boxes.append(measure.bounds(body, model.placement_of(entity_id)))
+    lows, highs = zip(*boxes) if boxes else ((), ())
 
     def handle(entity_id: int | None) -> dict | None:
         if entity_id is None:
@@ -203,8 +198,8 @@ def get_ifc_scene_overview(model: IfcModel) -> dict:
         ],
         "guid_count": len(model.by_guid),
         "total_floor_area": _round(floor_area),
-        "bounding_box": None if bbox is None else {
-            "min": _coords(bbox[0]), "max": _coords(bbox[1]),
+        "bounding_box": None if not boxes else {
+            "min": _coords(map(min, zip(*lows))), "max": _coords(map(max, zip(*highs))),
         },
     }
 

@@ -131,55 +131,49 @@ def render_plan(model: IfcModel, storey_guid: str | None = None,
         storey_id = model.default_storey()
     cut_z = model.storey_elevation(storey_id) + cut_height
 
-    walls = []
-    slabs = []
-    generic = []
-    for entity_id in products:
-        inst = model.entities[entity_id]
-        if inst.class_name in schema.WALL_CLASSES:
-            axis = measure.wall_axis(model, entity_id)
-            box = measure.world_bbox(model, entity_id)
-            if axis is not None and box is not None \
-                    and box[0].z - 1e-9 <= cut_z <= box[1].z + 1e-9:
-                walls.append((entity_id, axis))
-            continue
-        if inst.class_name == "IFCSLAB":
-            if model.storey_of(entity_id) == storey_id:
-                slabs.append(entity_id)
-            continue
-        if inst.class_name in ("IFCDOOR", "IFCWINDOW"):
-            continue  # rendered as part of their host wall
-        box = measure.world_bbox(model, entity_id)
-        if box is not None and box[0].z - 1e-9 <= cut_z <= box[1].z + 1e-9:
-            generic.append((entity_id, box))
+    def in_cut(box) -> bool:
+        return box[0].z - 1e-9 <= cut_z <= box[1].z + 1e-9
 
-    # extents: wall axes + slab footprints + generic bboxes, 1 m margin
+    # each product drawn is read once; the extents are wall axes, slab boxes
+    # and generic boxes, padded by the 1 m margin
+    slabs, walls, generic = [], [], []
     xs: list[float] = []
     ys: list[float] = []
-    for _entity_id, axis in walls:
-        xs.extend((axis.start.x, axis.end.x))
-        ys.extend((axis.start.y, axis.end.y))
-    for entity_id in slabs:
-        box = measure.world_bbox(model, entity_id)
-        if box is not None:
-            xs.extend((box[0].x, box[1].x))
-            ys.extend((box[0].y, box[1].y))
-    for _entity_id, box in generic:
+    for entity_id in products:
+        class_name = model.entities[entity_id].class_name
+        if class_name in ("IFCDOOR", "IFCWINDOW"):
+            continue  # rendered as part of their host wall
+        if class_name == "IFCSLAB" and model.storey_of(entity_id) != storey_id:
+            continue
+        body = measure.body_of(model, entity_id)
+        if body is None:
+            continue
+        placement = model.placement_of(entity_id)
+        box = measure.bounds(body, placement)
+        extrusion = isinstance(body, measure.Extrusion)
+        if class_name == "IFCSLAB":
+            if extrusion:
+                slabs.append((entity_id, [placement.to_world(Point3(p.x, p.y, 0.0))
+                                          for p in body.outline.vertices]))
+        elif not in_cut(box):
+            continue
+        elif class_name in schema.WALL_CLASSES:
+            if not extrusion:
+                continue
+            axis = measure.axis(body, placement)
+            walls.append((entity_id, axis))
+            box = axis.start, axis.end
+        else:
+            generic.append((entity_id, box))
         xs.extend((box[0].x, box[1].x))
         ys.extend((box[0].y, box[1].y))
     if not xs:
         raise EmptyModel("nothing intersects the requested plan cut")
     canvas = _Canvas(min(xs), min(ys), max(xs), max(ys))
 
-    for entity_id in slabs:
-        body = measure.body_of(model, entity_id)
-        if not isinstance(body, measure.Extrusion):
-            continue
-        to_world = model.placement_of(entity_id).to_world
-        pts = [to_world(Point3(p.x, p.y, 0.0)) for p in body.outline.vertices]
-        canvas.path([(p.x, p.y) for p in pts], fill="none", stroke=_SLAB_STROKE,
-                    width=1.5, element_id=model.guid_of(entity_id),
-                    title=_name_of(model, entity_id))
+    for entity_id, outline in slabs:
+        canvas.path(outline, fill="none", stroke=_SLAB_STROKE, width=1.5,
+                    element_id=model.guid_of(entity_id), title=_name_of(model, entity_id))
 
     for entity_id, axis in walls:
         start, direction, normal = _wall_frame(axis)
@@ -196,14 +190,14 @@ def render_plan(model: IfcModel, storey_guid: str | None = None,
         canvas.close_group()
 
         for opening_id, filler_id, filler_class in _openings_of_wall(model, entity_id):
-            box = measure.world_bbox(model, opening_id)
-            if box is None or not (box[0].z - 1e-9 <= cut_z <= box[1].z + 1e-9):
-                continue
             body = measure.body_of(model, opening_id)
             if not isinstance(body, measure.Extrusion):
+                continue  # only an extruded opening cuts a gap
+            placement = model.placement_of(opening_id)
+            if not in_cut(measure.bounds(body, placement)):
                 continue
             x0, _y0, x1, _y1 = body.bbox
-            local = model.placement_of(opening_id).origin
+            local = placement.origin
             wall_origin = axis.placement.origin
             along0 = (local.x - wall_origin.x) * direction.x \
                 + (local.y - wall_origin.y) * direction.y + x0
@@ -235,14 +229,10 @@ def render_plan(model: IfcModel, storey_guid: str | None = None,
                     )
                 canvas.close_group()
 
-    for entity_id, box in generic:
-        lo, hi = box
-        canvas.path(
-            [(lo.x, lo.y), (hi.x, lo.y), (hi.x, hi.y), (lo.x, hi.y)],
-            fill="none", stroke=_SLAB_STROKE, width=1.0,
-            element_id=model.guid_of(entity_id),
-            title=_name_of(model, entity_id),
-        )
+    for entity_id, (lo, hi) in generic:
+        canvas.path([(lo.x, lo.y), (hi.x, lo.y), (hi.x, hi.y), (lo.x, hi.y)],
+                    fill="none", stroke=_SLAB_STROKE, width=1.0,
+                    element_id=model.guid_of(entity_id), title=_name_of(model, entity_id))
 
     return canvas.render()
 

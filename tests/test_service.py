@@ -36,6 +36,7 @@ from ifcmcp.service import (
     tool_table,
     validate_args,
 )
+from ifcmcp.step import EntityRef
 
 
 @pytest.fixture
@@ -1184,6 +1185,54 @@ def test_malformed_body_records_are_in_band_errors(product, record_of, index, at
         error = payload_of(response)["error"]
         assert error["type"] == "InvalidBody", tool
         assert f"#{record.id} " in error["message"] and attribute in error["message"]
+    assert session.model.to_bytes() == data
+
+
+_EAR = [[0, 0], [2e-6, 0], [2e-6, 1e-6], [1.05e-6, 1e-6], [0, 1e-6]]  # an ear of 9.75e-13 m2
+
+
+@pytest.mark.parametrize("tool, arguments", [
+    ("create_wall", {"start": [0, 0], "end": [5, 0], "height": 2e-12, "thickness": 0.2}),
+    ("create_slab", {"outline": _EAR, "thickness": 0.2}),
+    ("create_roof", {"outline": _EAR, "style": "flat"}),
+    ("create_door", {"position_along_axis": 2.0, "height": 1e-12}),
+], ids=["wall-end-2e-13-m2", "slab-ear", "flat-roof-ear", "door-side-1e-13-m2"])
+def test_degenerate_extrusions_are_refused_before_any_write(tool, arguments):
+    # the prism an elevation builds from the extrusion would have a face of
+    # at most MIN_FACE_AREA: the call is refused and the model stays renderable
+    model = new_model(guid_seed=9)
+    wall = builders.create_wall(model, (0, 0), (5, 0), 3.0, 0.2)
+    session = Session(model)
+    data = model.to_bytes()
+    if tool == "create_door":
+        arguments = {**arguments, "wall_guid": wall}
+    response = call(session, tool, arguments)
+    assert response["result"]["isError"] is True, response
+    error = payload_of(response)["error"]
+    assert error["type"] == "DegenerateFace" and error["message"].endswith("is degenerate")
+    assert session.model.to_bytes() == data
+    assert "svg" in payload_of(call(session, "capture_elevation_view", {"view": "south"}, 2))
+
+
+def test_overflowing_world_box_is_an_in_band_error():
+    # a rectangle profile of finite XDim and location whose box overflows
+    model = new_model(guid_seed=9)
+    wall = builders.create_wall(model, (0, 0), (5, 0), 3.0, 0.2)
+    profile = _profile(model, model.by_guid[wall])
+    profile.attributes = model_mod._replaced(profile.attributes, 3, 1.7e308)
+    position = model.resolve(profile.attributes[2])
+    point = model.add("IFCCARTESIANPOINT", [(1.7e308, 0.0)])
+    position.attributes = model_mod._replaced(position.attributes, 0, EntityRef(point))
+    data = model.to_bytes()
+    session = Session(load_model(data))
+    calls = [("get_object_info", {"guid": wall}), ("get_ifc_scene_overview", {}),
+             ("capture_plan_view", {})]
+    for number, (tool, arguments) in enumerate(calls, start=1):
+        response = call(session, tool, arguments, number)
+        assert response["result"]["isError"] is True, (tool, response)
+        error = payload_of(response)["error"]
+        assert error == {"type": "InvalidBody",
+                         "message": "a body's world bounding box is not finite"}, tool
     assert session.model.to_bytes() == data
 
 

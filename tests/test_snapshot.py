@@ -7,10 +7,10 @@ import tracemalloc
 
 import pytest
 
-from ifcmcp import builders, snapshot
+from ifcmcp import builders, measure, scene, snapshot
 from ifcmcp.errors import EmptyModel, UnknownGuid
 from ifcmcp.geometry import Polygon2, prism_mesh
-from ifcmcp.model import add_storey, new_model
+from ifcmcp.model import IfcModel, add_storey, new_model
 
 from conftest import SQUARE_WALLS, build_l_building
 
@@ -198,6 +198,38 @@ def test_plan_branches_are_pinned():
     assert digests == _PLAN_BRANCH_SHA256
     with pytest.raises(UnknownGuid):
         snapshot.render_plan(model, storey_guid=model.guid_of(model.by_class["IFCWALL"][0]))
+
+
+def test_plan_and_overview_read_each_product_once(four_wall_model, monkeypatch):
+    model = four_wall_model
+    builders.create_door(model, wall_guid=model.guid_of(model.by_class["IFCWALL"][0]),
+                         position_along_axis=5.0)
+    builders.create_slab(model, [(0, 0), (10, 0), (10, 10), (0, 10)], 0.2)
+    builders.create_mesh_element(model, "IFCCOLUMN",
+                                 prism_mesh(Polygon2([(4, 4), (5, 4), (5, 5), (4, 5)]), 3.0),
+                                 "Column")
+    counts = {"body_of": 0, "resolve_placement": 0}
+
+    def counted(name, function):
+        def wrapper(*args):
+            counts[name] += 1
+            return function(*args)
+        return wrapper
+
+    monkeypatch.setattr(measure, "body_of", counted("body_of", measure.body_of))
+    monkeypatch.setattr(IfcModel, "resolve_placement",
+                        counted("resolve_placement", IfcModel.resolve_placement))
+    svg = snapshot.render_plan(model)
+    assert 'fill="#ffffff"' in svg and "Column" in svg  # the door's gap; the generic box
+    # 4 walls, the storey's slab, the column and the door's opening; the
+    # door itself is drawn from its opening
+    assert counts == {"body_of": 7, "resolve_placement": 7}
+    counts.update(body_of=0, resolve_placement=0)
+    overview = scene.get_ifc_scene_overview(model)
+    assert overview["total_floor_area"] == 100.0
+    # every product: 4 walls, the door, the slab and the column
+    assert overview["product_count"] == 7
+    assert counts == {"body_of": 7, "resolve_placement": 7}
 
 
 def test_elevation_memory_stays_near_the_size_of_its_svg():
