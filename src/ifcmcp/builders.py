@@ -68,11 +68,7 @@ def _placement_id(model: IfcModel, product_id: int) -> int | None:
 
 def _place(model: IfcModel, parent_lp: int | None, origin: Point3,
            x_axis: Point3 | None = None) -> int:
-    a2p = emit_axis2placement3d(
-        model, origin,
-        z_axis=Point3(0.0, 0.0, 1.0) if x_axis is not None else None,
-        x_axis=x_axis,
-    )
+    a2p = emit_axis2placement3d(model, origin, x_axis)
     parent = EntityRef(parent_lp) if parent_lp is not None else None
     return model.add("IFCLOCALPLACEMENT", [parent, EntityRef(a2p)])
 

@@ -7,8 +7,6 @@ order on construction; point equality uses a 1e-6 m tolerance throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -87,11 +85,12 @@ class Polygon2:
                 cleaned.append(pts[i % n])
         if len(cleaned) < 3:
             raise DegeneratePolygon("polygon needs at least 3 distinct vertices")
-        area2 = math.fsum(
-            cleaned[i].x * cleaned[(i + 1) % len(cleaned)].y
-            - cleaned[(i + 1) % len(cleaned)].x * cleaned[i].y
-            for i in range(len(cleaned))
-        )
+        try:  # a term or the sum may overflow
+            area2 = math.fsum(a.x * b.y - b.x * a.y for a, b in zip(cleaned[-1:] + cleaned, cleaned))
+        except (OverflowError, ValueError):
+            area2 = math.inf
+        if not math.isfinite(area2):
+            raise DegeneratePolygon("polygon area is too large for a double")
         if abs(area2) < 2 * MIN_FACE_AREA:
             raise DegeneratePolygon("polygon has zero area")
         if area2 < 0:
@@ -134,29 +133,19 @@ def polygon_area(poly: Polygon2) -> float:
     return sum(a.x * b.y - b.x * a.y for a, b in poly.edges()) / 2.0
 
 
-@dataclass(frozen=True)
-class Placement:
-    """Right-handed local frame: y-axis is z cross x, computed once per frame."""
+def _cross3(z: Point3, x: Point3) -> Point3:
+    return Point3(z.y * x.z - z.z * x.y, z.z * x.x - z.x * x.z, z.x * x.y - z.y * x.x)
 
-    origin: Point3 = Point3(0.0, 0.0, 0.0)
-    z_axis: Point3 = Point3(0.0, 0.0, 1.0)
-    x_axis: Point3 = Point3(1.0, 0.0, 0.0)
 
-    def __post_init__(self):
-        for axis in (self.z_axis, self.x_axis):
-            norm = math.sqrt(axis.x ** 2 + axis.y ** 2 + axis.z ** 2)
-            if abs(norm - 1.0) > 1e-9:
-                raise ValueError(f"axis {axis} is not unit length")
-        dot = (self.z_axis.x * self.x_axis.x + self.z_axis.y * self.x_axis.y
-               + self.z_axis.z * self.x_axis.z)
-        if abs(dot) > 1e-9:
-            raise ValueError("placement axes are not orthogonal")
+class Placement(NamedTuple):
+    """Right-handed orthonormal frame whose ``y_axis`` is ``z_axis`` cross
+    ``x_axis``. A file's frame enters through ``axes_placement``, which
+    checks it; a frame derived from checked frames is built directly."""
 
-    @cached_property
-    def y_axis(self) -> Point3:
-        z, x = self.z_axis, self.x_axis
-        return Point3(z.y * x.z - z.z * x.y, z.z * x.x - z.x * x.z,
-                      z.x * x.y - z.y * x.x)
+    origin: Point3
+    z_axis: Point3
+    x_axis: Point3
+    y_axis: Point3
 
     def to_world(self, p: Point3) -> Point3:
         x, y, z = self.x_axis, self.y_axis, self.z_axis
@@ -174,6 +163,77 @@ class Placement:
             v.x * x.y + v.y * y.y + v.z * z.y,
             v.x * x.z + v.y * y.z + v.z * z.z,
         )
+
+    def compose(self, local: Placement) -> Placement:
+        """World frame of ``local``, a frame given in this one. Rotating an
+        orthonormal frame keeps it orthonormal, so nothing is checked."""
+        z_axis, x_axis = self.rotate(local.z_axis), self.rotate(local.x_axis)
+        return Placement(self.to_world(local.origin), z_axis, x_axis, _cross3(z_axis, x_axis))
+
+
+_Z = Point3(0.0, 0.0, 1.0)
+_X = Point3(1.0, 0.0, 0.0)
+_Y = _cross3(_Z, _X)
+WORLD = Placement(Point3(0.0, 0.0, 0.0), _Z, _X, _Y)
+
+
+def _length(v: Point3) -> float:
+    return (v.x ** 2 + v.y ** 2 + v.z ** 2) ** 0.5
+
+
+def _unit(v: Point3) -> Point3:
+    """``v`` scaled to unit length. A vector whose squared length would
+    overflow, or lose its digits to underflow, is first divided by its
+    largest component."""
+    try:
+        length = _length(v)
+    except OverflowError:
+        length = math.inf
+    if not 1e-150 < length < 1e150:
+        scale = max(map(abs, v))
+        if scale == 0.0:
+            raise ZeroLengthAxis(f"direction {tuple(v)} has zero length")
+        v = Point3(v.x / scale, v.y / scale, v.z / scale)
+        length = _length(v)
+    return Point3(v.x / length, v.y / length, v.z / length)
+
+
+def _first_proj_axis(z_axis: Point3, direction: Point3) -> Point3:
+    """Unit ``direction`` less its part along the unit ``z_axis``. A direction
+    already normal to the axis is only normalised, so no rounding is added.
+    One within about 1e-6 rad of the axis counts as parallel: a shorter
+    remainder, once normalised, need not be normal to the axis within
+    ``axes_placement``'s 1e-9."""
+    unit = _unit(direction)
+    dot = unit.x * z_axis.x + unit.y * z_axis.y + unit.z * z_axis.z
+    if dot == 0.0:
+        return unit
+    x_axis = Point3(unit.x - dot * z_axis.x, unit.y - dot * z_axis.y,
+                    unit.z - dot * z_axis.z)
+    if _length(x_axis) <= 1e-6:
+        raise ZeroLengthAxis(
+            f"RefDirection {tuple(direction)} is parallel to Axis {tuple(z_axis)}")
+    return _unit(x_axis)
+
+
+def axes_placement(location, axis=None, ref_direction=None) -> Placement:
+    """The frame of an axis placement: its Location's 2 or 3 coordinates
+    (z is 0 for two) and its Axis and RefDirection ratios, None when unset.
+    As IFC's ``IfcBuildAxes`` does, the x axis is RefDirection projected
+    onto the plane normal to Axis (``IfcFirstProjAxis``), so the two need
+    not be orthogonal. ZeroLengthAxis for a zero or parallel direction."""
+    origin = Point3(*location, *(0.0,) * (3 - len(location)))
+    if axis is None and ref_direction is None:
+        return Placement(origin, _Z, _X, _Y)
+    z_axis = _Z if axis is None else _unit(Point3(*axis))
+    if ref_direction is None:
+        # IFC's default (1,0,0) would have no part normal to this axis
+        ref_direction = Point3(0.0, 1.0, 0.0) if z_axis.y == z_axis.z == 0.0 else _X
+    x_axis = _first_proj_axis(z_axis, Point3(*ref_direction))
+    dot = z_axis.x * x_axis.x + z_axis.y * x_axis.y + z_axis.z * x_axis.z
+    if abs(_length(z_axis) - 1.0) > 1e-9 or abs(_length(x_axis) - 1.0) > 1e-9 or abs(dot) > 1e-9:
+        raise ValueError(f"placement axes {z_axis} and {x_axis} are not orthonormal")
+    return Placement(origin, z_axis, x_axis, _cross3(z_axis, x_axis))
 
 
 def _tri_area3(a: Point3, b: Point3, c: Point3) -> float:
@@ -355,12 +415,9 @@ def wall_axis_to_profile(start: Point2, end: Point2,
     half = thickness / 2.0
     profile = Polygon2([(0.0, -half), (length, -half), (length, half), (0.0, half)])
     dx, dy = (end.x - start.x) / length, (end.y - start.y) / length
-    placement = Placement(
-        origin=Point3(start.x, start.y, 0.0),
-        z_axis=Point3(0.0, 0.0, 1.0),
-        x_axis=Point3(dx, dy, 0.0),
-    )
-    return profile, placement
+    # the axes are unit and orthogonal by construction
+    x_axis = Point3(dx, dy, 0.0)
+    return profile, Placement(Point3(start.x, start.y, 0.0), _Z, x_axis, _cross3(_Z, x_axis))
 
 
 # --- entity emission (representation subgraphs) ---
@@ -371,16 +428,14 @@ def _xy(v: float) -> float:
 
 
 def emit_axis2placement3d(model: "IfcModel", origin: Point3,
-                          z_axis: Point3 | None = None,
                           x_axis: Point3 | None = None) -> int:
+    """An axis placement whose z axis is the parent's; an ``x_axis`` other
+    than the parent's is written as RefDirection, with an explicit Axis."""
     location = model.add("IFCCARTESIANPOINT",
                          [(_xy(origin.x), _xy(origin.y), _xy(origin.z))])
     axis = ref_dir = None
-    if z_axis is not None and tuple(z_axis) != (0.0, 0.0, 1.0):
-        axis = EntityRef(model.add("IFCDIRECTION", [(z_axis.x, z_axis.y, z_axis.z)]))
     if x_axis is not None and tuple(x_axis) != (1.0, 0.0, 0.0):
         ref_dir = EntityRef(model.add("IFCDIRECTION", [(x_axis.x, x_axis.y, x_axis.z)]))
-    if axis is None and ref_dir is not None:
         axis = EntityRef(model.add("IFCDIRECTION", [(0.0, 0.0, 1.0)]))
     return model.add("IFCAXIS2PLACEMENT3D", [EntityRef(location), axis, ref_dir])
 

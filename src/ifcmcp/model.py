@@ -62,7 +62,6 @@ from .errors import (
     StillReferenced,
     UnknownAttribute,
     UnknownGuid,
-    ZeroLengthAxis,
 )
 from .guid import GuidGenerator, is_guid
 from .step import (
@@ -78,7 +77,7 @@ from .step import (
 )
 
 if TYPE_CHECKING:
-    from .geometry import Placement, Point3
+    from .geometry import Placement
 
 EDITABLE_ATTRIBUTES = ("Name", "Description", "ObjectType", "LongName", "Tag")
 
@@ -413,40 +412,28 @@ class IfcModel:
     # --- placement resolution ---
 
     def _axis2placement(self, inst: EntityInstance) -> Placement:
-        """Local frame of an axis placement. As IFC's ``IfcBuildAxes`` does,
-        the x axis is ``RefDirection`` projected onto the plane normal to
-        ``Axis`` (``IfcFirstProjAxis``), so the two need not be orthogonal."""
-        geometry = ifcmcp.geometry
+        """Local frame of an axis placement; only a 3D one has axes."""
         location = read(self, inst, 0, "Location", REF, InvalidPlacement)
         coords = read(self, location, 0, "Coordinates", (2, 3), InvalidPlacement)
-        origin = geometry.Point3(*coords, *(0.0,) * (3 - len(coords)))
-        if inst.class_name != "IFCAXIS2PLACEMENT3D" or inst.attributes[1:] == (None, None):
-            return geometry.Placement(origin)
-        axis = self._direction(inst, 1, "Axis")
-        ref_direction = self._direction(inst, 2, "RefDirection")
-        z_axis = geometry.Point3(0.0, 0.0, 1.0) if axis is None else _unit(axis)
-        if ref_direction is None:
-            # IFC's default (1,0,0) would have no part normal to this axis
-            ref_direction = geometry.Point3(0.0, 1.0, 0.0) if z_axis.y == z_axis.z == 0.0 \
-                else geometry.Point3(1.0, 0.0, 0.0)
-        return geometry.Placement(origin, z_axis, _first_proj_axis(z_axis, ref_direction))
+        if inst.class_name != "IFCAXIS2PLACEMENT3D":
+            return ifcmcp.geometry.axes_placement(coords)
+        return ifcmcp.geometry.axes_placement(coords, self._direction(inst, 1, "Axis"),
+                                              self._direction(inst, 2, "RefDirection"))
 
-    def _direction(self, inst: EntityInstance, index: int, name: str) -> Point3 | None:
-        """The direction an axis placement names at ``index``; None when unset."""
+    def _direction(self, inst: EntityInstance, index: int, name: str) -> tuple | None:
+        """Ratios of the direction at ``index`` of an axis placement; None if unset."""
         if index < len(inst.attributes) and inst.attributes[index] is None:
             return None
         direction = read(self, inst, index, name, REF, InvalidPlacement)
-        return ifcmcp.geometry.Point3(
-            *read(self, direction, 0, "DirectionRatios", (3,), InvalidPlacement))
+        return read(self, direction, 0, "DirectionRatios", (3,), InvalidPlacement)
 
     def resolve_placement(self, placement_id: int | None) -> Placement:
         """World frame of a placement, composed down its ``PlacementRelTo``
         chain; an unset ``PlacementRelTo`` is the root. A chain that returns
         to a placement raises PlacementCycle, and finite origins that add up
         to one that is not InvalidPlacement."""
-        geometry = ifcmcp.geometry
         if placement_id is None:
-            return geometry.Placement()
+            return ifcmcp.geometry.WORLD
         chain: list[Placement] = []  # local frames, innermost first
         seen: set[int] = set()
         inst = self.entities[placement_id]
@@ -464,12 +451,7 @@ class IfcModel:
             inst = read(self, inst, 0, "PlacementRelTo", REF, InvalidPlacement)
         world = chain.pop()
         while chain:
-            local = chain.pop()
-            world = geometry.Placement(
-                origin=world.to_world(local.origin),
-                z_axis=world.rotate(local.z_axis),
-                x_axis=world.rotate(local.x_axis),
-            )
+            world = world.compose(chain.pop())
         if not all(map(math.isfinite, world.origin)):
             inst = self.entities[placement_id]
             raise InvalidPlacement(f"{inst.class_name} #{inst.id} of a placement "
@@ -480,10 +462,10 @@ class IfcModel:
         inst = self.entities[entity_id]
         index = schema.attribute_index(inst.class_name, "ObjectPlacement")
         if index is None or index >= len(inst.attributes):
-            return ifcmcp.geometry.Placement()
+            return ifcmcp.geometry.WORLD
         ref = inst.attributes[index]
         if not isinstance(ref, EntityRef):
-            return ifcmcp.geometry.Placement()
+            return ifcmcp.geometry.WORLD
         return self.resolve_placement(ref.id)
 
     # --- persistence ---
@@ -536,45 +518,6 @@ def read(model: IfcModel, record: EntityInstance, index: int, name: str, expecte
         expected = " or ".join(map(str, expected)) + " numbers"
     raise error(f"{record.class_name} #{record.id} of a {error.part} needs {expected} "
                 f"as its {name}")
-
-
-def _length(v: Point3) -> float:
-    return (v.x ** 2 + v.y ** 2 + v.z ** 2) ** 0.5
-
-
-def _unit(v: Point3) -> Point3:
-    """``v`` scaled to unit length. A vector whose squared length would
-    overflow, or lose its digits to underflow, is first divided by its
-    largest component."""
-    try:
-        length = _length(v)
-    except OverflowError:
-        length = math.inf
-    if not 1e-150 < length < 1e150:
-        scale = max(map(abs, v))
-        if scale == 0.0:
-            raise ZeroLengthAxis(f"direction {tuple(v)} has zero length")
-        v = ifcmcp.geometry.Point3(v.x / scale, v.y / scale, v.z / scale)
-        length = _length(v)
-    return ifcmcp.geometry.Point3(v.x / length, v.y / length, v.z / length)
-
-
-def _first_proj_axis(z_axis: Point3, direction: Point3) -> Point3:
-    """Unit ``direction`` less its part along the unit ``z_axis``. A direction
-    already normal to the axis is only normalised, so no rounding is added.
-    One within about 1e-6 rad of the axis counts as parallel: a shorter
-    remainder, once normalised, need not be normal to the axis within
-    ``Placement``'s 1e-9."""
-    unit = _unit(direction)
-    dot = unit.x * z_axis.x + unit.y * z_axis.y + unit.z * z_axis.z
-    if dot == 0.0:
-        return unit
-    x_axis = ifcmcp.geometry.Point3(unit.x - dot * z_axis.x, unit.y - dot * z_axis.y,
-                                    unit.z - dot * z_axis.z)
-    if _length(x_axis) <= 1e-6:
-        raise ZeroLengthAxis(
-            f"RefDirection {tuple(direction)} is parallel to Axis {tuple(z_axis)}")
-    return _unit(x_axis)
 
 
 def _timestamp(deterministic: bool) -> str:

@@ -25,6 +25,11 @@ _GENERIC_FILL = "#c8c8c8"
 _GLYPH_STROKE = "#1a1a1a"
 
 
+def _escaped(text: str) -> str:
+    """``text`` as SVG character data or a double-quoted attribute value."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;").replace('"', "&quot;")
+
+
 def _fmt(value: float) -> str:
     text = f"{value:.2f}"
     return "0.00" if text == "-0.00" else text
@@ -48,10 +53,10 @@ class _Canvas:
         d = "M" + " L".join(f"{_fmt(x)},{_fmt(y)}" for x, y in coords)
         if close:
             d += " Z"
-        attrs = f' id="{element_id}"' if element_id else ""
+        attrs = f' id="{_escaped(element_id)}"' if element_id else ""
         body = f'<path{attrs} d="{d}" fill="{fill}" stroke="{stroke}" stroke-width="{_fmt(width)}"/>'
         if title:
-            body = (f'<g>{body}<title>{title}</title></g>')
+            body = f'<g>{body}<title>{_escaped(title)}</title></g>'
         self.parts.append(body)
 
     def line(self, a, b, stroke: str = _GLYPH_STROKE, width: float = 1.0):
@@ -76,8 +81,9 @@ class _Canvas:
             f'{_fmt(ex)},{_fmt(ey)}" fill="none" stroke="{stroke}" stroke-width="1.00"/>'
         )
 
-    def open_group(self, element_id: str, title: str):
-        self.parts.append(f'<g id="{element_id}"><title>{title}</title>')
+    def open_group(self, element_id: str | None, title: str):
+        attrs = f' id="{_escaped(element_id)}"' if element_id else ""
+        self.parts.append(f'<g{attrs}><title>{_escaped(title)}</title>')
 
     def close_group(self):
         self.parts.append("</g>")

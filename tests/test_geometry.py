@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ifcmcp import measure
+from ifcmcp import geometry, measure
 from ifcmcp.errors import (
     DegenerateFace,
     DegeneratePolygon,
@@ -13,10 +13,10 @@ from ifcmcp.errors import (
     ZeroLengthAxis,
 )
 from ifcmcp.geometry import (
-    Placement,
     Point2,
     Point3,
     Polygon2,
+    axes_placement,
     checked_mesh,
     ear_clip,
     extrude_profile,
@@ -62,6 +62,26 @@ def test_polygon_area_reversal_property(points):
     assert polygon_area(poly) > 0
     assert polygon_area(Polygon2(list(reversed(points)))) == pytest.approx(
         polygon_area(poly))
+
+
+_ANY_FINITE = st.one_of(st.integers(-3, 3).map(float),
+                        st.floats(allow_nan=False, allow_infinity=False))
+
+
+@given(st.lists(st.tuples(_ANY_FINITE, _ANY_FINITE), max_size=8))
+@settings(deadline=None)
+# one coordinate product is inf and another -inf: fsum raised ValueError
+@example([(1e6, -1), (3, -1), (-1e300, 0.5), (1e-12, 1e300), (-1e300, -1)])
+# the doubled area is inf: the polygon was built
+@example([(0, 0), (1e200, 0), (1e200, 1e200), (0, 1e200)])
+# fsum raised OverflowError
+@example([(1e308, -1), (3, -1), (-1e308, 0.5), (1e-12, 1e308), (-1e308, -1)])
+def test_any_finite_points_give_a_polygon_or_a_degenerate_polygon(points):
+    try:
+        poly = Polygon2(points)
+    except DegeneratePolygon:
+        return
+    assert len(poly.vertices) >= 3
 
 
 def test_degenerate_polygons_rejected():
@@ -226,16 +246,23 @@ def test_ear_clip_preserves_area():
         assert total == pytest.approx(polygon_area(poly), rel=1e-12)
 
 
-def test_placement_orthonormal_enforced():
+def test_placement_orthonormal_enforced(monkeypatch):
+    # a file's axes enter through axes_placement, which makes them
+    # orthonormal and checks them once
+    placement = axes_placement((0, 0, 0), (0, 0, 2), (1, 0, 1))
+    assert placement == (Point3(0, 0, 0), Point3(0, 0, 1), Point3(1, 0, 0), Point3(0, 1, 0))
+    with pytest.raises(ZeroLengthAxis):
+        axes_placement((0, 0, 0), (0, 0, 1), (0, 0, 1))
+    # the check stands behind the projection: a skewed x axis is refused
+    monkeypatch.setattr(geometry, "_first_proj_axis",
+                        lambda z_axis, direction: geometry._unit(direction))
     with pytest.raises(ValueError):
-        Placement(Point3(0, 0, 0), Point3(0, 0, 2), Point3(1, 0, 0))
-    with pytest.raises(ValueError):
-        Placement(Point3(0, 0, 0), Point3(0, 0, 1), Point3(0, 0, 1))
+        axes_placement((0, 0, 0), (0, 0, 1), (1, 0, 1))
 
 
 def test_placement_world_transform():
-    placement = Placement(Point3(1, 2, 3), Point3(0, 0, 1),
-                          Point3(0, 1, 0))  # x->world y
+    placement = axes_placement(Point3(1, 2, 3), Point3(0, 0, 1),
+                               Point3(0, 1, 0))  # x->world y
     p = placement.to_world(Point3(1, 0, 0))
     assert p == Point3(1.0, 3.0, 3.0)
     v = placement.rotate(Point3(1, 0, 0))

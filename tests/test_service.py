@@ -1236,10 +1236,57 @@ def test_overflowing_world_box_is_an_in_band_error():
     assert session.model.to_bytes() == data
 
 
+@pytest.mark.parametrize("tool", ["create_slab", "create_roof"])
+@pytest.mark.parametrize("outline", [
+    # one coordinate product is inf and another -inf: fsum raised ValueError
+    [[1e6, -1], [3, -1], [-1e300, 0.5], [1e-12, 1e300], [-1e300, -1]],
+    # the doubled area is inf: the slab was accepted, and every overview
+    # after it answered -32603
+    [[0, 0], [1e200, 0], [1e200, 1e200], [0, 1e200]],
+], ids=["inf-minus-inf", "area-overflows"])
+def test_an_outline_whose_area_overflows_is_a_degenerate_polygon(session, tool, outline):
+    data = session.model.to_bytes()
+    arguments = {"outline": outline, "thickness": 0.2} if tool == "create_slab" \
+        else {"outline": outline}
+    response = call(session, tool, arguments)
+    assert response["result"]["isError"] is True, response
+    assert payload_of(response)["error"] == {
+        "type": "DegeneratePolygon", "message": "polygon area is too large for a double"}
+    assert session.model.to_bytes() == data
+    assert "error" not in payload_of(call(session, "get_ifc_scene_overview", {}, 2))
+
+
+def test_a_file_polygon_whose_area_overflows_is_an_in_band_error():
+    # a kit slab's five polyline points rewritten to finite values whose
+    # shoelace sum overflows: fsum raised OverflowError in four read tools
+    model = new_model(guid_seed=9)
+    builders.create_wall(model, (0, -2), (5, -2), 3.0, 0.2)
+    slab = builders.create_slab(model, [(0, 0), (4, 0), (4, 3), (2, 5), (0, 3)], 0.2)
+    (polyline,) = model.by_class["IFCPOLYLINE"]
+    points = [model.resolve(ref) for ref in model.entities[polyline].attributes[0][:-1]]
+    huge = [(1e308, -1.0), (3.0, -1.0), (-1e308, 0.5), (1e-12, 1e308), (-1e308, -1.0)]
+    for point, coordinates in zip(points, huge):
+        point.attributes = (coordinates,)
+    data = model.to_bytes()
+    session = Session(load_model(data))
+    calls = [("get_object_info", {"guid": slab}), ("get_ifc_scene_overview", {}),
+             ("capture_plan_view", {}), ("execute_ifc_query", {"query": "slabs | sum(area)"})]
+    for number, (tool, arguments) in enumerate(calls, start=1):
+        response = call(session, tool, arguments, number)
+        assert response["result"]["isError"] is True, (tool, response)
+        error = payload_of(response)["error"]
+        assert error == {"type": "DegeneratePolygon",
+                         "message": "polygon area is too large for a double"}, tool
+    assert session.model.to_bytes() == data
+
+
 def test_overflowing_payload_gets_internal_error_in_strict_json(session):
-    # finite coordinates whose area overflows to inf
-    outline = [[0, 0], [1e308, 0], [1e308, 1e308], [0, 1e308]]
+    # a file's rectangle profile whose finite sides give an area that
+    # overflows to inf (a tool's outline of that area is refused)
+    outline = [[0, 0], [1, 0], [1, 1], [0, 1]]
     assert "error" not in call(session, "create_slab", {"outline": outline, "thickness": 0.2})
+    profile = session.model.entities[session.model.by_class["IFCRECTANGLEPROFILEDEF"][-1]]
+    profile.attributes = profile.attributes[:3] + (1e200, 1e200)
     lines = [json.dumps({"jsonrpc": "2.0", "id": 7, "method": "tools/call",
                          "params": {"name": "get_ifc_scene_overview", "arguments": {}}})]
     stdout = io.StringIO()

@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import json
 import re
 import tracemalloc
+from xml.etree import ElementTree
 
 import pytest
 
@@ -11,8 +13,12 @@ from ifcmcp import builders, measure, scene, snapshot
 from ifcmcp.errors import EmptyModel, UnknownGuid
 from ifcmcp.geometry import Polygon2, prism_mesh
 from ifcmcp.model import IfcModel, add_storey, new_model
+from ifcmcp.service import Session, handle_request
 
 from conftest import SQUARE_WALLS, build_l_building
+
+
+SVG = "{http://www.w3.org/2000/svg}"
 
 
 def ids_in_svg(svg: str) -> list[str]:
@@ -251,6 +257,37 @@ def test_elevation_memory_stays_near_the_size_of_its_svg():
     finally:
         tracemalloc.stop()
     assert peak < 9 * len(svg)
+
+
+def test_names_and_ids_are_escaped_in_both_views():
+    # a raw "<" or "&" in a <title> made the SVG not well-formed XML, and a
+    # product without a GlobalId was written as id="None"
+    model = new_model(guid_seed=5)
+    wall = builders.create_wall(model, (0, 0), (5, 0), 3.0, 0.2, name='Wall <A> & "B"')
+    door, _opening = builders.create_door(model, wall_guid=wall, position_along_axis=1.0,
+                                          name="D&1")
+    builders.create_slab(model, [(0, 0), (5, 0), (5, 4), (0, 4)], 0.2, name="<slab>")
+    bare = builders.create_wall(model, (0, 4), (5, 4), 3.0, 0.2, name="bare")
+    bare_wall = model.require_guid(bare)
+    bare_wall.attributes = (None,) + bare_wall.attributes[1:]
+    session = Session(model)
+    for number, (tool, arguments) in enumerate(
+            [("capture_plan_view", {}), ("capture_elevation_view", {"view": "south"})]):
+        reply = handle_request(session, json.dumps({
+            "jsonrpc": "2.0", "id": number, "method": "tools/call",
+            "params": {"name": tool, "arguments": arguments}}))
+        svg = json.loads(reply["result"]["content"][0]["text"])["svg"]
+        root = ElementTree.fromstring(svg)
+        titles = {}
+        for parent in root.iter():
+            title = parent.find(f"{SVG}title")
+            if title is not None:
+                titles[title.text] = parent.get("id") or parent.find(f"{SVG}path").get("id")
+        assert titles['Wall <A> & "B"'] == wall
+        assert titles["D&1"] == door
+        assert titles["bare"] is None
+        assert "None" not in svg
+        assert titles["<slab>"] is not None
 
 
 def test_elevation_empty(fresh_model):
