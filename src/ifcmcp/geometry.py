@@ -17,9 +17,11 @@ from .errors import (
     NonPositiveDepth,
     ZeroLengthAxis,
 )
+from .model import REF, read
 from .step import EntityRef, EnumToken
 
 if TYPE_CHECKING:
+    from .errors import InvalidBody, InvalidPlacement
     from .model import IfcModel
 
 POINT_TOL = 1e-6
@@ -129,8 +131,9 @@ class Polygon2:
 
 
 def polygon_area(poly: Polygon2) -> float:
-    """Shoelace area; positive because polygons are stored CCW."""
-    return sum(a.x * b.y - b.x * a.y for a, b in poly.edges()) / 2.0
+    """Shoelace area, summed exactly as ``Polygon2`` sums it to accept the
+    polygon; positive because polygons are stored CCW."""
+    return math.fsum(a.x * b.y - b.x * a.y for a, b in poly.edges()) / 2.0
 
 
 def _cross3(z: Point3, x: Point3) -> Point3:
@@ -139,30 +142,27 @@ def _cross3(z: Point3, x: Point3) -> Point3:
 
 class Placement(NamedTuple):
     """Right-handed orthonormal frame whose ``y_axis`` is ``z_axis`` cross
-    ``x_axis``. A file's frame enters through ``axes_placement``, which
-    checks it; a frame derived from checked frames is built directly."""
+    ``x_axis``. A file's frame enters through ``read_axes``, which checks it;
+    a frame derived from checked frames is built directly."""
 
     origin: Point3
     z_axis: Point3
     x_axis: Point3
     y_axis: Point3
 
-    def to_world(self, p: Point3) -> Point3:
-        x, y, z = self.x_axis, self.y_axis, self.z_axis
-        return Point3(
-            self.origin.x + p.x * x.x + p.y * y.x + p.z * z.x,
-            self.origin.y + p.x * x.y + p.y * y.y + p.z * z.y,
-            self.origin.z + p.x * x.z + p.y * y.z + p.z * z.z,
-        )
+    # unpacked as tuples, cheaper than NamedTuple field reads; any 3 floats are a point
+    def to_world(self, p: tuple[float, float, float]) -> Point3:
+        (ox, oy, oz), (zx, zy, zz), (xx, xy, xz), (yx, yy, yz) = self
+        x, y, z = p
+        return Point3(ox + x * xx + y * yx + z * zx, oy + x * xy + y * yy + z * zy,
+                      oz + x * xz + y * yz + z * zz)
 
     def rotate(self, v: Point3) -> Point3:
         """Apply only the rotational part of the frame to a vector."""
-        x, y, z = self.x_axis, self.y_axis, self.z_axis
-        return Point3(
-            v.x * x.x + v.y * y.x + v.z * z.x,
-            v.x * x.y + v.y * y.y + v.z * z.y,
-            v.x * x.z + v.y * y.z + v.z * z.z,
-        )
+        _origin, (zx, zy, zz), (xx, xy, xz), (yx, yy, yz) = self
+        vx, vy, vz = v
+        return Point3(vx * xx + vy * yx + vz * zx, vx * xy + vy * yy + vz * zy,
+                      vx * xz + vy * yz + vz * zz)
 
     def compose(self, local: Placement) -> Placement:
         """World frame of ``local``, a frame given in this one. Rotating an
@@ -234,6 +234,28 @@ def axes_placement(location, axis=None, ref_direction=None) -> Placement:
     if abs(_length(z_axis) - 1.0) > 1e-9 or abs(_length(x_axis) - 1.0) > 1e-9 or abs(dot) > 1e-9:
         raise ValueError(f"placement axes {z_axis} and {x_axis} are not orthonormal")
     return Placement(origin, z_axis, x_axis, _cross3(z_axis, x_axis))
+
+
+def read_axes(model: IfcModel, record, error: type[InvalidBody | InvalidPlacement]) -> Placement:
+    """The frame of a file's axis placement ``record``; a malformed attribute
+    raises ``error``, the in-band error of its part. An IFCAXIS2PLACEMENT3D
+    has an Axis and a RefDirection; any other record is read as 2D, turned
+    about z by its RefDirection's first two ratios."""
+    location = read(model, record, 0, "Location", REF, error)
+    coords = read(model, location, 0, "Coordinates", (2, 3), error)
+    if record.class_name == "IFCAXIS2PLACEMENT3D":
+        return axes_placement(coords, _ratios(model, record, 1, "Axis", (3,), error),
+                              _ratios(model, record, 2, "RefDirection", (3,), error))
+    ratios = _ratios(model, record, 1, "RefDirection", (2, 3), error)
+    return axes_placement(coords, None, None if ratios is None else (*ratios[:2], 0.0))
+
+
+def _ratios(model: IfcModel, record, index: int, name: str, lengths, error) -> tuple | None:
+    """DirectionRatios of the direction at ``index``; None when unset."""
+    if index < len(record.attributes) and record.attributes[index] is None:
+        return None
+    direction = read(model, record, index, name, REF, error)
+    return read(model, direction, 0, "DirectionRatios", lengths, error)
 
 
 def _tri_area3(a: Point3, b: Point3, c: Point3) -> float:
@@ -355,6 +377,8 @@ def prism_mesh(profile: Polygon2, depth: float, axis: str = "z") -> TriMesh:
 
     ``axis='z'``: profile in XY, extruded +Z. ``axis='y'``: profile in XZ
     (x right, second coordinate up), extruded +Y — used for stair flights.
+    Swapping y and z mirrors the first prism into the second, so the second
+    has the same faces, each wound the other way.
 
     Faces come in pairs of equal area (a cap triangle and its twin, the
     halves of a side). A checked profile can still make a pair too thin
@@ -363,37 +387,23 @@ def prism_mesh(profile: Polygon2, depth: float, axis: str = "z") -> TriMesh:
     """
     if depth <= 0:
         raise NonPositiveDepth(f"extrusion depth must be positive, got {depth}")
+    if axis not in ("y", "z"):
+        raise ValueError(f"unsupported extrusion axis {axis!r}")
     depth = float(depth)
     pts = profile.vertices
     n = len(pts)
-    if axis == "z":
-        bottom = [Point3(p.x, p.y, 0.0) for p in pts]
-        top = [Point3(p.x, p.y, depth) for p in pts]
-    elif axis == "y":
-        bottom = [Point3(p.x, 0.0, p.y) for p in pts]
-        top = [Point3(p.x, depth, p.y) for p in pts]
-    else:
-        raise ValueError(f"unsupported extrusion axis {axis!r}")
-    verts = tuple(bottom + top)
-    tris = ear_clip(pts)
+    verts = tuple([Point3(p.x, p.y, 0.0) for p in pts] + [Point3(p.x, p.y, depth) for p in pts])
     faces: list[tuple[int, int, int]] = []
-    if axis == "z":
-        for a, b, c in tris:
-            faces.append((a, c, b))            # bottom, wound downward
-            faces.append((n + a, n + b, n + c))  # top, wound upward
-        for i in range(n):
-            j = (i + 1) % n
-            faces.append((i, j, n + j))
-            faces.append((i, n + j, n + i))
-    else:
-        # profile CCW in XZ seen from -Y; bottom (y=0) faces the viewer
-        for a, b, c in tris:
-            faces.append((a, b, c))
-            faces.append((n + a, n + c, n + b))
-        for i in range(n):
-            j = (i + 1) % n
-            faces.append((i, n + j, j))
-            faces.append((i, n + i, n + j))
+    for a, b, c in ear_clip(pts):
+        faces.append((a, c, b))              # bottom, wound downward
+        faces.append((n + a, n + b, n + c))  # top, wound upward
+    for i in range(n):
+        j = (i + 1) % n
+        faces.append((i, j, n + j))
+        faces.append((i, n + j, n + i))
+    if axis == "y":
+        verts = tuple([Point3(x, z, y) for x, y, z in verts])
+        faces = [(a, c, b) for a, b, c in faces]
     mesh = TriMesh(verts, tuple(faces))
     for index in range(0, len(faces), 2):
         a, b, c = faces[index]

@@ -1,16 +1,16 @@
 """Derived geometric quantities read back from representation subgraphs.
 
 This is the one module that reads a product's body records: ``body_of``
-decodes them into an immutable ``Extrusion`` or a ``TriMesh``. ``bounds``
-and ``axis`` derive a world box and an immutable ``WallAxis`` from a decoded
-body and its product's ``Placement``, so a caller that holds both reads the
-product once; ``world_bbox`` and ``wall_axis`` compose them from an id.
-Every point, number and reference of a body goes through ``model.read``,
-the one checked reader that also serves placements, so a malformed record
-raises ``InvalidBody`` naming its ``#id``, class and attribute; a profile
-class the kit does not write measures as ``None``. Everything is re-derived
-from the entity graph on each call, so results stay valid across save/load
-cycles.
+decodes them into an immutable ``Extrusion`` or a ``TriMesh``, and
+``world_frame`` composes an extrusion's ``Position`` into its product's
+``Placement``. ``bounds``, ``axis`` and ``world_mesh`` place a body in that
+one frame, so a caller that holds both reads the product once. Every point,
+number, reference and axis placement of a body goes through ``model.read``
+and ``geometry.read_axes``, the readers that also serve placements, so a
+malformed record raises ``InvalidBody`` naming its ``#id``, class and
+attribute; a profile class the kit does not write measures as ``None``.
+Everything is re-derived from the entity graph on each call, so results
+stay valid across save/load cycles.
 """
 
 from __future__ import annotations
@@ -21,21 +21,22 @@ from typing import NamedTuple
 
 from . import schema
 from .errors import EmptyMesh, InvalidBody
-from .geometry import (Placement, Point2, Point3, Polygon2, TriMesh, checked_mesh,
-                       polygon_area, prism_mesh)
+from .geometry import (WORLD, Placement, Point2, Point3, Polygon2, TriMesh, checked_mesh,
+                       polygon_area, prism_mesh, read_axes)
 from .model import NUMBER, REF, REFS, IfcModel, read
 from .step import EntityRef
 
 
 class Extrusion(NamedTuple):
-    """An extruded area solid in its product's frame. ``bbox`` (x0, y0, x1,
-    y1) and ``area`` are the profile's; ``polygon`` is None for a rectangle."""
+    """An extruded area solid; ``frame`` is its ``Position``. ``bbox`` (x0, y0,
+    x1, y1) and ``area`` are the profile's in ``frame``; ``polygon`` is None for
+    a rectangle not turned in its own ``Position``."""
 
     bbox: tuple[float, float, float, float]
     area: float
     depth: float
     direction: Point3
-    origin: Point3
+    frame: Placement
     polygon: Polygon2 | None
 
     @property
@@ -48,7 +49,7 @@ class Extrusion(NamedTuple):
 
 
 class WallAxis(NamedTuple):
-    """World-space axis segment and dimensions of a wall built by this kit."""
+    """World axis, dimensions and body frame of a wall built by this kit."""
 
     start: Point3
     end: Point3
@@ -58,15 +59,11 @@ class WallAxis(NamedTuple):
     placement: Placement
 
 
-def _location(model: IfcModel, record, index: int) -> Point3:
-    """Location of the optional ``Position`` at ``index``; z is 0 for a 2D
-    point, and the origin stands in for an unset position."""
+def _position(model: IfcModel, record, index: int) -> Placement:
+    """Frame of the optional ``Position`` at ``index``; WORLD when unset."""
     if index < len(record.attributes) and record.attributes[index] is None:
-        return Point3(0.0, 0.0, 0.0)
-    position = read(model, record, index, "Position", REF, InvalidBody)
-    location = read(model, position, 0, "Location", REF, InvalidBody)
-    coords = read(model, location, 0, "Coordinates", (2, 3), InvalidBody)
-    return Point3(*coords, *(0.0,) * (3 - len(coords)))
+        return WORLD
+    return read_axes(model, read(model, record, index, "Position", REF, InvalidBody), InvalidBody)
 
 
 def body_of(model: IfcModel, entity_id: int) -> Extrusion | TriMesh | None:
@@ -94,14 +91,21 @@ def body_of(model: IfcModel, entity_id: int) -> Extrusion | TriMesh | None:
 
 
 def _decode_extrusion(model: IfcModel, solid) -> Extrusion | None:
-    """None for a profile class other than a rectangle or a polyline polygon."""
+    """None for a profile class other than a rectangle or a polyline polygon.
+    A rectangle turned in its ``Position`` is kept as its corners' polygon."""
     profile = read(model, solid, 0, "SweptArea", REF, InvalidBody)
     polygon = None
     if profile.class_name == "IFCRECTANGLEPROFILEDEF":
         xdim = read(model, profile, 3, "XDim", NUMBER, InvalidBody)
         ydim = read(model, profile, 4, "YDim", NUMBER, InvalidBody)
-        cx, cy, _cz = _location(model, profile, 2)
-        bbox = (cx - xdim / 2, cy - ydim / 2, cx + xdim / 2, cy + ydim / 2)
+        (ox, oy, _oz), _z, (ux, uy, _uz), (vx, vy, _vz) = _position(model, profile, 2)
+        x, y = xdim / 2, ydim / 2
+        corners = [(ox + a * ux + b * vx, oy + a * uy + b * vy)  # its frame's (a, b, 0)
+                   for a, b in ((-x, -y), (x, -y), (x, y), (-x, y))]
+        if (ux, uy) != (1.0, 0.0):
+            polygon = Polygon2(corners)
+        xs, ys = zip(*corners)
+        bbox = (min(xs), min(ys), max(xs), max(ys))
         area = xdim * ydim
     elif profile.class_name == "IFCARBITRARYCLOSEDPROFILEDEF":
         curve = read(model, profile, 2, "OuterCurve", REF, InvalidBody)
@@ -117,7 +121,7 @@ def _decode_extrusion(model: IfcModel, solid) -> Extrusion | None:
     direction = read(model, solid, 2, "ExtrudedDirection", REF, InvalidBody)
     ratios = read(model, direction, 0, "DirectionRatios", (3,), InvalidBody)
     return Extrusion(bbox, area, read(model, solid, 3, "Depth", NUMBER, InvalidBody),
-                     Point3(*ratios), _location(model, solid, 1), polygon)
+                     Point3(*ratios), _position(model, solid, 1), polygon)
 
 
 def _decode_brep(model: IfcModel, brep) -> TriMesh:
@@ -139,74 +143,71 @@ def _decode_brep(model: IfcModel, brep) -> TriMesh:
     return checked_mesh(vertices, faces)
 
 
-def _local_box(body: Extrusion | TriMesh) -> tuple[Point3, Point3]:
-    """Box of a decoded body in its product's frame."""
+def world_frame(body: Extrusion | TriMesh, placement: Placement) -> Placement:
+    """World frame of a decoded body's coordinates: an extrusion's ``frame``
+    composed into its product's ``placement``, or the latter for a brep."""
+    return placement.compose(body.frame) if isinstance(body, Extrusion) else placement
+
+
+def bounds(body: Extrusion | TriMesh, frame: Placement) -> tuple[Point3, Point3]:
+    """World box of a body in its ``world_frame``. A finite body and frame can
+    still overflow there: InvalidBody."""
     if isinstance(body, TriMesh):
-        return body.bounds()
-    x0, y0, x1, y1 = body.bbox
-    ox, oy, oz = body.origin
-    d, depth = body.direction, body.depth
-    dx, dy, dz = d.x * depth, d.y * depth, d.z * depth
-    return (
-        Point3(ox + x0 + min(dx, 0.0), oy + y0 + min(dy, 0.0), oz + min(dz, 0.0)),
-        Point3(ox + x1 + max(dx, 0.0), oy + y1 + max(dy, 0.0), oz + max(dz, 0.0)),
-    )
-
-
-def bounds(body: Extrusion | TriMesh, placement: Placement) -> tuple[Point3, Point3]:
-    """World box of a decoded body placed in its product's frame. A finite
-    body and frame can still overflow there: InvalidBody."""
-    (x0, y0, z0), (x1, y1, z1) = _local_box(body)
-    to_world = placement.to_world
-    corners = [to_world(Point3(x, y, z)) for x in (x0, x1) for y in (y0, y1) for z in (z0, z1)]
+        (x0, y0, z0), (x1, y1, z1) = body.bounds()
+    else:
+        x0, y0, x1, y1 = body.bbox
+        d, depth = body.direction, body.depth
+        dx, dy, dz = d.x * depth, d.y * depth, d.z * depth
+        x0, y0, z0 = x0 + min(dx, 0.0), y0 + min(dy, 0.0), min(dz, 0.0)
+        x1, y1, z1 = x1 + max(dx, 0.0), y1 + max(dy, 0.0), max(dz, 0.0)
+    # each corner is frame.to_world's, unrolled: read tools box every product
+    (ox, oy, oz), (zx, zy, zz), (xx, xy, xz), (yx, yy, yz) = frame
+    corners = [(ox + x * xx + y * yx + z * zx, oy + x * xy + y * yy + z * zy,
+                oz + x * xz + y * yz + z * zz)
+               for x in (x0, x1) for y in (y0, y1) for z in (z0, z1)]
     if not all(map(math.isfinite, chain.from_iterable(corners))):
         raise InvalidBody("a body's world bounding box is not finite")
     return Point3(*map(min, zip(*corners))), Point3(*map(max, zip(*corners)))
 
 
-def axis(body: Extrusion, placement: Placement) -> WallAxis:
-    """The axis of a wall whose body is an extrusion along its local x."""
+def axis(body: Extrusion, frame: Placement) -> WallAxis:
+    """The axis of a wall whose body extrudes along its ``world_frame``'s x."""
     x0, y0, x1, y1 = body.bbox
-    return WallAxis(placement.to_world(Point3(x0, 0.0, 0.0)),
-                    placement.to_world(Point3(x1, 0.0, 0.0)),
-                    x1 - x0, y1 - y0, body.depth, placement)
+    return WallAxis(frame.to_world(Point3(x0, 0.0, 0.0)), frame.to_world(Point3(x1, 0.0, 0.0)),
+                    x1 - x0, y1 - y0, body.depth, frame)
 
 
 def world_bbox(model: IfcModel, entity_id: int) -> tuple[Point3, Point3] | None:
     body = body_of(model, entity_id)
-    return None if body is None else bounds(body, model.placement_of(entity_id))
+    return None if body is None else bounds(body, world_frame(body, model.placement_of(entity_id)))
 
 
 def world_mesh(model: IfcModel, entity_id: int) -> TriMesh | None:
-    """Body geometry tessellated into world coordinates.
-
-    An extrusion's prism is built in the profile plane. Each of its
-    vertices is shifted down by the depth when the extrusion points down,
-    then by the solid's origin, as it is placed in the world. The mesh is
-    derived from a checked body, so only its coordinates are checked, as
-    huge origins overflow there (EmptyMesh). Nothing is kept between calls.
-    """
+    """Body geometry in world coordinates: a brep, or an extrusion's prism,
+    shifted down by its depth when it extrudes down, placed in its
+    ``world_frame``. The mesh is derived from a checked body, so only its
+    coordinates are checked, as huge origins overflow there (EmptyMesh)."""
     body = body_of(model, entity_id)
     if body is None:
         return None
-    to_world = model.placement_of(entity_id).to_world
+    frame = world_frame(body, model.placement_of(entity_id))
     if isinstance(body, TriMesh):
-        vertices, faces = tuple(map(to_world, body.vertices)), body.faces
+        vertices, faces = body.vertices, body.faces
     else:
         vertices, faces = prism_mesh(body.outline, body.depth)
         if body.direction.z < 0:  # downward extrusion: the prism tops out at origin
-            vertices = [(x + 0.0, y + 0.0, z - body.depth) for x, y, z in vertices]
-        ox, oy, oz = body.origin
-        vertices = tuple([to_world(Point3(x + ox, y + oy, z + oz)) for x, y, z in vertices])
-    mesh = TriMesh(vertices, faces)
+            vertices = [(x, y, z - body.depth) for x, y, z in vertices]
+    vertices = tuple(map(frame.to_world, vertices))
     if not all(map(math.isfinite, chain.from_iterable(vertices))):
         raise EmptyMesh("mesh has non-finite coordinates")
-    return mesh
+    return TriMesh(vertices, faces)
 
 
 def wall_axis(model: IfcModel, wall_id: int) -> WallAxis | None:
     body = body_of(model, wall_id)
-    return axis(body, model.placement_of(wall_id)) if isinstance(body, Extrusion) else None
+    if not isinstance(body, Extrusion):
+        return None
+    return axis(body, world_frame(body, model.placement_of(wall_id)))
 
 
 def element_length(model: IfcModel, entity_id: int) -> float | None:
@@ -216,7 +217,7 @@ def element_length(model: IfcModel, entity_id: int) -> float | None:
     body = body_of(model, entity_id)
     if body is None:
         return None
-    lo, hi = _local_box(body)
+    lo, hi = bounds(body, WORLD)
     return hi.x - lo.x
 
 

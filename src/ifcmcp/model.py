@@ -411,27 +411,11 @@ class IfcModel:
 
     # --- placement resolution ---
 
-    def _axis2placement(self, inst: EntityInstance) -> Placement:
-        """Local frame of an axis placement; only a 3D one has axes."""
-        location = read(self, inst, 0, "Location", REF, InvalidPlacement)
-        coords = read(self, location, 0, "Coordinates", (2, 3), InvalidPlacement)
-        if inst.class_name != "IFCAXIS2PLACEMENT3D":
-            return ifcmcp.geometry.axes_placement(coords)
-        return ifcmcp.geometry.axes_placement(coords, self._direction(inst, 1, "Axis"),
-                                              self._direction(inst, 2, "RefDirection"))
-
-    def _direction(self, inst: EntityInstance, index: int, name: str) -> tuple | None:
-        """Ratios of the direction at ``index`` of an axis placement; None if unset."""
-        if index < len(inst.attributes) and inst.attributes[index] is None:
-            return None
-        direction = read(self, inst, index, name, REF, InvalidPlacement)
-        return read(self, direction, 0, "DirectionRatios", (3,), InvalidPlacement)
-
     def resolve_placement(self, placement_id: int | None) -> Placement:
-        """World frame of a placement, composed down its ``PlacementRelTo``
-        chain; an unset ``PlacementRelTo`` is the root. A chain that returns
-        to a placement raises PlacementCycle, and finite origins that add up
-        to one that is not InvalidPlacement."""
+        """World frame of a placement: each level's ``geometry.read_axes``,
+        composed down its ``PlacementRelTo`` chain; an unset one is the root.
+        A chain that returns to a placement raises PlacementCycle, and finite
+        origins that add up to one that is not InvalidPlacement."""
         if placement_id is None:
             return ifcmcp.geometry.WORLD
         chain: list[Placement] = []  # local frames, innermost first
@@ -442,10 +426,11 @@ class IfcModel:
                 raise PlacementCycle(inst.id)
             seen.add(inst.id)
             if inst.class_name != "IFCLOCALPLACEMENT":
-                chain.append(self._axis2placement(inst))
+                chain.append(ifcmcp.geometry.read_axes(self, inst, InvalidPlacement))
                 break
-            chain.append(self._axis2placement(
-                read(self, inst, 1, "RelativePlacement", REF, InvalidPlacement)))
+            chain.append(ifcmcp.geometry.read_axes(
+                self, read(self, inst, 1, "RelativePlacement", REF, InvalidPlacement),
+                InvalidPlacement))
             if inst.attributes[0] is None:
                 break
             inst = read(self, inst, 0, "PlacementRelTo", REF, InvalidPlacement)

@@ -171,7 +171,7 @@ def get_ifc_scene_overview(model: IfcModel) -> dict:
         if isinstance(body, measure.Extrusion) and body.area \
                 and model.entities[entity_id].class_name == "IFCSLAB":
             floor_area += body.area
-        boxes.append(measure.bounds(body, model.placement_of(entity_id)))
+        boxes.append(measure.bounds(body, measure.world_frame(body, model.placement_of(entity_id))))
     lows, highs = zip(*boxes) if boxes else ((), ())
 
     def handle(entity_id: int | None) -> dict | None:

@@ -8,6 +8,7 @@ Product GlobalIds are embedded as element ids so clients can hit-test.
 from __future__ import annotations
 
 import math
+import re
 from array import array
 
 from . import measure, schema
@@ -23,11 +24,14 @@ _WALL_FILL = "#4a4a4a"
 _SLAB_STROKE = "#808080"
 _GENERIC_FILL = "#c8c8c8"
 _GLYPH_STROKE = "#1a1a1a"
+# the characters XML 1.0 forbids even escaped; U+FFFD stands in for each
+_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
 def _escaped(text: str) -> str:
     """``text`` as SVG character data or a double-quoted attribute value."""
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;").replace('"', "&quot;")
+    text = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return _NOT_XML.sub("\ufffd", text.replace('"', "&quot;"))
 
 
 def _fmt(value: float) -> str:
@@ -154,19 +158,19 @@ def render_plan(model: IfcModel, storey_guid: str | None = None,
         body = measure.body_of(model, entity_id)
         if body is None:
             continue
-        placement = model.placement_of(entity_id)
-        box = measure.bounds(body, placement)
+        frame = measure.world_frame(body, model.placement_of(entity_id))
+        box = measure.bounds(body, frame)
         extrusion = isinstance(body, measure.Extrusion)
         if class_name == "IFCSLAB":
             if extrusion:
-                slabs.append((entity_id, [placement.to_world(Point3(p.x, p.y, 0.0))
+                slabs.append((entity_id, [frame.to_world(Point3(p.x, p.y, 0.0))
                                           for p in body.outline.vertices]))
         elif not in_cut(box):
             continue
         elif class_name in schema.WALL_CLASSES:
             if not extrusion:
                 continue
-            axis = measure.axis(body, placement)
+            axis = measure.axis(body, frame)
             walls.append((entity_id, axis))
             box = axis.start, axis.end
         else:
@@ -199,11 +203,11 @@ def render_plan(model: IfcModel, storey_guid: str | None = None,
             body = measure.body_of(model, opening_id)
             if not isinstance(body, measure.Extrusion):
                 continue  # only an extruded opening cuts a gap
-            placement = model.placement_of(opening_id)
-            if not in_cut(measure.bounds(body, placement)):
+            frame = measure.world_frame(body, model.placement_of(opening_id))
+            if not in_cut(measure.bounds(body, frame)):
                 continue
             x0, _y0, x1, _y1 = body.bbox
-            local = placement.origin
+            local = frame.origin
             wall_origin = axis.placement.origin
             along0 = (local.x - wall_origin.x) * direction.x \
                 + (local.y - wall_origin.y) * direction.y + x0

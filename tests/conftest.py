@@ -21,9 +21,10 @@ from ifcmcp.model import IfcModel, load_model, new_model
 # mesh parity properties (test_checked_mesh_answers_as_every_mesh_was_checked,
 # test_prism_mesh_answers_as_every_mesh_was_checked and
 # test_tools_answer_as_when_every_mesh_was_checked), the frame parity property
-# (test_world_frames_equal_the_checked_composition) and the polygon property
-# (test_any_finite_points_give_a_polygon_or_a_degenerate_polygon); the others
-# fix their own count
+# (test_world_frames_equal_the_checked_composition), the body frame property
+# (test_a_rotation_in_the_solids_measures_as_one_in_the_placements) and the
+# polygon property (test_any_finite_points_give_a_polygon_or_a_degenerate_polygon);
+# the others fix their own count
 settings.register_profile("ci", max_examples=500)
 
 SQUARE_WALLS = [

@@ -3,7 +3,9 @@
 The oracle is the frame code as it stood while every frame was checked: a
 frozen dataclass whose ``__post_init__`` checked unit length and
 orthogonality, whose ``y_axis`` was a cached ``z_axis`` cross ``x_axis``, and
-a reader that applied IFC's ``IfcBuildAxes`` rule. ``geometry.Placement`` now
+a reader that applied IFC's ``IfcBuildAxes`` rule; a 2D placement turns by
+its RefDirection's x and y about z, as ``IfcAxis2Placement2D`` defines it (the
+reader of that time ignored it). ``geometry.Placement`` now
 checks a file's frame once, where it enters, and composes without a check;
 the property below holds it to the same floats.
 """
@@ -95,7 +97,15 @@ def _first_proj_axis(z_axis: Point3, direction: Point3) -> Point3:
 def _oracle_local(model, inst) -> OraclePlacement:
     coords = model.resolve(inst.attributes[0]).attributes[0]
     origin = Point3(*coords, *(0.0,) * (3 - len(coords)))
-    if inst.class_name != "IFCAXIS2PLACEMENT3D" or inst.attributes[1:] == (None, None):
+    if inst.class_name != "IFCAXIS2PLACEMENT3D":
+        # IFC's 2D rule: the RefDirection's x and y ratios, z 0, about world z
+        ref = inst.attributes[1]
+        if ref is None:
+            return OraclePlacement(origin)
+        x, y = model.resolve(ref).attributes[0][:2]
+        return OraclePlacement(origin, Point3(0.0, 0.0, 1.0),
+                               _first_proj_axis(Point3(0.0, 0.0, 1.0), Point3(x, y, 0.0)))
+    if inst.attributes[1:] == (None, None):
         return OraclePlacement(origin)
     axis, ref_direction = (None if ref is None else Point3(*model.resolve(ref).attributes[0])
                            for ref in inst.attributes[1:])

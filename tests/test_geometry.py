@@ -47,6 +47,12 @@ def test_reversed_polygon_normalized():
     assert polygon_area(fwd) == polygon_area(rev) == 75.0
 
 
+def test_an_accepted_polygon_has_its_exact_area():
+    # Polygon2 accepts this triangle by the exact sum of its shoelace terms;
+    # summed in float order the terms cancel and the area read 0.0
+    assert polygon_area(Polygon2([(0, 1), (1, 1), (2 ** 53, 0)])) == 0.5
+
+
 @given(st.lists(st.tuples(st.floats(-50, 50), st.floats(-50, 50)),
                 min_size=3, max_size=8))
 @settings(max_examples=200)

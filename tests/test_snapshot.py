@@ -260,10 +260,12 @@ def test_elevation_memory_stays_near_the_size_of_its_svg():
 
 
 def test_names_and_ids_are_escaped_in_both_views():
-    # a raw "<" or "&" in a <title> made the SVG not well-formed XML, and a
-    # product without a GlobalId was written as id="None"
+    # a raw "<" or "&" in a <title> made the SVG not well-formed XML, and so
+    # did U+0001, which XML 1.0 forbids even escaped; a product without a
+    # GlobalId was written as id="None"
     model = new_model(guid_seed=5)
     wall = builders.create_wall(model, (0, 0), (5, 0), 3.0, 0.2, name='Wall <A> & "B"')
+    control = builders.create_wall(model, (0, 2), (5, 2), 3.0, 0.2, name="a\u0001b")
     door, _opening = builders.create_door(model, wall_guid=wall, position_along_axis=1.0,
                                           name="D&1")
     builders.create_slab(model, [(0, 0), (5, 0), (5, 4), (0, 4)], 0.2, name="<slab>")
@@ -284,6 +286,7 @@ def test_names_and_ids_are_escaped_in_both_views():
             if title is not None:
                 titles[title.text] = parent.get("id") or parent.find(f"{SVG}path").get("id")
         assert titles['Wall <A> & "B"'] == wall
+        assert titles["a\ufffdb"] == control
         assert titles["D&1"] == door
         assert titles["bare"] is None
         assert "None" not in svg
