@@ -31,7 +31,7 @@ from .geometry import (
     prism_mesh,
     wall_axis_to_profile,
 )
-from .model import IfcModel
+from .model import IfcModel, placement_id
 from .skeleton import gable_roof_solid, hip_roof_solid
 from .step import EntityRef, EnumToken
 
@@ -58,12 +58,6 @@ def _resolve_storey(model: IfcModel, storey_guid: str | None,
     if elevation is not None:
         return model.storey_for_elevation(elevation)
     return model.default_storey()
-
-
-def _placement_id(model: IfcModel, product_id: int) -> int | None:
-    """Id of a product's ObjectPlacement; None, the world frame, when unset."""
-    ref = model.entities[product_id].attributes[5]
-    return ref.id if isinstance(ref, EntityRef) else None
 
 
 def _place(model: IfcModel, parent_lp: int | None, origin: Point3,
@@ -108,7 +102,7 @@ def create_wall(model: IfcModel, start, end, height: float, thickness: float,
 
     profile, frame = wall_axis_to_profile(start, end, thickness)
     prism_mesh(profile, height)  # a face an elevation cannot draw: DegenerateFace before any write
-    lp = _place(model, _placement_id(model, storey_id),
+    lp = _place(model, placement_id(model, storey_id),
                 Point3(start.x, start.y, 0.0), x_axis=frame.x_axis)
     shape = extrude_profile(model, profile, height)
     guid, wall = _add_product(model, "IFCWALL", lp, shape, name, EnumToken("STANDARD"))
@@ -146,7 +140,7 @@ def create_slab(model: IfcModel, outline, thickness: float, elevation: float = 0
     storey_id = _resolve_storey(model, storey, elevation=elevation)
     local_z = elevation - model.storey_elevation(storey_id)
     prism_mesh(poly, thickness)  # a face an elevation cannot draw: DegenerateFace before any write
-    lp = _place(model, _placement_id(model, storey_id),
+    lp = _place(model, placement_id(model, storey_id),
                 Point3(0.0, 0.0, local_z))
     # top face at the given elevation: extrude downward by the thickness
     shape = extrude_profile(model, poly, thickness, direction=Point3(0.0, 0.0, -1.0))
@@ -184,7 +178,7 @@ def create_roof(model: IfcModel, outline, style: str = "hip",
     if style == "flat":
         prism_mesh(poly, FLAT_ROOF_THICKNESS)  # DegenerateFace before any write
 
-    lp = _place(model, _placement_id(model, storey_id),
+    lp = _place(model, placement_id(model, storey_id),
                 Point3(0.0, 0.0, local_z))
     if style == "flat":
         shape = extrude_profile(model, poly, FLAT_ROOF_THICKNESS)
@@ -307,7 +301,7 @@ def _create_filled_opening(model: IfcModel, filler_class: str,
                     (half_w, thickness / 2), (-half_w, thickness / 2)])
     prism_mesh(box, height)  # a face an elevation cannot draw: DegenerateFace before any write
 
-    opening_lp = _place(model, _placement_id(model, wall_id), Point3(pos, 0.0, sill))
+    opening_lp = _place(model, placement_id(model, wall_id), Point3(pos, 0.0, sill))
     opening_shape = extrude_profile(model, box, height)
     opening_guid, opening = _add_product(model, "IFCOPENINGELEMENT", opening_lp,
                                          opening_shape, None, EnumToken("OPENING"))
@@ -366,7 +360,7 @@ def create_stairs(model: IfcModel, origin, direction_deg: float,
     local_z = origin.z - model.storey_elevation(storey_id)
     angle = math.radians(direction_deg)
     x_axis = Point3(math.cos(angle), math.sin(angle), 0.0)
-    lp = _place(model, _placement_id(model, storey_id),
+    lp = _place(model, placement_id(model, storey_id),
                 Point3(origin.x, origin.y, local_z), x_axis=x_axis)
     shape = mesh_to_brep(model, mesh)
     guid, stair = _add_product(model, "IFCSTAIR", lp, shape, name,
@@ -383,7 +377,7 @@ def create_mesh_element(model: IfcModel, ifc_class: str, mesh: TriMesh,
             f"{ifc_class} is not an allowed class for mesh elements"
         )
     storey_id = _resolve_storey(model, storey)
-    lp = _place(model, _placement_id(model, storey_id), Point3(0.0, 0.0, 0.0))
+    lp = _place(model, placement_id(model, storey_id), Point3(0.0, 0.0, 0.0))
     shape = mesh_to_brep(model, mesh)
     # PredefinedType, left unset, where the class has one
     rest = [None] if len(schema.ATTRIBUTES[ifc_class]) > 8 else []

@@ -80,8 +80,12 @@ class StillReferenced(IfcError):
         self.referrer_id = referrer_id
 
 
+class InvalidRecord(IfcError):
+    part = "record"  # what ``model.read`` names a malformed record a part of
+
+
 class InvalidPlacement(IfcError):
-    part = "placement"  # what ``model.read`` names a malformed record a part of
+    part = "placement"
 
 
 class PlacementCycle(IfcError):

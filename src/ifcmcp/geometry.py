@@ -239,23 +239,21 @@ def axes_placement(location, axis=None, ref_direction=None) -> Placement:
 def read_axes(model: IfcModel, record, error: type[InvalidBody | InvalidPlacement]) -> Placement:
     """The frame of a file's axis placement ``record``; a malformed attribute
     raises ``error``, the in-band error of its part. An IFCAXIS2PLACEMENT3D
-    has an Axis and a RefDirection; any other record is read as 2D, turned
-    about z by its RefDirection's first two ratios."""
-    location = read(model, record, 0, "Location", REF, error)
-    coords = read(model, location, 0, "Coordinates", (2, 3), error)
+    has an Axis and a RefDirection; any other record is read as 2D by its own
+    class, turned about z by its RefDirection's first two ratios."""
+    location = read(model, record, "Location", REF, error)
+    coords = read(model, location, "Coordinates", (2, 3), error)
     if record.class_name == "IFCAXIS2PLACEMENT3D":
-        return axes_placement(coords, _ratios(model, record, 1, "Axis", (3,), error),
-                              _ratios(model, record, 2, "RefDirection", (3,), error))
-    ratios = _ratios(model, record, 1, "RefDirection", (2, 3), error)
+        return axes_placement(coords, _ratios(model, record, "Axis", (3,), error),
+                              _ratios(model, record, "RefDirection", (3,), error))
+    ratios = _ratios(model, record, "RefDirection", (2, 3), error)
     return axes_placement(coords, None, None if ratios is None else (*ratios[:2], 0.0))
 
 
-def _ratios(model: IfcModel, record, index: int, name: str, lengths, error) -> tuple | None:
-    """DirectionRatios of the direction at ``index``; None when unset."""
-    if index < len(record.attributes) and record.attributes[index] is None:
-        return None
-    direction = read(model, record, index, name, REF, error)
-    return read(model, direction, 0, "DirectionRatios", lengths, error)
+def _ratios(model: IfcModel, record, name: str, lengths, error) -> tuple | None:
+    """DirectionRatios of the direction ``name``; None when unset."""
+    direction = read(model, record, name, REF, error, None)
+    return None if direction is None else read(model, direction, "DirectionRatios", lengths, error)
 
 
 def _tri_area3(a: Point3, b: Point3, c: Point3) -> float:

@@ -4,10 +4,11 @@ This is the one module that reads a product's body records: ``body_of``
 decodes them into an immutable ``Extrusion`` or a ``TriMesh``, and
 ``world_frame`` composes an extrusion's ``Position`` into its product's
 ``Placement``. ``bounds``, ``axis`` and ``world_mesh`` place a body in that
-one frame, so a caller that holds both reads the product once. Every point,
-number, reference and axis placement of a body goes through ``model.read``
-and ``geometry.read_axes``, the readers that also serve placements, so a
-malformed record raises ``InvalidBody`` naming its ``#id``, class and
+one frame, so a caller that holds both reads the product once. Every
+attribute of a body goes through ``model.read`` by name and every axis
+placement through ``geometry.read_axes``, the readers that also serve
+placements, so a malformed record (a positive length, ``XDim``, ``YDim`` or
+``Depth``, that is not) raises ``InvalidBody`` naming its ``#id``, class and
 attribute; a profile class the kit does not write measures as ``None``.
 Everything is re-derived from the entity graph on each call, so results
 stay valid across save/load cycles.
@@ -23,8 +24,7 @@ from . import schema
 from .errors import EmptyMesh, InvalidBody
 from .geometry import (WORLD, Placement, Point2, Point3, Polygon2, TriMesh, checked_mesh,
                        polygon_area, prism_mesh, read_axes)
-from .model import NUMBER, REF, REFS, IfcModel, read
-from .step import EntityRef
+from .model import POSITIVE, REF, REFS, TEXT, IfcModel, read
 
 
 class Extrusion(NamedTuple):
@@ -59,27 +59,22 @@ class WallAxis(NamedTuple):
     placement: Placement
 
 
-def _position(model: IfcModel, record, index: int) -> Placement:
-    """Frame of the optional ``Position`` at ``index``; WORLD when unset."""
-    if index < len(record.attributes) and record.attributes[index] is None:
-        return WORLD
-    return read_axes(model, read(model, record, index, "Position", REF, InvalidBody), InvalidBody)
+def _position(model: IfcModel, record) -> Placement:
+    """Frame of the optional ``Position``; WORLD when unset."""
+    position = read(model, record, "Position", REF, InvalidBody, None)
+    return WORLD if position is None else read_axes(model, position, InvalidBody)
 
 
 def body_of(model: IfcModel, entity_id: int) -> Extrusion | TriMesh | None:
     """Decode the Body shape representation of a product, if it has one."""
-    inst = model.entities[entity_id]
-    index = schema.attribute_index(inst.class_name, "Representation")
-    if index is None or index >= len(inst.attributes):
+    shape = read(model, model.entities[entity_id], "Representation", REF, InvalidBody, None)
+    if shape is None:
         return None
-    pds_ref = inst.attributes[index]
-    if not isinstance(pds_ref, EntityRef):
-        return None
-    shape = model.entities[pds_ref.id]
-    for rep in read(model, shape, 2, "Representations", REFS, InvalidBody):
-        if rep.class_name != "IFCSHAPEREPRESENTATION" or rep.attributes[1] != "Body":
+    for rep in read(model, shape, "Representations", REFS, InvalidBody):
+        if rep.class_name != "IFCSHAPEREPRESENTATION" or \
+                read(model, rep, "RepresentationIdentifier", TEXT, InvalidBody, None) != "Body":
             continue
-        items = read(model, rep, 3, "Items", REFS, InvalidBody)
+        items = read(model, rep, "Items", REFS, InvalidBody)
         if not items:
             continue
         item = items[0]
@@ -93,12 +88,12 @@ def body_of(model: IfcModel, entity_id: int) -> Extrusion | TriMesh | None:
 def _decode_extrusion(model: IfcModel, solid) -> Extrusion | None:
     """None for a profile class other than a rectangle or a polyline polygon.
     A rectangle turned in its ``Position`` is kept as its corners' polygon."""
-    profile = read(model, solid, 0, "SweptArea", REF, InvalidBody)
+    profile = read(model, solid, "SweptArea", REF, InvalidBody)
     polygon = None
     if profile.class_name == "IFCRECTANGLEPROFILEDEF":
-        xdim = read(model, profile, 3, "XDim", NUMBER, InvalidBody)
-        ydim = read(model, profile, 4, "YDim", NUMBER, InvalidBody)
-        (ox, oy, _oz), _z, (ux, uy, _uz), (vx, vy, _vz) = _position(model, profile, 2)
+        xdim = read(model, profile, "XDim", POSITIVE, InvalidBody)
+        ydim = read(model, profile, "YDim", POSITIVE, InvalidBody)
+        (ox, oy, _oz), _z, (ux, uy, _uz), (vx, vy, _vz) = _position(model, profile)
         x, y = xdim / 2, ydim / 2
         corners = [(ox + a * ux + b * vx, oy + a * uy + b * vy)  # its frame's (a, b, 0)
                    for a, b in ((-x, -y), (x, -y), (x, y), (-x, y))]
@@ -108,9 +103,9 @@ def _decode_extrusion(model: IfcModel, solid) -> Extrusion | None:
         bbox = (min(xs), min(ys), max(xs), max(ys))
         area = xdim * ydim
     elif profile.class_name == "IFCARBITRARYCLOSEDPROFILEDEF":
-        curve = read(model, profile, 2, "OuterCurve", REF, InvalidBody)
-        points = [Point2(*read(model, point, 0, "Coordinates", (2, 3), InvalidBody)[:2])
-                  for point in read(model, curve, 0, "Points", REFS, InvalidBody)]
+        curve = read(model, profile, "OuterCurve", REF, InvalidBody)
+        points = [Point2(*read(model, point, "Coordinates", (2, 3), InvalidBody)[:2])
+                  for point in read(model, curve, "Points", REFS, InvalidBody)]
         if len(points) > 1 and math.hypot(points[0].x - points[-1].x,
                                           points[0].y - points[-1].y) < 1e-9:
             points = points[:-1]
@@ -118,25 +113,25 @@ def _decode_extrusion(model: IfcModel, solid) -> Extrusion | None:
         bbox, area = polygon.bounds(), polygon_area(polygon)
     else:
         return None
-    direction = read(model, solid, 2, "ExtrudedDirection", REF, InvalidBody)
-    ratios = read(model, direction, 0, "DirectionRatios", (3,), InvalidBody)
-    return Extrusion(bbox, area, read(model, solid, 3, "Depth", NUMBER, InvalidBody),
-                     Point3(*ratios), _position(model, solid, 1), polygon)
+    direction = read(model, solid, "ExtrudedDirection", REF, InvalidBody)
+    ratios = read(model, direction, "DirectionRatios", (3,), InvalidBody)
+    return Extrusion(bbox, area, read(model, solid, "Depth", POSITIVE, InvalidBody),
+                     Point3(*ratios), _position(model, solid), polygon)
 
 
 def _decode_brep(model: IfcModel, brep) -> TriMesh:
     vertices: list[tuple[float, float, float]] = []
     vertex_index: dict[int, int] = {}
     faces: list[tuple[int, int, int]] = []
-    shell = read(model, brep, 0, "Outer", REF, InvalidBody)
-    for face in read(model, shell, 0, "CfsFaces", REFS, InvalidBody):
-        for bound in read(model, face, 0, "Bounds", REFS, InvalidBody):
-            loop = read(model, bound, 0, "Bound", REF, InvalidBody)
+    shell = read(model, brep, "Outer", REF, InvalidBody)
+    for face in read(model, shell, "CfsFaces", REFS, InvalidBody):
+        for bound in read(model, face, "Bounds", REFS, InvalidBody):
+            loop = read(model, bound, "Bound", REF, InvalidBody)
             ids = []
-            for point in read(model, loop, 0, "Polygon", REFS, InvalidBody):
+            for point in read(model, loop, "Polygon", REFS, InvalidBody):
                 if point.id not in vertex_index:
                     vertex_index[point.id] = len(vertices)
-                    vertices.append(read(model, point, 0, "Coordinates", (3,), InvalidBody))
+                    vertices.append(read(model, point, "Coordinates", (3,), InvalidBody))
                 ids.append(vertex_index[point.id])
             for k in range(1, len(ids) - 1):  # fan for polygonal loops
                 faces.append((ids[0], ids[k], ids[k + 1]))

@@ -27,6 +27,11 @@ of one entity from reaching the others.
 ``delete_element`` builds one referrer map per call and applies one rule
 to every entity that references a deleted one, whatever its class.
 
+Every attribute a tool reads goes through ``read`` by name, at its class's
+position in ``schema.POSITIONS``; a value of the wrong kind is the in-band
+error of the record's part. Only the index layer reads a position, attribute
+0, as a possible GlobalId of any class.
+
 The graph is acyclic: an entity refers to another only by id
 (``EntityRef``), and no index holds an object that points back at its
 holder. ``load_model`` relies on this: it runs with the cyclic garbage
@@ -58,6 +63,7 @@ from .errors import (
     InvalidBody,
     InvalidParams,
     InvalidPlacement,
+    InvalidRecord,
     PlacementCycle,
     StillReferenced,
     UnknownAttribute,
@@ -307,7 +313,8 @@ class IfcModel:
         The entity joins the lowest-id record whose relating side is
         ``relating_id`` (once: relating it again changes nothing); without
         one, or for classes whose related side is a single reference, a new
-        record is added. Returns the record id.
+        record is added. Returns the record id. A related side that is not a
+        list reads as in ``rel_side``: one reference is a list of one.
         """
         relating_index, related_index = schema.REL_SIDES[class_name]
         single = class_name in schema.SINGLE_RELATED
@@ -315,8 +322,12 @@ class IfcModel:
             for rel_id in self.rels(relating_id, class_name, RELATING):
                 if rel_id not in self.rels(related_id, class_name, RELATED):
                     rel = self.entities[rel_id]
-                    members = tuple(rel.attributes[related_index] or ()) + (EntityRef(related_id),)
-                    rel.attributes = _replaced(rel.attributes, related_index, members)
+                    members = rel.attributes[related_index] \
+                        if related_index < len(rel.attributes) else ()
+                    if type(members) is not tuple:  # one reference, or no list
+                        members = tuple(map(EntityRef, self.rel_side(rel_id, RELATED)))
+                    rel.attributes = _replaced(rel.attributes, related_index,
+                                               members + (EntityRef(related_id),))
                     _insert(self.rel_index[class_name][RELATED].setdefault(related_id, []),
                             rel_id)
                 return rel_id
@@ -348,12 +359,6 @@ class IfcModel:
             return first
         return None
 
-    def get_attr(self, inst: EntityInstance, name: str):
-        index = schema.attribute_index(inst.class_name, name)
-        if index is None or index >= len(inst.attributes):
-            raise UnknownAttribute(name, inst.class_name)
-        return inst.attributes[index]
-
     def set_attr(self, inst: EntityInstance, name: str, value):
         index = schema.attribute_index(inst.class_name, name)
         if index is None or index >= len(inst.attributes):
@@ -379,10 +384,7 @@ class IfcModel:
 
     def storey_elevation(self, storey_id: int) -> float:
         """A storey's ``Elevation``; 0.0 when unset."""
-        inst = self.entities[storey_id]
-        if len(inst.attributes) > 9 and inst.attributes[9] is None:
-            return 0.0
-        return read(self, inst, 9, "Elevation", NUMBER, InvalidPlacement)
+        return read(self, self.entities[storey_id], "Elevation", NUMBER, InvalidPlacement, 0.0)
 
     def default_storey(self) -> int:
         storeys = self.storeys()
@@ -429,11 +431,11 @@ class IfcModel:
                 chain.append(ifcmcp.geometry.read_axes(self, inst, InvalidPlacement))
                 break
             chain.append(ifcmcp.geometry.read_axes(
-                self, read(self, inst, 1, "RelativePlacement", REF, InvalidPlacement),
+                self, read(self, inst, "RelativePlacement", REF, InvalidPlacement),
                 InvalidPlacement))
-            if inst.attributes[0] is None:
+            inst = read(self, inst, "PlacementRelTo", REF, InvalidPlacement, None)
+            if inst is None:
                 break
-            inst = read(self, inst, 0, "PlacementRelTo", REF, InvalidPlacement)
         world = chain.pop()
         while chain:
             world = world.compose(chain.pop())
@@ -444,14 +446,9 @@ class IfcModel:
         return world
 
     def placement_of(self, entity_id: int) -> Placement:
-        inst = self.entities[entity_id]
-        index = schema.attribute_index(inst.class_name, "ObjectPlacement")
-        if index is None or index >= len(inst.attributes):
-            return ifcmcp.geometry.WORLD
-        ref = inst.attributes[index]
-        if not isinstance(ref, EntityRef):
-            return ifcmcp.geometry.WORLD
-        return self.resolve_placement(ref.id)
+        """World frame of an entity's ``ObjectPlacement``; WORLD when unset."""
+        placement = placement_id(self, entity_id)
+        return ifcmcp.geometry.WORLD if placement is None else self.resolve_placement(placement)
 
     # --- persistence ---
 
@@ -468,41 +465,80 @@ class IfcModel:
 REF = "a reference"
 REFS = "a list of references"
 NUMBER = "a number"
+POSITIVE = "a positive number"
+TEXT = "a string"
+INTEGER = "an integer"
+VALUE = "a single value"
 
 _REALS = frozenset((int, float))
 _FLOATS = frozenset((float,))
+_SCALARS = frozenset((str, int, float, bool))
+_REQUIRED = object()  # ``read``'s default: the attribute must be set
+_POSITIONS = schema.POSITIONS
 
 
-def read(model: IfcModel, record: EntityInstance, index: int, name: str, expected,
-         error: type[InvalidBody | InvalidPlacement]):
-    """Attribute ``name`` (at ``index``) of a file record that becomes
-    geometry: the entity a REF names, the entities of REFS, a NUMBER as a
-    float, or for a tuple of lengths that many floats. Anything else raises
-    ``error``, the in-band error of the part the record belongs to, naming
-    the record's class, ``#id`` and ``name``. The file's reals are finite,
-    so only an integer past the double range is refused for its size."""
+def read(model: IfcModel, record: EntityInstance, name: str, kind,
+         error: type[InvalidRecord | InvalidBody | InvalidPlacement], default=_REQUIRED):
+    """Attribute ``name`` of a file record, at its class's position in
+    ``schema.POSITIONS``: the entity a REF names, the entities of REFS, a
+    NUMBER or POSITIVE number as a float, a TEXT, an INTEGER, a property's
+    VALUE as a scalar or a tuple of them, or for a tuple of lengths that
+    many floats. Unset, or lacking in the record's class or tuple, it is
+    ``default``, and required without one. Anything else raises ``error``,
+    the in-band error of the record's part, naming its class, ``#id`` and
+    ``name``. Reals are finite, so only a huge integer fails for size."""
     try:
-        value = record.attributes[index]
-        if expected is REF:
+        value = record.attributes[_POSITIONS[record.class_name][name]]
+    except (KeyError, IndexError):
+        value = None
+    try:
+        if value is None:
+            if default is not _REQUIRED:
+                return default
+        elif kind is REF:
             if type(value) is EntityRef:
                 return model.entities[value.id]
-        elif expected is REFS:
+        elif type(kind) is tuple:  # allowed lengths; the common case: floats, no copy
+            if type(value) is tuple and len(value) in kind:
+                if _FLOATS.issuperset(map(type, value)):
+                    return value
+                if _REALS.issuperset(map(type, value)):
+                    return tuple(map(float, value))
+        elif kind is REFS:
             if type(value) is tuple:
                 return [model.entities[v.id] for v in value]
-        elif expected is NUMBER:
+        elif kind is NUMBER:
             if type(value) in _REALS:
                 return float(value)
-        elif type(value) is tuple and len(value) in expected:
-            if _FLOATS.issuperset(map(type, value)):  # the common case: no copy
+        elif kind is POSITIVE:
+            if type(value) in _REALS and value > 0:
+                return float(value)
+        elif kind is TEXT:
+            if type(value) is str:
                 return value
-            if _REALS.issuperset(map(type, value)):
-                return tuple(map(float, value))
-    except (IndexError, AttributeError, OverflowError):  # also a listed non-reference
+        elif kind is INTEGER:
+            if type(value) is int:
+                return value
+        elif kind is VALUE:  # a property's value, unwrapped
+            while type(value) is TypedValue:
+                value = value.value
+            value = value.name if type(value) is EnumToken else value
+            if type(value) in _SCALARS or (
+                    type(value) is tuple and _SCALARS.issuperset(map(type, value))):
+                return value
+    except (AttributeError, OverflowError):  # a listed non-reference; a huge integer
         pass
-    if not isinstance(expected, str):
-        expected = " or ".join(map(str, expected)) + " numbers"
-    raise error(f"{record.class_name} #{record.id} of a {error.part} needs {expected} "
+    if type(kind) is tuple:
+        kind = " or ".join(map(str, kind)) + " numbers"
+    raise error(f"{record.class_name} #{record.id} of a {error.part} needs {kind} "
                 f"as its {name}")
+
+
+def placement_id(model: IfcModel, entity_id: int) -> int | None:
+    """Id of an entity's ``ObjectPlacement``; None, the world frame, when unset."""
+    placement = read(model, model.entities[entity_id], "ObjectPlacement", REF, InvalidPlacement,
+                     None)
+    return None if placement is None else placement.id
 
 
 def _timestamp(deterministic: bool) -> str:
@@ -573,10 +609,11 @@ def add_storey(model: IfcModel, name: str, elevation: float) -> int:
     """Additional storey aggregated under the building."""
     if model.building_id is None:
         raise InvalidParams("model has no building")
-    building_lp = model.entities[model.building_id].attributes[5]
+    building_lp = placement_id(model, model.building_id)
     point = model.add("IFCCARTESIANPOINT", [(0.0, 0.0, float(elevation))])
     a2p = model.add("IFCAXIS2PLACEMENT3D", [EntityRef(point), None, None])
-    lp = model.add("IFCLOCALPLACEMENT", [building_lp, EntityRef(a2p)])
+    lp = model.add("IFCLOCALPLACEMENT", [
+        None if building_lp is None else EntityRef(building_lp), EntityRef(a2p)])
     storey = model.add("IFCBUILDINGSTOREY", [
         model.guids.fresh(), None, name, None, None, EntityRef(lp),
         None, None, EnumToken("ELEMENT"), float(elevation),
@@ -664,15 +701,12 @@ def edit_attributes(model: IfcModel, guid: str,
     """Replace direct attributes; returns old/new pairs in update order."""
     inst = model.require_guid(guid)
     for name in updates:
-        if name not in EDITABLE_ATTRIBUTES:
+        if name not in EDITABLE_ATTRIBUTES or schema.attribute_index(inst.class_name, name) is None:
             raise UnknownAttribute(name, inst.class_name)
-        if schema.attribute_index(inst.class_name, name) is None:
-            raise UnknownAttribute(name, inst.class_name)
-    changes = []
+    changes = [{"attribute": name, "old": read(model, inst, name, TEXT, InvalidRecord, None),
+                "new": value} for name, value in updates.items()]
     for name, value in updates.items():
-        old = model.get_attr(inst, name)
         model.set_attr(inst, name, value)
-        changes.append({"attribute": name, "old": old, "new": value})
     return changes
 
 
@@ -684,15 +718,6 @@ def _nominal_value(value) -> TypedValue:
     if isinstance(value, float):
         return TypedValue("IFCREAL", value)
     return TypedValue("IFCLABEL", str(value))
-
-
-def python_value(value):
-    """Unwrap a property NominalValue back to a plain Python scalar."""
-    if isinstance(value, TypedValue):
-        return python_value(value.value)
-    if isinstance(value, EnumToken):
-        return value.name
-    return value
 
 
 def _psets(model: IfcModel, entity_id: int):
@@ -707,21 +732,23 @@ def _psets(model: IfcModel, entity_id: int):
 def find_pset_rel(model: IfcModel, entity_id: int, pset_name: str):
     """(rel, pset) pair for a named pset on an element, or (None, None)."""
     for rel, pset in _psets(model, entity_id):
-        if pset.attributes[2] == pset_name:
+        if read(model, pset, "Name", TEXT, InvalidRecord, None) == pset_name:
             return rel, pset
     return None, None
 
 
+def _properties(model: IfcModel, pset: EntityInstance) -> dict[str | None, EntityInstance]:
+    """A property set's single-value properties by name."""
+    return {read(model, prop, "Name", TEXT, InvalidRecord, None): prop
+            for prop in read(model, pset, "HasProperties", REFS, InvalidRecord, ())
+            if prop.class_name == "IFCPROPERTYSINGLEVALUE"}
+
+
 def psets_of(model: IfcModel, entity_id: int) -> dict[str, dict[str, object]]:
-    result: dict[str, dict[str, object]] = {}
-    for _rel, pset in _psets(model, entity_id):
-        props: dict[str, object] = {}
-        for prop_ref in pset.attributes[4] or ():
-            prop = model.entities[prop_ref.id]
-            if prop.class_name == "IFCPROPERTYSINGLEVALUE":
-                props[prop.attributes[0]] = python_value(prop.attributes[2])
-        result[pset.attributes[2]] = props
-    return result
+    return {read(model, pset, "Name", TEXT, InvalidRecord, None): {
+                name: read(model, prop, "NominalValue", VALUE, InvalidRecord, None)
+                for name, prop in _properties(model, pset).items()}
+            for _rel, pset in _psets(model, entity_id)}
 
 
 def add_property_set(model: IfcModel, guid: str, spec: PropertySpec) -> str:
@@ -743,13 +770,12 @@ def add_property_set(model: IfcModel, guid: str, spec: PropertySpec) -> str:
         model.relate("IFCRELDEFINESBYPROPERTIES", pset_id, inst.id)
         return pset_guid
 
-    # merge: overwrite existing names, append new ones
-    existing: dict[str, EntityInstance] = {}
-    for prop_ref in pset.attributes[4] or ():
-        prop = model.entities[prop_ref.id]
-        if prop.class_name == "IFCPROPERTYSINGLEVALUE":
-            existing[prop.attributes[0]] = prop
-    appended = list(pset.attributes[4] or ())
+    # merge: overwrite existing names, append new ones; every read comes
+    # before the first write
+    pset_guid = read(model, pset, "GlobalId", TEXT, InvalidRecord)
+    existing = _properties(model, pset)
+    appended = [EntityRef(prop.id)
+                for prop in read(model, pset, "HasProperties", REFS, InvalidRecord, ())]
     for name, value in spec.properties:
         if name in existing:
             model.set_attr(existing[name], "NominalValue", _nominal_value(value))
@@ -758,7 +784,7 @@ def add_property_set(model: IfcModel, guid: str, spec: PropertySpec) -> str:
                 "IFCPROPERTYSINGLEVALUE", [name, None, _nominal_value(value), None]
             )))
     model.set_attr(pset, "HasProperties", tuple(appended))
-    return pset.attributes[0]
+    return pset_guid
 
 
 def set_pset_property(model: IfcModel, guid: str, pset_name: str,
@@ -778,7 +804,7 @@ def add_classification(model: IfcModel, guid: str, system: str, code: str) -> st
 
     classification_id = None
     for cid in model.by_class.get("IFCCLASSIFICATION", ()):
-        if model.entities[cid].attributes[3] == system:
+        if read(model, model.entities[cid], "Name", TEXT, InvalidRecord, None) == system:
             classification_id = cid
             break
     if classification_id is None:
@@ -788,9 +814,9 @@ def add_classification(model: IfcModel, guid: str, system: str, code: str) -> st
     reference_id = None
     for rid in model.by_class.get("IFCCLASSIFICATIONREFERENCE", ()):
         ref = model.entities[rid]
-        source = ref.attributes[3]
-        if (ref.attributes[1] == code and isinstance(source, EntityRef)
-                and source.id == classification_id):
+        source = read(model, ref, "ReferencedSource", REF, InvalidRecord, None)
+        if read(model, ref, "Identification", TEXT, InvalidRecord, None) == code \
+                and source is not None and source.id == classification_id:
             reference_id = rid
             break
     if reference_id is None:
@@ -799,18 +825,17 @@ def add_classification(model: IfcModel, guid: str, system: str, code: str) -> st
         ])
 
     rel_id = model.relate("IFCRELASSOCIATESCLASSIFICATION", reference_id, inst.id)
-    return model.entities[rel_id].attributes[0]
+    return read(model, model.entities[rel_id], "GlobalId", TEXT, InvalidRecord)
 
 
 def classifications_of(model: IfcModel, entity_id: int) -> list[dict[str, str]]:
     found = []
     for reference_id in model.linked(entity_id, "IFCRELASSOCIATESCLASSIFICATION", RELATED):
         ref = model.entities[reference_id]
-        source = ref.attributes[3]
-        system = ""
-        if isinstance(source, EntityRef):
-            system = model.entities[source.id].attributes[3] or ""
-        found.append({"system": system, "code": ref.attributes[1] or ""})
+        source = read(model, ref, "ReferencedSource", REF, InvalidRecord, None)
+        system = None if source is None else read(model, source, "Name", TEXT, InvalidRecord, None)
+        found.append({"system": system or "",
+                      "code": read(model, ref, "Identification", TEXT, InvalidRecord, None) or ""})
     return found
 
 
@@ -838,23 +863,18 @@ def set_owner_history(model: IfcModel, guids: list[str], user: str,
 
 
 def owner_of(model: IfcModel, entity_id: int) -> dict | None:
-    inst = model.entities[entity_id]
-    index = schema.attribute_index(inst.class_name, "OwnerHistory")
-    if index is None or index >= len(inst.attributes):
+    """The user (the ``Identification`` of the owning person) and creation
+    time of an entity's ``OwnerHistory``; None without one. Each record on
+    the way is read by its own class, so one that lacks a step gives None."""
+    history = read(model, model.entities[entity_id], "OwnerHistory", REF, InvalidRecord, None)
+    if history is None:
         return None
-    ref = inst.attributes[index]
-    if not isinstance(ref, EntityRef):
-        return None
-    history = model.entities[ref.id]
-    user = None
-    owning_user = history.attributes[0]
-    if isinstance(owning_user, EntityRef):
-        pao = model.entities[owning_user.id]
-        person_ref = pao.attributes[0]
-        if isinstance(person_ref, EntityRef):
-            user = model.entities[person_ref.id].attributes[0]
-    created = history.attributes[7]
-    return {"user": user, "created": created if isinstance(created, int) else None}
+    owner = read(model, history, "OwningUser", REF, InvalidRecord, None)
+    person = None if owner is None else read(model, owner, "ThePerson", REF, InvalidRecord, None)
+    user = None if person is None else read(model, person, "Identification", TEXT, InvalidRecord,
+                                            None)
+    return {"user": user, "created": read(model, history, "CreationDate", INTEGER, InvalidRecord,
+                                          None)}
 
 
 # --- deletion ---

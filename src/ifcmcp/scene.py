@@ -7,9 +7,9 @@ the service layer serializes them without re-sorting.
 from __future__ import annotations
 
 from . import measure, schema
-from .errors import NotADoor
-from .model import RELATED, RELATING, IfcModel, classifications_of, owner_of, psets_of
-from .step import EntityRef
+from .errors import InvalidBody, InvalidRecord, NotADoor
+from .model import (REF, RELATED, RELATING, TEXT, IfcModel, classifications_of, owner_of,
+                    psets_of, read)
 
 DEFAULT_PAGE_LIMIT = 200
 
@@ -24,13 +24,7 @@ def _coords(point) -> list[float]:
 
 
 def _name_of(model: IfcModel, entity_id: int) -> str:
-    inst = model.entities[entity_id]
-    index = schema.attribute_index(inst.class_name, "Name")
-    if index is not None and index < len(inst.attributes):
-        name = inst.attributes[index]
-        if isinstance(name, str) and name:
-            return name
-    return "Unnamed"
+    return read(model, model.entities[entity_id], "Name", TEXT, InvalidRecord, None) or "Unnamed"
 
 
 def spatial_in_order(model: IfcModel) -> list[int]:
@@ -50,12 +44,7 @@ def products_in_order(model: IfcModel) -> list[int]:
 def _object_summary(model: IfcModel, entity_id: int) -> dict:
     inst = model.entities[entity_id]
     camel = schema.camel_case(inst.class_name)
-    rep_index = schema.attribute_index(inst.class_name, "Representation")
-    has_body = (
-        rep_index is not None
-        and rep_index < len(inst.attributes)
-        and isinstance(inst.attributes[rep_index], EntityRef)
-    )
+    has_body = read(model, inst, "Representation", REF, InvalidBody, None) is not None
     origin = model.placement_of(entity_id).origin
     return {
         "name": f"{camel}/{_name_of(model, entity_id)}",
@@ -125,16 +114,13 @@ def get_object_info(model: IfcModel, guid: str) -> dict:
         "guid": guid,
         "ifc_class": schema.camel_case(inst.class_name),
         "name": _name_of(model, inst.id),
-        "description": None,
+        "description": read(model, inst, "Description", TEXT, InvalidRecord, None),
         "placement": {
             "origin": _coords(placement.origin),
             "z_axis": _coords(placement.z_axis),
             "x_axis": _coords(placement.x_axis),
         },
     }
-    desc_index = schema.attribute_index(inst.class_name, "Description")
-    if desc_index is not None and desc_index < len(inst.attributes):
-        info["description"] = inst.attributes[desc_index]
     box = measure.world_bbox(model, inst.id)
     if box is not None:
         lo, hi = box

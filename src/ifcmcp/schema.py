@@ -2,7 +2,10 @@
 
 This is not an EXPRESS schema: it is the minimal ordered-attribute table
 needed to address attributes by name, detect rooted classes and render
-class names in their conventional CamelCase form.
+class names in their conventional CamelCase form. ``POSITIONS``, built from
+it at import, maps each class's attribute names to their positions: it is
+where ``model.read`` and ``attribute_index`` look an attribute up, so no
+reader states a position itself.
 """
 
 from __future__ import annotations
@@ -93,6 +96,11 @@ ATTRIBUTES: dict[str, list[str]] = {
     "IFCUNITASSIGNMENT": ["Units"],
     "IFCSIUNIT": ["Dimensions", "UnitType", "Prefix", "Name"],
 }
+
+# class -> attribute name -> its position, the one place readers find it
+POSITIONS: dict[str, dict[str, int]] = {
+    class_name: {name: index for index, name in enumerate(names)}
+    for class_name, names in ATTRIBUTES.items()}
 
 CAMEL_CASE: dict[str, str] = {
     "IFCPROJECT": "IfcProject",
@@ -187,13 +195,7 @@ def is_type_object(class_name: str) -> bool:
 
 
 def attribute_index(class_name: str, attribute: str) -> int | None:
-    attrs = ATTRIBUTES.get(class_name)
-    if attrs is None:
-        return None
-    try:
-        return attrs.index(attribute)
-    except ValueError:
-        return None
+    return POSITIONS.get(class_name, {}).get(attribute)
 
 
 def camel_case(class_name: str) -> str:

@@ -826,6 +826,53 @@ def test_only_the_listed_writers_write_instance_attributes():
     assert stray == []
 
 
+# the only scopes that may read an attribute by its position: the index
+# layer reads attribute 0 as a possible GlobalId of any class, known to the
+# schema or not
+INDEX_LAYER = {("IfcModel", "_index"), ("IfcModel", "_drop"), ("IfcModel", "rebuild_indexes"),
+               ("IfcModel", "guid_of"), (None, "_is_rooted"), (None, "_build")}
+
+
+def _literal_reads(node, scope=(None, None)):
+    """(scope, line) of each load of ``<x>.attributes[<integer literal>]``."""
+    if isinstance(node, ast.ClassDef):
+        scope = (node.name, None)
+    elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        scope = (scope[0], node.name)
+    elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load) \
+            and _is_attributes(node.value):
+        index = node.slice
+        if isinstance(index, ast.UnaryOp) and isinstance(index.op, (ast.USub, ast.UAdd)):
+            index = index.operand
+        if isinstance(index, ast.Constant) and type(index.value) is int:
+            yield scope, node.lineno
+    for child in ast.iter_child_nodes(node):
+        yield from _literal_reads(child, scope)
+
+
+def test_no_module_reads_an_attribute_by_a_literal_position():
+    # every other read names its attribute, and model.read finds the
+    # position in schema.POSITIONS
+    source = Path(ifcmcp.__file__).parent
+    stray = [f"{path.name}:{line} in {scope}" for path in sorted(source.glob("*.py"))
+             for scope, line in _literal_reads(ast.parse(path.read_text(encoding="utf-8")))
+             if path.name != "model.py" or scope not in INDEX_LAYER]
+    assert stray == []
+
+
+def test_literal_position_read_scan_sees_each_form():
+    forms = ["y = x.attributes[2]", "f(x.attributes[0])", "x.y.attributes[1] is None",
+             "y = x.attributes[-1]", "d[x.attributes[0]] = v", "y = x.attributes[4][0]",
+             "y = [a for a in f().attributes[3]]"]
+    for form in forms:
+        assert list(_literal_reads(ast.parse(form))) == [((None, None), 1)], form
+    for form in ["y = x.attributes[i]", "y = x.attributes[:2]", "y = attributes[0]",
+                 "y = x.attrs[0]", "y = x.attributes['a']", "y = x.attributes"]:
+        assert list(_literal_reads(ast.parse(form))) == [], form
+    method = "class C:\n    def f(self):\n        return self.attributes[5]"
+    assert list(_literal_reads(ast.parse(method))) == [(("C", "f"), 3)]
+
+
 def test_attribute_write_scan_sees_each_form():
     forms = ["x.attributes[2] = v", "x.attributes = []", "a, x.attributes[0] = v",
              "x.attributes[1] += 1", "del x.attributes[0]", "x.attributes.append(v)",
@@ -1331,6 +1378,74 @@ def test_an_opening_in_a_wall_without_a_placement_is_placed_in_the_world(tool, s
     opening = session.model.require_guid(result["opening"]).id
     assert session.model.placement_of(opening).origin == (2.0, 0.0, sill)
     assert load_model(session.model.to_bytes()).to_bytes() == session.model.to_bytes()
+
+
+# --- file records outside geometry ---
+
+def _wall_with_pset():
+    """A kit wall with one property set of one property."""
+    model, guid, _lp = _wall_with_placement()
+    add_property_set(model, guid, PropertySpec("Pset_Wall", [("Rating", "A")]))
+    return model, guid
+
+
+# the record a reference is written into, by the wall, and the position and
+# name of the text attribute that gets it
+_TEXT_SLOTS = [
+    pytest.param(lambda model, wall: wall, 3, "Description", id="wall-description"),
+    pytest.param(lambda model, wall: model.entities[model.by_class["IFCPROPERTYSINGLEVALUE"][0]],
+                 0, "Name", id="property-name"),
+    pytest.param(lambda model, wall: model.entities[model.by_class["IFCPROPERTYSET"][0]],
+                 2, "Name", id="pset-name"),
+]
+
+
+@pytest.mark.parametrize("record_of, index, attribute", _TEXT_SLOTS)
+def test_a_reference_where_a_tool_reads_text_is_an_in_band_error(record_of, index, attribute):
+    # each once reached the JSON encoder and answered -32603
+    model, guid = _wall_with_pset()
+    wall = model.require_guid(guid)
+    record = record_of(model, wall)
+    record.attributes = model_mod._replaced(record.attributes, index, EntityRef(wall.id))
+    session = Session(load_model(model.to_bytes()))
+    before = session.model.to_bytes()
+    assert _call(session, "get_object_info", {"guid": guid})["error"] == {
+        "type": "InvalidRecord",
+        "message": f"{record.class_name} #{record.id} of a record needs a string as its "
+                   f"{attribute}"}
+    assert session.model.to_bytes() == before
+
+
+def test_an_owner_history_of_another_class_reads_as_no_user():
+    # IFCCARTESIANPOINT has no OwningUser or CreationDate: both read as unset
+    model, guid, _lp = _wall_with_placement()
+    wall = model.require_guid(guid)
+    point = model.add("IFCCARTESIANPOINT", [(0.0, 0.0, 0.0)])
+    wall.attributes = model_mod._replaced(wall.attributes, 1, EntityRef(point))
+    session = Session(load_model(model.to_bytes()))
+    assert _call(session, "get_object_info", {"guid": guid})["owner"] == {
+        "user": None, "created": None}
+
+
+def test_a_containment_that_holds_one_reference_takes_a_new_wall():
+    # the related side is one reference, not a list: it reads as a list of
+    # one, where create_wall once failed after it had added 13 entities
+    model, guid, _lp = _wall_with_placement()
+    wall = model.require_guid(guid).id
+    storey = model.storey_of(wall)
+    (rel_id,) = model.rels(wall, "IFCRELCONTAINEDINSPATIALSTRUCTURE", RELATED)
+    rel = model.entities[rel_id]
+    rel.attributes = model_mod._replaced(rel.attributes, 4, EntityRef(wall))
+    session = Session(load_model(model.to_bytes()))
+    result = _call(session, "create_wall", {"start": [0, 5], "end": [5, 5],
+                                            "height": 3.0, "thickness": 0.2})
+    assert "error" not in result, result
+    reloaded = load_model(session.model.to_bytes())
+    assert reloaded.to_bytes() == session.model.to_bytes()
+    for check in (session.model, reloaded):
+        walls = [wall, check.require_guid(result["guid"]).id]
+        assert [check.storey_of(w) for w in walls] == [storey, storey]
+        assert check.rel_side(rel_id, RELATED) == walls
 
 
 # --- the collector during and after a load ---

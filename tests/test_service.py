@@ -1188,6 +1188,43 @@ def test_malformed_body_records_are_in_band_errors(product, record_of, index, at
     assert session.model.to_bytes() == data
 
 
+# XDim, YDim and Depth are IfcPositiveLengthMeasure: the product, the record
+# edited, the attribute's index and name, and the value written there
+_NON_POSITIVE_LENGTHS = [
+    # the area and the floor area read -12.0, while the plan drew a rectangle
+    pytest.param("slab", _profile, 3, "XDim", -4.0, id="rectangle-xdim-negative"),
+    # the area read 0, while the plan and the elevation were DegeneratePolygon
+    pytest.param("slab", _profile, 3, "XDim", 0.0, id="rectangle-xdim-zero"),
+    # the height read -3 and the area -12, while the elevation was NonPositiveDepth
+    pytest.param("wall", _solid, 3, "Depth", -3.0, id="extrusion-depth-negative"),
+]
+
+
+@pytest.mark.parametrize("product, record_of, index, attribute, value", _NON_POSITIVE_LENGTHS)
+def test_a_body_length_that_is_not_positive_is_invalid_body(product, record_of, index,
+                                                              attribute, value):
+    model = new_model(guid_seed=9)
+    guids = {"wall": builders.create_wall(model, (0, 0), (5, 0), 3.0, 0.2),
+             "slab": builders.create_slab(model, [(0, 0), (4, 0), (4, 3), (0, 3)], 0.2)}
+    record = record_of(model, model.by_guid[guids[product]])
+    assert record.class_name in ("IFCRECTANGLEPROFILEDEF", "IFCEXTRUDEDAREASOLID")
+    record.attributes = model_mod._replaced(record.attributes, index, value)
+    data = model.to_bytes()
+    session = Session(load_model(data))
+    calls = [("get_ifc_scene_overview", {}), ("capture_plan_view", {}),
+             ("capture_elevation_view", {"view": "south"}),
+             ("execute_ifc_query", {"query": f"{product}s | sum(area)"}),
+             ("execute_ifc_query", {"query": f"{product}s | list(height)"}),
+             ("get_object_info", {"guid": guids[product]})]
+    for number, (tool, arguments) in enumerate(calls, start=1):
+        response = call(session, tool, arguments, number)
+        assert payload_of(response).get("error") == {
+            "type": "InvalidBody",
+            "message": f"{record.class_name} #{record.id} of a body needs a positive number "
+                       f"as its {attribute}"}, (tool, response)
+    assert session.model.to_bytes() == data
+
+
 _EAR = [[0, 0], [2e-6, 0], [2e-6, 1e-6], [1.05e-6, 1e-6], [0, 1e-6]]  # an ear of 9.75e-13 m2
 
 
