@@ -32,12 +32,11 @@ from .errors import (
     InvalidParams,
     ParseError,
     TypeMismatch,
-    UnknownAttribute,
     UnknownField,
 )
 from .model import (
-    EDITABLE_ATTRIBUTES,
     IfcModel,
+    check_editable,
     psets_of,
     set_pset_property,
 )
@@ -165,10 +164,8 @@ class SetAttr(_Mutation):
     attribute = property(lambda self: self.name)
 
     def plan(self, model: IfcModel, entity_id: int, budget: _Budget):
+        check_editable(model.entities[entity_id], self.name)
         class_name = model.entities[entity_id].class_name
-        if self.name not in EDITABLE_ATTRIBUTES or \
-                schema.attribute_index(class_name, self.name) is None:
-            raise UnknownAttribute(self.name, class_name)
         if class_name in schema.SPATIAL_CLASSES and \
                 self.name not in ("Name", "Description"):
             raise InvalidParams(f"only Name/Description may be set on {class_name}")

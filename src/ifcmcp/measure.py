@@ -71,17 +71,13 @@ def body_of(model: IfcModel, entity_id: int) -> Extrusion | TriMesh | None:
     if shape is None:
         return None
     for rep in read(model, shape, "Representations", REFS, InvalidBody):
-        if rep.class_name != "IFCSHAPEREPRESENTATION" or \
-                read(model, rep, "RepresentationIdentifier", TEXT, InvalidBody, None) != "Body":
+        if read(model, rep, "RepresentationIdentifier", TEXT, InvalidBody, None) != "Body":
             continue
-        items = read(model, rep, "Items", REFS, InvalidBody)
-        if not items:
-            continue
-        item = items[0]
-        if item.class_name == "IFCEXTRUDEDAREASOLID":
-            return _decode_extrusion(model, item)
-        if item.class_name == "IFCFACETEDBREP":
-            return _decode_brep(model, item)
+        for item in read(model, rep, "Items", REFS, InvalidBody)[:1]:  # the first item alone
+            if item.class_name == "IFCEXTRUDEDAREASOLID":
+                return _decode_extrusion(model, item)
+            if item.class_name == "IFCFACETEDBREP":
+                return _decode_brep(model, item)
     return None
 
 

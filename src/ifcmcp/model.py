@@ -467,6 +467,7 @@ REFS = "a list of references"
 NUMBER = "a number"
 POSITIVE = "a positive number"
 TEXT = "a string"
+SCALAR = "a string, number or boolean"
 INTEGER = "an integer"
 VALUE = "a single value"
 
@@ -481,12 +482,13 @@ def read(model: IfcModel, record: EntityInstance, name: str, kind,
          error: type[InvalidRecord | InvalidBody | InvalidPlacement], default=_REQUIRED):
     """Attribute ``name`` of a file record, at its class's position in
     ``schema.POSITIONS``: the entity a REF names, the entities of REFS, a
-    NUMBER or POSITIVE number as a float, a TEXT, an INTEGER, a property's
-    VALUE as a scalar or a tuple of them, or for a tuple of lengths that
-    many floats. Unset, or lacking in the record's class or tuple, it is
-    ``default``, and required without one. Anything else raises ``error``,
-    the in-band error of the record's part, naming its class, ``#id`` and
-    ``name``. Reals are finite, so only a huge integer fails for size."""
+    NUMBER or POSITIVE number as a float, a TEXT, a SCALAR (what an edit may
+    store in a text attribute), an INTEGER, a property's VALUE as a scalar or
+    a tuple of them, or for a tuple of lengths that many floats. Unset, or
+    lacking in the record's class or tuple, it is ``default``, and required
+    without one. Anything else raises ``error``, the in-band error of the
+    record's part, naming its class, ``#id`` and ``name``. Reals are finite,
+    so only a huge integer fails for size."""
     try:
         value = record.attributes[_POSITIONS[record.class_name][name]]
     except (KeyError, IndexError):
@@ -515,6 +517,9 @@ def read(model: IfcModel, record: EntityInstance, name: str, kind,
                 return float(value)
         elif kind is TEXT:
             if type(value) is str:
+                return value
+        elif kind is SCALAR:
+            if type(value) in _SCALARS:
                 return value
         elif kind is INTEGER:
             if type(value) is int:
@@ -548,6 +553,12 @@ def _timestamp(deterministic: bool) -> str:
     return datetime.datetime.now(datetime.timezone.utc).strftime("%Y-%m-%dT%H:%M:%S")
 
 
+def _local_placement(model: IfcModel, parent: int | None, z: float = 0.0) -> int:
+    point = model.add("IFCCARTESIANPOINT", [(0.0, 0.0, z)])
+    a2p = model.add("IFCAXIS2PLACEMENT3D", [EntityRef(point), None, None])
+    return model.add("IFCLOCALPLACEMENT", [parent and EntityRef(parent), EntityRef(a2p)])
+
+
 def new_model(project_name: str = "My Project",
               guid_seed: int | None = None) -> IfcModel:
     """Fresh IFC4 model: project, site, building, one storey at 0, SI units."""
@@ -577,23 +588,17 @@ def new_model(project_name: str = "My Project",
         (EntityRef(context),), EntityRef(unit_assignment),
     ])
 
-    def local_placement(parent: int | None, z: float = 0.0) -> int:
-        point = model.add("IFCCARTESIANPOINT", [(0.0, 0.0, z)])
-        a2p = model.add("IFCAXIS2PLACEMENT3D", [EntityRef(point), None, None])
-        rel_to = EntityRef(parent) if parent is not None else None
-        return model.add("IFCLOCALPLACEMENT", [rel_to, EntityRef(a2p)])
-
-    site_lp = local_placement(None)
+    site_lp = _local_placement(model, None)
     site = model.add("IFCSITE", [
         model.guids.fresh(), None, "My Site", None, None, EntityRef(site_lp),
         None, None, EnumToken("ELEMENT"), None, None, None, None, None,
     ])
-    building_lp = local_placement(site_lp)
+    building_lp = _local_placement(model, site_lp)
     building = model.add("IFCBUILDING", [
         model.guids.fresh(), None, "My Building", None, None, EntityRef(building_lp),
         None, None, EnumToken("ELEMENT"), None, None, None,
     ])
-    storey_lp = local_placement(building_lp)
+    storey_lp = _local_placement(model, building_lp)
     storey = model.add("IFCBUILDINGSTOREY", [
         model.guids.fresh(), None, "My Storey", None, None, EntityRef(storey_lp),
         None, None, EnumToken("ELEMENT"), 0.0,
@@ -609,11 +614,7 @@ def add_storey(model: IfcModel, name: str, elevation: float) -> int:
     """Additional storey aggregated under the building."""
     if model.building_id is None:
         raise InvalidParams("model has no building")
-    building_lp = placement_id(model, model.building_id)
-    point = model.add("IFCCARTESIANPOINT", [(0.0, 0.0, float(elevation))])
-    a2p = model.add("IFCAXIS2PLACEMENT3D", [EntityRef(point), None, None])
-    lp = model.add("IFCLOCALPLACEMENT", [
-        None if building_lp is None else EntityRef(building_lp), EntityRef(a2p)])
+    lp = _local_placement(model, placement_id(model, model.building_id), float(elevation))
     storey = model.add("IFCBUILDINGSTOREY", [
         model.guids.fresh(), None, name, None, None, EntityRef(lp),
         None, None, EnumToken("ELEMENT"), float(elevation),
@@ -696,14 +697,20 @@ def open_model(path: str, guid_seed: int | None = None) -> IfcModel:
 
 # --- semantic operations ---
 
-def edit_attributes(model: IfcModel, guid: str,
-                    updates: dict[str, object]) -> list[dict]:
-    """Replace direct attributes; returns old/new pairs in update order."""
+def check_editable(inst: EntityInstance, name: str):
+    """Refuse ``name`` unless it is editable and ``inst``'s class and tuple hold it."""
+    index = schema.attribute_index(inst.class_name, name)
+    if name not in EDITABLE_ATTRIBUTES or index is None or index >= len(inst.attributes):
+        raise UnknownAttribute(name, inst.class_name)
+
+
+def edit_attributes(model: IfcModel, guid: str, updates: dict[str, object]) -> list[dict]:
+    """Replace direct attributes; returns old/new pairs in update order.
+    Every name is checked, and every old value read, before the first write."""
     inst = model.require_guid(guid)
     for name in updates:
-        if name not in EDITABLE_ATTRIBUTES or schema.attribute_index(inst.class_name, name) is None:
-            raise UnknownAttribute(name, inst.class_name)
-    changes = [{"attribute": name, "old": read(model, inst, name, TEXT, InvalidRecord, None),
+        check_editable(inst, name)
+    changes = [{"attribute": name, "old": read(model, inst, name, SCALAR, InvalidRecord, None),
                 "new": value} for name, value in updates.items()]
     for name, value in updates.items():
         model.set_attr(inst, name, value)
@@ -802,15 +809,9 @@ def add_classification(model: IfcModel, guid: str, system: str, code: str) -> st
     """
     inst = model.require_guid(guid)
 
-    classification_id = None
-    for cid in model.by_class.get("IFCCLASSIFICATION", ()):
-        if read(model, model.entities[cid], "Name", TEXT, InvalidRecord, None) == system:
-            classification_id = cid
-            break
-    if classification_id is None:
-        classification_id = model.add("IFCCLASSIFICATION",
-                                      [None, None, None, system, None, None, None])
-
+    classification_id = next((cid for cid in model.by_class.get("IFCCLASSIFICATION", ())
+                              if read(model, model.entities[cid], "Name", TEXT, InvalidRecord,
+                                      None) == system), None)
     reference_id = None
     for rid in model.by_class.get("IFCCLASSIFICATIONREFERENCE", ()):
         ref = model.entities[rid]
@@ -819,13 +820,20 @@ def add_classification(model: IfcModel, guid: str, system: str, code: str) -> st
                 and source is not None and source.id == classification_id:
             reference_id = rid
             break
+    # the GlobalId of the association relate joins is read before any write
+    joined = () if reference_id is None else \
+        model.rels(reference_id, "IFCRELASSOCIATESCLASSIFICATION", RELATING)[:1]
+    rel_guid = next((read(model, model.entities[rel_id], "GlobalId", TEXT, InvalidRecord)
+                     for rel_id in joined), None)
+    if classification_id is None:
+        classification_id = model.add("IFCCLASSIFICATION",
+                                      [None, None, None, system, None, None, None])
     if reference_id is None:
         reference_id = model.add("IFCCLASSIFICATIONREFERENCE", [
             None, code, None, EntityRef(classification_id), None, None,
         ])
-
     rel_id = model.relate("IFCRELASSOCIATESCLASSIFICATION", reference_id, inst.id)
-    return read(model, model.entities[rel_id], "GlobalId", TEXT, InvalidRecord)
+    return rel_guid or read(model, model.entities[rel_id], "GlobalId", TEXT, InvalidRecord)
 
 
 def classifications_of(model: IfcModel, entity_id: int) -> list[dict[str, str]]:
@@ -863,18 +871,16 @@ def set_owner_history(model: IfcModel, guids: list[str], user: str,
 
 
 def owner_of(model: IfcModel, entity_id: int) -> dict | None:
-    """The user (the ``Identification`` of the owning person) and creation
-    time of an entity's ``OwnerHistory``; None without one. Each record on
-    the way is read by its own class, so one that lacks a step gives None."""
+    """The user (the owning person's ``Identification``) and creation time of
+    an entity's ``OwnerHistory``, None without one; each record by its class."""
     history = read(model, model.entities[entity_id], "OwnerHistory", REF, InvalidRecord, None)
     if history is None:
         return None
     owner = read(model, history, "OwningUser", REF, InvalidRecord, None)
-    person = None if owner is None else read(model, owner, "ThePerson", REF, InvalidRecord, None)
-    user = None if person is None else read(model, person, "Identification", TEXT, InvalidRecord,
-                                            None)
-    return {"user": user, "created": read(model, history, "CreationDate", INTEGER, InvalidRecord,
-                                          None)}
+    person = owner and read(model, owner, "ThePerson", REF, InvalidRecord, None)
+    user = person and read(model, person, "Identification", TEXT, InvalidRecord, None)
+    return {"user": user,
+            "created": read(model, history, "CreationDate", INTEGER, InvalidRecord, None)}
 
 
 # --- deletion ---

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from . import measure, schema
 from .errors import InvalidBody, InvalidRecord, NotADoor
-from .model import (REF, RELATED, RELATING, TEXT, IfcModel, classifications_of, owner_of,
+from .model import (REF, RELATED, RELATING, SCALAR, IfcModel, classifications_of, owner_of,
                     psets_of, read)
 
 DEFAULT_PAGE_LIMIT = 200
@@ -24,7 +24,8 @@ def _coords(point) -> list[float]:
 
 
 def _name_of(model: IfcModel, entity_id: int) -> str:
-    return read(model, model.entities[entity_id], "Name", TEXT, InvalidRecord, None) or "Unnamed"
+    name = read(model, model.entities[entity_id], "Name", SCALAR, InvalidRecord, None)
+    return name if type(name) is str and name else "Unnamed"  # also a number an edit stored
 
 
 def spatial_in_order(model: IfcModel) -> list[int]:
@@ -114,7 +115,7 @@ def get_object_info(model: IfcModel, guid: str) -> dict:
         "guid": guid,
         "ifc_class": schema.camel_case(inst.class_name),
         "name": _name_of(model, inst.id),
-        "description": read(model, inst, "Description", TEXT, InvalidRecord, None),
+        "description": read(model, inst, "Description", SCALAR, InvalidRecord, None),
         "placement": {
             "origin": _coords(placement.origin),
             "z_axis": _coords(placement.z_axis),

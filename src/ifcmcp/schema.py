@@ -87,8 +87,8 @@ ATTRIBUTES: dict[str, list[str]] = {
     "IFCPRODUCTDEFINITIONSHAPE": ["Name", "Description", "Representations"],
     "IFCFACETEDBREP": ["Outer"],
     "IFCCLOSEDSHELL": ["CfsFaces"],
-    "IFCFACE": ["Bounds"],
-    "IFCFACEOUTERBOUND": ["Bound", "Orientation"],
+    **dict.fromkeys(("IFCFACE", "IFCFACESURFACE"), ["Bounds"]),  # IfcFace's attributes only
+    **dict.fromkeys(("IFCFACEBOUND", "IFCFACEOUTERBOUND"), ["Bound", "Orientation"]),
     "IFCPOLYLOOP": ["Polygon"],
     "IFCGEOMETRICREPRESENTATIONCONTEXT": ["ContextIdentifier", "ContextType",
                                           "CoordinateSpaceDimension", "Precision",

@@ -3,6 +3,7 @@ from __future__ import annotations
 import ast
 import gc
 import json
+import re
 import sys
 import threading
 import tracemalloc
@@ -1389,19 +1390,22 @@ def _wall_with_pset():
     return model, guid
 
 
-# the record a reference is written into, by the wall, and the position and
-# name of the text attribute that gets it
+# the record a reference is written into, by the wall, the position and name
+# of the text attribute that gets it, and what that attribute may hold: an
+# edit may store a number or a boolean in a wall's Description
 _TEXT_SLOTS = [
-    pytest.param(lambda model, wall: wall, 3, "Description", id="wall-description"),
+    pytest.param(lambda model, wall: wall, 3, "Description", "a string, number or boolean",
+                 id="wall-description"),
     pytest.param(lambda model, wall: model.entities[model.by_class["IFCPROPERTYSINGLEVALUE"][0]],
-                 0, "Name", id="property-name"),
+                 0, "Name", "a string", id="property-name"),
     pytest.param(lambda model, wall: model.entities[model.by_class["IFCPROPERTYSET"][0]],
-                 2, "Name", id="pset-name"),
+                 2, "Name", "a string", id="pset-name"),
 ]
 
 
-@pytest.mark.parametrize("record_of, index, attribute", _TEXT_SLOTS)
-def test_a_reference_where_a_tool_reads_text_is_an_in_band_error(record_of, index, attribute):
+@pytest.mark.parametrize("record_of, index, attribute, kind", _TEXT_SLOTS)
+def test_a_reference_where_a_tool_reads_text_is_an_in_band_error(record_of, index, attribute,
+                                                                  kind):
     # each once reached the JSON encoder and answered -32603
     model, guid = _wall_with_pset()
     wall = model.require_guid(guid)
@@ -1411,7 +1415,7 @@ def test_a_reference_where_a_tool_reads_text_is_an_in_band_error(record_of, inde
     before = session.model.to_bytes()
     assert _call(session, "get_object_info", {"guid": guid})["error"] == {
         "type": "InvalidRecord",
-        "message": f"{record.class_name} #{record.id} of a record needs a string as its "
+        "message": f"{record.class_name} #{record.id} of a record needs {kind} as its "
                    f"{attribute}"}
     assert session.model.to_bytes() == before
 
@@ -1446,6 +1450,104 @@ def test_a_containment_that_holds_one_reference_takes_a_new_wall():
         walls = [wall, check.require_guid(result["guid"]).id]
         assert [check.storey_of(w) for w in walls] == [storey, storey]
         assert check.rel_side(rel_id, RELATED) == walls
+
+
+def test_a_classification_joining_an_association_without_a_string_global_id_writes_nothing():
+    # the association's GlobalId is read before the element joins it, where
+    # the error once came after the write
+    model = new_model(guid_seed=3)
+    first = builders.create_wall(model, (0, 0), (5, 0), 3.0, 0.2)
+    second = builders.create_wall(model, (0, 5), (5, 5), 3.0, 0.2)
+    association = add_classification(model, first, "Uniclass", "EF_25_10")
+    (rel_id,) = model.by_class["IFCRELASSOCIATESCLASSIFICATION"]
+    rel = model.entities[rel_id]
+    assert rel.attributes[0] == association == \
+        add_classification(model, first, "Uniclass", "EF_25_10")
+    rel.attributes = model_mod._replaced(rel.attributes, 0, EntityRef(model.by_guid[first]))
+    session = Session(load_model(model.to_bytes()))
+    before = session.model.to_bytes()
+    assert _call(session, "add_classification", {
+        "guid": second, "system": "Uniclass", "code": "EF_25_10"})["error"] == {
+        "type": "InvalidRecord",
+        "message": f"IFCRELASSOCIATESCLASSIFICATION #{rel_id} of a record needs a string "
+                   "as its GlobalId"}
+    assert session.model.to_bytes() == before
+
+
+def _edit_by_tool(session, guid):
+    result = _call(session, "edit_attributes", {
+        "guid": guid, "updates": {"Name": 5, "Description": 5, "Tag": True}})
+    assert "error" not in result, result
+
+
+def _edit_by_query(session, guid):
+    for attribute, value in (("Name", "5"), ("Description", "5"), ("Tag", "true")):
+        result = _call(session, "execute_ifc_query",
+                       {"query": f"walls | set({attribute}, {value})"})
+        assert "error" not in result, result
+
+
+@pytest.mark.parametrize("edit", [_edit_by_tool, _edit_by_query], ids=["tool", "query"])
+def test_a_number_an_edit_stores_in_a_text_attribute_reads_back(edit):
+    # edit_attributes and the query language's set store numbers and booleans
+    # as they are: a name that is not a string reads as "Unnamed", a
+    # description and an old value as stored, before and after a reload
+    model, guid, _lp = _wall_with_placement()
+    session = Session(model)
+    edit(session, guid)
+    for current in (session, Session(load_model(session.model.to_bytes()))):
+        for tool, arguments in (("capture_plan_view", {}),
+                                ("capture_elevation_view", {"view": "south"}),
+                                ("get_ifc_scene_overview", {})):
+            result = _call(current, tool, arguments)
+            assert "error" not in result, (tool, result)
+        info = _call(current, "get_object_info", {"guid": guid})
+        assert (info["name"], info["description"]) == ("Unnamed", 5)
+        names = [summary["name"] for summary in _call(current, "get_scene_info", {})["objects"]]
+        assert "IfcWall/Unnamed" in names
+        assert _call(current, "execute_ifc_query", {
+            "query": "walls | select(name, .Name, .Tag)"})["result"] == [["Unnamed", 5, True]]
+        assert _call(current, "edit_attributes", {"guid": guid, "updates": {
+            "Name": "W", "Description": "d", "Tag": "t"}})["changed"] == [
+            {"attribute": "Name", "old": 5, "new": "W"},
+            {"attribute": "Description", "old": 5, "new": "d"},
+            {"attribute": "Tag", "old": True, "new": "t"}]
+
+
+def test_an_edit_naming_an_attribute_a_record_lacks_writes_nothing():
+    # the second wall is cut to 7 attributes, so it has no Tag: each edit is
+    # refused before its first write, by the tool and by the query language
+    model, first, _lp = _wall_with_placement()
+    second = builders.create_wall(model, (0, 5), (5, 5), 3.0, 0.2)
+    wall = model.require_guid(second)
+    wall.attributes = wall.attributes[:7]
+    session = Session(load_model(model.to_bytes()))
+    before = session.model.to_bytes()
+    assert _call(session, "edit_attributes", {
+        "guid": second, "updates": {"Name": "x", "Tag": "y"}})["error"]["type"] == \
+        "UnknownAttribute"
+    assert _call(session, "execute_ifc_query", {
+        "query": 'walls | set(Tag, "y")'})["error"]["type"] == "UnknownAttribute"
+    assert session.model.to_bytes() == before
+
+
+@pytest.mark.parametrize("pattern, replacement", [
+    (r"IFCFACEOUTERBOUND\(", "IFCFACEBOUND("),
+    (r"IFCFACE\(\((#\d+)\)\)", r"IFCFACESURFACE((\1),$,.T.)"),
+], ids=["face-bound", "face-surface"])
+def test_a_brep_of_the_face_classes_other_tools_write_reads_as_the_kit_s(pattern, replacement):
+    # IfcFaceBound (a face's inner loops, or every loop for some exporters)
+    # and IfcFaceSurface hold Bound and Bounds where the kit's classes do
+    model = new_model(guid_seed=3)
+    guid = builders.create_stairs(model, (0, 0, 0), 0.0, 3.0, 4.0, 12, 1.0)
+    kit = model.to_bytes().decode()
+    other, count = re.subn(pattern, replacement, kit)
+    assert count > 1
+    sessions = [Session(load_model(text.encode())) for text in (kit, other)]
+    for tool, arguments in (("get_object_info", {"guid": guid}), ("capture_plan_view", {}),
+                            ("capture_elevation_view", {"view": "south"})):
+        results = [_call(session, tool, arguments) for session in sessions]
+        assert "error" not in results[0] and results[1] == results[0], tool
 
 
 # --- the collector during and after a load ---
