@@ -20,6 +20,8 @@ from .errors import (
     WallsNotClosed,
 )
 from .geometry import (
+    WORLD,
+    Placement,
     Point2,
     Point3,
     Polygon2,
@@ -60,9 +62,8 @@ def _resolve_storey(model: IfcModel, storey_guid: str | None,
     return model.default_storey()
 
 
-def _place(model: IfcModel, parent_lp: int | None, origin: Point3,
-           x_axis: Point3 | None = None) -> int:
-    a2p = emit_axis2placement3d(model, origin, x_axis)
+def _place(model: IfcModel, parent_lp: int | None, frame: Placement) -> int:
+    a2p = emit_axis2placement3d(model, frame)
     parent = EntityRef(parent_lp) if parent_lp is not None else None
     return model.add("IFCLOCALPLACEMENT", [parent, EntityRef(a2p)])
 
@@ -102,8 +103,7 @@ def create_wall(model: IfcModel, start, end, height: float, thickness: float,
 
     profile, frame = wall_axis_to_profile(start, end, thickness)
     prism_mesh(profile, height)  # a face an elevation cannot draw: DegenerateFace before any write
-    lp = _place(model, placement_id(model, storey_id),
-                Point3(start.x, start.y, 0.0), x_axis=frame.x_axis)
+    lp = _place(model, placement_id(model, storey_id), frame)
     shape = extrude_profile(model, profile, height)
     guid, wall = _add_product(model, "IFCWALL", lp, shape, name, EnumToken("STANDARD"))
     model.contain_in_storey(wall, storey_id)
@@ -141,7 +141,7 @@ def create_slab(model: IfcModel, outline, thickness: float, elevation: float = 0
     local_z = elevation - model.storey_elevation(storey_id)
     prism_mesh(poly, thickness)  # a face an elevation cannot draw: DegenerateFace before any write
     lp = _place(model, placement_id(model, storey_id),
-                Point3(0.0, 0.0, local_z))
+                WORLD._replace(origin=Point3(0.0, 0.0, local_z)))
     # top face at the given elevation: extrude downward by the thickness
     shape = extrude_profile(model, poly, thickness, direction=Point3(0.0, 0.0, -1.0))
     guid, slab = _add_product(model, "IFCSLAB", lp, shape, name, EnumToken("FLOOR"))
@@ -179,7 +179,7 @@ def create_roof(model: IfcModel, outline, style: str = "hip",
         prism_mesh(poly, FLAT_ROOF_THICKNESS)  # DegenerateFace before any write
 
     lp = _place(model, placement_id(model, storey_id),
-                Point3(0.0, 0.0, local_z))
+                WORLD._replace(origin=Point3(0.0, 0.0, local_z)))
     if style == "flat":
         shape = extrude_profile(model, poly, FLAT_ROOF_THICKNESS)
     else:
@@ -224,19 +224,18 @@ def create_roof_over_walls(model: IfcModel, wall_guids: list[str],
     if dist2(loop[-1], loop[0]) > tol:
         raise WallsNotClosed("wall chain does not return to its start")
     outline = Polygon2(loop[:-1])
-    base_z = max(axis.placement.origin.z + axis.height for axis in axes)
+    base_z = max(axis.start.z + axis.height for axis in axes)
     return create_roof(model, outline, style=style, slope_deg=slope_deg,
                        base_z=base_z, name=name)
 
 
 def _project_on_axis(axis: measure.WallAxis, point: Point2) -> tuple[float, float]:
     """Metres along a wall axis to the axis point nearest to a 2D point, and
-    the distance between the two."""
-    (sx, sy, _sz), (ex, ey, _ez) = axis.start, axis.end
-    t = ((point.x - sx) * (ex - sx) + (point.y - sy) * (ey - sy)) / (axis.length ** 2)
-    t = min(max(t, 0.0), 1.0)
-    px, py = sx + t * (ex - sx), sy + t * (ey - sy)
-    return t * axis.length, math.hypot(point.x - px, point.y - py)
+    the distance between the two: the point's coordinates in the axis frame,
+    its x clamped to the axis."""
+    along, across, _up = axis.placement.to_local(Point3(point.x, point.y, axis.start.z))
+    nearest = min(max(along, 0.0), axis.length)
+    return nearest, math.hypot(along - nearest, across)
 
 
 def _nearest_wall(model: IfcModel, point: Point2) -> tuple[int, float]:
@@ -277,12 +276,15 @@ def _create_filled_opening(model: IfcModel, filler_class: str,
         point = Point2(float(position[0]), float(position[1]))
         wall_id, position_along_axis = _nearest_wall(model, point)
 
-    axis = measure.wall_axis(model, wall_id)
-    if axis is None:
+    body = measure.body_of(model, wall_id)
+    if not isinstance(body, measure.Extrusion):
         raise InvalidParams("host wall has no axis profile")
+    # the axis in the body's frame under the wall's ObjectPlacement
+    axis = measure.axis(body, body.frame)
     if position_along_axis is None:
         point = Point2(float(position[0]), float(position[1]))
-        position_along_axis, _distance = _project_on_axis(axis, point)
+        world = measure.axis(body, measure.world_frame(body, model.placement_of(wall_id)))
+        position_along_axis, _distance = _project_on_axis(world, point)
     pos = float(position_along_axis)
     if pos - width / 2 < -1e-9 or pos + width / 2 > axis.length + 1e-9:
         raise OpeningOutOfBounds(
@@ -301,13 +303,14 @@ def _create_filled_opening(model: IfcModel, filler_class: str,
                     (half_w, thickness / 2), (-half_w, thickness / 2)])
     prism_mesh(box, height)  # a face an elevation cannot draw: DegenerateFace before any write
 
-    opening_lp = _place(model, placement_id(model, wall_id), Point3(pos, 0.0, sill))
+    frame = axis.placement._replace(origin=axis.placement.to_world(Point3(pos, 0.0, sill)))
+    opening_lp = _place(model, placement_id(model, wall_id), frame)
     opening_shape = extrude_profile(model, box, height)
     opening_guid, opening = _add_product(model, "IFCOPENINGELEMENT", opening_lp,
                                          opening_shape, None, EnumToken("OPENING"))
     model.relate("IFCRELVOIDSELEMENT", wall_id, opening)
 
-    filler_lp = _place(model, opening_lp, Point3(0.0, 0.0, 0.0))
+    filler_lp = _place(model, opening_lp, WORLD)
     filler_shape = extrude_profile(model, box, height)
     filler_guid, filler = _add_product(model, filler_class, filler_lp, filler_shape, name,
                                        float(height), float(width), None, None, None)
@@ -360,8 +363,9 @@ def create_stairs(model: IfcModel, origin, direction_deg: float,
     local_z = origin.z - model.storey_elevation(storey_id)
     angle = math.radians(direction_deg)
     x_axis = Point3(math.cos(angle), math.sin(angle), 0.0)
-    lp = _place(model, placement_id(model, storey_id),
-                Point3(origin.x, origin.y, local_z), x_axis=x_axis)
+    frame = Placement(Point3(origin.x, origin.y, local_z), WORLD.z_axis, x_axis,
+                      Point3(-x_axis.y, x_axis.x, 0.0))
+    lp = _place(model, placement_id(model, storey_id), frame)
     shape = mesh_to_brep(model, mesh)
     guid, stair = _add_product(model, "IFCSTAIR", lp, shape, name,
                                EnumToken("STRAIGHT_RUN_STAIR"))
@@ -377,7 +381,7 @@ def create_mesh_element(model: IfcModel, ifc_class: str, mesh: TriMesh,
             f"{ifc_class} is not an allowed class for mesh elements"
         )
     storey_id = _resolve_storey(model, storey)
-    lp = _place(model, placement_id(model, storey_id), Point3(0.0, 0.0, 0.0))
+    lp = _place(model, placement_id(model, storey_id), WORLD)
     shape = mesh_to_brep(model, mesh)
     # PredefinedType, left unset, where the class has one
     rest = [None] if len(schema.ATTRIBUTES[ifc_class]) > 8 else []

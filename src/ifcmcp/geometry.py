@@ -157,6 +157,15 @@ class Placement(NamedTuple):
         return Point3(ox + x * xx + y * yx + z * zx, oy + x * xy + y * yy + z * zy,
                       oz + x * xz + y * yz + z * zz)
 
+    def to_local(self, p: tuple[float, float, float]) -> Point3:
+        """This frame's coordinates of the world point ``p``, the inverse of
+        ``to_world``: as the axes are orthonormal, ``p`` less the origin
+        dotted with each axis."""
+        (ox, oy, oz), (zx, zy, zz), (xx, xy, xz), (yx, yy, yz) = self
+        x, y, z = p[0] - ox, p[1] - oy, p[2] - oz
+        return Point3(x * xx + y * xy + z * xz, x * yx + y * yy + z * yz,
+                      x * zx + y * zy + z * zz)
+
     def rotate(self, v: Point3) -> Point3:
         """Apply only the rotational part of the frame to a vector."""
         _origin, (zx, zy, zz), (xx, xy, xz), (yx, yy, yz) = self
@@ -435,16 +444,16 @@ def _xy(v: float) -> float:
     return v + 0.0 if v != 0 else 0.0
 
 
-def emit_axis2placement3d(model: "IfcModel", origin: Point3,
-                          x_axis: Point3 | None = None) -> int:
-    """An axis placement whose z axis is the parent's; an ``x_axis`` other
-    than the parent's is written as RefDirection, with an explicit Axis."""
+def emit_axis2placement3d(model: "IfcModel", frame: Placement) -> int:
+    """An axis placement of ``frame``; its Axis and RefDirection are written
+    when its axes are not its parent's."""
+    origin, z_axis, x_axis, _y_axis = frame
     location = model.add("IFCCARTESIANPOINT",
                          [(_xy(origin.x), _xy(origin.y), _xy(origin.z))])
     axis = ref_dir = None
-    if x_axis is not None and tuple(x_axis) != (1.0, 0.0, 0.0):
-        ref_dir = EntityRef(model.add("IFCDIRECTION", [(x_axis.x, x_axis.y, x_axis.z)]))
-        axis = EntityRef(model.add("IFCDIRECTION", [(0.0, 0.0, 1.0)]))
+    if x_axis != _X or z_axis != _Z:
+        ref_dir = EntityRef(model.add("IFCDIRECTION", [tuple(x_axis)]))
+        axis = EntityRef(model.add("IFCDIRECTION", [tuple(z_axis)]))
     return model.add("IFCAXIS2PLACEMENT3D", [EntityRef(location), axis, ref_dir])
 
 
@@ -475,7 +484,7 @@ def extrude_profile(model: "IfcModel", poly: Polygon2, depth: float,
     if depth <= 0:
         raise NonPositiveDepth(f"extrusion depth must be positive, got {depth}")
     profile = _emit_profile(model, poly)
-    position = emit_axis2placement3d(model, Point3(0.0, 0.0, 0.0))
+    position = emit_axis2placement3d(model, WORLD)
     dir_id = model.add("IFCDIRECTION", [(direction.x, direction.y, direction.z)])
     solid = model.add(
         "IFCEXTRUDEDAREASOLID",

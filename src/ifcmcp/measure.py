@@ -49,7 +49,9 @@ class Extrusion(NamedTuple):
 
 
 class WallAxis(NamedTuple):
-    """World axis, dimensions and body frame of a wall built by this kit."""
+    """Axis, dimensions and frame of a wall built by this kit. ``placement``
+    is the body's frame moved to ``start``: a point's x there is its
+    position along the axis, its y its position across."""
 
     start: Point3
     end: Point3
@@ -162,15 +164,20 @@ def bounds(body: Extrusion | TriMesh, frame: Placement) -> tuple[Point3, Point3]
 
 
 def axis(body: Extrusion, frame: Placement) -> WallAxis:
-    """The axis of a wall whose body extrudes along its ``world_frame``'s x."""
+    """The axis of a wall whose body runs along its frame's x, placed by
+    ``frame``: its ``world_frame`` for world coordinates, or the body's own
+    ``frame`` for coordinates under the wall's ``ObjectPlacement``."""
     x0, y0, x1, y1 = body.bbox
-    return WallAxis(frame.to_world(Point3(x0, 0.0, 0.0)), frame.to_world(Point3(x1, 0.0, 0.0)),
-                    x1 - x0, y1 - y0, body.depth, frame)
+    start = frame.to_world(Point3(x0, 0.0, 0.0))
+    return WallAxis(start, frame.to_world(Point3(x1, 0.0, 0.0)), x1 - x0, y1 - y0, body.depth,
+                    frame._replace(origin=start))
 
 
-def world_bbox(model: IfcModel, entity_id: int) -> tuple[Point3, Point3] | None:
+def world_bbox(model: IfcModel, entity_id: int,
+               placement: Placement) -> tuple[Point3, Point3] | None:
+    """World box of a product whose ``placement_of`` is ``placement``."""
     body = body_of(model, entity_id)
-    return None if body is None else bounds(body, world_frame(body, model.placement_of(entity_id)))
+    return None if body is None else bounds(body, world_frame(body, placement))
 
 
 def world_mesh(model: IfcModel, entity_id: int) -> TriMesh | None:

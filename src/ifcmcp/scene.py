@@ -122,7 +122,7 @@ def get_object_info(model: IfcModel, guid: str) -> dict:
             "x_axis": _coords(placement.x_axis),
         },
     }
-    box = measure.world_bbox(model, inst.id)
+    box = measure.world_bbox(model, inst.id, placement)
     if box is not None:
         lo, hi = box
         info["bounding_box"] = {

@@ -162,17 +162,12 @@ WALL_CLASSES = ("IFCWALL", "IFCWALLSTANDARDCASE")
 
 SPATIAL_CLASSES = frozenset({"IFCPROJECT", "IFCSITE", "IFCBUILDING", "IFCBUILDINGSTOREY"})
 
-# relationship classes the kit reads and writes:
-# class -> (index of the relating attribute, index of the related attribute)
+# relationship classes the kit reads and writes: class -> (position of its
+# Relating* attribute, position of its Related* attribute)
 REL_SIDES: dict[str, tuple[int, int]] = {
-    "IFCRELAGGREGATES": (4, 5),
-    "IFCRELCONTAINEDINSPATIALSTRUCTURE": (5, 4),
-    "IFCRELDEFINESBYPROPERTIES": (5, 4),
-    "IFCRELDEFINESBYTYPE": (5, 4),
-    "IFCRELASSOCIATESCLASSIFICATION": (5, 4),
-    "IFCRELVOIDSELEMENT": (4, 5),
-    "IFCRELFILLSELEMENT": (4, 5),
-}
+    class_name: tuple(next(index for name, index in positions.items() if name.startswith(side))
+                      for side in ("Relating", "Related"))
+    for class_name, positions in POSITIONS.items() if class_name.startswith("IFCREL")}
 
 # relationship classes whose related side is one reference, not a list
 SINGLE_RELATED = frozenset({"IFCRELVOIDSELEMENT", "IFCRELFILLSELEMENT"})

@@ -13,7 +13,7 @@ from array import array
 
 from . import measure, schema
 from .errors import DegenerateFace, EmptyModel, UnknownGuid
-from .geometry import MIN_FACE_AREA, Point2, Point3
+from .geometry import MIN_FACE_AREA, Point3
 from .model import RELATING, IfcModel
 from .scene import _name_of, products_in_order
 
@@ -52,27 +52,25 @@ class _Canvas:
 
     def path(self, points, fill: str = "none", stroke: str = "none",
              width: float = 1.0, element_id: str | None = None,
-             close: bool = True, title: str | None = None):
+             title: str | None = None):
+        """A closed path through ``points``."""
         coords = [self.to_px(p[0], p[1]) for p in points]
-        d = "M" + " L".join(f"{_fmt(x)},{_fmt(y)}" for x, y in coords)
-        if close:
-            d += " Z"
+        d = "M" + " L".join(f"{_fmt(x)},{_fmt(y)}" for x, y in coords) + " Z"
         attrs = f' id="{_escaped(element_id)}"' if element_id else ""
         body = f'<path{attrs} d="{d}" fill="{fill}" stroke="{stroke}" stroke-width="{_fmt(width)}"/>'
         if title:
             body = f'<g>{body}<title>{_escaped(title)}</title></g>'
         self.parts.append(body)
 
-    def line(self, a, b, stroke: str = _GLYPH_STROKE, width: float = 1.0):
+    def line(self, a, b):
         x1, y1 = self.to_px(a[0], a[1])
         x2, y2 = self.to_px(b[0], b[1])
         self.parts.append(
             f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
-            f'stroke="{stroke}" stroke-width="{_fmt(width)}"/>'
+            f'stroke="{_GLYPH_STROKE}" stroke-width="1.00"/>'
         )
 
-    def arc(self, centre, radius: float, start_deg: float, end_deg: float,
-            stroke: str = _GLYPH_STROKE):
+    def arc(self, centre, radius: float, start_deg: float, end_deg: float):
         a0 = math.radians(start_deg)
         a1 = math.radians(end_deg)
         sx, sy = self.to_px(centre[0] + radius * math.cos(a0),
@@ -82,7 +80,7 @@ class _Canvas:
         r = radius * SCALE
         self.parts.append(
             f'<path d="M{_fmt(sx)},{_fmt(sy)} A{_fmt(r)},{_fmt(r)} 0 0 1 '
-            f'{_fmt(ex)},{_fmt(ey)}" fill="none" stroke="{stroke}" stroke-width="1.00"/>'
+            f'{_fmt(ex)},{_fmt(ey)}" fill="none" stroke="{_GLYPH_STROKE}" stroke-width="1.00"/>'
         )
 
     def open_group(self, element_id: str | None, title: str):
@@ -99,20 +97,6 @@ class _Canvas:
             f'width="{_fmt(self.width)}" height="{_fmt(self.height)}">'
         )
         return "\n".join([header] + self.parts + ["</svg>"])
-
-
-def _wall_frame(axis) -> tuple[Point2, Point2, Point2]:
-    """2D origin, unit axis direction and unit normal of a wall."""
-    start, end, length = Point2(*axis.start[:2]), Point2(*axis.end[:2]), axis.length
-    direction = Point2((end.x - start.x) / length, (end.y - start.y) / length)
-    normal = Point2(-direction.y, direction.x)
-    return start, direction, normal
-
-
-def _axis_point(start: Point2, direction: Point2, normal: Point2,
-                along: float, across: float) -> tuple[float, float]:
-    return (start.x + direction.x * along + normal.x * across,
-            start.y + direction.y * along + normal.y * across)
 
 
 def _openings_of_wall(model: IfcModel, wall_id: int):
@@ -185,16 +169,13 @@ def render_plan(model: IfcModel, storey_guid: str | None = None,
         canvas.path(outline, fill="none", stroke=_SLAB_STROKE, width=1.5,
                     element_id=model.guid_of(entity_id), title=_name_of(model, entity_id))
 
+    # a wall's rectangle, gaps and glyphs are drawn in its axis frame: x along, y across
     for entity_id, axis in walls:
-        start, direction, normal = _wall_frame(axis)
+        to_world = axis.placement.to_world
         half = axis.thickness / 2.0
         length = axis.length
-        corners = [
-            _axis_point(start, direction, normal, 0.0, -half),
-            _axis_point(start, direction, normal, length, -half),
-            _axis_point(start, direction, normal, length, half),
-            _axis_point(start, direction, normal, 0.0, half),
-        ]
+        corners = [to_world((0.0, -half, 0.0)), to_world((length, -half, 0.0)),
+                   to_world((length, half, 0.0)), to_world((0.0, half, 0.0))]
         canvas.open_group(model.guid_of(entity_id), _name_of(model, entity_id))
         canvas.path(corners, fill=_WALL_FILL)
         canvas.close_group()
@@ -207,36 +188,26 @@ def render_plan(model: IfcModel, storey_guid: str | None = None,
             if not in_cut(measure.bounds(body, frame)):
                 continue
             x0, _y0, x1, _y1 = body.bbox
-            local = frame.origin
-            wall_origin = axis.placement.origin
-            along0 = (local.x - wall_origin.x) * direction.x \
-                + (local.y - wall_origin.y) * direction.y + x0
+            along0 = axis.placement.to_local(frame.origin).x + x0
             along1 = along0 + (x1 - x0)
-            gap = [
-                _axis_point(start, direction, normal, along0, -half - 0.01),
-                _axis_point(start, direction, normal, along1, -half - 0.01),
-                _axis_point(start, direction, normal, along1, half + 0.01),
-                _axis_point(start, direction, normal, along0, half + 0.01),
-            ]
+            gap = [to_world((along0, -half - 0.01, 0.0)), to_world((along1, -half - 0.01, 0.0)),
+                   to_world((along1, half + 0.01, 0.0)), to_world((along0, half + 0.01, 0.0))]
             canvas.path(gap, fill="#ffffff")
             width = along1 - along0
             if filler_class == "IFCDOOR":
                 canvas.open_group(model.guid_of(filler_id),
                                   _name_of(model, filler_id))
-                hinge = _axis_point(start, direction, normal, along0, 0.0)
-                leaf_end = _axis_point(start, direction, normal, along0, width)
-                canvas.line(hinge, leaf_end)
-                base_angle = math.degrees(math.atan2(direction.y, direction.x))
+                hinge = to_world((along0, 0.0, 0.0))
+                canvas.line(hinge, to_world((along0, width, 0.0)))
+                x_axis = axis.placement.x_axis
+                base_angle = math.degrees(math.atan2(x_axis.y, x_axis.x))
                 canvas.arc(hinge, width, base_angle, base_angle + 90.0)
                 canvas.close_group()
             elif filler_class == "IFCWINDOW":
                 canvas.open_group(model.guid_of(filler_id),
                                   _name_of(model, filler_id))
                 for across in (-half, 0.0, half):
-                    canvas.line(
-                        _axis_point(start, direction, normal, along0, across),
-                        _axis_point(start, direction, normal, along1, across),
-                    )
+                    canvas.line(to_world((along0, across, 0.0)), to_world((along1, across, 0.0)))
                 canvas.close_group()
 
     for entity_id, (lo, hi) in generic:

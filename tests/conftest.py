@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import settings
 
-from ifcmcp import builders
+from ifcmcp import builders, measure
 from ifcmcp.model import IfcModel, load_model, new_model
 
 # more examples in CI (--hypothesis-profile=ci) for the properties that
@@ -22,8 +22,9 @@ from ifcmcp.model import IfcModel, load_model, new_model
 # test_prism_mesh_answers_as_every_mesh_was_checked and
 # test_tools_answer_as_when_every_mesh_was_checked), the frame parity property
 # (test_world_frames_equal_the_checked_composition), the body frame property
-# (test_a_rotation_in_the_solids_measures_as_one_in_the_placements) and the
-# polygon property (test_any_finite_points_give_a_polygon_or_a_degenerate_polygon);
+# (test_a_rotation_in_the_solids_measures_as_one_in_the_placements), the wall
+# frame property (test_a_door_is_placed_and_drawn_where_its_walls_axis_frame_puts_it)
+# and the polygon property (test_any_finite_points_give_a_polygon_or_a_degenerate_polygon);
 # the others fix their own count
 settings.register_profile("ci", max_examples=500)
 
@@ -35,6 +36,11 @@ SQUARE_WALLS = [
 ]
 
 L_OUTLINE = [(0, 0), (10, 0), (10, 5), (5, 5), (5, 10), (0, 10)]
+
+
+def world_box(model, entity_id):
+    """``measure.world_bbox`` of a product at its own ``placement_of``."""
+    return measure.world_bbox(model, entity_id, model.placement_of(entity_id))
 
 
 def signed_volume(mesh) -> float:

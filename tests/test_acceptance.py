@@ -22,7 +22,7 @@ from ifcmcp.skeleton import hip_roof_solid
 from ifcmcp.step import parse_step, write_step
 from ifcmcp.cli import run_trace
 
-from conftest import SQUARE_WALLS, build_l_building
+from conftest import SQUARE_WALLS, build_l_building, world_box
 
 TRACES = Path(__file__).resolve().parent.parent / "traces"
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -345,7 +345,7 @@ def test_acceptance_10_snapshot_determinism():
     for row in info["objects"]:
         if row["ifc_class"] in ("IfcWall", "IfcDoor"):
             entity_id = model_a.by_guid[row["guid"]]
-            box = measure.world_bbox(model_a, entity_id)
+            box = world_box(model_a, entity_id)
             if box and box[0].z <= cut_z <= box[1].z:
                 assert ids.count(row["guid"]) == 1, row["name"]
     _report(10, "plan SVG byte-identical across independent seeded builds; "

@@ -10,6 +10,7 @@ moves or turns its product's ``ObjectPlacement`` the same way.
 from __future__ import annotations
 
 import math
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,6 +20,8 @@ from ifcmcp import builders, dsl, measure, snapshot
 from ifcmcp.geometry import Polygon2, prism_mesh
 from ifcmcp.model import load_model, new_model
 from ifcmcp.step import EntityRef
+
+from conftest import world_box
 
 
 def _solid(model, product_id):
@@ -74,7 +77,7 @@ def test_a_wall_moved_in_its_solid_position_measures_and_draws_where_it_is():
 
     moved, wall = _one_product(_wall, in_solid)
     placed, _wall_id = _one_product(_wall, in_placement)
-    lo, hi = measure.world_bbox(moved, wall)
+    lo, hi = world_box(moved, wall)
     assert (lo.x, hi.x) == (1.0, 6.0)
     axis = measure.wall_axis(moved, wall)
     assert (axis.start.x, axis.end.x, axis.length) == (1.0, 6.0, 5.0)
@@ -94,7 +97,7 @@ def test_a_wall_turned_in_its_solid_position_measures_and_draws_where_it_is():
 
     turned, wall = _one_product(_wall, in_solid)
     placed, _wall_id = _one_product(_wall, in_placement)
-    lo, hi = measure.world_bbox(turned, wall)
+    lo, hi = world_box(turned, wall)
     assert [round(v, 12) + 0.0 for v in (lo.x, hi.x, lo.y, hi.y)] == [-0.1, 0.1, 0.0, 5.0]
     axis = measure.wall_axis(turned, wall)
     assert (axis.end.x, axis.end.y) == (0.0, 5.0)
@@ -110,7 +113,7 @@ def test_a_slab_moved_in_its_solid_position_is_drawn_where_its_box_is():
 
     moved, slab = _one_product(_slab, in_solid)
     placed, _slab_id = _one_product(_slab, in_placement)
-    lo, hi = measure.world_bbox(moved, slab)
+    lo, hi = world_box(moved, slab)
     assert (lo.x, hi.x) == (2.0, 6.0)
     assert snapshot.render_plan(moved) == snapshot.render_plan(placed)
 
@@ -124,7 +127,7 @@ def test_a_rectangle_turned_in_its_profile_position_is_a_turned_box():
     model, slab = _one_product(
         lambda model: builders.create_slab(model, [(0, 0), (4, 0), (4, 2), (0, 2)], 0.2),
         turned)
-    lo, hi = measure.world_bbox(model, slab)
+    lo, hi = world_box(model, slab)
     assert [round(v, 12) + 0.0 for v in (lo.x, hi.x, lo.y, hi.y)] == [1.0, 3.0, -1.0, 3.0]
     body = measure.body_of(model, slab)
     assert body.polygon is not None and body.area == 8.0
@@ -143,7 +146,7 @@ def test_a_2d_relative_placement_turns_its_product_by_its_ref_direction(ratios):
     axis = measure.wall_axis(model, wall)
     assert tuple(axis.start) == (0.0, 0.0, 0.0)
     assert (axis.end.x + 0.0, axis.end.y) == (0.0, 5.0)
-    lo, hi = measure.world_bbox(model, wall)
+    lo, hi = world_box(model, wall)
     assert (lo.y, hi.y) == (0.0, 5.0)
 
 
@@ -203,10 +206,91 @@ def test_a_rotation_in_the_solids_measures_as_one_in_the_placements(walls, door)
         assert len(expected) == len(got)
         assert all(_close(a, b, 10.0) for a, b in zip(expected, got)), query
     for product_id in ids:
-        box, moved_box = measure.world_bbox(model, product_id), measure.world_bbox(moved, product_id)
+        box, moved_box = world_box(model, product_id), world_box(moved, product_id)
         assert all(_close(a, b, 10.0) for a, b in zip((*box[0], *box[1]),
                                                       (*moved_box[0], *moved_box[1])))
         mesh, moved_mesh = measure.world_mesh(model, product_id), measure.world_mesh(moved, product_id)
         assert mesh.faces == moved_mesh.faces
         assert all(_close(a, b, 10.0) for p, q in zip(mesh.vertices, moved_mesh.vertices)
                    for a, b in zip(p, q))
+
+
+# --- openings are placed and drawn in their wall's axis frame ---
+
+def _door_gap(model, wall):
+    """World (x, y) corners of the plan's door gap in the one wall of ``model``."""
+    axis = measure.wall_axis(model, wall)
+    (path,) = re.findall(r'<path d="M([^"]*) Z" fill="#ffffff"', snapshot.render_plan(model))
+    min_x = min(axis.start.x, axis.end.x) - snapshot.MARGIN  # the walls' extents
+    max_y = max(axis.start.y, axis.end.y) + snapshot.MARGIN
+    corners = [tuple(map(float, corner.split(","))) for corner in path.split(" L")]
+    return [(px / snapshot.SCALE + min_x, max_y - py / snapshot.SCALE) for px, py in corners]
+
+
+def _door(model, wall, position_along_axis):
+    """``model`` with a default door at ``position_along_axis`` in ``wall``,
+    saved and reloaded, and the id of the door's opening."""
+    _door_guid, opening = builders.create_door(model, wall_guid=model.guid_of(wall),
+                                               position_along_axis=position_along_axis)
+    model = load_model(model.to_bytes())
+    return model, model.require_guid(opening).id
+
+
+def _centred_on_solid(model, wall):
+    """The kit profile, centred on (2.5, 0), is centred on its solid's Position
+    moved to (2.5, 0, 0): the wall stays where it is."""
+    solid = _solid(model, wall)
+    _set(model.resolve(solid.attributes[1]), 0, _point(model, 2.5, 0, 0))
+    _set(model.resolve(model.resolve(solid.attributes[0]).attributes[2]), 0, _point(model, 0, 0))
+
+
+def test_a_door_in_a_wall_moved_in_its_solid_position_is_placed_along_its_axis():
+    # the opening was placed in the wall's ObjectPlacement: x 1.55..2.45
+    def in_solid(model, wall):
+        _set(model.resolve(_solid(model, wall).attributes[1]), 0, _point(model, 1, 0, 0))
+
+    model, wall = _one_product(_wall, in_solid)
+    model, opening = _door(model, wall, 2.0)
+    lo, hi = world_box(model, opening)
+    assert (round(lo.x, 12), round(hi.x, 12)) == (2.55, 3.45)
+
+
+def test_the_plan_draws_a_door_gap_along_a_wall_centred_on_its_solid_position():
+    # the gap was measured from the solid's Position, not the axis start: x -0.95
+    model, wall = _one_product(_wall, _centred_on_solid)
+    model, opening = _door(model, wall, 2.0)
+    lo, hi = world_box(model, opening)
+    assert (round(lo.x, 12), round(hi.x, 12)) == (1.55, 2.45)
+    xs = [x for x, _y in _door_gap(model, wall)]
+    assert (min(xs), max(xs)) == pytest.approx((1.55, 2.45), abs=1e-3)
+
+
+_TURN = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(lambda t: t != (0, 0))
+
+
+@given(wall=_WALL, move=st.tuples(st.integers(-4, 4), st.integers(-4, 4)), turn=_TURN,
+       centred=st.booleans(), at=st.floats(0.0, 1.0))
+@settings(deadline=None)
+@example(wall=(0, 0, 5, 0), move=(1, 0), turn=(1, 0), centred=False, at=0.35)
+def test_a_door_is_placed_and_drawn_where_its_walls_axis_frame_puts_it(
+        wall, move, turn, centred, at):
+    def moved_and_turned(model, wall_id):
+        if centred:
+            _centred_on_solid(model, wall_id)
+        position = model.resolve(_solid(model, wall_id).attributes[1])
+        _set(position, 0, _point(model, *move, 0))
+        _set(position, 1, _direction(model, 0, 0, 1))
+        _set(position, 2, _direction(model, *turn, 0))
+
+    x0, y0, x1, y1 = wall
+    model, wall_id = _one_product(
+        lambda model: builders.create_wall(model, (x0, y0), (x1, y1), 3.0, 0.2), moved_and_turned)
+    axis = measure.wall_axis(model, wall_id)
+    width = builders.DOOR_WIDTH
+    along = width / 2 + at * (axis.length - width)
+    model, opening = _door(model, wall_id, along)
+    lo, hi = world_box(model, opening)
+    centre = axis.placement.to_world((along, 0.0, builders.DOOR_HEIGHT / 2))
+    assert all(math.isclose((a + b) / 2, c, abs_tol=1e-9) for a, b, c in zip(lo, hi, centre))
+    gap = [axis.placement.to_local((x, y, axis.start.z)).x for x, y in _door_gap(model, wall_id)]
+    assert (min(gap), max(gap)) == pytest.approx((along - width / 2, along + width / 2), abs=1e-3)

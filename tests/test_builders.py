@@ -18,7 +18,7 @@ from ifcmcp.errors import (
 from ifcmcp.geometry import Polygon2, checked_mesh
 from ifcmcp.model import add_storey, load_model, new_model
 
-from conftest import L_OUTLINE, SQUARE_WALLS, signed_volume
+from conftest import L_OUTLINE, SQUARE_WALLS, signed_volume, world_box
 
 
 def test_create_wall_basic(fresh_model):
@@ -93,7 +93,7 @@ def test_slab_area_and_elevation(fresh_model):
     guid = builders.create_slab(fresh_model, L_OUTLINE, 0.25, elevation=0.0)
     slab_id = fresh_model.by_guid[guid]
     assert measure.element_area(fresh_model, slab_id) == pytest.approx(75.0)
-    box = measure.world_bbox(fresh_model, slab_id)
+    box = world_box(fresh_model, slab_id)
     assert box[1].z == pytest.approx(0.0)   # top face at elevation
     assert box[0].z == pytest.approx(-0.25)
 
@@ -110,7 +110,7 @@ def test_slab_upper_storey_when_present(fresh_model):
     guid = builders.create_slab(fresh_model, L_OUTLINE, 0.25, elevation=3.5)
     info = scene.get_object_info(fresh_model, guid)
     assert info["relationships"]["contained_in"]["name"] == "Level 2"
-    box = measure.world_bbox(fresh_model, fresh_model.by_guid[guid])
+    box = world_box(fresh_model, fresh_model.by_guid[guid])
     assert box[1].z == pytest.approx(3.5)
 
 
@@ -247,8 +247,8 @@ def test_opening_inside_host_bbox(four_wall_model):
     wall_guid = model.guid_of(sorted(model.by_class["IFCWALL"])[0])
     door, opening = builders.create_door(model, wall_guid=wall_guid,
                                          position_along_axis=3.0)
-    wall_box = measure.world_bbox(model, model.by_guid[wall_guid])
-    open_box = measure.world_bbox(model, model.by_guid[opening])
+    wall_box = world_box(model, model.by_guid[wall_guid])
+    open_box = world_box(model, model.by_guid[opening])
     for axis in range(3):
         assert open_box[0][axis] >= wall_box[0][axis] - 1e-9
         assert open_box[1][axis] <= wall_box[1][axis] + 1e-9
@@ -259,7 +259,7 @@ def test_window_sill_honored(four_wall_model):
     wall_guid = model.guid_of(sorted(model.by_class["IFCWALL"])[0])
     window, opening = builders.create_window(model, wall_guid=wall_guid,
                                              position_along_axis=4.0)
-    box = measure.world_bbox(model, model.by_guid[opening])
+    box = world_box(model, model.by_guid[opening])
     assert box[0].z == pytest.approx(builders.WINDOW_SILL)
     assert box[1].z == pytest.approx(builders.WINDOW_SILL + builders.WINDOW_HEIGHT)
     assert len(model.by_class["IFCWINDOW"]) == 1
@@ -291,7 +291,7 @@ def test_stairs_dimensions(fresh_model):
 def test_stairs_rotated(fresh_model):
     guid = builders.create_stairs(fresh_model, (1, 1, 0), 90.0, total_rise=3.0,
                                   total_run=4.0, step_count=10, width=1.0)
-    lo, hi = measure.world_bbox(fresh_model, fresh_model.by_guid[guid])
+    lo, hi = world_box(fresh_model, fresh_model.by_guid[guid])
     assert hi.y - lo.y == pytest.approx(4.0)  # run now along +y
     assert hi.x - lo.x == pytest.approx(1.0)
 

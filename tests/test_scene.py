@@ -6,7 +6,7 @@ import pytest
 
 from ifcmcp import builders, scene
 from ifcmcp.errors import NotADoor, UnknownGuid
-from ifcmcp.model import delete_element, edit_attributes
+from ifcmcp.model import IfcModel, delete_element, edit_attributes
 
 
 def test_listing_shape_fresh_plus_four_walls(four_wall_model):
@@ -144,3 +144,18 @@ def test_queries_are_pure(l_building):
     d = json.dumps(scene.get_ifc_scene_overview(model))
     assert c == d
     assert model.to_bytes() == before
+
+
+def test_object_info_resolves_its_products_placement_once(four_wall_model, monkeypatch):
+    resolved = []
+    resolve = IfcModel.resolve_placement
+
+    def counted(model, placement_id):
+        resolved.append(placement_id)
+        return resolve(model, placement_id)
+
+    monkeypatch.setattr(IfcModel, "resolve_placement", counted)
+    wall = four_wall_model.by_class["IFCWALL"][0]
+    info = scene.get_object_info(four_wall_model, four_wall_model.guid_of(wall))
+    assert info["bounding_box"]["size"] == [10.0, 0.25, 3.0]
+    assert len(resolved) == 1

@@ -1317,6 +1317,18 @@ def test_a_file_polygon_whose_area_overflows_is_an_in_band_error():
     assert session.model.to_bytes() == data
 
 
+def test_a_door_by_position_on_a_wall_too_long_to_square_is_placed(session):
+    # a position was projected by dividing by the squared axis length, which
+    # overflowed: the call answered -32603
+    wall = {"start": [0, 0], "end": [1e300, 0], "height": 3.0, "thickness": 0.2}
+    assert "error" not in payload_of(call(session, "create_wall", wall))
+    response = call(session, "create_door", {"position": [5, 0]}, 2)
+    assert "error" not in response, response
+    door = payload_of(response)
+    assert "error" not in door, door
+    assert payload_of(call(session, "get_door_properties", {"guid": door["door"]}, 3))["width"] == 0.9
+
+
 def test_overflowing_payload_gets_internal_error_in_strict_json(session):
     # a file's rectangle profile whose finite sides give an area that
     # overflows to inf (a tool's outline of that area is refused)
