@@ -24,8 +24,8 @@ from .geometry import (
     Placement,
     Point2,
     Point3,
-    Polygon2,
     TriMesh,
+    checked_polygon,
     dist2,
     emit_axis2placement3d,
     extrude_profile,
@@ -136,7 +136,7 @@ def create_slab(model: IfcModel, outline, thickness: float, elevation: float = 0
                 name: str | None = None, storey: str | None = None) -> str:
     if thickness <= 0:
         raise InvalidParams(f"slab thickness must be positive, got {thickness}")
-    poly = outline if isinstance(outline, Polygon2) else Polygon2(outline)
+    poly = checked_polygon(outline)
     storey_id = _resolve_storey(model, storey, elevation=elevation)
     local_z = elevation - model.storey_elevation(storey_id)
     prism_mesh(poly, thickness)  # a face an elevation cannot draw: DegenerateFace before any write
@@ -154,7 +154,7 @@ def create_roof(model: IfcModel, outline, style: str = "hip",
                 name: str | None = None) -> tuple[str, list[str]]:
     if style not in ("hip", "gable", "flat"):
         raise InvalidParams(f"roof style must be hip, gable or flat, got {style!r}")
-    poly = outline if isinstance(outline, Polygon2) else Polygon2(outline)
+    poly = checked_polygon(outline)
     storey_id = model.storey_for_elevation(base_z)
     local_z = base_z - model.storey_elevation(storey_id)
     warnings: list[str] = []
@@ -223,9 +223,8 @@ def create_roof_over_walls(model: IfcModel, wall_guids: list[str],
         loop.append(nxt)
     if dist2(loop[-1], loop[0]) > tol:
         raise WallsNotClosed("wall chain does not return to its start")
-    outline = Polygon2(loop[:-1])
     base_z = max(axis.start.z + axis.height for axis in axes)
-    return create_roof(model, outline, style=style, slope_deg=slope_deg,
+    return create_roof(model, loop[:-1], style=style, slope_deg=slope_deg,
                        base_z=base_z, name=name)
 
 
@@ -299,8 +298,8 @@ def _create_filled_opening(model: IfcModel, filler_class: str,
 
     thickness = axis.thickness
     half_w = width / 2
-    box = Polygon2([(-half_w, -thickness / 2), (half_w, -thickness / 2),
-                    (half_w, thickness / 2), (-half_w, thickness / 2)])
+    box = checked_polygon([(-half_w, -thickness / 2), (half_w, -thickness / 2),
+                           (half_w, thickness / 2), (-half_w, thickness / 2)])
     prism_mesh(box, height)  # a face an elevation cannot draw: DegenerateFace before any write
 
     frame = axis.placement._replace(origin=axis.placement.to_world(Point3(pos, 0.0, sill)))
@@ -356,7 +355,7 @@ def create_stairs(model: IfcModel, origin, direction_deg: float,
         profile_pts.append((i * tread, (i + 1) * riser))
         profile_pts.append((i * tread, i * riser))
     profile_pts.append((0.0, riser))
-    mesh = prism_mesh(Polygon2(profile_pts), width, axis="y")
+    mesh = prism_mesh(checked_polygon(profile_pts), width, axis="y")
 
     origin = Point3(*(float(v) for v in origin))
     storey_id = model.storey_for_elevation(origin.z)

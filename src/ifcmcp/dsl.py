@@ -36,9 +36,10 @@ from .errors import (
 )
 from .model import (
     IfcModel,
+    PropertySpec,
     check_editable,
     psets_of,
-    set_pset_property,
+    write_property_set,
 )
 from .scene import _name_of, products_in_order
 
@@ -188,7 +189,8 @@ class SetPset(_Mutation):
         return value
 
     def write(self, model: IfcModel, entity_id: int, value):
-        set_pset_property(model, model.guid_of(entity_id), self.pset, self.prop, value)
+        write_property_set(model, model.entities[entity_id],
+                           PropertySpec(self.pset, [(self.prop, value)]))
 
 @dataclass
 class QueryProgram:

@@ -1,7 +1,9 @@
 """Parametric solid construction and geometric measurement.
 
-All coordinates are metres. Polygons are normalized to counter-clockwise
-order on construction; point equality uses a 1e-6 m tolerance throughout.
+All coordinates are metres; point equality uses a 1e-6 m tolerance
+throughout. A value is checked once, where it enters the kit
+(``checked_polygon``, ``checked_mesh``, ``read_axes``); one derived from
+checked values is built directly.
 """
 
 from __future__ import annotations
@@ -56,83 +58,73 @@ def _segments_cross(p1: Point2, p2: Point2, q1: Point2, q2: Point2) -> bool:
     return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0))
 
 
-class Polygon2:
-    """Simple polygon, stored counter-clockwise.
+class Polygon2(NamedTuple):
+    """Simple polygon: a tuple of ``Point2`` running counter-clockwise.
+    Building one checks nothing: a profile entering the kit is built by
+    ``checked_polygon``, one derived from checked parts directly."""
 
-    Consecutive vertices closer than 1e-6 m are merged; reversed input is
-    accepted and flipped so that ``signed_area`` is always positive. The
-    ``vertices`` tuple is fixed once built.
-    """
-
-    __slots__ = ("vertices",)
-
-    def __init__(self, points):
-        pts = [Point2(float(x), float(y)) for x, y in points]
-        if not all(map(math.isfinite, chain.from_iterable(pts))):
-            raise DegeneratePolygon("polygon has non-finite coordinates")
-        # a run of consecutive points (around the ring) each closer than
-        # POINT_TOL to the one before collapses to its smallest point (by x,
-        # then y), and the area is summed exactly, so a list and its reversal
-        # clean to the same ring and get the same verdict
-        n = len(pts)
-        near = [dist2(pts[i - 1], pts[i]) < POINT_TOL for i in range(n)]
-        if all(near):
-            raise DegeneratePolygon("polygon needs at least 3 distinct vertices")
-        start = near.index(False)
-        cleaned: list[Point2] = []
-        for i in range(start, start + n):
-            if near[i % n]:
-                cleaned[-1] = min(cleaned[-1], pts[i % n])
-            else:
-                cleaned.append(pts[i % n])
-        if len(cleaned) < 3:
-            raise DegeneratePolygon("polygon needs at least 3 distinct vertices")
-        try:  # a term or the sum may overflow
-            area2 = math.fsum(a.x * b.y - b.x * a.y for a, b in zip(cleaned[-1:] + cleaned, cleaned))
-        except (OverflowError, ValueError):
-            area2 = math.inf
-        if not math.isfinite(area2):
-            raise DegeneratePolygon("polygon area is too large for a double")
-        if abs(area2) < 2 * MIN_FACE_AREA:
-            raise DegeneratePolygon("polygon has zero area")
-        if area2 < 0:
-            cleaned.reverse()
-        n = len(cleaned)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                    continue
-                if _segments_cross(cleaned[i], cleaned[(i + 1) % n],
-                                   cleaned[j], cleaned[(j + 1) % n]):
-                    raise DegeneratePolygon("polygon is self-intersecting")
-        object.__setattr__(self, "vertices", tuple(cleaned))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"Polygon2 is immutable: cannot set {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Polygon2) and other.vertices == self.vertices
+    vertices: tuple[Point2, ...]
 
     def edges(self):
-        verts = self.vertices
-        for i, a in enumerate(verts):
-            yield a, verts[(i + 1) % len(verts)]
+        return zip(self.vertices, self.vertices[1:] + self.vertices[:1])
 
     def bounds(self) -> tuple[float, float, float, float]:
         return (*map(min, zip(*self.vertices)), *map(max, zip(*self.vertices)))
 
     def is_axis_aligned_rect(self) -> bool:
-        if len(self.vertices) != 4:
-            return False
-        return all(
-            abs(a.x - b.x) < POINT_TOL or abs(a.y - b.y) < POINT_TOL
-            for a, b in self.edges()
-        )
+        return len(self.vertices) == 4 and all(
+            abs(a.x - b.x) < POINT_TOL or abs(a.y - b.y) < POINT_TOL for a, b in self.edges())
+
+
+def checked_polygon(points) -> Polygon2:
+    """The polygon of a tool's outline, a file's profile or a roof's outline.
+    Consecutive vertices closer than 1e-6 m are merged, and reversed input
+    is flipped so that the area is positive; points that do not make a
+    simple polygon of finite, non-zero area are a DegeneratePolygon."""
+    pts = [Point2(float(x), float(y)) for x, y in points]
+    if not all(map(math.isfinite, chain.from_iterable(pts))):
+        raise DegeneratePolygon("polygon has non-finite coordinates")
+    # a run of consecutive points (around the ring) each closer than
+    # POINT_TOL to the one before collapses to its smallest point (by x,
+    # then y), and the area is summed exactly, so a list and its reversal
+    # clean to the same ring and get the same verdict
+    n = len(pts)
+    near = [dist2(pts[i - 1], pts[i]) < POINT_TOL for i in range(n)]
+    if all(near):
+        raise DegeneratePolygon("polygon needs at least 3 distinct vertices")
+    start = near.index(False)
+    cleaned: list[Point2] = []
+    for i in range(start, start + n):
+        if near[i % n]:
+            cleaned[-1] = min(cleaned[-1], pts[i % n])
+        else:
+            cleaned.append(pts[i % n])
+    if len(cleaned) < 3:
+        raise DegeneratePolygon("polygon needs at least 3 distinct vertices")
+    try:  # a term or the sum may overflow
+        area2 = math.fsum(a.x * b.y - b.x * a.y for a, b in zip(cleaned[-1:] + cleaned, cleaned))
+    except (OverflowError, ValueError):
+        area2 = math.inf
+    if not math.isfinite(area2):
+        raise DegeneratePolygon("polygon area is too large for a double")
+    if abs(area2) < 2 * MIN_FACE_AREA:
+        raise DegeneratePolygon("polygon has zero area")
+    if area2 < 0:
+        cleaned.reverse()
+    n = len(cleaned)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if j == i or (j + 1) % n == i or (i + 1) % n == j:
+                continue
+            if _segments_cross(cleaned[i], cleaned[(i + 1) % n],
+                               cleaned[j], cleaned[(j + 1) % n]):
+                raise DegeneratePolygon("polygon is self-intersecting")
+    return Polygon2(tuple(cleaned))
 
 
 def polygon_area(poly: Polygon2) -> float:
-    """Shoelace area, summed exactly as ``Polygon2`` sums it to accept the
-    polygon; positive because polygons are stored CCW."""
+    """Shoelace area, summed exactly as ``checked_polygon`` sums it to accept
+    the polygon; positive because polygons are stored CCW."""
     return math.fsum(a.x * b.y - b.x * a.y for a, b in poly.edges()) / 2.0
 
 
@@ -430,7 +422,7 @@ def wall_axis_to_profile(start: Point2, end: Point2,
     if thickness <= 0:
         raise DegeneratePolygon(f"thickness must be positive, got {thickness}")
     half = thickness / 2.0
-    profile = Polygon2([(0.0, -half), (length, -half), (length, half), (0.0, half)])
+    profile = checked_polygon([(0.0, -half), (length, -half), (length, half), (0.0, half)])
     dx, dy = (end.x - start.x) / length, (end.y - start.y) / length
     # the axes are unit and orthogonal by construction
     x_axis = Point3(dx, dy, 0.0)

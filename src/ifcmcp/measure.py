@@ -10,8 +10,11 @@ placement through ``geometry.read_axes``, the readers that also serve
 placements, so a malformed record (a positive length, ``XDim``, ``YDim`` or
 ``Depth``, that is not) raises ``InvalidBody`` naming its ``#id``, class and
 attribute; a profile class the kit does not write measures as ``None``.
-Everything is re-derived from the entity graph on each call, so results
-stay valid across save/load cycles.
+A profile is checked once, where it is decoded: an extrusion's ``outline``
+is ``geometry.checked_polygon``'s, whether or not its rectangle is turned,
+and ``world_mesh`` and the plan draw it without a second check. Everything
+is re-derived from the entity graph on each call, so results stay valid
+across save/load cycles.
 """
 
 from __future__ import annotations
@@ -22,30 +25,22 @@ from typing import NamedTuple
 
 from . import schema
 from .errors import EmptyMesh, InvalidBody
-from .geometry import (WORLD, Placement, Point2, Point3, Polygon2, TriMesh, checked_mesh,
-                       polygon_area, prism_mesh, read_axes)
+from .geometry import (POINT_TOL, WORLD, Placement, Point2, Point3, Polygon2, TriMesh,
+                       checked_mesh, checked_polygon, polygon_area, prism_mesh, read_axes)
 from .model import POSITIVE, REF, REFS, TEXT, IfcModel, read
 
 
 class Extrusion(NamedTuple):
     """An extruded area solid; ``frame`` is its ``Position``. ``bbox`` (x0, y0,
-    x1, y1) and ``area`` are the profile's in ``frame``; ``polygon`` is None for
-    a rectangle not turned in its own ``Position``."""
+    x1, y1), ``area`` and the checked ``outline`` are the profile's in
+    ``frame``."""
 
     bbox: tuple[float, float, float, float]
     area: float
     depth: float
     direction: Point3
     frame: Placement
-    polygon: Polygon2 | None
-
-    @property
-    def outline(self) -> Polygon2:
-        """The profile; a rectangle runs counter-clockwise from (x0, y0)."""
-        if self.polygon is not None:
-            return self.polygon
-        x0, y0, x1, y1 = self.bbox
-        return Polygon2([(x0, y0), (x1, y0), (x1, y1), (x0, y1)])
+    outline: Polygon2
 
 
 class WallAxis(NamedTuple):
@@ -84,21 +79,24 @@ def body_of(model: IfcModel, entity_id: int) -> Extrusion | TriMesh | None:
 
 
 def _decode_extrusion(model: IfcModel, solid) -> Extrusion | None:
-    """None for a profile class other than a rectangle or a polyline polygon.
-    A rectangle turned in its ``Position`` is kept as its corners' polygon."""
+    """None for a profile class other than a rectangle or a polyline polygon."""
     profile = read(model, solid, "SweptArea", REF, InvalidBody)
-    polygon = None
     if profile.class_name == "IFCRECTANGLEPROFILEDEF":
         xdim = read(model, profile, "XDim", POSITIVE, InvalidBody)
         ydim = read(model, profile, "YDim", POSITIVE, InvalidBody)
-        (ox, oy, _oz), _z, (ux, uy, _uz), (vx, vy, _vz) = _position(model, profile)
+        (ox, oy, _oz), z_axis, (ux, uy, _uz), (vx, vy, _vz) = _position(model, profile)
         x, y = xdim / 2, ydim / 2
-        corners = [(ox + a * ux + b * vx, oy + a * uy + b * vy)  # its frame's (a, b, 0)
+        corners = [Point2(ox + a * ux + b * vx, oy + a * uy + b * vy)  # its frame's (a, b, 0)
                    for a, b in ((-x, -y), (x, -y), (x, y), (-x, y))]
-        if (ux, uy) != (1.0, 0.0):
-            polygon = Polygon2(corners)
         xs, ys = zip(*corners)
         bbox = (min(xs), min(ys), max(xs), max(ys))
+        largest = max(-bbox[0], -bbox[1], bbox[2], bbox[3])  # the largest |coordinate|
+        # checked_polygon must accept corners that run counter-clockwise (the
+        # frame faces up), whose area terms cannot overflow (up to 1e150) and
+        # whose sides are too long for rounding at that size to merge, cross
+        # or flatten them: only other corners are checked
+        outline = Polygon2(tuple(corners)) if z_axis == WORLD.z_axis and largest <= 1e150 \
+            and min(xdim, ydim) >= max(2 * POINT_TOL, 1e-6 * largest) else checked_polygon(corners)
         area = xdim * ydim
     elif profile.class_name == "IFCARBITRARYCLOSEDPROFILEDEF":
         curve = read(model, profile, "OuterCurve", REF, InvalidBody)
@@ -107,14 +105,14 @@ def _decode_extrusion(model: IfcModel, solid) -> Extrusion | None:
         if len(points) > 1 and math.hypot(points[0].x - points[-1].x,
                                           points[0].y - points[-1].y) < 1e-9:
             points = points[:-1]
-        polygon = Polygon2(points)
-        bbox, area = polygon.bounds(), polygon_area(polygon)
+        outline = checked_polygon(points)
+        bbox, area = outline.bounds(), polygon_area(outline)
     else:
         return None
     direction = read(model, solid, "ExtrudedDirection", REF, InvalidBody)
     ratios = read(model, direction, "DirectionRatios", (3,), InvalidBody)
     return Extrusion(bbox, area, read(model, solid, "Depth", POSITIVE, InvalidBody),
-                     Point3(*ratios), _position(model, solid), polygon)
+                     Point3(*ratios), _position(model, solid), outline)
 
 
 def _decode_brep(model: IfcModel, brep) -> TriMesh:

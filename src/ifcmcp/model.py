@@ -759,9 +759,15 @@ def psets_of(model: IfcModel, entity_id: int) -> dict[str, dict[str, object]]:
 
 
 def add_property_set(model: IfcModel, guid: str, spec: PropertySpec) -> str:
-    """Attach or merge a property set; returns the pset GlobalId."""
+    """Attach or merge a property set on the product ``guid``; returns the
+    pset GlobalId."""
+    return write_property_set(model, model.require_guid(guid), spec)
+
+
+def write_property_set(model: IfcModel, inst: EntityInstance, spec: PropertySpec) -> str:
+    """Attach or merge a property set on ``inst``, which need not have a
+    GlobalId; returns the pset GlobalId."""
     spec.validate()
-    inst = model.require_guid(guid)
     _rel, pset = find_pset_rel(model, inst.id, spec.pset_name)
     if pset is None:
         prop_ids = [

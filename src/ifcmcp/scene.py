@@ -201,13 +201,16 @@ def get_door_properties(model: IfcModel, guid: str) -> dict:
         x0, _y0, x1, _y1 = body.bbox
         width = _round(x1 - x0)
         height = _round(body.depth)
-    rels = _relationships(model, inst.id)
-    host_wall = rels.get("host_wall")
+    # the wall voided by an opening the door fills; the last one wins, as in
+    # _relationships. The sill is the door's height in the wall's axis frame,
+    # the frame create_door places its opening in
+    hosts = [wall_id for opening_id in model.linked(inst.id, "IFCRELFILLSELEMENT", RELATED)
+             for wall_id in model.linked(opening_id, "IFCRELVOIDSELEMENT", RELATED)]
     sill = 0.0
-    if host_wall:
-        wall = model.require_guid(host_wall)
-        sill = _round(model.placement_of(inst.id).origin.z
-                      - model.placement_of(wall.id).origin.z)
+    if hosts:
+        axis = measure.wall_axis(model, hosts[-1])
+        sill = None if axis is None else \
+            _round(axis.placement.to_local(model.placement_of(inst.id).origin).z)
     storey_id = model.storey_of(inst.id)
     return {
         "guid": guid,
@@ -215,7 +218,7 @@ def get_door_properties(model: IfcModel, guid: str) -> dict:
         "width": width,
         "height": height,
         "sill_height": sill,
-        "host_wall": host_wall,
+        "host_wall": model.guid_of(hosts[-1]) if hosts else None,
         "storey": _name_of(model, storey_id) if storey_id is not None else None,
         "swing": None,
     }

@@ -66,12 +66,18 @@ def _at_most(v, bound) -> bool:
     return len(v) <= bound
 
 
+def _echo(v) -> str:
+    """``repr(v)`` as a violation echoes it: at most 200 characters, then ``...``."""
+    text = repr(v)
+    return text if len(text) <= 200 else text[:200] + "..."
+
+
 def _too_few(noun_for_more: str) -> Callable:
-    return lambda v, bound: f"{v!r} {'should be non-empty' if bound == 1 else noun_for_more}"
+    return lambda v, bound: f"{_echo(v)} {'should be non-empty' if bound == 1 else noun_for_more}"
 
 
 def _too_many(v, bound) -> str:
-    return f"{v!r} {'is expected to be empty' if bound == 0 else 'is too long'}"
+    return f"{_echo(v)} {'is expected to be empty' if bound == 0 else 'is too long'}"
 
 
 def _integral(v, types) -> bool:
@@ -85,12 +91,14 @@ def _integral(v, types) -> bool:
 # additionalProperties and items only descend.
 _RULES: dict[str, tuple] = {
     "type": (None, _integral,
-             lambda v, b: f"{v!r} is not of type {', '.join(map(repr, b))}"),
-    "enum": (None, lambda v, b: v in b, lambda v, b: f"{v!r} is not one of {b!r}"),
-    "minimum": ("number", operator.ge, lambda v, b: f"{v!r} is less than the minimum of {b!r}"),
-    "maximum": ("number", operator.le, lambda v, b: f"{v!r} is greater than the maximum of {b!r}"),
+             lambda v, b: f"{_echo(v)} is not of type {', '.join(map(repr, b))}"),
+    "enum": (None, lambda v, b: v in b, lambda v, b: f"{_echo(v)} is not one of {b!r}"),
+    "minimum": ("number", operator.ge,
+                lambda v, b: f"{_echo(v)} is less than the minimum of {b!r}"),
+    "maximum": ("number", operator.le,
+                lambda v, b: f"{_echo(v)} is greater than the maximum of {b!r}"),
     "exclusiveMinimum": ("number", operator.gt,
-                         lambda v, b: f"{v!r} is less than or equal to the minimum of {b!r}"),
+                         lambda v, b: f"{_echo(v)} is less than or equal to the minimum of {b!r}"),
     "minLength": ("string", _at_least, _too_few("is too short")),
     "maxLength": ("string", _at_most, _too_many),
     "minItems": ("array", _at_least, _too_few("is too short")),
@@ -199,7 +207,8 @@ def _class_check(node: CompiledSchema, cls: type) -> Callable:
         for key, value in members(v):
             inner = properties.get(key, other)[value.__class__](value)
             if inner:
-                found += [(f"/{key}{path}", message) for path, message in inner]
+                token = str(key).replace("~", "~0").replace("/", "~1")  # RFC 6901
+                found += [(f"/{token}{path}", message) for path, message in inner]
         return found
     return check
 
@@ -239,7 +248,8 @@ class ToolDescriptor(namedtuple("ToolDescriptor", "name group description proper
 
 
 def validate_args(schema: CompiledSchema, args) -> list[dict]:
-    """Schema violations as (json-pointer path, message) pairs, sorted; no coercion."""
+    """Schema violations as (JSON pointer, message) pairs, sorted; no coercion.
+    A message echoes the rejected value's ``repr``, cut after 200 characters."""
     found = schema[args.__class__](args)
     return [{"path": path, "message": message} for path, message in
             sorted((path or "/", message) for path, message in found)] if found else []

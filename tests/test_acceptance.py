@@ -13,7 +13,7 @@ import time
 from pathlib import Path
 
 from ifcmcp import builders, dsl, measure, scene, snapshot
-from ifcmcp.geometry import Polygon2, checked_mesh
+from ifcmcp.geometry import checked_mesh, checked_polygon
 from ifcmcp.guid import guid_decode, guid_encode
 from ifcmcp.knowledge import index_corpus
 from ifcmcp.model import new_model, open_model, psets_of
@@ -185,13 +185,13 @@ def test_acceptance_5_semantic_edits_trace(tmp_path):
 
 
 def test_acceptance_6_roof_geometry():
-    square = Polygon2([(0, 0), (10, 0), (10, 10), (0, 10)])
+    square = checked_polygon([(0, 0), (10, 0), (10, 10), (0, 10)])
     mesh = hip_roof_solid(square, 30.0, 0.0)
     apex = max(v.z for v in mesh.vertices)
     oracle = 5.0 * math.tan(math.radians(30.0))  # inradius x tan(slope)
     assert abs(apex - oracle) <= 1e-9
 
-    rect = Polygon2([(0, 0), (10, 0), (10, 4), (0, 4)])
+    rect = checked_polygon([(0, 0), (10, 0), (10, 4), (0, 4)])
     mesh = hip_roof_solid(rect, 45.0, 0.0)
     ridge = sorted({(v.x, v.y) for v in mesh.vertices if v.z > 1e-9})
     heights = {round(v.z, 12) for v in mesh.vertices if v.z > 1e-9}

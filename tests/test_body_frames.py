@@ -16,8 +16,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ifcmcp import builders, dsl, measure, snapshot
-from ifcmcp.geometry import Polygon2, prism_mesh
+from ifcmcp import builders, dsl, measure, scene, snapshot
+from ifcmcp.geometry import checked_polygon, prism_mesh
 from ifcmcp.model import load_model, new_model
 from ifcmcp.step import EntityRef
 
@@ -130,7 +130,9 @@ def test_a_rectangle_turned_in_its_profile_position_is_a_turned_box():
     lo, hi = world_box(model, slab)
     assert [round(v, 12) + 0.0 for v in (lo.x, hi.x, lo.y, hi.y)] == [1.0, 3.0, -1.0, 3.0]
     body = measure.body_of(model, slab)
-    assert body.polygon is not None and body.area == 8.0
+    assert [tuple(round(v, 12) + 0.0 for v in p) for p in body.outline.vertices] == [
+        (3.0, -1.0), (3.0, 3.0), (1.0, 3.0), (1.0, -1.0)]
+    assert body.area == 8.0
     assert measure.element_area(model, slab) == 8.0
 
 
@@ -191,7 +193,7 @@ def test_a_rotation_in_the_solids_measures_as_one_in_the_placements(walls, door)
     model = new_model(guid_seed=17)
     builders.create_slab(model, [(0, 0), (6, 0), (6, 2), (3, 5), (0, 2)], 0.25)
     builders.create_mesh_element(model, "IFCFURNISHINGELEMENT", prism_mesh(
-        Polygon2([(1, 1), (2.5, 1), (2, 2), (1, 1.5)]), 0.8), "Table")
+        checked_polygon([(1, 1), (2.5, 1), (2, 2), (1, 1.5)]), 0.8), "Table")
     for x0, y0, x1, y1 in walls:
         wall = builders.create_wall(model, (x0, y0), (x1, y1), 3.0, 0.2)
     if door:  # its host wall keeps its rotation: the door's placement is relative to it
@@ -263,6 +265,30 @@ def test_the_plan_draws_a_door_gap_along_a_wall_centred_on_its_solid_position():
     assert (round(lo.x, 12), round(hi.x, 12)) == (1.55, 2.45)
     xs = [x for x, _y in _door_gap(model, wall)]
     assert (min(xs), max(xs)) == pytest.approx((1.55, 2.45), abs=1e-3)
+
+
+def test_a_doors_sill_is_its_height_in_its_walls_axis_frame():
+    # the sill was measured between the door's and the wall's ObjectPlacements:
+    # 0.5 for a door on the floor of a wall whose solid stands 0.5 up
+    def raised(model, wall):
+        _set(model.resolve(_solid(model, wall).attributes[1]), 0, _point(model, 0, 0, 0.5))
+
+    model, wall = _one_product(_wall, raised)
+    door, _opening = builders.create_door(model, wall_guid=model.guid_of(wall),
+                                          position_along_axis=2.0)
+    window, _opening = builders.create_window(model, wall_guid=model.guid_of(wall),
+                                              position_along_axis=4.0)
+    model = load_model(model.to_bytes())
+    properties = scene.get_door_properties(model, door)
+    assert (properties["sill_height"], properties["host_wall"]) == (0.0, model.guid_of(wall))
+    # the same frame reads a window's sill
+    axis = measure.wall_axis(model, wall)
+    origin = model.placement_of(model.require_guid(window).id).origin
+    assert axis.placement.to_local(origin).z == pytest.approx(builders.WINDOW_SILL, abs=1e-12)
+    # a host without a wall axis has no sill to read, as a door without a body has no width
+    _set(model.entities[wall], 6, None)
+    model = load_model(model.to_bytes())
+    assert scene.get_door_properties(model, door)["sill_height"] is None
 
 
 _TURN = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(lambda t: t != (0, 0))

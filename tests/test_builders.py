@@ -15,7 +15,7 @@ from ifcmcp.errors import (
     UnknownStorey,
     WallsNotClosed,
 )
-from ifcmcp.geometry import Polygon2, checked_mesh
+from ifcmcp.geometry import checked_mesh, checked_polygon
 from ifcmcp.model import add_storey, load_model, new_model
 
 from conftest import L_OUTLINE, SQUARE_WALLS, signed_volume, world_box
@@ -60,7 +60,7 @@ def test_wall_chain_l_outline(fresh_model):
         measure.wall_axis(fresh_model, fresh_model.by_guid[g]).length
         for g in guids
     )
-    perimeter = sum(math.dist(a, b) for a, b in Polygon2(L_OUTLINE).edges())
+    perimeter = sum(math.dist(a, b) for a, b in checked_polygon(L_OUTLINE).edges())
     assert abs(total - perimeter) < 1e-9
 
 
@@ -170,7 +170,7 @@ def test_roof_over_walls_matches_direct_outline(four_wall_model):
                                               slope_deg=45.0)
     mesh = measure.world_mesh(model, model.by_guid[guid])
     direct = skeleton.hip_roof_solid(
-        Polygon2([(0, 0), (10, 0), (10, 10), (0, 10)]), 45.0, 3.0)
+        checked_polygon([(0, 0), (10, 0), (10, 10), (0, 10)]), 45.0, 3.0)
     assert min(v.z for v in mesh.vertices) == pytest.approx(3.0)  # wall top
     assert max(v.z for v in mesh.vertices) == pytest.approx(
         max(v.z for v in direct.vertices))

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 from ifcmcp import geometry, measure
 from ifcmcp.errors import DegenerateFace, DegeneratePolygon, EmptyMesh, IfcError
-from ifcmcp.geometry import MIN_FACE_AREA, Point3, Polygon2, TriMesh, checked_mesh, prism_mesh
+from ifcmcp.geometry import (MIN_FACE_AREA, Point3, TriMesh, checked_mesh, checked_polygon,
+                             prism_mesh)
 from ifcmcp.model import load_model, new_model
 from ifcmcp.scene import products_in_order
 from ifcmcp.service import Session, handle_request
@@ -117,7 +118,7 @@ def test_checked_mesh_answers_as_every_mesh_was_checked(vertices, faces):
          axis="y")  # sides of 1e-12 m2 on the 1e-6 m edges
 def test_prism_mesh_answers_as_every_mesh_was_checked(outline, depth, axis):
     try:
-        profile = Polygon2(outline)
+        profile = checked_polygon(outline)
     except DegeneratePolygon:
         return
     expected = _outcome(prism_mesh, profile, depth, axis)
@@ -213,7 +214,7 @@ def test_tools_answer_as_when_every_mesh_was_checked(case):
 
 def test_meshes_and_polygons_are_immutable(four_wall_model):
     wall = four_wall_model.by_class["IFCWALL"][0]
-    polygon = Polygon2([(0, 0), (1, 0), (1, 1)])
+    polygon = checked_polygon([(0, 0), (1, 0), (1, 1)])
     for value, field in ((checked_mesh(_CASE["vertices"], _TETRA_FACES), "faces"),
                          (measure.world_mesh(four_wall_model, wall), "vertices"),
                          (polygon, "vertices")):

@@ -14,9 +14,11 @@ from hypothesis import strategies as st
 
 from ifcmcp import builders, dsl
 from ifcmcp.geometry import checked_mesh
-from ifcmcp.model import (add_storey, edit_attributes, load_model, new_model,
+from ifcmcp.model import (add_storey, edit_attributes, load_model, new_model, psets_of,
                           set_pset_property)
 from ifcmcp.service import Session, handle_request, serve_stdio
+
+from conftest import two_wall_step
 
 DSL_QUERIES = Path(__file__).parent / "fixtures" / "dsl_queries.json"
 
@@ -158,6 +160,19 @@ def test_a_template_renders_the_largest_field_values():
     assert ask(session, "walls | list(name)")["result"] == ["W-1" + "0" * 29 + ".0"]
     assert dsl.format_decimal(1.7976931348623157e308) == "17976931348623157" + "0" * 292 + ".0"
     model.to_bytes()
+
+
+def test_set_pset_writes_every_selected_product_one_without_a_global_id_too():
+    # the pset was written by GlobalId: the second wall answered UnknownGuid
+    # after the first had its pset
+    model = load_model(two_wall_step())
+    first, second = sorted(model.by_class["IFCWALL"])
+    data = model.to_bytes().replace(f"'{model.guid_of(second)}'".encode(), b"$", 1)
+    session = Session(load_model(data))
+    reply = ask(session, 'walls | set_pset("P", "x", 1)')
+    assert reply["result"] == {"changed": [session.model.guid_of(first), None], "count": 2}
+    assert ask(session, 'walls | list(pset("P").x)')["result"] == [1, 1]
+    assert psets_of(load_model(session.model.to_bytes()), second) == {"P": {"x": 1}}
 
 
 def test_an_integer_beyond_the_double_range_is_a_type_mismatch():

@@ -17,12 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ifcmcp import builders
+from ifcmcp import builders, scene
 from ifcmcp import knowledge as knowledge_mod
 from ifcmcp import model as model_mod
 from ifcmcp import service as service_mod
 from ifcmcp.errors import DuplicateName
-from ifcmcp.geometry import Polygon2, prism_mesh
+from ifcmcp.geometry import checked_polygon, prism_mesh
 from ifcmcp.knowledge import KnowledgeIndex
 from ifcmcp.model import load_model, new_model
 from ifcmcp.service import (
@@ -459,9 +459,18 @@ def test_sessions_share_the_table_entries_of_their_groups():
 
 
 def _jsonschema_violations(reference, args) -> list[dict]:
-    """The violation list built from a jsonschema validator, the oracle."""
-    violations = [{"path": "/" + "/".join(str(p) for p in error.absolute_path),
-                   "message": error.message} for error in reference.iter_errors(args)]
+    """The violation list built from a jsonschema validator, the oracle: each
+    path segment escaped as RFC 6901 says, and the rejected value's ``repr``
+    that opens a message cut after 200 characters."""
+    def message(error) -> str:
+        echoed = repr(error.instance)
+        if len(echoed) > 200 and error.message.startswith(echoed):
+            return echoed[:200] + "..." + error.message[len(echoed):]
+        return error.message
+
+    violations = [{"path": "/" + "/".join(str(p).replace("~", "~0").replace("/", "~1")
+                                          for p in error.absolute_path),
+                   "message": message(error)} for error in reference.iter_errors(args)]
     return sorted(violations, key=lambda v: (v["path"], v["message"]))
 
 
@@ -485,6 +494,10 @@ def test_validate_args_directly():
     assert validate_args(compiled, {"": 1, "items": 1}) == [
         {"path": "/", "message": "'n' is a required property"},
         {"path": "/items", "message": "1 is not of type 'array'"}]
+    # a path is an RFC 6901 pointer, and an echoed repr is cut after 200 characters
+    numbers = CompiledSchema({"type": "object", "additionalProperties": {"type": "number"}})
+    assert validate_args(numbers, {"~/": "x" * 300}) == [
+        {"path": "/~0~1", "message": "'" + "x" * 199 + "... is not of type 'number'"}]
 
 
 def test_cached_validator_reports_like_a_fresh_one(session):
@@ -1168,7 +1181,7 @@ def test_malformed_body_records_are_in_band_errors(product, record_of, index, at
         "slab": builders.create_slab(model, [(0, 0), (5, 0), (5, 4), (2, 4), (0, 2)], 0.2),
         "table": builders.create_mesh_element(
             model, "IFCFURNISHINGELEMENT",
-            prism_mesh(Polygon2([(1, 1), (2.5, 1), (2, 2), (1, 1.5)]), 0.8), "Table"),
+            prism_mesh(checked_polygon([(1, 1), (2.5, 1), (2, 2), (1, 1.5)]), 0.8), "Table"),
     }
     record = record_of(model, model.by_guid[guids[product]])
     record.attributes = model_mod._replaced(record.attributes, index, value)
@@ -1252,13 +1265,14 @@ def test_degenerate_extrusions_are_refused_before_any_write(tool, arguments):
 
 
 def test_overflowing_world_box_is_an_in_band_error():
-    # a rectangle profile of finite XDim and location whose box overflows
+    # an extrusion of finite Depth and Position whose box overflows: its top
+    # is 1.7e308 above a Position that stands 1.7e308 up
     model = new_model(guid_seed=9)
     wall = builders.create_wall(model, (0, 0), (5, 0), 3.0, 0.2)
-    profile = _profile(model, model.by_guid[wall])
-    profile.attributes = model_mod._replaced(profile.attributes, 3, 1.7e308)
-    position = model.resolve(profile.attributes[2])
-    point = model.add("IFCCARTESIANPOINT", [(1.7e308, 0.0)])
+    solid = _solid(model, model.by_guid[wall])
+    solid.attributes = model_mod._replaced(solid.attributes, 3, 1.7e308)
+    position = model.resolve(solid.attributes[1])
+    point = model.add("IFCCARTESIANPOINT", [(0.0, 0.0, 1.7e308)])
     position.attributes = model_mod._replaced(position.attributes, 0, EntityRef(point))
     data = model.to_bytes()
     session = Session(load_model(data))
@@ -1317,6 +1331,49 @@ def test_a_file_polygon_whose_area_overflows_is_an_in_band_error():
     assert session.model.to_bytes() == data
 
 
+def _slab_with_rectangle(xdim, ydim, location=None, turn=None) -> tuple[Session, str, bytes]:
+    """A session on a saved and reloaded kit slab whose rectangle profile
+    reads ``xdim`` by ``ydim``, centred on ``location`` and turned by the 2D
+    RefDirection ``turn`` where given; its GlobalId and the file's bytes."""
+    model = new_model(guid_seed=9)
+    slab = builders.create_slab(model, [(0, 0), (4, 0), (4, 3), (0, 3)], 0.2)
+    profile = _profile(model, model.by_guid[slab])
+    profile.attributes = profile.attributes[:3] + (xdim, ydim)
+    position = model.resolve(profile.attributes[2])
+    if location is not None:
+        point = EntityRef(model.add("IFCCARTESIANPOINT", [location]))
+        position.attributes = model_mod._replaced(position.attributes, 0, point)
+    if turn is not None:
+        direction = EntityRef(model.add("IFCDIRECTION", [turn]))
+        position.attributes = model_mod._replaced(position.attributes, 1, direction)
+    data = model.to_bytes()
+    return Session(load_model(data)), slab, data
+
+
+# the verdict was the rotation's: unturned, a thin rectangle read as drawable
+# in the overview, get_object_info and the area, a far-off one was InvalidBody
+# in three tools, and one whose area overflows made the overview answer -32603
+@pytest.mark.parametrize("xdim, ydim, location, turn, message", [
+    (1e-7, 3.0, None, None, "polygon needs at least 3 distinct vertices"),
+    (1e-7, 3.0, None, (0.0, 1.0), "polygon needs at least 3 distinct vertices"),
+    (1.7e308, 3.0, (1.7e308, 0.0), None, "polygon has non-finite coordinates"),
+    # turned, its 1.7e308 side runs along y and its 3 m one is lost at x 1.7e308
+    (1.7e308, 3.0, (1.7e308, 0.0), (0.0, 1.0), "polygon needs at least 3 distinct vertices"),
+    (1e200, 1e200, None, None, "polygon area is too large for a double"),
+], ids=["thin", "thin-turned", "far-off", "far-off-turned", "area-overflows"])
+def test_a_degenerate_rectangle_is_refused_by_every_read_tool(xdim, ydim, location, turn,
+                                                              message):
+    session, slab, data = _slab_with_rectangle(xdim, ydim, location, turn)
+    calls = [("get_ifc_scene_overview", {}), ("get_object_info", {"guid": slab}),
+             ("execute_ifc_query", {"query": "slabs | sum(area)"}), ("capture_plan_view", {}),
+             ("capture_elevation_view", {"view": "south"})]
+    for number, (tool, arguments) in enumerate(calls, start=1):
+        response = call(session, tool, arguments, number)
+        assert payload_of(response).get("error") == {
+            "type": "DegeneratePolygon", "message": message}, (tool, response)
+    assert session.model.to_bytes() == data
+
+
 def test_a_door_by_position_on_a_wall_too_long_to_square_is_placed(session):
     # a position was projected by dividing by the squared axis length, which
     # overflowed: the call answered -32603
@@ -1329,13 +1386,11 @@ def test_a_door_by_position_on_a_wall_too_long_to_square_is_placed(session):
     assert payload_of(call(session, "get_door_properties", {"guid": door["door"]}, 3))["width"] == 0.9
 
 
-def test_overflowing_payload_gets_internal_error_in_strict_json(session):
-    # a file's rectangle profile whose finite sides give an area that
-    # overflows to inf (a tool's outline of that area is refused)
-    outline = [[0, 0], [1, 0], [1, 1], [0, 1]]
-    assert "error" not in call(session, "create_slab", {"outline": outline, "thickness": 0.2})
-    profile = session.model.entities[session.model.by_class["IFCRECTANGLEPROFILEDEF"][-1]]
-    profile.attributes = profile.attributes[:3] + (1e200, 1e200)
+def test_overflowing_payload_gets_internal_error_in_strict_json(session, monkeypatch):
+    # a layer result that is not finite, as a file's overflowing profile
+    # area once was: refused before it reaches the wire as Infinity
+    monkeypatch.setattr(scene, "get_ifc_scene_overview",
+                        lambda model: {"total_floor_area": math.inf})
     lines = [json.dumps({"jsonrpc": "2.0", "id": 7, "method": "tools/call",
                          "params": {"name": "get_ifc_scene_overview", "arguments": {}}})]
     stdout = io.StringIO()

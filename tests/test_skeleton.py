@@ -5,7 +5,7 @@ import math
 import pytest
 
 from ifcmcp.errors import SkeletonFailure, SlopeOutOfRange
-from ifcmcp.geometry import Polygon2
+from ifcmcp.geometry import checked_polygon
 from ifcmcp.skeleton import gable_roof_solid, hip_roof_solid, skeletonize
 
 from conftest import signed_volume
@@ -25,7 +25,7 @@ def ridge_points(mesh, base_z: float = 0.0):
 
 
 def test_square_45_apex_matches_inradius_oracle():
-    mesh = hip_roof_solid(Polygon2(SQUARE), 45.0, 0.0)
+    mesh = hip_roof_solid(checked_polygon(SQUARE), 45.0, 0.0)
     # oracle: apex height = inradius * tan(slope); square inradius = 5
     assert apex_height(mesh) == pytest.approx(5.0 * math.tan(math.radians(45.0)),
                                               abs=1e-9)
@@ -33,13 +33,13 @@ def test_square_45_apex_matches_inradius_oracle():
 
 
 def test_square_30_apex():
-    mesh = hip_roof_solid(Polygon2(SQUARE), 30.0, 0.0)
+    mesh = hip_roof_solid(checked_polygon(SQUARE), 30.0, 0.0)
     assert apex_height(mesh) == pytest.approx(5.0 * math.tan(math.radians(30.0)),
                                               abs=1e-9)
 
 
 def test_rectangle_ridge_height_and_length():
-    mesh = hip_roof_solid(Polygon2(RECT), 45.0, 0.0)
+    mesh = hip_roof_solid(checked_polygon(RECT), 45.0, 0.0)
     ridge = ridge_points(mesh)
     assert len(ridge) == 2
     (x1, y1, z1), (x2, y2, z2) = ridge
@@ -50,7 +50,7 @@ def test_rectangle_ridge_height_and_length():
 
 
 def test_base_z_offsets_entire_mesh():
-    mesh = hip_roof_solid(Polygon2(SQUARE), 30.0, 7.0)
+    mesh = hip_roof_solid(checked_polygon(SQUARE), 30.0, 7.0)
     assert min(v.z for v in mesh.vertices) == pytest.approx(7.0)
     assert apex_height(mesh) == pytest.approx(
         7.0 + 5.0 * math.tan(math.radians(30.0)), abs=1e-9)
@@ -59,13 +59,13 @@ def test_base_z_offsets_entire_mesh():
 @pytest.mark.parametrize("outline", [SQUARE, RECT, L_SHAPE, TEE,
                                      [(0, 0), (8, 0), (10, 6), (4, 10), (-2, 6)]])
 def test_roofs_watertight_and_positive_volume(outline):
-    mesh = hip_roof_solid(Polygon2(outline), 35.0, 0.0)
+    mesh = hip_roof_solid(checked_polygon(outline), 35.0, 0.0)
     assert mesh.is_watertight()
     assert signed_volume(mesh) > 0
 
 
 def test_l_shape_skeleton_structure():
-    subtrees = skeletonize(list(Polygon2(L_SHAPE).vertices))
+    subtrees = skeletonize(list(checked_polygon(L_SHAPE).vertices))
     sources = sorted((round(st.source.x, 6), round(st.source.y, 6),
                       round(st.height, 6)) for st in subtrees)
     assert (2.5, 2.5, 2.5) in sources
@@ -75,13 +75,13 @@ def test_l_shape_skeleton_structure():
 
 def test_slope_out_of_range():
     with pytest.raises(SlopeOutOfRange):
-        hip_roof_solid(Polygon2(SQUARE), 2.0, 0.0)
+        hip_roof_solid(checked_polygon(SQUARE), 2.0, 0.0)
     with pytest.raises(SlopeOutOfRange):
-        hip_roof_solid(Polygon2(SQUARE), 89.0, 0.0)
+        hip_roof_solid(checked_polygon(SQUARE), 89.0, 0.0)
 
 
 def test_gable_rect_ridge():
-    mesh = gable_roof_solid(Polygon2([(0, 0), (10, 0), (10, 8), (0, 8)]),
+    mesh = gable_roof_solid(checked_polygon([(0, 0), (10, 0), (10, 8), (0, 8)]),
                             30.0, 3.0)
     assert mesh.is_watertight()
     expect = 3.0 + 4.0 * math.tan(math.radians(30.0))
@@ -97,20 +97,20 @@ def test_gable_rotated_rectangle():
     c, s = math.cos(math.radians(30)), math.sin(math.radians(30))
     outline = [(0, 0), (10 * c, 10 * s), (10 * c - 4 * s, 10 * s + 4 * c),
                (-4 * s, 4 * c)]
-    mesh = gable_roof_solid(Polygon2(outline), 45.0, 0.0)
+    mesh = gable_roof_solid(checked_polygon(outline), 45.0, 0.0)
     assert mesh.is_watertight()
     assert apex_height(mesh) == pytest.approx(2.0, abs=1e-9)
 
 
 def test_gable_requires_rectangle():
     with pytest.raises(SkeletonFailure):
-        gable_roof_solid(Polygon2(L_SHAPE), 30.0, 0.0)
+        gable_roof_solid(checked_polygon(L_SHAPE), 30.0, 0.0)
     with pytest.raises(SkeletonFailure):
-        gable_roof_solid(Polygon2([(0, 0), (10, 0), (11, 4), (0, 4)]), 30.0, 0.0)
+        gable_roof_solid(checked_polygon([(0, 0), (10, 0), (11, 4), (0, 4)]), 30.0, 0.0)
 
 
 def test_collinear_outline_vertices_handled():
     outline = [(0, 0), (5, 0), (10, 0), (10, 10), (0, 10)]
-    mesh = hip_roof_solid(Polygon2(outline), 45.0, 0.0)
+    mesh = hip_roof_solid(checked_polygon(outline), 45.0, 0.0)
     assert mesh.is_watertight()
     assert apex_height(mesh) == pytest.approx(5.0, abs=1e-9)

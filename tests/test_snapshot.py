@@ -11,7 +11,7 @@ import pytest
 
 from ifcmcp import builders, measure, scene, snapshot
 from ifcmcp.errors import EmptyModel, UnknownGuid
-from ifcmcp.geometry import Polygon2, prism_mesh
+from ifcmcp.geometry import checked_polygon, prism_mesh
 from ifcmcp.model import IfcModel, add_storey, new_model
 from ifcmcp.service import Session, handle_request
 
@@ -135,7 +135,7 @@ def _every_body_kind_model():
     model, handles = build_l_building()
     builders.create_window(model, wall_guid=handles["walls"][1], position_along_axis=2.0)
     builders.create_slab(model, [(6, 6), (9, 6), (8, 9)], 0.2, elevation=1.0)
-    table = prism_mesh(Polygon2([(1, 1), (2.5, 1), (2, 2), (1, 1.5)]), 0.8)
+    table = prism_mesh(checked_polygon([(1, 1), (2.5, 1), (2, 2), (1, 1.5)]), 0.8)
     builders.create_mesh_element(model, "IFCFURNISHINGELEMENT", table, "Table")
     return model
 
@@ -212,7 +212,7 @@ def test_plan_and_overview_read_each_product_once(four_wall_model, monkeypatch):
                          position_along_axis=5.0)
     builders.create_slab(model, [(0, 0), (10, 0), (10, 10), (0, 10)], 0.2)
     builders.create_mesh_element(model, "IFCCOLUMN",
-                                 prism_mesh(Polygon2([(4, 4), (5, 4), (5, 5), (4, 5)]), 3.0),
+                                 prism_mesh(checked_polygon([(4, 4), (5, 4), (5, 5), (4, 5)]), 3.0),
                                  "Column")
     counts = {"body_of": 0, "resolve_placement": 0}
 
