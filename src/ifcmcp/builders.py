@@ -1,9 +1,13 @@
 """Predefined element creation tools: walls, slabs, roofs, openings, stairs.
 
-Every builder validates its parameters, emits the representation subgraph
-through the geometry layer, links containment, and returns the GlobalId(s)
-of what it created. Defaults follow common practice where the user gives
-none: doors 0.9 x 2.1 m, windows 1.2 x 1.4 m with a 0.9 m sill.
+Every builder validates its parameters and builds each product's body as a
+value, a ``geometry.Sweep`` or a ``geometry.weld``-ed mesh. One rule,
+``measure.admit``, checks every body as ``body_of`` will decode it before
+the builder's first write, so a refused call writes nothing and an accepted
+product reads back. Only then does the builder write each body through the
+one emitter, ``geometry.emit_body``, link containment, and return the
+GlobalId(s) of what it created. Defaults follow common practice: doors
+0.9 x 2.1 m, windows 1.2 x 1.4 m with a 0.9 m sill.
 """
 
 from __future__ import annotations
@@ -11,28 +15,11 @@ from __future__ import annotations
 import math
 
 from . import measure, schema
-from .errors import (
-    ClassNotAllowed,
-    InvalidParams,
-    OpeningOutOfBounds,
-    SkeletonFailure,
-    UnknownStorey,
-    WallsNotClosed,
-)
-from .geometry import (
-    WORLD,
-    Placement,
-    Point2,
-    Point3,
-    TriMesh,
-    checked_polygon,
-    dist2,
-    emit_axis2placement3d,
-    extrude_profile,
-    mesh_to_brep,
-    prism_mesh,
-    wall_axis_to_profile,
-)
+from .errors import (ClassNotAllowed, InvalidParams, OpeningOutOfBounds, SkeletonFailure,
+                     UnknownStorey, WallsNotClosed)
+from .geometry import (WORLD, Placement, Point2, Point3, Polygon2, Sweep, TriMesh, checked_polygon,
+                       dist2, emit_axis2placement3d, emit_body, prism_mesh, wall_axis_to_profile,
+                       weld)
 from .model import IfcModel, placement_id
 from .skeleton import gable_roof_solid, hip_roof_solid
 from .step import EntityRef, EnumToken
@@ -43,6 +30,7 @@ WINDOW_WIDTH = 1.2
 WINDOW_HEIGHT = 1.4
 WINDOW_SILL = 0.9
 FLAT_ROOF_THICKNESS = 0.2
+DOWN = Point3(0.0, 0.0, -1.0)
 
 MESH_CLASS_ALLOWLIST = frozenset({
     "IFCBUILDINGELEMENTPROXY", "IFCFURNISHINGELEMENT", "IFCROOF", "IFCSTAIR",
@@ -62,74 +50,76 @@ def _resolve_storey(model: IfcModel, storey_guid: str | None,
     return model.default_storey()
 
 
-def _place(model: IfcModel, parent_lp: int | None, frame: Placement) -> int:
-    a2p = emit_axis2placement3d(model, frame)
-    parent = EntityRef(parent_lp) if parent_lp is not None else None
-    return model.add("IFCLOCALPLACEMENT", [parent, EntityRef(a2p)])
-
-
-def _add_product(model: IfcModel, class_name: str, lp: int, shape: int,
-                 name: str | None, *rest) -> tuple[str, int]:
-    """Add a product placed at ``lp`` with body ``shape``; returns (GlobalId,
-    id). ``rest`` follows the eight attributes every product shares."""
+def _add_product(model: IfcModel, class_name: str, parent: int, frame: Placement,
+                 body: Sweep | TriMesh, name: str | None, *rest,
+                 storey: int | None = None) -> tuple[str, int]:
+    """Write a product with the admitted ``body``, placed at ``frame`` in the
+    placement of the entity ``parent`` and contained in ``storey`` when one is
+    given; returns (GlobalId, id). ``rest`` follows the eight attributes every
+    product shares."""
+    parent_lp = placement_id(model, parent)
+    lp = model.add("IFCLOCALPLACEMENT", [parent_lp and EntityRef(parent_lp),
+                                         EntityRef(emit_axis2placement3d(model, frame))])
+    shape = emit_body(model, body)
     guid = model.guids.fresh()
-    return guid, model.add(class_name, [
-        guid, None, name or model.next_name(class_name), None, None,
-        EntityRef(lp), EntityRef(shape), None, *rest])
+    product = model.add(class_name, [guid, None, name or model.next_name(class_name), None, None,
+                                     EntityRef(lp), EntityRef(shape), None, *rest])
+    if storey is not None:
+        model.contain_in_storey(product, storey)
+    return guid, product
 
 
-def ensure_wall_type(model: IfcModel) -> int:
-    """Singleton default wall type, hidden from the viewport listing."""
-    existing = model.by_class.get("IFCWALLTYPE")
-    if existing:
-        return existing[0]
-    return model.add("IFCWALLTYPE", [
-        model.guids.fresh(), None, "wall", None, None, None, None, None, None,
-        EnumToken("STANDARD"),
-    ])
+def _wall_id(model: IfcModel, guid: str) -> int:
+    wall = model.require_guid(guid)
+    if wall.class_name not in schema.WALL_CLASSES:
+        raise InvalidParams(f"{guid} is not a wall")
+    return wall.id
 
 
-def create_wall(model: IfcModel, start, end, height: float, thickness: float,
-                storey: str | None = None, name: str | None = None) -> str:
+def _create_walls(model: IfcModel, points, height: float, thickness: float,
+                  storey: str | None, name: str | None = None) -> list[str]:
+    """A wall from each point to the next; every wall is admitted before the
+    first is written."""
     if height <= 0:
         raise InvalidParams(f"wall height must be positive, got {height}")
     if thickness <= 0:
         raise InvalidParams(f"wall thickness must be positive, got {thickness}")
-    start = Point2(*(float(v) for v in start))
-    end = Point2(*(float(v) for v in end))
-    if dist2(start, end) < 1e-6:
-        raise InvalidParams("wall start and end points coincide")
+    walls = []
+    for start, end in zip(points, points[1:]):
+        start, end = Point2(*map(float, start)), Point2(*map(float, end))
+        if dist2(start, end) < 1e-6:
+            raise InvalidParams("wall start and end points coincide")
+        profile, frame = wall_axis_to_profile(start, end, thickness)
+        body = Sweep(profile, float(height))
+        measure.admit(body)
+        walls.append((frame, body))
     storey_id = _resolve_storey(model, storey)
+    guids = []
+    for frame, body in walls:
+        guid, wall = _add_product(model, "IFCWALL", storey_id, frame, body, name,
+                                  EnumToken("STANDARD"), storey=storey_id)
+        # one default wall type, hidden from the viewport listing
+        wall_type = model.by_class.get("IFCWALLTYPE") or [model.add("IFCWALLTYPE", [
+            model.guids.fresh(), None, "wall", None, None, None, None, None, None,
+            EnumToken("STANDARD")])]
+        model.relate("IFCRELDEFINESBYTYPE", wall_type[0], wall)
+        guids.append(guid)
+    return guids
 
-    profile, frame = wall_axis_to_profile(start, end, thickness)
-    prism_mesh(profile, height)  # a face an elevation cannot draw: DegenerateFace before any write
-    lp = _place(model, placement_id(model, storey_id), frame)
-    shape = extrude_profile(model, profile, height)
-    guid, wall = _add_product(model, "IFCWALL", lp, shape, name, EnumToken("STANDARD"))
-    model.contain_in_storey(wall, storey_id)
-    model.relate("IFCRELDEFINESBYTYPE", ensure_wall_type(model), wall)
-    return guid
+
+def create_wall(model: IfcModel, start, end, height: float, thickness: float,
+                storey: str | None = None, name: str | None = None) -> str:
+    return _create_walls(model, [start, end], height, thickness, storey, name)[0]
 
 
 def create_wall_chain(model: IfcModel, points, height: float, thickness: float,
                       close: bool = False, storey: str | None = None) -> list[str]:
-    pts = [Point2(*(float(v) for v in p)) for p in points]
-    if len(pts) < 2:
+    if len(points) < 2:
         raise InvalidParams("wall chain needs at least 2 points")
-    for a, b in zip(pts, pts[1:]):
-        if dist2(a, b) < 1e-6:
-            raise InvalidParams("consecutive chain points coincide")
-    segments = list(zip(pts, pts[1:]))
-    if close:
-        if len(pts) < 3:
-            raise InvalidParams("closing a chain needs at least 3 points")
-        if dist2(pts[-1], pts[0]) < 1e-6:
-            raise InvalidParams("closing segment has zero length")
-        segments.append((pts[-1], pts[0]))
-    return [
-        create_wall(model, a, b, height, thickness, storey=storey)
-        for a, b in segments
-    ]
+    if close and len(points) < 3:
+        raise InvalidParams("closing a chain needs at least 3 points")
+    return _create_walls(model, [*points, points[0]] if close else points, height, thickness,
+                         storey)
 
 
 def create_slab(model: IfcModel, outline, thickness: float, elevation: float = 0.0,
@@ -139,14 +129,12 @@ def create_slab(model: IfcModel, outline, thickness: float, elevation: float = 0
     poly = checked_polygon(outline)
     storey_id = _resolve_storey(model, storey, elevation=elevation)
     local_z = elevation - model.storey_elevation(storey_id)
-    prism_mesh(poly, thickness)  # a face an elevation cannot draw: DegenerateFace before any write
-    lp = _place(model, placement_id(model, storey_id),
-                WORLD._replace(origin=Point3(0.0, 0.0, local_z)))
     # top face at the given elevation: extrude downward by the thickness
-    shape = extrude_profile(model, poly, thickness, direction=Point3(0.0, 0.0, -1.0))
-    guid, slab = _add_product(model, "IFCSLAB", lp, shape, name, EnumToken("FLOOR"))
-    model.contain_in_storey(slab, storey_id)
-    return guid
+    body = Sweep(poly, float(thickness), DOWN)
+    measure.admit(body)
+    frame = WORLD._replace(origin=Point3(0.0, 0.0, local_z))
+    return _add_product(model, "IFCSLAB", storey_id, frame, body, name, EnumToken("FLOOR"),
+                        storey=storey_id)[0]
 
 
 def create_roof(model: IfcModel, outline, style: str = "hip",
@@ -158,34 +146,19 @@ def create_roof(model: IfcModel, outline, style: str = "hip",
     storey_id = model.storey_for_elevation(base_z)
     local_z = base_z - model.storey_elevation(storey_id)
     warnings: list[str] = []
-
-    mesh: TriMesh | None = None
-    predefined = "FLAT_ROOF"
-    if style == "gable":
-        try:
-            mesh = gable_roof_solid(poly, slope_deg, 0.0)
-            predefined = "GABLE_ROOF"
-        except SkeletonFailure as exc:
-            warnings.append(f"gable roof unavailable ({exc}); using hip roof")
-            style = "hip"
-    if style == "hip":
-        try:
-            mesh = hip_roof_solid(poly, slope_deg, 0.0)
-            predefined = "HIP_ROOF"
-        except SkeletonFailure as exc:
-            warnings.append(f"hip roof unavailable ({exc}); using flat roof")
-            style = "flat"
-    if style == "flat":
-        prism_mesh(poly, FLAT_ROOF_THICKNESS)  # DegenerateFace before any write
-
-    lp = _place(model, placement_id(model, storey_id),
-                WORLD._replace(origin=Point3(0.0, 0.0, local_z)))
-    if style == "flat":
-        shape = extrude_profile(model, poly, FLAT_ROOF_THICKNESS)
-    else:
-        shape = mesh_to_brep(model, mesh)
-    guid, roof = _add_product(model, "IFCROOF", lp, shape, name, EnumToken(predefined))
-    model.contain_in_storey(roof, storey_id)
+    body, predefined = Sweep(poly, FLAT_ROOF_THICKNESS), "FLAT_ROOF"
+    for kind, solid, fallback in (("gable", gable_roof_solid, "hip"),
+                                  ("hip", hip_roof_solid, "flat")):
+        if style == kind:
+            try:
+                body, predefined = weld(solid(poly, slope_deg, 0.0)), f"{kind.upper()}_ROOF"
+            except SkeletonFailure as exc:
+                warnings.append(f"{kind} roof unavailable ({exc}); using {fallback} roof")
+                style = fallback
+    measure.admit(body)
+    guid, _roof = _add_product(model, "IFCROOF", storey_id,
+                               WORLD._replace(origin=Point3(0.0, 0.0, local_z)), body, name,
+                               EnumToken(predefined), storey=storey_id)
     return guid, warnings
 
 
@@ -196,31 +169,22 @@ def create_roof_over_walls(model: IfcModel, wall_guids: list[str],
         raise WallsNotClosed("need at least 3 walls to outline a roof")
     axes = []
     for guid in wall_guids:
-        inst = model.require_guid(guid)
-        axis = measure.wall_axis(model, inst.id)
+        axis = measure.wall_axis(model, _wall_id(model, guid))
         if axis is None:
             raise InvalidParams(f"{guid} is not a wall with an axis profile")
         axes.append(axis)
 
     tol = 1e-6
     ends = [(Point2(*axis.start[:2]), Point2(*axis.end[:2])) for axis in axes]
-    remaining = list(range(1, len(ends)))
-    loop = list(ends[0])
-    while remaining:
+    loop = list(ends.pop(0))
+    while ends:  # the first wall, in order, with an end at the loop's tail
         tail = loop[-1]
-        hit = None
-        for index in remaining:
-            s, e = ends[index]
-            if dist2(s, tail) < tol:
-                hit, nxt = index, e
-                break
-            if dist2(e, tail) < tol:
-                hit, nxt = index, s
-                break
+        hit = next((k for k, (s, e) in enumerate(ends)
+                    if dist2(s, tail) < tol or dist2(e, tail) < tol), None)
         if hit is None:
             raise WallsNotClosed("wall endpoints do not chain into a loop")
-        remaining.remove(hit)
-        loop.append(nxt)
+        s, e = ends.pop(hit)
+        loop.append(e if dist2(s, tail) < tol else s)
     if dist2(loop[-1], loop[0]) > tol:
         raise WallsNotClosed("wall chain does not return to its start")
     base_z = max(axis.start.z + axis.height for axis in axes)
@@ -237,19 +201,19 @@ def _project_on_axis(axis: measure.WallAxis, point: Point2) -> tuple[float, floa
     return nearest, math.hypot(along - nearest, across)
 
 
-def _nearest_wall(model: IfcModel, point: Point2) -> tuple[int, float]:
-    """Wall id and axis parameter (metres along axis) nearest to a 2D point."""
+def _nearest_wall(model: IfcModel, point: Point2) -> int:
+    """Id of the wall whose axis passes nearest to a 2D point."""
     best = None
     for wall_id in model.ids_of(schema.WALL_CLASSES.__contains__):
         axis = measure.wall_axis(model, wall_id)
         if axis is None:
             continue
-        along, distance = _project_on_axis(axis, point)
-        if best is None or distance < best[2]:
-            best = (wall_id, along, distance)
+        _along, distance = _project_on_axis(axis, point)
+        if best is None or distance < best[1]:
+            best = (wall_id, distance)
     if best is None:
         raise InvalidParams("model has no walls to host the opening")
-    return best[0], best[1]
+    return best[0]
 
 
 def _create_filled_opening(model: IfcModel, filler_class: str,
@@ -262,18 +226,15 @@ def _create_filled_opening(model: IfcModel, filler_class: str,
     if sill < 0:
         raise InvalidParams("sill height cannot be negative")
 
+    point = None if position is None else Point2(float(position[0]), float(position[1]))
     if wall_guid is not None:
-        wall = model.require_guid(wall_guid)
-        if wall.class_name not in schema.WALL_CLASSES:
-            raise InvalidParams(f"{wall_guid} is not a wall")
-        wall_id = wall.id
-        if position_along_axis is None and position is None:
+        wall_id = _wall_id(model, wall_guid)
+        if position_along_axis is None and point is None:
             raise InvalidParams("provide position_along_axis or a position point")
+    elif point is None:
+        raise InvalidParams("provide a wall GUID or a position point")
     else:
-        if position is None:
-            raise InvalidParams("provide a wall GUID or a position point")
-        point = Point2(float(position[0]), float(position[1]))
-        wall_id, position_along_axis = _nearest_wall(model, point)
+        wall_id, position_along_axis = _nearest_wall(model, point), None
 
     body = measure.body_of(model, wall_id)
     if not isinstance(body, measure.Extrusion):
@@ -281,7 +242,6 @@ def _create_filled_opening(model: IfcModel, filler_class: str,
     # the axis in the body's frame under the wall's ObjectPlacement
     axis = measure.axis(body, body.frame)
     if position_along_axis is None:
-        point = Point2(float(position[0]), float(position[1]))
         world = measure.axis(body, measure.world_frame(body, model.placement_of(wall_id)))
         position_along_axis, _distance = _project_on_axis(world, point)
     pos = float(position_along_axis)
@@ -296,22 +256,18 @@ def _create_filled_opening(model: IfcModel, filler_class: str,
             f"{axis.height:.3f} m"
         )
 
-    thickness = axis.thickness
-    half_w = width / 2
-    box = checked_polygon([(-half_w, -thickness / 2), (half_w, -thickness / 2),
-                           (half_w, thickness / 2), (-half_w, thickness / 2)])
-    prism_mesh(box, height)  # a face an elevation cannot draw: DegenerateFace before any write
+    x, y = width / 2, axis.thickness / 2
+    # the opening's and its filler's body; admitting it checks the box
+    body = Sweep(Polygon2((Point2(-x, -y), Point2(x, -y), Point2(x, y), Point2(-x, y))),
+                 float(height))
+    measure.admit(body)
 
     frame = axis.placement._replace(origin=axis.placement.to_world(Point3(pos, 0.0, sill)))
-    opening_lp = _place(model, placement_id(model, wall_id), frame)
-    opening_shape = extrude_profile(model, box, height)
-    opening_guid, opening = _add_product(model, "IFCOPENINGELEMENT", opening_lp,
-                                         opening_shape, None, EnumToken("OPENING"))
+    opening_guid, opening = _add_product(model, "IFCOPENINGELEMENT", wall_id, frame, body, None,
+                                         EnumToken("OPENING"))
     model.relate("IFCRELVOIDSELEMENT", wall_id, opening)
 
-    filler_lp = _place(model, opening_lp, WORLD)
-    filler_shape = extrude_profile(model, box, height)
-    filler_guid, filler = _add_product(model, filler_class, filler_lp, filler_shape, name,
+    filler_guid, filler = _add_product(model, filler_class, opening, WORLD, body, name,
                                        float(height), float(width), None, None, None)
     model.relate("IFCRELFILLSELEMENT", opening, filler)
     storey_id = model.storey_of(wall_id) or model.default_storey()
@@ -355,7 +311,8 @@ def create_stairs(model: IfcModel, origin, direction_deg: float,
         profile_pts.append((i * tread, (i + 1) * riser))
         profile_pts.append((i * tread, i * riser))
     profile_pts.append((0.0, riser))
-    mesh = prism_mesh(checked_polygon(profile_pts), width, axis="y")
+    body = weld(prism_mesh(checked_polygon(profile_pts), width, axis="y"))
+    measure.admit(body)
 
     origin = Point3(*(float(v) for v in origin))
     storey_id = model.storey_for_elevation(origin.z)
@@ -364,12 +321,8 @@ def create_stairs(model: IfcModel, origin, direction_deg: float,
     x_axis = Point3(math.cos(angle), math.sin(angle), 0.0)
     frame = Placement(Point3(origin.x, origin.y, local_z), WORLD.z_axis, x_axis,
                       Point3(-x_axis.y, x_axis.x, 0.0))
-    lp = _place(model, placement_id(model, storey_id), frame)
-    shape = mesh_to_brep(model, mesh)
-    guid, stair = _add_product(model, "IFCSTAIR", lp, shape, name,
-                               EnumToken("STRAIGHT_RUN_STAIR"))
-    model.contain_in_storey(stair, storey_id)
-    return guid
+    return _add_product(model, "IFCSTAIR", storey_id, frame, body, name,
+                        EnumToken("STRAIGHT_RUN_STAIR"), storey=storey_id)[0]
 
 
 def create_mesh_element(model: IfcModel, ifc_class: str, mesh: TriMesh,
@@ -380,10 +333,9 @@ def create_mesh_element(model: IfcModel, ifc_class: str, mesh: TriMesh,
             f"{ifc_class} is not an allowed class for mesh elements"
         )
     storey_id = _resolve_storey(model, storey)
-    lp = _place(model, placement_id(model, storey_id), WORLD)
-    shape = mesh_to_brep(model, mesh)
+    body = weld(mesh)
+    measure.admit(body)
     # PredefinedType, left unset, where the class has one
     rest = [None] if len(schema.ATTRIBUTES[ifc_class]) > 8 else []
-    guid, element = _add_product(model, ifc_class, lp, shape, name, *rest)
-    model.contain_in_storey(element, storey_id)
-    return guid
+    return _add_product(model, ifc_class, storey_id, WORLD, body, name, *rest,
+                        storey=storey_id)[0]

@@ -3,7 +3,9 @@
 All coordinates are metres; point equality uses a 1e-6 m tolerance
 throughout. A value is checked once, where it enters the kit
 (``checked_polygon``, ``checked_mesh``, ``read_axes``); one derived from
-checked values is built directly.
+checked values is built directly. A body a tool writes, a ``Sweep`` or a
+``weld``-ed mesh, is checked by ``measure.admit`` before the tool's first
+write; ``emit_body``, the one emitter of both kinds, checks nothing.
 """
 
 from __future__ import annotations
@@ -12,13 +14,7 @@ import math
 from itertools import chain
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import (
-    DegenerateFace,
-    DegeneratePolygon,
-    EmptyMesh,
-    NonPositiveDepth,
-    ZeroLengthAxis,
-)
+from .errors import DegenerateFace, DegeneratePolygon, EmptyMesh, NonPositiveDepth, ZeroLengthAxis
 from .model import REF, read
 from .step import EntityRef, EnumToken
 
@@ -70,10 +66,6 @@ class Polygon2(NamedTuple):
 
     def bounds(self) -> tuple[float, float, float, float]:
         return (*map(min, zip(*self.vertices)), *map(max, zip(*self.vertices)))
-
-    def is_axis_aligned_rect(self) -> bool:
-        return len(self.vertices) == 4 and all(
-            abs(a.x - b.x) < POINT_TOL or abs(a.y - b.y) < POINT_TOL for a, b in self.edges())
 
 
 def checked_polygon(points) -> Polygon2:
@@ -413,16 +405,14 @@ def prism_mesh(profile: Polygon2, depth: float, axis: str = "z") -> TriMesh:
 
 def wall_axis_to_profile(start: Point2, end: Point2,
                          thickness: float) -> tuple[Polygon2, Placement]:
-    """Rectangle profile centred on the wall axis plus its local frame."""
-    start = Point2(*start)
-    end = Point2(*end)
+    """Rectangle profile centred on the wall axis plus its local frame; the
+    wall's admission checks the profile."""
     length = dist2(start, end)
     if length < POINT_TOL:
         raise ZeroLengthAxis("wall start and end points coincide")
-    if thickness <= 0:
-        raise DegeneratePolygon(f"thickness must be positive, got {thickness}")
     half = thickness / 2.0
-    profile = checked_polygon([(0.0, -half), (length, -half), (length, half), (0.0, half)])
+    profile = Polygon2((Point2(0.0, -half), Point2(length, -half), Point2(length, half),
+                        Point2(0.0, half)))
     dx, dy = (end.x - start.x) / length, (end.y - start.y) / length
     # the axes are unit and orthogonal by construction
     x_axis = Point3(dx, dy, 0.0)
@@ -449,69 +439,84 @@ def emit_axis2placement3d(model: "IfcModel", frame: Placement) -> int:
     return model.add("IFCAXIS2PLACEMENT3D", [EntityRef(location), axis, ref_dir])
 
 
-def _emit_profile(model: "IfcModel", poly: Polygon2) -> int:
-    if poly.is_axis_aligned_rect():
-        x0, y0, x1, y1 = poly.bounds()
-        centre = model.add("IFCCARTESIANPOINT",
-                           [(_xy((x0 + x1) / 2.0), _xy((y0 + y1) / 2.0))])
-        position = model.add("IFCAXIS2PLACEMENT2D", [EntityRef(centre), None])
-        return model.add(
-            "IFCRECTANGLEPROFILEDEF",
-            [EnumToken("AREA"), None, EntityRef(position), x1 - x0, y1 - y0],
-        )
-    point_ids = [
-        model.add("IFCCARTESIANPOINT", [(_xy(p.x), _xy(p.y))]) for p in poly.vertices
-    ]
-    point_ids.append(point_ids[0])  # closed curve repeats the first point
-    polyline = model.add("IFCPOLYLINE", [tuple(EntityRef(i) for i in point_ids)])
-    return model.add(
-        "IFCARBITRARYCLOSEDPROFILEDEF",
-        [EnumToken("AREA"), None, EntityRef(polyline)],
-    )
+class Sweep(NamedTuple):
+    """An extruded area solid as a create tool writes it: ``profile`` swept
+    ``depth`` metres along ``direction``, from an unturned ``Position``.
+    ``measure.admit`` gives the body ``body_of`` decodes from it."""
+
+    profile: Polygon2
+    depth: float
+    direction: Point3 = _Z
 
 
-def extrude_profile(model: "IfcModel", poly: Polygon2, depth: float,
-                    direction: Point3 = Point3(0.0, 0.0, 1.0)) -> int:
-    """Emit a swept-solid body representation; returns the product shape id."""
-    if depth <= 0:
-        raise NonPositiveDepth(f"extrusion depth must be positive, got {depth}")
-    profile = _emit_profile(model, poly)
+def rectangle_record(poly: Polygon2) -> tuple[Point2, float, float] | None:
+    """The centre, XDim and YDim a rectangle profile of ``poly`` holds; None
+    unless ``poly`` is an axis-aligned rectangle, which is written as one."""
+    if len(poly.vertices) != 4 or not all(
+            abs(a.x - b.x) < POINT_TOL or abs(a.y - b.y) < POINT_TOL for a, b in poly.edges()):
+        return None
+    x0, y0, x1, y1 = poly.bounds()
+    return Point2(_xy((x0 + x1) / 2.0), _xy((y0 + y1) / 2.0)), x1 - x0, y1 - y0
+
+
+def weld(mesh: TriMesh) -> TriMesh:
+    """``mesh`` as a brep holds it: vertices that round alike at 1e-9 m are
+    one point, the first of them. Welding can flatten a face, so a tool
+    admits the welded mesh."""
+    keys: dict[tuple[float, float, float], int] = {}
+    points: list[Point3] = []
+    index = []
+    for x, y, z in mesh.vertices:
+        index.append(keys.setdefault((round(x, 9), round(y, 9), round(z, 9)), len(keys)))
+        if index[-1] == len(points):
+            points.append(Point3(_xy(x), _xy(y), _xy(z)))
+    return TriMesh(tuple(points), tuple((index[a], index[b], index[c]) for a, b, c in mesh.faces))
+
+
+def extrude_profile(model: "IfcModel", body: Sweep) -> int:
+    """Write a sweep's extruded area solid, its profile a rectangle or a
+    closed polyline; returns its id."""
+    rectangle = rectangle_record(body.profile)
+    if rectangle is not None:
+        centre, xdim, ydim = rectangle
+        position = model.add("IFCAXIS2PLACEMENT2D",
+                             [EntityRef(model.add("IFCCARTESIANPOINT", [tuple(centre)])), None])
+        profile = model.add("IFCRECTANGLEPROFILEDEF",
+                            [EnumToken("AREA"), None, EntityRef(position), xdim, ydim])
+    else:
+        point_ids = [model.add("IFCCARTESIANPOINT", [(_xy(p.x), _xy(p.y))])
+                     for p in body.profile.vertices]
+        point_ids.append(point_ids[0])  # closed curve repeats the first point
+        polyline = model.add("IFCPOLYLINE", [tuple(EntityRef(i) for i in point_ids)])
+        profile = model.add("IFCARBITRARYCLOSEDPROFILEDEF",
+                            [EnumToken("AREA"), None, EntityRef(polyline)])
     position = emit_axis2placement3d(model, WORLD)
-    dir_id = model.add("IFCDIRECTION", [(direction.x, direction.y, direction.z)])
-    solid = model.add(
-        "IFCEXTRUDEDAREASOLID",
-        [EntityRef(profile), EntityRef(position), EntityRef(dir_id), float(depth)],
-    )
-    rep = model.add(
-        "IFCSHAPEREPRESENTATION",
-        [EntityRef(model.context_id), "Body", "SweptSolid", (EntityRef(solid),)],
-    )
-    return model.add("IFCPRODUCTDEFINITIONSHAPE", [None, None, (EntityRef(rep),)])
+    direction = model.add("IFCDIRECTION", [tuple(body.direction)])
+    return model.add("IFCEXTRUDEDAREASOLID", [EntityRef(profile), EntityRef(position),
+                                              EntityRef(direction), body.depth])
 
 
 def mesh_to_brep(model: "IfcModel", mesh: TriMesh) -> int:
-    """Emit a faceted-brep body for a triangle mesh; vertices deduplicated."""
-    key_to_id: dict[tuple[float, float, float], int] = {}
-    ids: list[int] = []
-    for v in mesh.vertices:
-        key = (round(v.x, 9), round(v.y, 9), round(v.z, 9))
-        point_id = key_to_id.get(key)
-        if point_id is None:
-            point_id = model.add("IFCCARTESIANPOINT", [(_xy(v.x), _xy(v.y), _xy(v.z))])
-            key_to_id[key] = point_id
-        ids.append(point_id)
+    """Write a welded mesh's faceted brep, a point per vertex; returns its id."""
+    ids = [model.add("IFCCARTESIANPOINT", [tuple(v)]) for v in mesh.vertices]
     face_ids = []
-    for index, (a, b, c) in enumerate(mesh.faces):
-        if len({ids[a], ids[b], ids[c]}) < 3:
-            raise DegenerateFace(index, f"face {index} collapses after vertex dedup")
+    for a, b, c in mesh.faces:
         loop = model.add("IFCPOLYLOOP",
                          [(EntityRef(ids[a]), EntityRef(ids[b]), EntityRef(ids[c]))])
         bound = model.add("IFCFACEOUTERBOUND", [EntityRef(loop), True])
         face_ids.append(model.add("IFCFACE", [(EntityRef(bound),)]))
     shell = model.add("IFCCLOSEDSHELL", [tuple(EntityRef(i) for i in face_ids)])
-    brep = model.add("IFCFACETEDBREP", [EntityRef(shell)])
-    rep = model.add(
-        "IFCSHAPEREPRESENTATION",
-        [EntityRef(model.context_id), "Body", "Brep", (EntityRef(brep),)],
-    )
+    return model.add("IFCFACETEDBREP", [EntityRef(shell)])
+
+
+def emit_body(model: "IfcModel", body: Sweep | TriMesh) -> int:
+    """Write an admitted body, a sweep or a welded mesh, as a product's Body
+    representation; returns the product shape id. It checks nothing:
+    ``measure.admit`` has checked what this writes."""
+    if isinstance(body, Sweep):
+        item, kind = extrude_profile(model, body), "SweptSolid"
+    else:
+        item, kind = mesh_to_brep(model, body), "Brep"
+    rep = model.add("IFCSHAPEREPRESENTATION",
+                    [EntityRef(model.context_id), "Body", kind, (EntityRef(item),)])
     return model.add("IFCPRODUCTDEFINITIONSHAPE", [None, None, (EntityRef(rep),)])

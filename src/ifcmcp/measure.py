@@ -5,16 +5,13 @@ decodes them into an immutable ``Extrusion`` or a ``TriMesh``, and
 ``world_frame`` composes an extrusion's ``Position`` into its product's
 ``Placement``. ``bounds``, ``axis`` and ``world_mesh`` place a body in that
 one frame, so a caller that holds both reads the product once. Every
-attribute of a body goes through ``model.read`` by name and every axis
-placement through ``geometry.read_axes``, the readers that also serve
-placements, so a malformed record (a positive length, ``XDim``, ``YDim`` or
-``Depth``, that is not) raises ``InvalidBody`` naming its ``#id``, class and
-attribute; a profile class the kit does not write measures as ``None``.
-A profile is checked once, where it is decoded: an extrusion's ``outline``
-is ``geometry.checked_polygon``'s, whether or not its rectangle is turned,
-and ``world_mesh`` and the plan draw it without a second check. Everything
-is re-derived from the entity graph on each call, so results stay valid
-across save/load cycles.
+attribute goes through ``model.read`` by name and every axis placement
+through ``geometry.read_axes``, so a malformed record raises ``InvalidBody``
+naming its ``#id``, class and attribute; a profile class the kit does not
+write measures as ``None``. A profile is checked once, where it is decoded,
+by the rectangle or polyline arm, and ``world_mesh`` and the plan draw it
+unchecked. ``admit`` runs the same decoding on the body a create tool is
+about to write, so the tool refuses before writing what a read would refuse.
 """
 
 from __future__ import annotations
@@ -25,8 +22,9 @@ from typing import NamedTuple
 
 from . import schema
 from .errors import EmptyMesh, InvalidBody
-from .geometry import (POINT_TOL, WORLD, Placement, Point2, Point3, Polygon2, TriMesh,
-                       checked_mesh, checked_polygon, polygon_area, prism_mesh, read_axes)
+from .geometry import (POINT_TOL, WORLD, Placement, Point2, Point3, Polygon2, Sweep, TriMesh,
+                       checked_mesh, checked_polygon, polygon_area, prism_mesh, read_axes,
+                       rectangle_record)
 from .model import POSITIVE, REF, REFS, TEXT, IfcModel, read
 
 
@@ -45,8 +43,10 @@ class Extrusion(NamedTuple):
 
 class WallAxis(NamedTuple):
     """Axis, dimensions and frame of a wall built by this kit. ``placement``
-    is the body's frame moved to ``start``: a point's x there is its
-    position along the axis, its y its position across."""
+    is the body's frame, turned upright if the body hangs down from it,
+    moved to ``start``, the axis's start at the body's lowest point: a
+    point's x there is its position along the axis, its y its position
+    across and its z its height above the body's bottom."""
 
     start: Point3
     end: Point3
@@ -84,35 +84,69 @@ def _decode_extrusion(model: IfcModel, solid) -> Extrusion | None:
     if profile.class_name == "IFCRECTANGLEPROFILEDEF":
         xdim = read(model, profile, "XDim", POSITIVE, InvalidBody)
         ydim = read(model, profile, "YDim", POSITIVE, InvalidBody)
-        (ox, oy, _oz), z_axis, (ux, uy, _uz), (vx, vy, _vz) = _position(model, profile)
-        x, y = xdim / 2, ydim / 2
-        corners = [Point2(ox + a * ux + b * vx, oy + a * uy + b * vy)  # its frame's (a, b, 0)
-                   for a, b in ((-x, -y), (x, -y), (x, y), (-x, y))]
-        xs, ys = zip(*corners)
-        bbox = (min(xs), min(ys), max(xs), max(ys))
-        largest = max(-bbox[0], -bbox[1], bbox[2], bbox[3])  # the largest |coordinate|
-        # checked_polygon must accept corners that run counter-clockwise (the
-        # frame faces up), whose area terms cannot overflow (up to 1e150) and
-        # whose sides are too long for rounding at that size to merge, cross
-        # or flatten them: only other corners are checked
-        outline = Polygon2(tuple(corners)) if z_axis == WORLD.z_axis and largest <= 1e150 \
-            and min(xdim, ydim) >= max(2 * POINT_TOL, 1e-6 * largest) else checked_polygon(corners)
-        area = xdim * ydim
+        bbox, area, outline = rectangle_profile(xdim, ydim, _position(model, profile))
     elif profile.class_name == "IFCARBITRARYCLOSEDPROFILEDEF":
         curve = read(model, profile, "OuterCurve", REF, InvalidBody)
-        points = [Point2(*read(model, point, "Coordinates", (2, 3), InvalidBody)[:2])
-                  for point in read(model, curve, "Points", REFS, InvalidBody)]
-        if len(points) > 1 and math.hypot(points[0].x - points[-1].x,
-                                          points[0].y - points[-1].y) < 1e-9:
-            points = points[:-1]
-        outline = checked_polygon(points)
-        bbox, area = outline.bounds(), polygon_area(outline)
+        bbox, area, outline = polyline_profile(
+            [Point2(*read(model, point, "Coordinates", (2, 3), InvalidBody)[:2])
+             for point in read(model, curve, "Points", REFS, InvalidBody)])
     else:
         return None
     direction = read(model, solid, "ExtrudedDirection", REF, InvalidBody)
     ratios = read(model, direction, "DirectionRatios", (3,), InvalidBody)
     return Extrusion(bbox, area, read(model, solid, "Depth", POSITIVE, InvalidBody),
                      Point3(*ratios), _position(model, solid), outline)
+
+
+def rectangle_profile(xdim: float, ydim: float,
+                      position: Placement) -> tuple[tuple, float, Polygon2]:
+    """The bbox, area and checked outline of a rectangle profile of positive
+    ``xdim`` and ``ydim`` centred on ``position``."""
+    (ox, oy, _oz), z_axis, (ux, uy, _uz), (vx, vy, _vz) = position
+    x, y = xdim / 2, ydim / 2
+    corners = [Point2(ox + a * ux + b * vx, oy + a * uy + b * vy)  # its frame's (a, b, 0)
+               for a, b in ((-x, -y), (x, -y), (x, y), (-x, y))]
+    xs, ys = zip(*corners)
+    bbox = (min(xs), min(ys), max(xs), max(ys))
+    largest = max(-bbox[0], -bbox[1], bbox[2], bbox[3])  # the largest |coordinate|
+    # checked_polygon must accept corners that run counter-clockwise (the
+    # frame faces up), whose area terms cannot overflow (up to 1e150) and
+    # whose sides are too long for rounding at that size to merge, cross
+    # or flatten them: only other corners are checked
+    outline = Polygon2(tuple(corners)) if z_axis == WORLD.z_axis and largest <= 1e150 \
+        and min(xdim, ydim) >= max(2 * POINT_TOL, 1e-6 * largest) else checked_polygon(corners)
+    return bbox, xdim * ydim, outline
+
+
+def polyline_profile(points: list[Point2]) -> tuple[tuple, float, Polygon2]:
+    """The bbox, area and checked outline of a polyline profile's points; a
+    last point within 1e-9 m of the first closes the curve."""
+    if len(points) > 1 and math.hypot(points[0].x - points[-1].x,
+                                      points[0].y - points[-1].y) < 1e-9:
+        points = points[:-1]
+    outline = checked_polygon(points)
+    return outline.bounds(), polygon_area(outline), outline
+
+
+def admit(body: Sweep | TriMesh) -> Extrusion | TriMesh:
+    """The body ``body_of`` decodes from what ``geometry.emit_body`` writes
+    for ``body``, checked as decoding checks it: a sweep's profile by the arm
+    that reads its record, then by the prism ``world_mesh`` derives; a welded
+    mesh by ``checked_mesh``, its vertices in the order ``_decode_brep`` meets them."""
+    if isinstance(body, TriMesh):
+        order: dict[int, int] = {}
+        faces = [tuple(order.setdefault(i, len(order)) for i in face) for face in body.faces]
+        return checked_mesh([body.vertices[i] for i in order], faces)
+    rectangle = rectangle_record(body.profile)
+    if rectangle is None:  # the points written (a -0.0 is written 0.0)
+        points = body.profile.vertices
+        bbox, area, outline = polyline_profile([*points, points[0]])
+    else:
+        (cx, cy), xdim, ydim = rectangle
+        bbox, area, outline = rectangle_profile(xdim, ydim,
+                                                Placement(Point3(cx, cy, 0.0), *WORLD[1:]))
+    prism_mesh(outline, body.depth)
+    return Extrusion(bbox, area, body.depth, body.direction, WORLD, outline)
 
 
 def _decode_brep(model: IfcModel, brep) -> TriMesh:
@@ -166,8 +200,14 @@ def axis(body: Extrusion, frame: Placement) -> WallAxis:
     ``frame``: its ``world_frame`` for world coordinates, or the body's own
     ``frame`` for coordinates under the wall's ``ObjectPlacement``."""
     x0, y0, x1, y1 = body.bbox
-    start = frame.to_world(Point3(x0, 0.0, 0.0))
-    return WallAxis(start, frame.to_world(Point3(x1, 0.0, 0.0)), x1 - x0, y1 - y0, body.depth,
+    rise = body.direction.z * body.depth  # the body's top or bottom z in ``frame``
+    if frame.z_axis.z < 0:  # a body that hangs down from its frame: turned upright about x
+        frame = frame._replace(z_axis=Point3(*(0.0 - v for v in frame.z_axis)),
+                               y_axis=Point3(*(0.0 - v for v in frame.y_axis)))
+        rise = -rise
+    low = min(rise, 0.0)
+    start = frame.to_world(Point3(x0, 0.0, low))
+    return WallAxis(start, frame.to_world(Point3(x1, 0.0, low)), x1 - x0, y1 - y0, body.depth,
                     frame._replace(origin=start))
 
 

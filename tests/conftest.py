@@ -24,10 +24,12 @@ from ifcmcp.model import IfcModel, load_model, new_model
 # (test_world_frames_equal_the_checked_composition), the body frame property
 # (test_a_rotation_in_the_solids_measures_as_one_in_the_placements), the wall
 # frame property (test_a_door_is_placed_and_drawn_where_its_walls_axis_frame_puts_it),
-# the polygon property (test_any_finite_points_give_a_polygon_or_a_degenerate_polygon)
-# and the rectangle parity property
-# (test_a_rectangle_decodes_to_the_checked_polygons_verdict); the others fix
-# their own count
+# the polygon property (test_any_finite_points_give_a_polygon_or_a_degenerate_polygon),
+# the rectangle parity property
+# (test_a_rectangle_decodes_to_the_checked_polygons_verdict) and the
+# create-tool admission property
+# (test_a_create_call_is_refused_unwritten_or_reads_back_as_admitted); the
+# others fix their own count
 settings.register_profile("ci", max_examples=500)
 
 SQUARE_WALLS = [

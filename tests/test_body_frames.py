@@ -291,6 +291,28 @@ def test_a_doors_sill_is_its_height_in_its_walls_axis_frame():
     assert scene.get_door_properties(model, door)["sill_height"] is None
 
 
+def test_a_door_in_a_wall_that_hangs_down_from_its_solid_position_stands_on_its_bottom():
+    # the opening hung from the wall's top, z 0.9..3.0: its sill was measured
+    # along the body frame's z from the profile plane, which is the top here
+    def hanging(model, wall):
+        position = model.resolve(_solid(model, wall).attributes[1])
+        for index, value in enumerate((_point(model, 0, 0, 3), _direction(model, 0, 0, -1),
+                                       _direction(model, 1, 0, 0))):
+            _set(position, index, value)
+
+    model, wall = _one_product(_wall, hanging)
+    lo, hi = world_box(model, wall)
+    assert (lo.z, hi.z) == (0.0, 3.0)
+    door, opening = builders.create_door(model, wall_guid=model.guid_of(wall),
+                                         position_along_axis=2.0)
+    model = load_model(model.to_bytes())
+    lo, hi = world_box(model, model.require_guid(opening).id)
+    assert (lo.x, lo.z, hi.x, hi.z) == pytest.approx((1.55, 0.0, 2.45, 2.1), abs=1e-12)
+    assert scene.get_door_properties(model, door)["sill_height"] == 0.0
+    # the wall's axis runs along its bottom, so a roof over it sits on its top
+    assert measure.wall_axis(model, wall).start.z == 0.0
+
+
 _TURN = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(lambda t: t != (0, 0))
 
 

@@ -17,15 +17,16 @@ from ifcmcp.errors import (
 from ifcmcp.geometry import (
     Point2,
     Point3,
+    Sweep,
     axes_placement,
     checked_mesh,
     checked_polygon,
     ear_clip,
-    extrude_profile,
-    mesh_to_brep,
+    emit_body,
     polygon_area,
     prism_mesh,
     wall_axis_to_profile,
+    weld,
 )
 from ifcmcp.model import load_model, new_model
 from ifcmcp.step import EntityRef
@@ -144,14 +145,14 @@ def test_profile_area_exactness():
 def test_extrude_rectangle_takes_fast_path():
     model = new_model(guid_seed=11)
     before = len(model.by_class.get("IFCRECTANGLEPROFILEDEF", ()))
-    extrude_profile(model, checked_polygon([(0, 0), (1, 0), (1, 1), (0, 1)]), 1.0)
+    emit_body(model, Sweep(checked_polygon([(0, 0), (1, 0), (1, 1), (0, 1)]), 1.0))
     assert len(model.by_class.get("IFCRECTANGLEPROFILEDEF", ())) == before + 1
     assert not model.by_class.get("IFCARBITRARYCLOSEDPROFILEDEF")
 
 
 def test_extrude_l_shape_takes_arbitrary_path_and_volume():
     model = new_model(guid_seed=12)
-    pds = extrude_profile(model, checked_polygon(L_SHAPE), 0.25)
+    pds = emit_body(model, Sweep(checked_polygon(L_SHAPE), 0.25))
     assert model.by_class.get("IFCARBITRARYCLOSEDPROFILEDEF")
     # volume oracle: profile area x depth, via independent tessellation
     solid_ids = model.by_class["IFCEXTRUDEDAREASOLID"]
@@ -206,7 +207,7 @@ def test_a_rectangle_decodes_to_the_checked_polygons_verdict(xdim, ydim, origin,
     # a rectangle's corners are built unchecked only where checked_polygon
     # must accept them; the profile's Position is 2D, or 3D with an Axis
     model = new_model(guid_seed=5)
-    extrude_profile(model, checked_polygon([(0, 0), (1, 0), (1, 1), (0, 1)]), 1.0)
+    emit_body(model, Sweep(checked_polygon([(0, 0), (1, 0), (1, 1), (0, 1)]), 1.0))
     (profile_id,) = model.by_class["IFCRECTANGLEPROFILEDEF"]
     (solid_id,) = model.by_class["IFCEXTRUDEDAREASOLID"]
     location = origin if axis is None else (*origin, 0.0)
@@ -247,10 +248,12 @@ def test_the_read_tools_check_no_rectangle_of_a_kit_model(monkeypatch):
     for view in ("north", "south", "east", "west"):
         snapshot.render_elevation(model, view)
     assert checked == []
-    # a polyline profile is checked where it is decoded
+    # a polyline profile is checked where the slab is admitted, by the
+    # decoder's own arm, and where it is decoded
     slab = builders.create_slab(model, L_SHAPE, 0.25)
-    measure.body_of(model, model.by_guid[slab])
     assert len(checked) == 1
+    measure.body_of(model, model.by_guid[slab])
+    assert len(checked) == 2
 
 
 def test_extrusion_volume_against_signed_volume_oracle():
@@ -263,9 +266,9 @@ def test_extrusion_volume_against_signed_volume_oracle():
 
 
 def test_extrude_rejects_bad_depth():
-    model = new_model(guid_seed=13)
+    # the emitter checks nothing; the admission refuses the sweep
     with pytest.raises(NonPositiveDepth):
-        extrude_profile(model, checked_polygon([(0, 0), (1, 0), (1, 1), (0, 1)]), 0.0)
+        measure.admit(Sweep(checked_polygon([(0, 0), (1, 0), (1, 1), (0, 1)]), 0.0))
 
 
 def test_mesh_to_brep_tetrahedron():
@@ -274,7 +277,7 @@ def test_mesh_to_brep_tetrahedron():
         [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)],
         [(0, 2, 1), (0, 1, 3), (1, 2, 3), (0, 3, 2)],
     )
-    mesh_to_brep(model, mesh)
+    emit_body(model, weld(mesh))
     assert len(model.by_class["IFCFACE"]) == 4
     assert len(model.by_class["IFCCLOSEDSHELL"]) == 1
 
@@ -283,7 +286,7 @@ def test_mesh_to_brep_dedups_cube_vertices():
     model = new_model(guid_seed=15)
     cube = prism_mesh(checked_polygon([(0, 0), (1, 0), (1, 1), (0, 1)]), 1.0)
     assert len(cube.faces) == 12
-    mesh_to_brep(model, cube)
+    emit_body(model, weld(cube))
     points = [
         e for e in model.entities.values()
         if e.class_name == "IFCCARTESIANPOINT" and len(e.attributes[0]) == 3
