@@ -187,7 +187,7 @@ def main(argv: list[str] | None = None) -> int:
     p_open = sub.add_parser("open", help="parse a model and print its overview")
     p_open.add_argument("file")
 
-    p_save = sub.add_parser("save", help="parse a model and re-save it normalized")
+    p_save = sub.add_parser("save", help="parse a model and save it again")
     p_save.add_argument("file")
     p_save.add_argument("out")
 

@@ -39,6 +39,7 @@ from .model import (
     PropertySpec,
     check_editable,
     psets_of,
+    read_property_set,
     write_property_set,
 )
 from .scene import _name_of, products_in_order
@@ -186,11 +187,14 @@ class SetPset(_Mutation):
         value = _eval(model, entity_id, self.expr, budget)
         if not isinstance(value, (str, int, float, bool)):
             raise TypeMismatch(f"cannot store {value!r} as a property value")
-        return value
+        # every product's set reads before the first write; write reads it
+        # again, as an earlier product's write may have changed a shared set
+        spec = PropertySpec(self.pset, [(self.prop, value)])
+        read_property_set(model, model.entities[entity_id], spec)
+        return spec
 
-    def write(self, model: IfcModel, entity_id: int, value):
-        write_property_set(model, model.entities[entity_id],
-                           PropertySpec(self.pset, [(self.prop, value)]))
+    def write(self, model: IfcModel, entity_id: int, spec: PropertySpec):
+        write_property_set(model, model.entities[entity_id], spec)
 
 @dataclass
 class QueryProgram:

@@ -10,6 +10,12 @@ duplicates and no empty list, so a reader of one class needs no sort.
 An entity's attributes are one immutable tuple, written only by
 ``IfcModel.add``, ``IfcModel.set_attr``, ``IfcModel.relate`` and
 ``delete_element``, each of which gives the entity a new tuple.
+A load decodes only the records that the indexes and the load itself read
+(see ``step``): the others hold their file text, and the first read of
+their ``attributes``, by ``read``, a writer or the query language, decodes
+them once. A record that no call has read or written saves as its own
+text. ``delete_element`` reads an undecoded record's references from its
+text, so a delete decodes only the records it writes.
 Relationship records (the classes in ``schema.REL_SIDES``) are written
 only through ``add``, ``relate`` and ``delete_element``, and read through
 the relationship index (``IfcModel.rels``, ``IfcModel.rel_side`` and
@@ -79,6 +85,7 @@ from .step import (
     TypedValue,
     iter_refs,
     parse_step,
+    ref_ids,
     write_step,
 )
 
@@ -219,9 +226,9 @@ class IfcModel:
             del ids[bisect.bisect_left(ids, entity_id)]
             if not ids:
                 del self.by_class[inst.class_name]
-            first = inst.attributes[0] if inst.attributes else None
-            if isinstance(first, str) and self.by_guid.get(first) == entity_id:
-                del self.by_guid[first]
+            guid = self.guid_of(entity_id) if _is_rooted(inst) else None
+            if guid is not None:
+                del self.by_guid[guid]
             for sides in self.rel_index.values():
                 for by_entity in sides:
                     by_entity.pop(entity_id, None)
@@ -764,12 +771,25 @@ def add_property_set(model: IfcModel, guid: str, spec: PropertySpec) -> str:
     return write_property_set(model, model.require_guid(guid), spec)
 
 
-def write_property_set(model: IfcModel, inst: EntityInstance, spec: PropertySpec) -> str:
-    """Attach or merge a property set on ``inst``, which need not have a
-    GlobalId; returns the pset GlobalId."""
+def read_property_set(model: IfcModel, inst: EntityInstance, spec: PropertySpec):
+    """Every read a merge of ``spec`` into ``inst`` makes, before its first
+    write: the existing set named by ``spec`` with its GlobalId, its
+    single-value properties by name and references to all its properties;
+    None when ``inst`` has no such set."""
     spec.validate()
     _rel, pset = find_pset_rel(model, inst.id, spec.pset_name)
     if pset is None:
+        return None
+    return (pset, read(model, pset, "GlobalId", TEXT, InvalidRecord), _properties(model, pset),
+            [EntityRef(prop.id)
+             for prop in read(model, pset, "HasProperties", REFS, InvalidRecord, ())])
+
+
+def write_property_set(model: IfcModel, inst: EntityInstance, spec: PropertySpec) -> str:
+    """Attach or merge a property set on ``inst``, which need not have a
+    GlobalId; returns the pset GlobalId."""
+    merge = read_property_set(model, inst, spec)
+    if merge is None:
         prop_ids = [
             model.add("IFCPROPERTYSINGLEVALUE",
                       [name, None, _nominal_value(value), None])
@@ -783,12 +803,8 @@ def write_property_set(model: IfcModel, inst: EntityInstance, spec: PropertySpec
         model.relate("IFCRELDEFINESBYPROPERTIES", pset_id, inst.id)
         return pset_guid
 
-    # merge: overwrite existing names, append new ones; every read comes
-    # before the first write
-    pset_guid = read(model, pset, "GlobalId", TEXT, InvalidRecord)
-    existing = _properties(model, pset)
-    appended = [EntityRef(prop.id)
-                for prop in read(model, pset, "HasProperties", REFS, InvalidRecord, ())]
+    # merge: overwrite existing names, append new ones
+    pset, pset_guid, existing, appended = merge
     for name, value in spec.properties:
         if name in existing:
             model.set_attr(existing[name], "NominalValue", _nominal_value(value))
@@ -950,8 +966,8 @@ def delete_element(model: IfcModel, guid: str) -> int:
     entities = model.entities
     referrers: dict[int, list[int]] = {}
     for entity_id, entity in entities.items():
-        for ref in iter_refs(entity.attributes):
-            referrers.setdefault(ref.id, []).append(entity_id)
+        for ref_id in ref_ids(entity):
+            referrers.setdefault(ref_id, []).append(entity_id)
     dead = _cascade_set(model, inst.id)
     queue = [r for entity_id in dead for r in referrers.get(entity_id, ())]
     while queue:
@@ -971,24 +987,24 @@ def delete_element(model: IfcModel, guid: str) -> int:
     candidates: set[int] = set()
     queue = list(dead)
     while queue:
-        for ref in iter_refs(entities[queue.pop()].attributes):
-            if ref.id in dead or ref.id in candidates:
+        for ref_id in ref_ids(entities[queue.pop()]):
+            if ref_id in dead or ref_id in candidates:
                 continue
-            target = entities[ref.id]
+            target = entities[ref_id]
             if _is_rooted(target) and target.class_name not in _GC_SAFE_ROOTED:
                 continue  # never sweep spatial/product/type entities
-            candidates.add(ref.id)
-            queue.append(ref.id)
+            candidates.add(ref_id)
+            queue.append(ref_id)
     counts = {c: sum(r not in dead for r in referrers[c]) for c in candidates}
     free = [c for c, count in counts.items() if count == 0]
     while free:
         entity_id = free.pop()
         dead.add(entity_id)
-        for ref in iter_refs(entities[entity_id].attributes):
-            if ref.id in counts:
-                counts[ref.id] -= 1
-                if counts[ref.id] == 0:
-                    free.append(ref.id)
+        for ref_id in ref_ids(entities[entity_id]):
+            if ref_id in counts:
+                counts[ref_id] -= 1
+                if counts[ref_id] == 0:
+                    free.append(ref_id)
 
     # every check passes before the first write
     survivors = sorted({r for entity_id in dead for r in referrers.get(entity_id, ())

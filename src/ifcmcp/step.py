@@ -6,31 +6,46 @@ types for the STEP-specific variants (entity references, enumeration
 tokens, typed values, ``*``). Lists are stored as tuples so nesting is
 preserved exactly on round-trip.
 
-Reading has two paths. Each well-formed DATA record is matched whole by one
-pattern, and its body is cut once at its commas (the record path). A body
-without lists maps each item to its value in one C call; any other body is
-read item by item, as openers, one value and closers, with the items of a
-string that holds a comma joined again. Comments, the header, typed lists
-and every error take the token path (``_Tokenizer``/``_Parser``): a record
-the record path does not fully accept is read again from its start by the
-token path, which parses it or raises, so syntax errors and their line and
-column come from one place.
+Open decodes only the records that the model's indexes read: those of
+rooted, relationship and unknown classes and of classes with a ``Name``.
+A record of any other class whose text is in a grammar that always
+decodes (see ``_DEFERRABLE_RE``) is kept as its body text, a ``_Deferred``
+record (the deferred path). Its references are checked with every other
+after the pass, so open rejects what it would reject if it decoded every
+record. The first read of its ``attributes`` decodes the text once, and
+that read or any write of them drops the text.
+
+Every other record is decoded at open, on one of two paths. Each
+well-formed DATA record is matched whole by one pattern, and its body is
+cut once at its commas (the record path). A body without lists maps each
+item to its value in one C call; any other body is read item by item, as
+openers, one value and closers, with the items of a string that holds a
+comma joined again. Comments, the header, typed lists and every error take
+the token path (``_Tokenizer``/``_Parser``): a record the record path does
+not fully accept is read again from its start by the token path, which
+parses it or raises, so syntax errors and their line and column come from
+one place.
 
 An entity's attributes are one immutable tuple. Values that repeat across
 a file are built once per ``parse_step`` call and shared between the
 entities that hold them: class names, number and enumeration tokens, and
 the attribute tuple of each distinct record body without references, which
 every record with that body holds. References and strings elsewhere are
-built per record, but every reference holds its entity's own id ``int``:
-one to an entity already read at once, any other after the pass. An edit
-gives the entity a new tuple, so a shared value is never changed in place.
-Nothing is cached between calls.
+built per record, and every reference that open decodes holds its entity's
+own id ``int``: one to an entity already read at once, any other after the
+pass. The deferred records of one call share their values through one
+``_Tokens`` table, filled as they are first read, which holds no entity.
+An edit gives the entity a new tuple, so a shared value is never changed
+in place. Nothing is cached between calls.
 
 Writing formats and encodes the records about a thousand at a time and
 writes each encoded chunk into one buffer, whose bytes are returned without
 a copy, so no list of every line, no list of chunks and no whole file as one
-string is built next to the bytes. Each reference is checked as it is
-formatted, so no separate pass looks for dangling ones.
+string is built next to the bytes. A deferred record is written as its own
+text. Each other reference is checked as it is formatted, so no separate
+pass looks for dangling ones; a deferred record's references were checked
+at open, and a delete reads them from its text to drop or refuse every
+reference to what it removes.
 """
 
 from __future__ import annotations
@@ -39,8 +54,9 @@ import io
 import math
 import operator
 import re
-from itertools import islice
+from itertools import filterfalse, islice
 
+from . import schema
 from .errors import DanglingRef, DuplicateId, StepSyntaxError
 
 ISO_OPEN = "ISO-10303-21;"
@@ -133,28 +149,29 @@ DERIVED = _Derived()
 
 
 class _Record:
-    """Equality and ``repr`` over the fields a subclass names in ``__slots__``."""
+    """Equality and ``repr`` over the fields a subclass names in ``_fields``."""
 
     __slots__ = ()
     __hash__ = None
 
     def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+        return tuple(getattr(self, name) for name in self._fields)
 
     def __eq__(self, other):
-        if other.__class__ is not self.__class__:
+        if not isinstance(other, _Record) or other._fields != self._fields:
             return NotImplemented
         return self._values() == other._values()
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{self.__class__.__name__}({fields})"
 
 
 class EntityInstance(_Record):
     """One STEP record: ``#id=CLASS(attr, attr, ...);``"""
 
-    __slots__ = ("id", "class_name", "attributes")
+    _fields = ("id", "class_name", "attributes")
+    __slots__ = _fields + ("text",)  # ``text`` is a _Deferred record's
 
     def __init__(self, id: int, class_name: str, attributes: tuple):
         self.id = id
@@ -162,10 +179,51 @@ class EntityInstance(_Record):
         self.attributes = attributes
 
 
+class _Deferred(EntityInstance):
+    """A record that ``parse_step`` kept as its body ``text``, which
+    ``write_step`` writes as it is. Until the first read of ``attributes``
+    decodes the text, the attributes slot holds the ``_Tokens`` table that
+    the file's deferred records share. That read, or any write of the
+    attributes, makes the record a plain ``EntityInstance`` without text."""
+
+    __slots__ = ()
+
+    def __init__(self, id: int, class_name: str, text: str, tokens: _Tokens):
+        self.id = id
+        self.class_name = class_name
+        self.text = text
+        _ATTRIBUTES.__set__(self, tokens)
+
+    @property
+    def attributes(self) -> tuple:
+        text, tokens = self.text, _ATTRIBUTES.__get__(self)
+        if "#" in text:
+            value = _decode(text, tokens)
+        else:  # the tuple every record of this body holds
+            value = tokens.bodies.get(text)
+            if value is None:
+                value = tokens.bodies[text] = _decode(text, tokens)
+        self.attributes = value
+        return value
+
+    @attributes.setter
+    def attributes(self, value: tuple):
+        self.__class__ = EntityInstance
+        self.attributes = value
+        del self.text
+
+    def __reduce__(self):
+        # a copy or a pickle keeps the record deferred
+        return _Deferred, (self.id, self.class_name, self.text, _ATTRIBUTES.__get__(self))
+
+
+_ATTRIBUTES = EntityInstance.attributes  # the slot itself, which _Deferred's property hides
+
+
 class StepHeader(_Record):
     """The fields of the HEADER section's three records."""
 
-    __slots__ = ("file_description", "implementation_level", "name", "timestamp",
+    __slots__ = _fields = ("file_description", "implementation_level", "name", "timestamp",
                  "author", "organization", "preprocessor_version",
                  "originating_system", "authorization", "file_schema")
 
@@ -566,6 +624,85 @@ _OPENERS = "(" + _BLANKS
 _CLOSERS = ")" + _BLANKS
 
 
+# --- deferred records ---
+#
+# A record of a class that open does not read (_DEFERRED) whose whole text
+# is in the grammar of _DEFERRABLE_RE is kept as its body text, and decoded
+# at its first read. The grammar admits only what decodes, to the value the
+# other paths read: no blanks; lists one level deep; references whose ids
+# have no leading zero; $ and *; enumerations; numbers of at most 18 digits
+# before an exponent of at most two, so every real is finite; and strings
+# without an escape or a '#', so every '#' of the text starts a reference.
+
+# the known classes that model.IfcModel.rebuild_indexes and model._build
+# never read: those without a GlobalId (every relationship has one) or a Name
+_DEFERRED = frozenset(name for name, attributes in schema.ATTRIBUTES.items()
+                      if attributes[:1] != ["GlobalId"] and "Name" not in attributes)
+_VALUE = (r"(?:#[1-9]\d{0,17}+|[$*]|-?\d{1,18}+(?:\.\d*+)?+(?:E-?\d\d?+)?+"
+          r"|\.[A-Z_][A-Z0-9_]*\.|'[^'\\#]*+(?:''[^'\\#]*+)*+')")
+# each item follows the comma after its predecessor, or its list's "("
+_NEXT = r"(?:,|(?<=\())"
+_DEFERRABLE_RE = re.compile(rf"(?a)[ \t\r\n]*#([1-9]\d{{0,17}})=([A-Z][A-Z0-9_]*)\((?!,)"
+                            rf"((?:{_NEXT}(?:{_VALUE}|\((?!,)(?:{_NEXT}{_VALUE})*+\)))*+)\);")
+_DEFERRED_TOKEN_RE = re.compile(r"'[^']*(?:''[^']*)*'|[^,()]+|[()]")
+_REFS_CHECKED = 1024  # deferred bodies whose references parse_step checks at once
+_ID = operator.attrgetter("id")
+
+
+class _Tokens(dict):
+    """The values of one ``parse_step`` call's deferred records, built as
+    the records are first read: the value of each number, enumeration, ``$``
+    and ``*`` token once, and in ``bodies`` the attributes of each distinct
+    body without references once. References and strings are built at each
+    use. The table holds no entity, so the graph stays acyclic."""
+
+    __slots__ = ("bodies",)
+
+    def __init__(self):
+        super().__init__({"$": None, "*": DERIVED})
+        self.bodies: dict[str, tuple] = {}
+
+    def __missing__(self, token: str):
+        c = token[0]
+        if c == "#":
+            return EntityRef(int(token[1:]))
+        if c == "'":
+            return token[1:-1].replace("''", "'")
+        if c == ".":
+            value = True if token == ".T." else False if token == ".F." else EnumToken(token[1:-1])
+        else:
+            value = float(token) if "." in token or "E" in token else int(token)
+        self[token] = value
+        return value
+
+
+def _decode(text: str, tokens: _Tokens) -> tuple:
+    """Attributes of a deferred record's body text."""
+    if text and "'" not in text:  # the commonest bodies, in one C call
+        if "(" not in text:
+            return tuple(map(tokens.__getitem__, text.split(",")))
+        if text.count("(") == 1 and text[0] == "(" and text[-1] == ")" and text != "()":
+            return (tuple(map(tokens.__getitem__, text[1:-1].split(","))),)
+    args = items = []
+    for token in _DEFERRED_TOKEN_RE.findall(text):
+        if token == "(":
+            items = []
+        elif token == ")":
+            args.append(tuple(items))
+            items = args
+        else:
+            items.append(tokens[token])
+    return tuple(args)
+
+
+def ref_ids(inst: EntityInstance):
+    """An iterator over the ids of the entities a record references; a
+    deferred record's are read from its text, which stays undecoded."""
+    if inst.__class__ is _Deferred:
+        return map(int, _REF_RE.findall(inst.text))
+    return map(_ID, iter_refs(inst.attributes))
+
+
 class _Unread(Exception):
     """Raised for a record body that the token path must read."""
 
@@ -716,12 +853,15 @@ def _header_strings(value) -> list[str]:
 
 
 def parse_step(data: bytes | str) -> tuple[StepHeader, dict[int, EntityInstance]]:
-    """Parse a STEP exchange file into a header and entity map.
+    """Parse a STEP exchange file into a header and entity map, in which a
+    record that open need not read is a ``_Deferred`` one (see the module
+    docstring).
 
     Forward references are permitted; every reference to an entity not
-    read yet is checked after the full pass and :class:`DanglingRef` raised
-    if any fail to resolve. Every reference holds its entity's id object,
-    so the model keeps no second int per id.
+    read yet, and every one a deferred record holds, is checked after the
+    full pass and :class:`DanglingRef` raised if any fail to resolve. Every
+    reference decoded here holds its entity's id object, so the model keeps
+    no second int per id.
     """
     text = data.decode("iso-8859-1") if isinstance(data, (bytes, bytearray)) else data
     parser = _Parser(text)
@@ -771,16 +911,22 @@ def parse_step(data: bytes | str) -> tuple[StepHeader, dict[int, EntityInstance]
     names: dict[str, str] = {}
     values = _Values(entities, refs)
     bodies: dict[str, tuple] = {}  # body without references -> its values
+    deferred: list[str] = []  # deferred bodies that hold references
+    tokens = _Tokens()
     while True:
-        m = _RECORD_RE.match(text, pos)
-        args = None
+        m = _DEFERRABLE_RE.match(text, pos) or _RECORD_RE.match(text, pos)
+        args = kept = None
         if m is not None:
             digits, name, body = m.groups()
             try:
                 entity_id = int(digits)
             except ValueError:  # more digits than int() reads
                 entity_id = 0
-            if entity_id:
+            if name in _DEFERRED and m.re is _DEFERRABLE_RE:
+                kept = body
+                if "#" in body:
+                    deferred.append(body)
+            elif entity_id:
                 try:
                     if "#" in body:
                         args = _read_body(body, values)
@@ -790,7 +936,7 @@ def parse_step(data: bytes | str) -> tuple[StepHeader, dict[int, EntityInstance]
                             args = bodies[body] = _read_body(body, values)
                 except _Unread:
                     pass  # the token path reads it
-        if args is not None:
+        if args is not None or kept is not None:
             end = m.end()
         else:
             tok.pos = pos
@@ -815,7 +961,9 @@ def parse_step(data: bytes | str) -> tuple[StepHeader, dict[int, EntityInstance]
             tok.pos = end
             tok.next()
             raise DuplicateId(entity_id)
-        entities[entity_id] = EntityInstance(entity_id, names.setdefault(name, name), args)
+        name = names.setdefault(name, name)
+        entities[entity_id] = EntityInstance(entity_id, name, args) if kept is None \
+            else _Deferred(entity_id, name, kept, tokens)
         pos = end
 
     parser.expect_keyword(ISO_CLOSE[:-1])
@@ -828,6 +976,9 @@ def parse_step(data: bytes | str) -> tuple[StepHeader, dict[int, EntityInstance]
             dangling.add(ref.id)
         else:
             ref.id = target.id
+    for at in range(0, len(deferred), _REFS_CHECKED):
+        ids = map(int, _REF_RE.findall(",".join(deferred[at:at + _REFS_CHECKED])))
+        dangling.update(filterfalse(entities.__contains__, ids))
     if dangling:
         raise DanglingRef(dangling)
     return header, entities
@@ -887,9 +1038,10 @@ def write_step(header: StepHeader, entities: dict[int, EntityInstance]) -> bytes
     """Serialize header + entities deterministically (ascending id order).
 
     The records are formatted and encoded ``_WRITE_CHUNK`` at a time, and
-    each encoded chunk is written into one buffer. References are checked
-    as they are formatted: :class:`DanglingRef` lists every id that no
-    entity has, and is raised before any bytes are returned.
+    each encoded chunk is written into one buffer; a deferred record is
+    written as its own text. References are checked as they are formatted:
+    :class:`DanglingRef` lists every id that no entity has, and is raised
+    before any bytes are returned.
     """
     lines = [ISO_OPEN, "HEADER;"]
     descs = tuple(header.file_description) or ("",)
@@ -923,6 +1075,7 @@ def write_step(header: StepHeader, entities: dict[int, EntityInstance]) -> bytes
         records = map(entities.__getitem__, sorted(entities))
     missing: set[int] = set()
     while chunk := "".join(
+            f"#{inst.id}={inst.class_name}({inst.text});\n" if inst.__class__ is _Deferred else
             f"#{inst.id}={inst.class_name}("
             f"{','.join([format_value(v, entities, missing) for v in inst.attributes])});\n"
             for inst in islice(records, _WRITE_CHUNK)):

@@ -28,8 +28,10 @@ from ifcmcp.model import IfcModel, load_model, new_model
 # the rectangle parity property
 # (test_a_rectangle_decodes_to_the_checked_polygons_verdict) and the
 # create-tool admission property
-# (test_a_create_call_is_refused_unwritten_or_reads_back_as_admitted); the
-# others fix their own count
+# (test_a_create_call_is_refused_unwritten_or_reads_back_as_admitted) and the
+# deferred-record parity property
+# (test_a_rewritten_deferrable_record_opens_as_the_token_path_reads_it_property);
+# the others fix their own count
 settings.register_profile("ci", max_examples=500)
 
 SQUARE_WALLS = [

@@ -175,6 +175,43 @@ def test_set_pset_writes_every_selected_product_one_without_a_global_id_too():
     assert psets_of(load_model(session.model.to_bytes()), second) == {"P": {"x": 1}}
 
 
+def _walls_with_pset_p() -> tuple:
+    """A model of two kit walls, each with a property set "P", and their ids."""
+    model = load_model(two_wall_step())
+    walls = sorted(model.by_class["IFCWALL"])
+    for wall in walls:
+        set_pset_property(model, model.guid_of(wall), "P", "a", 1)
+    return model, walls
+
+
+def test_set_pset_reads_every_products_set_before_its_first_write():
+    # the first wall's set took "x" before the second's GlobalId failed to read
+    model, _walls = _walls_with_pset_p()
+    second = model.entities[max(model.by_class["IFCPROPERTYSET"])]
+    data = model.to_bytes().replace(f"'{second.attributes[0]}'".encode(), b"#1", 1)
+    session = Session(load_model(data))
+    before = session.model.to_bytes()
+    assert ask(session, 'walls | set_pset("P", "x", 1)')["error"] == {
+        "type": "InvalidRecord",
+        "message": f"IFCPROPERTYSET #{second.id} of a record needs a string as its GlobalId"}
+    assert session.model.to_bytes() == before
+
+
+def test_set_pset_on_a_set_two_products_share_appends_one_property():
+    model = load_model(two_wall_step())
+    walls = sorted(model.by_class["IFCWALL"])
+    set_pset_property(model, model.guid_of(walls[0]), "P", "a", 1)
+    model.relate("IFCRELDEFINESBYPROPERTIES", model.by_class["IFCPROPERTYSET"][0], walls[1])
+    session = Session(load_model(model.to_bytes()))
+    properties = len(session.model.by_class["IFCPROPERTYSINGLEVALUE"])
+    reply = ask(session, 'walls | set_pset("P", "x", 1)')
+    assert reply["result"]["count"] == 2
+    model = load_model(session.model.to_bytes())
+    # one new property, which the shared set lists: none left orphaned
+    assert len(model.by_class["IFCPROPERTYSINGLEVALUE"]) == properties + 1
+    assert [psets_of(model, wall)["P"] for wall in walls] == [{"a": 1, "x": 1}] * 2
+
+
 def test_an_integer_beyond_the_double_range_is_a_type_mismatch():
     # a file may hold an integer no double holds; max keeps it exact, and
     # every computation on doubles refuses it in-band
