@@ -12,13 +12,15 @@ A record of any other class whose text is in a grammar that always
 decodes (see ``_DEFERRABLE_RE``) is kept as its body text, a ``_Deferred``
 record (the deferred path). Its references are checked with every other
 after the pass, so open rejects what it would reject if it decoded every
-record. The first read of its ``attributes`` decodes the text once, and
-that read or any write of them drops the text.
+record. The first read of its ``attributes`` decodes the text once, with
+the record path's body reader and the values the pass built, and that
+read or any write of them drops the text.
 
 Every other record is decoded at open, on one of two paths. Each
 well-formed DATA record is matched whole by one pattern, and its body is
 cut once at its commas (the record path). A body without lists maps each
-item to its value in one C call; any other body is read item by item, as
+item to its value in one C call, and a body with one list each run of
+items before, in and after it; any other body is read item by item, as
 openers, one value and closers, with the items of a string that holds a
 comma joined again. Comments, the header, typed lists and every error take
 the token path (``_Tokenizer``/``_Parser``): a record the record path does
@@ -31,12 +33,13 @@ a file are built once per ``parse_step`` call and shared between the
 entities that hold them: class names, number and enumeration tokens, and
 the attribute tuple of each distinct record body without references, which
 every record with that body holds. References and strings elsewhere are
-built per record, and every reference that open decodes holds its entity's
-own id ``int``: one to an entity already read at once, any other after the
-pass. The deferred records of one call share their values through one
-``_Tokens`` table, filled as they are first read, which holds no entity.
-An edit gives the entity a new tuple, so a shared value is never changed
-in place. Nothing is cached between calls.
+built per record, and every reference holds its entity's own id ``int``:
+one to an entity already read at once, any other after the pass, and one
+in a deferred record at its first read. The pass's table of values
+(``_Values``) stays with the file's deferred records for their first
+reads; it refers to the file's entities weakly, so the graph stays
+acyclic. An edit gives the entity a new tuple, so a shared value is never
+changed in place. Nothing is cached between calls.
 
 Writing formats and encodes the records about a thousand at a time and
 writes each encoded chunk into one buffer, whose bytes are returned without
@@ -54,6 +57,8 @@ import io
 import math
 import operator
 import re
+import weakref
+from collections import deque
 from itertools import filterfalse, islice
 
 from . import schema
@@ -182,27 +187,26 @@ class EntityInstance(_Record):
 class _Deferred(EntityInstance):
     """A record that ``parse_step`` kept as its body ``text``, which
     ``write_step`` writes as it is. Until the first read of ``attributes``
-    decodes the text, the attributes slot holds the ``_Tokens`` table that
-    the file's deferred records share. That read, or any write of the
-    attributes, makes the record a plain ``EntityInstance`` without text."""
+    decodes the text, the attributes slot holds the ``_Values`` table that
+    its file was read with. That read, or any write of the attributes,
+    makes the record a plain ``EntityInstance`` without text."""
 
     __slots__ = ()
 
-    def __init__(self, id: int, class_name: str, text: str, tokens: _Tokens):
+    def __init__(self, id: int, class_name: str, text: str, values: _Values):
         self.id = id
         self.class_name = class_name
         self.text = text
-        _ATTRIBUTES.__set__(self, tokens)
+        _ATTRIBUTES.__set__(self, values)
 
     @property
     def attributes(self) -> tuple:
-        text, tokens = self.text, _ATTRIBUTES.__get__(self)
-        if "#" in text:
-            value = _decode(text, tokens)
-        else:  # the tuple every record of this body holds
-            value = tokens.bodies.get(text)
-            if value is None:
-                value = tokens.bodies[text] = _decode(text, tokens)
+        text, values = self.text, _ATTRIBUTES.__get__(self)
+        try:
+            value = _read(text, values)
+        except ReferenceError:  # the file's entities are gone: no id to share
+            values.entities = {}
+            value = _read(text, values)
         self.attributes = value
         return value
 
@@ -213,8 +217,15 @@ class _Deferred(EntityInstance):
         del self.text
 
     def __reduce__(self):
-        # a copy or a pickle keeps the record deferred
-        return _Deferred, (self.id, self.class_name, self.text, _ATTRIBUTES.__get__(self))
+        # a copy or a pickle is of the decoded record
+        return EntityInstance, (self.id, self.class_name, self.attributes)
+
+
+class _Entities(dict):
+    """The entity map ``parse_step`` returns, which its ``_Values`` table
+    refers to weakly."""
+
+    __slots__ = ("__weakref__",)
 
 
 _ATTRIBUTES = EntityInstance.attributes  # the slot itself, which _Deferred's property hides
@@ -638,61 +649,15 @@ _CLOSERS = ")" + _BLANKS
 # never read: those without a GlobalId (every relationship has one) or a Name
 _DEFERRED = frozenset(name for name, attributes in schema.ATTRIBUTES.items()
                       if attributes[:1] != ["GlobalId"] and "Name" not in attributes)
-_VALUE = (r"(?:#[1-9]\d{0,17}+|[$*]|-?\d{1,18}+(?:\.\d*+)?+(?:E-?\d\d?+)?+"
-          r"|\.[A-Z_][A-Z0-9_]*\.|'[^'\\#]*+(?:''[^'\\#]*+)*+')")
-# each item follows the comma after its predecessor, or its list's "("
-_NEXT = r"(?:,|(?<=\())"
-_DEFERRABLE_RE = re.compile(rf"(?a)[ \t\r\n]*#([1-9]\d{{0,17}})=([A-Z][A-Z0-9_]*)\((?!,)"
-                            rf"((?:{_NEXT}(?:{_VALUE}|\((?!,)(?:{_NEXT}{_VALUE})*+\)))*+)\);")
-_DEFERRED_TOKEN_RE = re.compile(r"'[^']*(?:''[^']*)*'|[^,()]+|[()]")
+_ID_DIGITS = r"[1-9]\d{0,17}"
+_VALUE = (rf"#{_ID_DIGITS}|[$*]|-?\d{{1,18}}(?:\.\d*)?(?:E-?\d\d?)?|\.[A-Z_][A-Z0-9_]*\."
+          r"|'[^'\\#]*(?:''[^'\\#]*)*'")
+_ITEM = rf"(?:{_VALUE}|\((?:(?:{_VALUE})(?:,(?:{_VALUE}))*)?\))"
+_DEFERRABLE_RE = re.compile(rf"(?a)[ \t\r\n]*#({_ID_DIGITS})=([A-Z][A-Z0-9_]*)"
+                            rf"\(((?:{_ITEM}(?:,{_ITEM})*)?)\);")
 _REFS_CHECKED = 1024  # deferred bodies whose references parse_step checks at once
+_UNCHECKED = deque(maxlen=0)  # a deferred record's references, checked at open
 _ID = operator.attrgetter("id")
-
-
-class _Tokens(dict):
-    """The values of one ``parse_step`` call's deferred records, built as
-    the records are first read: the value of each number, enumeration, ``$``
-    and ``*`` token once, and in ``bodies`` the attributes of each distinct
-    body without references once. References and strings are built at each
-    use. The table holds no entity, so the graph stays acyclic."""
-
-    __slots__ = ("bodies",)
-
-    def __init__(self):
-        super().__init__({"$": None, "*": DERIVED})
-        self.bodies: dict[str, tuple] = {}
-
-    def __missing__(self, token: str):
-        c = token[0]
-        if c == "#":
-            return EntityRef(int(token[1:]))
-        if c == "'":
-            return token[1:-1].replace("''", "'")
-        if c == ".":
-            value = True if token == ".T." else False if token == ".F." else EnumToken(token[1:-1])
-        else:
-            value = float(token) if "." in token or "E" in token else int(token)
-        self[token] = value
-        return value
-
-
-def _decode(text: str, tokens: _Tokens) -> tuple:
-    """Attributes of a deferred record's body text."""
-    if text and "'" not in text:  # the commonest bodies, in one C call
-        if "(" not in text:
-            return tuple(map(tokens.__getitem__, text.split(",")))
-        if text.count("(") == 1 and text[0] == "(" and text[-1] == ")" and text != "()":
-            return (tuple(map(tokens.__getitem__, text[1:-1].split(","))),)
-    args = items = []
-    for token in _DEFERRED_TOKEN_RE.findall(text):
-        if token == "(":
-            items = []
-        elif token == ")":
-            args.append(tuple(items))
-            items = args
-        else:
-            items.append(tokens[token])
-    return tuple(args)
 
 
 def ref_ids(inst: EntityInstance):
@@ -717,14 +682,20 @@ class _Values(dict):
     each use and not kept. A reference to an entity of ``entities`` (one
     already read) is built on that entity's own id; every other reference
     is added to ``refs``. A token that the token path would not read as
-    that one value raises ``_Unread``."""
+    that one value raises ``_Unread``. ``bodies`` holds the attributes of
+    each distinct record body without references.
 
-    __slots__ = ("entities", "refs")
+    After the pass, the deferred records read their bodies with this table,
+    which then refers to the entities through a weak proxy and keeps no
+    reference."""
+
+    __slots__ = ("entities", "refs", "bodies")
 
     def __init__(self, entities: dict, refs: list):
         super().__init__({"$": None, "*": DERIVED})
         self.entities = entities
         self.refs = refs
+        self.bodies: dict[str, tuple] = {}  # body without references -> its values
 
     def __missing__(self, token: str):
         c = token[:1]
@@ -775,23 +746,47 @@ class _Values(dict):
         return value
 
 
+def _read(body: str, values: _Values) -> tuple:
+    """Attributes of a record body; a body without references is read once
+    per file, and every record with that body holds its one tuple."""
+    if "#" in body:
+        return _read_body(body, values)
+    args = values.bodies.get(body)
+    if args is None:
+        args = values.bodies[body] = _read_body(body, values)
+    return args
+
+
 def _read_body(body: str, values: _Values) -> tuple:
     """Attributes of a record body, or ``_Unread`` for a body that the
     token path must read.
 
-    A body without ``(`` is one value per comma-separated item. Otherwise
+    A body without ``(`` is one value per comma-separated item, and so is
+    each run of items before, in and after a body's one list. Otherwise
     each item is read as openers, one value (or ``KEYWORD(value)``, a typed
     value) and closers; ``()`` is the only list without a value. An item
     with an odd number of quotes is joined with the next, as a comma of a
     string split it (the record pattern matched each quote of the body as
-    part of a string, so the body's count is even)."""
-    parts = body.split(",")
+    part of a string, so the body's count is even). So is a piece of a
+    string that a run was cut at, which no value token reads."""
+    get = values.__getitem__
     if "(" not in body:
         try:
-            return tuple([*map(values.__getitem__, parts)])
+            return tuple([*map(get, body.split(","))])
         except _Unread:
             if not body.strip(_BLANKS):
                 return ()
+    elif body.count("(") == 1:
+        head, _, rest = body.partition("(")
+        inner, closed, tail = rest.partition(")")
+        if closed and inner and head[-1:] in ("", ",") and tail[:1] in ("", ","):
+            try:
+                return (*map(get, head[:-1].split(",") if head else ()),
+                        tuple([*map(get, inner.split(","))]),
+                        *map(get, tail[1:].split(",") if tail else ()))
+            except _Unread:
+                pass
+    parts = body.split(",")
     args = items = []
     stack: list = []  # the enclosing items of each open list
     i, n = 0, len(parts)
@@ -860,8 +855,8 @@ def parse_step(data: bytes | str) -> tuple[StepHeader, dict[int, EntityInstance]
     Forward references are permitted; every reference to an entity not
     read yet, and every one a deferred record holds, is checked after the
     full pass and :class:`DanglingRef` raised if any fail to resolve. Every
-    reference decoded here holds its entity's id object, so the model keeps
-    no second int per id.
+    reference holds its entity's id object, from the pass or from a
+    deferred record's first read, so the model keeps no second int per id.
     """
     text = data.decode("iso-8859-1") if isinstance(data, (bytes, bytearray)) else data
     parser = _Parser(text)
@@ -903,16 +898,14 @@ def parse_step(data: bytes | str) -> tuple[StepHeader, dict[int, EntityInstance]
     tok = parser.tok
     pos = tok.pos  # each record starts just past the previous ';', here DATA's
     parser.expect_punct(";")
-    entities: dict[int, EntityInstance] = {}
+    entities: dict[int, EntityInstance] = _Entities()
     # references that get their entity's id after the pass: each one read
     # before its record, and each one the token path reads
     refs: list[EntityRef] = []
     # shared values (see the module docstring), built once per call
     names: dict[str, str] = {}
     values = _Values(entities, refs)
-    bodies: dict[str, tuple] = {}  # body without references -> its values
     deferred: list[str] = []  # deferred bodies that hold references
-    tokens = _Tokens()
     while True:
         m = _DEFERRABLE_RE.match(text, pos) or _RECORD_RE.match(text, pos)
         args = kept = None
@@ -928,12 +921,7 @@ def parse_step(data: bytes | str) -> tuple[StepHeader, dict[int, EntityInstance]
                     deferred.append(body)
             elif entity_id:
                 try:
-                    if "#" in body:
-                        args = _read_body(body, values)
-                    else:
-                        args = bodies.get(body)
-                        if args is None:
-                            args = bodies[body] = _read_body(body, values)
+                    args = _read(body, values)
                 except _Unread:
                     pass  # the token path reads it
         if args is not None or kept is not None:
@@ -963,7 +951,7 @@ def parse_step(data: bytes | str) -> tuple[StepHeader, dict[int, EntityInstance]
             raise DuplicateId(entity_id)
         name = names.setdefault(name, name)
         entities[entity_id] = EntityInstance(entity_id, name, args) if kept is None \
-            else _Deferred(entity_id, name, kept, tokens)
+            else _Deferred(entity_id, name, kept, values)
         pos = end
 
     parser.expect_keyword(ISO_CLOSE[:-1])
@@ -981,6 +969,8 @@ def parse_step(data: bytes | str) -> tuple[StepHeader, dict[int, EntityInstance]
         dangling.update(filterfalse(entities.__contains__, ids))
     if dangling:
         raise DanglingRef(dangling)
+    # every reference a deferred record holds names an entity
+    values.entities, values.refs = weakref.proxy(entities), _UNCHECKED
     return header, entities
 
 

@@ -5,10 +5,12 @@ from __future__ import annotations
 
 import copy
 import functools
+import gc
 import importlib.util
 import pickle
 import sys
 import tempfile
+import weakref
 from pathlib import Path
 
 import pytest
@@ -19,7 +21,7 @@ from ifcmcp import builders, step
 from ifcmcp.errors import DanglingRef
 from ifcmcp.model import (delete_element, load_model, new_model, open_model,
                           set_pset_property)
-from ifcmcp.step import EntityRef, parse_step, write_step
+from ifcmcp.step import EntityRef, iter_refs, parse_step, write_step
 
 from conftest import two_wall_step
 from test_step import _token_path
@@ -61,39 +63,63 @@ def _deferred_lines(text: str) -> list[int]:
 
 
 def _decodes(monkeypatch) -> list[str]:
-    """The texts of the deferred records decoded from now on."""
+    """The record bodies decoded from now on."""
     decoded = []
-    decode = step._decode
-    monkeypatch.setattr(step, "_decode",
-                        lambda text, tokens: decoded.append(text) or decode(text, tokens))
+    read_body = step._read_body
+    monkeypatch.setattr(step, "_read_body",
+                        lambda body, values: decoded.append(body) or read_body(body, values))
     return decoded
 
 
 def test_open_decodes_no_deferred_record_and_a_read_decodes_it_once(monkeypatch):
-    decoded = _decodes(monkeypatch)
     data = two_wall_step()
     model = load_model(data)
     kept = [inst for inst in model.entities.values() if isinstance(inst, step._Deferred)]
-    assert decoded == [] and len(kept) > len(model.entities) / 2
+    assert len(kept) > len(model.entities) / 2
     assert {inst.class_name for inst in kept} <= step._DEFERRED
-    # each body with references decodes once per record, any other once
+    # the attributes slot of each still holds the table its file was read with
+    assert {id(step._ATTRIBUTES.__get__(inst)) for inst in kept} == \
+        {id(step._ATTRIBUTES.__get__(kept[0]))}
+    assert isinstance(step._ATTRIBUTES.__get__(kept[0]), step._Values)
+    # each body with references decodes once per record, any other at most once
     texts = [inst.text for inst in kept]
-    texts = sorted([text for text in texts if "#" in text] +
-                   list({text for text in texts if "#" not in text}))
     eager = parse_step(_token_path(data.decode("iso-8859-1")))[1]
+    decoded = _decodes(monkeypatch)
     for _ in range(2):
         assert {i: inst.attributes for i, inst in model.entities.items()} == \
             {i: inst.attributes for i, inst in eager.items()}
-    assert sorted(decoded) == texts and len(texts) < len(kept)
+    assert sorted(body for body in decoded if "#" in body) == \
+        sorted(text for text in texts if "#" in text)
+    others = [body for body in decoded if "#" not in body]
+    assert len(others) == len(set(others)) and len(decoded) < len(kept)
     assert not any(isinstance(inst, step._Deferred) for inst in model.entities.values())
 
 
-def test_a_copied_or_pickled_model_keeps_its_deferred_records():
+def test_a_first_read_holds_each_entity_s_own_id_and_no_entity_in_the_table():
+    model = new_model(guid_seed=71)
+    for row in range(40):
+        builders.create_wall(model, (0, row), (4, row), 3.0, 0.2)
+    model = load_model(model.to_bytes())
+    kept = [inst for inst in model.entities.values() if isinstance(inst, step._Deferred)]
+    values = step._ATTRIBUTES.__get__(kept[0])
+    assert type(values.entities) is weakref.ProxyType
+    assert not any(isinstance(v, step.EntityInstance) for v in gc.get_referents(values))
+    keys = {key: key for key in model.entities}
+    refs = [ref for inst in kept for ref in iter_refs(inst.attributes)]
+    assert sum(ref.id > 256 for ref in refs) > 10
+    assert all(ref.id is keys[ref.id] for ref in refs)
+    # once the entities are gone, a record that outlives them still reads
+    data = two_wall_step()
+    inst = next(inst for inst in parse_step(data)[1].values()
+                if isinstance(inst, step._Deferred) and "#" in inst.text)
+    gc.collect()
+    assert inst.attributes == parse_step(_token_path(data.decode("iso-8859-1")))[1][inst.id].attributes
+
+
+def test_a_copied_or_pickled_model_reads_and_saves_as_the_original():
     data = two_wall_step()
     model = load_model(data)
-    kept = sum(isinstance(inst, step._Deferred) for inst in model.entities.values())
     for copied in [copy.deepcopy(model), pickle.loads(pickle.dumps(model))]:
-        assert sum(isinstance(inst, step._Deferred) for inst in copied.entities.values()) == kept
         assert copied.to_bytes() == data
         assert {i: inst.attributes for i, inst in copied.entities.items()} == \
             {i: inst.attributes for i, inst in model.entities.items()}

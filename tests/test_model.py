@@ -711,9 +711,7 @@ def test_a_reference_to_a_record_already_read_holds_its_id():
     model = new_model("My Project", guid_seed=71)
     for row in range(40):
         builders.create_wall(model, (0, row), (4, row), 3.0, 0.2)
-    # a blank before each ';' keeps open from deferring any record: a
-    # deferred record builds its references' ids at its first read
-    entities = load_model(model.to_bytes().replace(b");\n", b") ;\n")).entities
+    entities = load_model(model.to_bytes()).entities
     keys = {key: key for key in entities}  # each id to the dict's own key object
     refs = [(inst.id, ref) for inst in entities.values() for ref in iter_refs(inst.attributes)]
     # past the small-int cache, both before and after their record

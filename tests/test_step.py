@@ -613,6 +613,16 @@ def test_escapes_read_alike_on_both_paths_or_fail_as_syntax_errors_property(body
         assert parse_step(text)[1][1].attributes == (value, (1, value))
 
 
+@pytest.mark.parametrize("body", [
+    "'x)',(1)", "('a)b',1)", "('a,b'),2", "'(',#2,1", "(1),'y)z'", "(1,2", ",(1)", "(1),",
+    "( 1 , 2 ) , 3", "$,(#2,#2),.T.", "#2,'a,(',(3)", "()", "(,)", "(1,)", "IFCX(1)",
+    "'a''(b',(1)", "(#2),'''),(x'"])
+@pytest.mark.parametrize("class_name", ["IFCX", "IFCDIRECTION"])
+def test_a_body_with_one_list_reads_alike_on_both_paths(body, class_name):
+    text = _HEAD + f"#1={class_name}({body});\n#2=IFCX($);\n" + _TAIL
+    assert _outcome(text) == _outcome(_token_path(text))
+
+
 @functools.lru_cache(maxsize=None)
 def _kit_records() -> tuple[str, tuple[str, ...], str]:
     """A small kit file as the text before its records, its DATA records
