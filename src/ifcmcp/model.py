@@ -13,9 +13,9 @@ An entity's attributes are one immutable tuple, written only by
 A load decodes only the records that the indexes and the load itself read
 (see ``step``): the others hold their file text, and the first read of
 their ``attributes``, by ``read``, a writer or the query language, decodes
-them once. A record that no call has read or written saves as its own
-text. ``delete_element`` reads an undecoded record's references from its
-text, so a delete decodes only the records it writes.
+them once. A record that no writer has given a new tuple saves as its own
+text, read or not. ``delete_element`` reads an undecoded record's
+references from its text, so a delete decodes only the records it writes.
 Relationship records (the classes in ``schema.REL_SIDES``) are written
 only through ``add``, ``relate`` and ``delete_element``, and read through
 the relationship index (``IfcModel.rels``, ``IfcModel.rel_side`` and

@@ -13,8 +13,9 @@ decodes (see ``_DEFERRABLE_RE``) is kept as its body text, a ``_Deferred``
 record (the deferred path). Its references are checked with every other
 after the pass, so open rejects what it would reject if it decoded every
 record. The first read of its ``attributes`` decodes the text once, with
-the record path's body reader and the values the pass built, and that
-read or any write of them drops the text.
+the record path's body reader and the values the pass built, and keeps
+the text: a record that no write has replaced saves as its own bytes, and
+only a write of its attributes drops the text.
 
 Every other record is decoded at open, on one of two paths. Each
 well-formed DATA record is matched whole by one pattern, and its body is
@@ -44,11 +45,11 @@ changed in place. Nothing is cached between calls.
 Writing formats and encodes the records about a thousand at a time and
 writes each encoded chunk into one buffer, whose bytes are returned without
 a copy, so no list of every line, no list of chunks and no whole file as one
-string is built next to the bytes. A deferred record is written as its own
-text. Each other reference is checked as it is formatted, so no separate
-pass looks for dangling ones; a deferred record's references were checked
-at open, and a delete reads them from its text to drop or refuse every
-reference to what it removes.
+string is built next to the bytes. A record that still holds its text, read
+or not, is written as that text. Each other reference is checked as it is
+formatted, so no separate pass looks for dangling ones; a record's text was
+checked at open, and a delete reads the references of an unread record
+from its text to drop or refuse every reference to what it removes.
 """
 
 from __future__ import annotations
@@ -169,7 +170,9 @@ class _Record:
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{self.__class__.__name__}({fields})"
+        # a deferred or read record shows as the EntityInstance it stands for
+        kind = next(c for c in type(self).__mro__ if not c.__name__.startswith("_"))
+        return f"{kind.__name__}({fields})"
 
 
 class EntityInstance(_Record):
@@ -184,12 +187,22 @@ class EntityInstance(_Record):
         self.attributes = attributes
 
 
+_ATTRIBUTES = EntityInstance.attributes  # the slot itself, which the subclasses' property hides
+
+
+def _written(inst: EntityInstance, value: tuple):
+    """A write of a record's attributes, which drops its text."""
+    inst.__class__ = EntityInstance
+    inst.attributes = value
+    del inst.text
+
+
 class _Deferred(EntityInstance):
     """A record that ``parse_step`` kept as its body ``text``, which
     ``write_step`` writes as it is. Until the first read of ``attributes``
     decodes the text, the attributes slot holds the ``_Values`` table that
-    its file was read with. That read, or any write of the attributes,
-    makes the record a plain ``EntityInstance`` without text."""
+    its file was read with. That read makes the record a ``_Read`` one,
+    and any write of the attributes a plain ``EntityInstance``."""
 
     __slots__ = ()
 
@@ -207,18 +220,25 @@ class _Deferred(EntityInstance):
         except ReferenceError:  # the file's entities are gone: no id to share
             values.entities = {}
             value = _read(text, values)
-        self.attributes = value
+        _ATTRIBUTES.__set__(self, value)
+        self.__class__ = _Read
         return value
 
-    @attributes.setter
-    def attributes(self, value: tuple):
-        self.__class__ = EntityInstance
-        self.attributes = value
-        del self.text
+    attributes = attributes.setter(_written)
 
     def __reduce__(self):
         # a copy or a pickle is of the decoded record
         return EntityInstance, (self.id, self.class_name, self.attributes)
+
+
+class _Read(EntityInstance):
+    """A deferred record after its first read: its attributes are decoded,
+    and ``write_step`` still writes its text, which stands for them until a
+    write of the attributes drops it."""
+
+    __slots__ = ()
+    attributes = property(_ATTRIBUTES.__get__, _written)
+    __reduce__ = _Deferred.__reduce__
 
 
 class _Entities(dict):
@@ -226,9 +246,6 @@ class _Entities(dict):
     refers to weakly."""
 
     __slots__ = ("__weakref__",)
-
-
-_ATTRIBUTES = EntityInstance.attributes  # the slot itself, which _Deferred's property hides
 
 
 class StepHeader(_Record):
@@ -767,8 +784,9 @@ def _read_body(body: str, values: _Values) -> tuple:
     value) and closers; ``()`` is the only list without a value. An item
     with an odd number of quotes is joined with the next, as a comma of a
     string split it (the record pattern matched each quote of the body as
-    part of a string, so the body's count is even). So is a piece of a
-    string that a run was cut at, which no value token reads."""
+    part of a string, so the body's count is even). A run cut inside a
+    string leaves a piece that no value token reads, and such a body is
+    read item by item."""
     get = values.__getitem__
     if "(" not in body:
         try:
@@ -1065,7 +1083,7 @@ def write_step(header: StepHeader, entities: dict[int, EntityInstance]) -> bytes
         records = map(entities.__getitem__, sorted(entities))
     missing: set[int] = set()
     while chunk := "".join(
-            f"#{inst.id}={inst.class_name}({inst.text});\n" if inst.__class__ is _Deferred else
+            f"#{inst.id}={inst.class_name}({inst.text});\n" if inst.__class__ is not EntityInstance else
             f"#{inst.id}={inst.class_name}("
             f"{','.join([format_value(v, entities, missing) for v in inst.attributes])});\n"
             for inst in islice(records, _WRITE_CHUNK)):

@@ -181,19 +181,25 @@ def _replace_record(text: str, entity_id: int, body: str) -> str:
     return f"{head}\n#{entity_id}={class_name}({body});{rest.split(';', 1)[1]}"
 
 
-def test_an_untouched_deferred_record_saves_as_its_own_bytes_and_a_read_one_formatted():
+def test_a_deferred_record_no_write_replaced_saves_as_its_own_bytes():
     model = load_model(two_wall_step())
-    first, second = sorted(model.by_class["IFCCARTESIANPOINT"])[:2]
+    first, second, third = sorted(model.by_class["IFCCARTESIANPOINT"])[:3]
     text = two_wall_step().decode("iso-8859-1")
-    for point in (first, second):
+    for point in (first, second, third):
         text = _replace_record(text, point, "(1.50,2.0E0,-0.)")
     data = text.encode("iso-8859-1")
     model = load_model(data)
     assert model.to_bytes() == data
+    # a read keeps the text; a write, even of equal values, drops it
     assert model.entities[second].attributes == ((1.5, 2.0, -0.0),)
+    assert model.to_bytes() == data
+    assert copy.copy(model.entities[second]) == model.entities[second]
+    model.set_attr(model.entities[third], "Coordinates", (1.5, 2.0, -0.0))
+    assert type(model.entities[third]) is step.EntityInstance
     saved = model.to_bytes().decode("iso-8859-1")
-    assert f"\n#{first}=IFCCARTESIANPOINT((1.50,2.0E0,-0.));" in saved
-    assert f"\n#{second}=IFCCARTESIANPOINT((1.5,2.,-0.));" in saved
+    for point in (first, second):
+        assert f"\n#{point}=IFCCARTESIANPOINT((1.50,2.0E0,-0.));" in saved
+    assert f"\n#{third}=IFCCARTESIANPOINT((1.5,2.,-0.));" in saved
 
 
 def test_a_record_each_writer_replaces_is_formatted_and_read_back():

@@ -773,10 +773,9 @@ def test_storey_selection_by_elevation(fresh_model):
 # the only functions that may write instance attributes: (class, function)
 ATTRIBUTE_WRITERS = {("IfcModel", "add"), ("IfcModel", "set_attr"),
                      ("IfcModel", "relate"), (None, "delete_element")}
-# the constructor fills in a new entity, and a deferred record's first read
-# or write of its attributes stores them where a plain entity holds them
-CONSTRUCTORS = {("step.py", ("EntityInstance", "__init__")),
-                ("step.py", ("_Deferred", "attributes"))}
+# the constructor fills in a new entity, and a write of a deferred or read
+# record's attributes stores them where a plain entity holds them
+CONSTRUCTORS = {("step.py", ("EntityInstance", "__init__")), ("step.py", (None, "_written"))}
 _LIST_MUTATORS = {"append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse"}
 
 
