@@ -9,7 +9,8 @@ duplicates and no empty list, so a reader of one class needs no sort.
 
 An entity's attributes are one immutable tuple, written only by
 ``IfcModel.add``, ``IfcModel.set_attr``, ``IfcModel.relate`` and
-``delete_element``, each of which gives the entity a new tuple.
+``delete_element``, each of which gives the entity a new tuple (the last
+three through ``step.set_attributes``).
 A load decodes only the records that the indexes and the load itself read
 (see ``step``): the others hold their file text, and the first read of
 their ``attributes``, by ``read``, a writer or the query language, decodes
@@ -86,6 +87,7 @@ from .step import (
     iter_refs,
     parse_step,
     ref_ids,
+    set_attributes,
     write_step,
 )
 
@@ -333,8 +335,8 @@ class IfcModel:
                         if related_index < len(rel.attributes) else ()
                     if type(members) is not tuple:  # one reference, or no list
                         members = tuple(map(EntityRef, self.rel_side(rel_id, RELATED)))
-                    rel.attributes = _replaced(rel.attributes, related_index,
-                                               members + (EntityRef(related_id),))
+                    set_attributes(rel, _replaced(rel.attributes, related_index,
+                                                  members + (EntityRef(related_id),)))
                     _insert(self.rel_index[class_name][RELATED].setdefault(related_id, []),
                             rel_id)
                 return rel_id
@@ -370,7 +372,7 @@ class IfcModel:
         index = schema.attribute_index(inst.class_name, name)
         if index is None or index >= len(inst.attributes):
             raise UnknownAttribute(name, inst.class_name)
-        inst.attributes = _replaced(inst.attributes, index, value)
+        set_attributes(inst, _replaced(inst.attributes, index, value))
 
     def next_name(self, class_name: str) -> str:
         short = schema.short_name(class_name)
@@ -1017,6 +1019,6 @@ def delete_element(model: IfcModel, guid: str) -> int:
             raise StillReferenced(entity_id, entity.class_name)
         pruned.append((entity, attributes))
     for entity, attributes in pruned:
-        entity.attributes = attributes
+        set_attributes(entity, attributes)
     model._drop(dead)
     return len(dead)

@@ -187,14 +187,17 @@ class EntityInstance(_Record):
         self.attributes = attributes
 
 
-_ATTRIBUTES = EntityInstance.attributes  # the slot itself, which the subclasses' property hides
+_ATTRIBUTES = EntityInstance.attributes  # the slot itself, which _Deferred's property hides
 
 
-def _written(inst: EntityInstance, value: tuple):
-    """A write of a record's attributes, which drops its text."""
-    inst.__class__ = EntityInstance
+def set_attributes(inst: EntityInstance, value: tuple):
+    """Give a record a new attributes tuple. This is the one write of a
+    record that open built: it drops the text a deferred or read record
+    keeps, so a save formats the new tuple."""
+    if inst.__class__ is not EntityInstance:
+        inst.__class__ = EntityInstance
+        del inst.text
     inst.attributes = value
-    del inst.text
 
 
 class _Deferred(EntityInstance):
@@ -202,7 +205,7 @@ class _Deferred(EntityInstance):
     ``write_step`` writes as it is. Until the first read of ``attributes``
     decodes the text, the attributes slot holds the ``_Values`` table that
     its file was read with. That read makes the record a ``_Read`` one,
-    and any write of the attributes a plain ``EntityInstance``."""
+    and ``set_attributes`` a plain ``EntityInstance``."""
 
     __slots__ = ()
 
@@ -224,7 +227,7 @@ class _Deferred(EntityInstance):
         self.__class__ = _Read
         return value
 
-    attributes = attributes.setter(_written)
+    attributes = attributes.setter(set_attributes)
 
     def __reduce__(self):
         # a copy or a pickle is of the decoded record
@@ -233,11 +236,11 @@ class _Deferred(EntityInstance):
 
 class _Read(EntityInstance):
     """A deferred record after its first read: its attributes are decoded,
-    and ``write_step`` still writes its text, which stands for them until a
-    write of the attributes drops it."""
+    and ``write_step`` still writes its text, which stands for them until
+    ``set_attributes`` drops it. Its attributes are read from the slot, as
+    a plain record's are."""
 
     __slots__ = ()
-    attributes = property(_ATTRIBUTES.__get__, _written)
     __reduce__ = _Deferred.__reduce__
 
 

@@ -773,9 +773,9 @@ def test_storey_selection_by_elevation(fresh_model):
 # the only functions that may write instance attributes: (class, function)
 ATTRIBUTE_WRITERS = {("IfcModel", "add"), ("IfcModel", "set_attr"),
                      ("IfcModel", "relate"), (None, "delete_element")}
-# the constructor fills in a new entity, and a write of a deferred or read
-# record's attributes stores them where a plain entity holds them
-CONSTRUCTORS = {("step.py", ("EntityInstance", "__init__")), ("step.py", (None, "_written"))}
+# the constructor fills in a new entity, and set_attributes, which the
+# writers call, gives an entity a new tuple; nothing else assigns one
+CONSTRUCTORS = {("step.py", ("EntityInstance", "__init__")), ("step.py", (None, "set_attributes"))}
 _LIST_MUTATORS = {"append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse"}
 
 
@@ -797,7 +797,8 @@ def _is_attributes(node) -> bool:
 
 
 def _attribute_writes(node, scope=(None, None)):
-    """(scope, line) of each assignment to or list mutation of ``<x>.attributes``."""
+    """(scope, line, by call) of each assignment to or list mutation of
+    ``<x>.attributes``, and of each call of ``set_attributes``."""
     if isinstance(node, ast.ClassDef):
         scope = (node.name, None)
     elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -811,7 +812,10 @@ def _attribute_writes(node, scope=(None, None)):
             and node.func.attr in _LIST_MUTATORS:
         targets = [node.func.value]
     if any(_is_attributes(t) for target in targets for t in _assigned(target)):
-        yield scope, node.lineno
+        yield scope, node.lineno, False
+    elif isinstance(node, ast.Call) and "set_attributes" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+        yield scope, node.lineno, True
     for child in ast.iter_child_nodes(node):
         yield from _attribute_writes(child, scope)
 
@@ -820,10 +824,10 @@ def test_only_the_listed_writers_write_instance_attributes():
     source = Path(ifcmcp.__file__).parent
     stray = []
     for path in sorted(source.glob("*.py")):
-        for scope, line in _attribute_writes(ast.parse(path.read_text(encoding="utf-8"))):
+        for scope, line, by_call in _attribute_writes(ast.parse(path.read_text(encoding="utf-8"))):
             if (path.name, scope) in CONSTRUCTORS:
                 continue
-            if path.name != "model.py" or scope not in ATTRIBUTE_WRITERS:
+            if not by_call or path.name != "model.py" or scope not in ATTRIBUTE_WRITERS:
                 stray.append(f"{path.name}:{line} in {scope}")
     assert stray == []
 
@@ -880,7 +884,9 @@ def test_attribute_write_scan_sees_each_form():
              "x.attributes[1] += 1", "del x.attributes[0]", "x.attributes.append(v)",
              "x.attributes[4][0] = v"]
     for form in forms:
-        assert list(_attribute_writes(ast.parse(form))) == [((None, None), 1)], form
+        assert list(_attribute_writes(ast.parse(form))) == [((None, None), 1, False)], form
+    for form in ["set_attributes(x, v)", "step.set_attributes(x, v)"]:
+        assert list(_attribute_writes(ast.parse(form))) == [((None, None), 1, True)], form
     for form in ["y = x.attributes[2]", "d[x.attributes[0]] = v", "x.attrs[0] = v"]:
         assert list(_attribute_writes(ast.parse(form))) == [], form
 
