@@ -14,8 +14,9 @@ record (the deferred path). Its references are checked with every other
 after the pass, so open rejects what it would reject if it decoded every
 record. The first read of its ``attributes`` decodes the text once, with
 the record path's body reader and the values the pass built, and keeps
-the text: a record that no write has replaced saves as its own bytes, and
-only a write of its attributes drops the text.
+the text: a record that no writer has replaced saves as its own bytes,
+and only ``set_attributes``, through which every writer gives a record a
+new tuple, drops the text.
 
 Every other record is decoded at open, on one of two paths. Each
 well-formed DATA record is matched whole by one pattern, and its body is
@@ -179,7 +180,7 @@ class EntityInstance(_Record):
     """One STEP record: ``#id=CLASS(attr, attr, ...);``"""
 
     _fields = ("id", "class_name", "attributes")
-    __slots__ = _fields + ("text",)  # ``text`` is a _Deferred record's
+    __slots__ = _fields + ("text",)  # ``text`` is a deferred or read record's
 
     def __init__(self, id: int, class_name: str, attributes: tuple):
         self.id = id
@@ -1085,8 +1086,9 @@ def write_step(header: StepHeader, entities: dict[int, EntityInstance]) -> bytes
     else:
         records = map(entities.__getitem__, sorted(entities))
     missing: set[int] = set()
+    plain = EntityInstance  # any other record still holds its text
     while chunk := "".join(
-            f"#{inst.id}={inst.class_name}({inst.text});\n" if inst.__class__ is not EntityInstance else
+            f"#{inst.id}={inst.class_name}({inst.text});\n" if inst.__class__ is not plain else
             f"#{inst.id}={inst.class_name}("
             f"{','.join([format_value(v, entities, missing) for v in inst.attributes])});\n"
             for inst in islice(records, _WRITE_CHUNK)):
