@@ -678,11 +678,13 @@ def _build(header: StepHeader, entities: dict, guid_seed: int | None) -> IfcMode
                                 if entities[i].attributes
                                 and isinstance(entities[i].attributes[0], str))
 
-    # seed auto-name counters past any existing "<Class>_NNN" names
+    # seed auto-name counters past any existing "<Class>_NNN" names; only
+    # the builders' products, all of rooted classes, take such a name, so
+    # open decodes no record of a class without a GlobalId for it
     counters = model._name_counters
     for class_name, ids in model.by_class.items():
         index = schema.attribute_index(class_name, "Name")
-        if index is None:
+        if index is None or not schema.is_rooted(class_name):
             continue
         short = schema.short_name(class_name)
         prefix = short + "_"

@@ -7,28 +7,31 @@ tokens, typed values, ``*``). Lists are stored as tuples so nesting is
 preserved exactly on round-trip.
 
 Open decodes only the records that the model's indexes read: those of
-rooted, relationship and unknown classes and of classes with a ``Name``.
-A record of any other class whose text is in a grammar that always
-decodes (see ``_DEFERRABLE_RE``) is kept as its body text, a ``_Deferred``
-record (the deferred path). Its references are checked with every other
-after the pass, so open rejects what it would reject if it decoded every
-record. The first read of its ``attributes`` decodes the text once, with
-the record path's body reader and the values the pass built, and keeps
-the text: a record that no writer has replaced saves as its own bytes,
-and only ``set_attributes``, through which every writer gives a record a
-new tuple, drops the text.
+rooted (a GlobalId at attribute 0), relationship and unknown classes. A
+record of any other class whose text is in a grammar that always decodes
+(see ``_DEFERRABLE_RE``) is kept as its body text, a ``_Deferred`` record
+(the deferred path). Its references are checked with every other after the
+pass, so open rejects what it would reject if it decoded every record. The
+first read of its ``attributes`` decodes the text once, with the record
+path's body reader and the values the pass built, and keeps the text: a
+record that no writer has replaced saves as its own bytes, and only
+``set_attributes``, through which every writer gives a record a new tuple,
+drops the text.
 
-Every other record is decoded at open, on one of two paths. Each
-well-formed DATA record is matched whole by one pattern, and its body is
-cut once at its commas (the record path). A body without lists maps each
-item to its value in one C call, and a body with one list each run of
-items before, in and after it; any other body is read item by item, as
-openers, one value and closers, with the items of a string that holds a
-comma joined again. Comments, the header, typed lists and every error take
-the token path (``_Tokenizer``/``_Parser``): a record the record path does
-not fully accept is read again from its start by the token path, which
-parses it or raises, so syntax errors and their line and column come from
-one place.
+Open reads the DATA section as runs of records in that grammar, each run
+with one scanner of ``_DEFERRABLE_RE``; every record this kit writes is in
+it. A record of a run is kept, or decoded from the body the scanner
+matched. A record out of the grammar ends the run and is decoded on one of
+two paths, and the next run starts after it. A well-formed record is
+matched whole by a second pattern, and its body is cut once at its commas
+(the record path). A body without lists maps each item to its value in one
+C call, and a body with one list each run of items before, in and after
+it; any other body is read item by item, as openers, one value and
+closers, with the items of a string that holds a comma joined again.
+Comments, the header, typed lists and every error take the token path
+(``_Tokenizer``/``_Parser``): a record the record path does not fully
+accept is read again from its start by the token path, which parses it or
+raises, so syntax errors and their line and column come from one place.
 
 An entity's attributes are one immutable tuple. Values that repeat across
 a file are built once per ``parse_step`` call and shared between the
@@ -61,7 +64,7 @@ import operator
 import re
 import weakref
 from collections import deque
-from itertools import filterfalse, islice
+from itertools import chain, filterfalse, islice
 
 from . import schema
 from .errors import DanglingRef, DuplicateId, StepSyntaxError
@@ -661,19 +664,22 @@ _CLOSERS = ")" + _BLANKS
 # A record of a class that open does not read (_DEFERRED) whose whole text
 # is in the grammar of _DEFERRABLE_RE is kept as its body text, and decoded
 # at its first read. The grammar admits only what decodes, to the value the
-# other paths read: no blanks; lists one level deep; references whose ids
-# have no leading zero; $ and *; enumerations; numbers of at most 18 digits
-# before an exponent of at most two, so every real is finite; and strings
-# without an escape or a '#', so every '#' of the text starts a reference.
+# other paths read: no blanks; lists one level deep; typed values of one
+# value, outside lists; references whose ids have no leading zero; $ and *;
+# enumerations; numbers of at most 18 digits before an exponent of at most
+# two, so every real is finite; and strings without an escape or a '#', so
+# every '#' of the text starts a reference. parse_step reads each run of
+# records in the grammar with one scanner.
 
 # the known classes that model.IfcModel.rebuild_indexes and model._build
-# never read: those without a GlobalId (every relationship has one) or a Name
+# never read: those without a GlobalId (every relationship has one)
 _DEFERRED = frozenset(name for name, attributes in schema.ATTRIBUTES.items()
-                      if attributes[:1] != ["GlobalId"] and "Name" not in attributes)
+                      if attributes[:1] != ["GlobalId"])
 _ID_DIGITS = r"[1-9]\d{0,17}"
 _VALUE = (rf"#{_ID_DIGITS}|[$*]|-?\d{{1,18}}(?:\.\d*)?(?:E-?\d\d?)?|\.[A-Z_][A-Z0-9_]*\."
           r"|'[^'\\#]*(?:''[^'\\#]*)*'")
-_ITEM = rf"(?:{_VALUE}|\((?:(?:{_VALUE})(?:,(?:{_VALUE}))*)?\))"
+_ITEM = (rf"(?:{_VALUE}|[A-Z][A-Z0-9_]*\((?:{_VALUE})\)"
+         rf"|\((?:(?:{_VALUE})(?:,(?:{_VALUE}))*)?\))")
 _DEFERRABLE_RE = re.compile(rf"(?a)[ \t\r\n]*#({_ID_DIGITS})=([A-Z][A-Z0-9_]*)"
                             rf"\(((?:{_ITEM}(?:,{_ITEM})*)?)\);")
 _REFS_CHECKED = 1024  # deferred bodies whose references parse_step checks at once
@@ -869,6 +875,15 @@ def _header_strings(value) -> list[str]:
     return []
 
 
+def _duplicate(tok: _Tokenizer, end: int, entity_id: int) -> DuplicateId:
+    """The error for a second record of ``entity_id``, which ends at ``end``.
+    A syntax error in the next token is raised first, as the token path
+    reads one token past the ';' before this check."""
+    tok.pos = end
+    tok.next()
+    return DuplicateId(entity_id)
+
+
 def parse_step(data: bytes | str) -> tuple[StepHeader, dict[int, EntityInstance]]:
     """Parse a STEP exchange file into a header and entity map, in which a
     record that open need not read is a ``_Deferred`` one (see the module
@@ -929,24 +944,42 @@ def parse_step(data: bytes | str) -> tuple[StepHeader, dict[int, EntityInstance]
     values = _Values(entities, refs)
     deferred: list[str] = []  # deferred bodies that hold references
     while True:
-        m = _DEFERRABLE_RE.match(text, pos) or _RECORD_RE.match(text, pos)
-        args = kept = None
+        # a run of records in the grammar of _DEFERRABLE_RE, read with one
+        # scanner, which is made only once the run's first record matched
+        m = _DEFERRABLE_RE.match(text, pos)
+        if m is not None:
+            for m in chain((m,), iter(_DEFERRABLE_RE.scanner(text, m.end()).match, None)):
+                digits, name, body = m.groups()
+                entity_id = int(digits)
+                if name in _DEFERRED:
+                    if "#" in body:
+                        deferred.append(body)
+                    inst = _Deferred(entity_id, names.setdefault(name, name), body, values)
+                else:
+                    try:
+                        inst = EntityInstance(entity_id, names.setdefault(name, name),
+                                              _read(body, values))
+                    except _Unread:
+                        break  # the record after the run reads it
+                pos = m.end()
+                if entity_id in entities:
+                    raise _duplicate(tok, pos, entity_id)
+                entities[entity_id] = inst
+        # the record after a run: out of the grammar, left by _read, or ENDSEC
+        m = _RECORD_RE.match(text, pos)
+        args = None
         if m is not None:
             digits, name, body = m.groups()
             try:
                 entity_id = int(digits)
             except ValueError:  # more digits than int() reads
                 entity_id = 0
-            if name in _DEFERRED and m.re is _DEFERRABLE_RE:
-                kept = body
-                if "#" in body:
-                    deferred.append(body)
-            elif entity_id:
+            if entity_id:
                 try:
                     args = _read(body, values)
                 except _Unread:
                     pass  # the token path reads it
-        if args is not None or kept is not None:
+        if args is not None:
             end = m.end()
         else:
             tok.pos = pos
@@ -966,14 +999,8 @@ def parse_step(data: bytes | str) -> tuple[StepHeader, dict[int, EntityInstance]
             refs.extend(iter_refs(args))
             end = tok.pos
         if entity_id in entities:
-            # a syntax error in the next token is reported first, as the
-            # token path reads one token past the ';' before this check
-            tok.pos = end
-            tok.next()
-            raise DuplicateId(entity_id)
-        name = names.setdefault(name, name)
-        entities[entity_id] = EntityInstance(entity_id, name, args) if kept is None \
-            else _Deferred(entity_id, name, kept, values)
+            raise _duplicate(tok, end, entity_id)
+        entities[entity_id] = EntityInstance(entity_id, names.setdefault(name, name), args)
         pos = end
 
     parser.expect_keyword(ISO_CLOSE[:-1])

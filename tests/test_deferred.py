@@ -8,6 +8,7 @@ import functools
 import gc
 import importlib.util
 import pickle
+import re
 import sys
 import tempfile
 import weakref
@@ -17,10 +18,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ifcmcp import builders, step
+from ifcmcp import builders, schema, step
 from ifcmcp.errors import DanglingRef
-from ifcmcp.model import (delete_element, load_model, new_model, open_model,
-                          set_pset_property)
+from ifcmcp.geometry import checked_mesh
+from ifcmcp.model import (add_classification, delete_element, load_model, new_model,
+                          open_model, set_pset_property)
 from ifcmcp.step import EntityRef, iter_refs, parse_step, write_step
 
 from conftest import two_wall_step
@@ -95,6 +97,39 @@ def test_open_decodes_no_deferred_record_and_a_read_decodes_it_once(monkeypatch)
     assert not any(isinstance(inst, step._Deferred) for inst in model.entities.values())
 
 
+def _every_kind_text() -> str:
+    """A kit file with every element kind, a property set and a classification."""
+    model = new_model(guid_seed=13)
+    wall = builders.create_wall(model, (0, 0), (6, 0), 3.0, 0.2)
+    builders.create_door(model, wall, position_along_axis=1.0)
+    builders.create_window(model, wall, position_along_axis=4.0)
+    builders.create_slab(model, [(0, 0), (6, 0), (6, 4), (0, 4)], 0.2)
+    builders.create_roof(model, [(0, 0), (6, 0), (6, 4), (0, 4)], base_z=3.0)
+    builders.create_stairs(model, (1, 1, 0), 30.0, 3.0, 4.0, 12, 1.2)
+    builders.create_mesh_element(
+        model, "IFCBUILDINGELEMENTPROXY",
+        checked_mesh([(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2)],
+                     [(0, 2, 1), (0, 1, 3), (1, 2, 3), (0, 3, 2)]), "Proxy")
+    set_pset_property(model, wall, "P", "n", 7)
+    add_classification(model, wall, "Uniclass", "EF_25_10")
+    return model.to_bytes().decode("iso-8859-1")
+
+
+def test_open_decodes_no_record_of_a_known_class_without_a_globalid(monkeypatch):
+    text = _every_kind_text()
+    records = re.findall(r"^#\d+=([A-Z0-9_]+)\((.*)\);$", text, re.M)  # class, body
+    classes = {class_name for class_name, _ in records}
+    assert {"IFCPRODUCTDEFINITIONSHAPE", "IFCPROPERTYSINGLEVALUE", "IFCSIUNIT",
+            "IFCCLASSIFICATION", "IFCDOOR", "IFCWINDOW", "IFCSTAIR"} <= classes
+    # bodies of the records open reads: rooted, relationship and unknown classes
+    read = {body for class_name, body in records if schema.is_rooted(class_name) is not False}
+    decoded = _decodes(monkeypatch)
+    model = load_model(text)
+    assert decoded and set(decoded) <= read
+    kept = [inst for inst in model.entities.values() if schema.is_rooted(inst.class_name) is False]
+    assert kept and all(isinstance(inst, step._Deferred) for inst in kept)
+
+
 def test_a_first_read_holds_each_entity_s_own_id_and_no_entity_in_the_table():
     model = new_model(guid_seed=71)
     for row in range(40):
@@ -144,7 +179,8 @@ _ITEMS = st.sampled_from([
     "-0.", "0.", "1.5E-7", "12E5", "7", "-12", "1" * 18 + ".5", " 1", "1 ", "\t$",
     "'\\X2\\00FC\\X0\\'", "'#'", "'a''b'", "'a,(b);'", "''", "'x'", "IFCLABEL('x')",
     "IFCX((1,2))", "", "()", "(())", "((1),2)", "(,)", "(1,)", ".T.", ".F.", ".AREA.",
-    ".a.", "$", "*", "#2 ", "( #1)"])
+    ".a.", "$", "*", "#2 ", "( #1)", "IFCLABEL('a,b')", "IFCX(#1)", "IFCX(#0)", "IFCX($)",
+    "IFCX()", "IFCX(1,2)", "IFCX(IFCY(1))", "IFCLABEL('#')", "IFCX (1)", "ifcx(1)"])
 _LISTS = st.lists(_ITEMS, max_size=3).map(lambda items: "(" + ",".join(items) + ")")
 _BODIES = st.lists(st.one_of(_ITEMS, _LISTS), max_size=4).map(",".join)
 
@@ -171,6 +207,58 @@ def test_a_dangling_reference_is_found_in_deferred_and_read_records_alike():
     with pytest.raises(DanglingRef) as excinfo:
         load_model("\n".join(lines))
     assert excinfo.value.ids == [9001, 9002]
+
+
+# --- runs of records in the grammar ---
+
+# records a run's scanner does not match: the one already at that place with
+# a blank after its '=', or a new record with a nested list or an escape
+_OUT_OF_GRAMMAR = {"blank": None, "nested list": "#9000=IFCX((1,(2.,'a')));",
+                   "escape": "#9000=IFCPROPERTYSINGLEVALUE('\\X2\\00FC\\X0\\',$,IFCLABEL('x'),$);"}
+
+
+def _record_line(lines: list[str], where: str) -> int:
+    """Index of the first, the middle or the last DATA record of ``lines``."""
+    data = [n for n, line in enumerate(lines) if line.startswith("#")]
+    return {"start": data[0], "middle": data[len(data) // 2], "end": data[-1]}[where]
+
+
+@pytest.mark.parametrize("where", ["start", "middle", "end"])
+@pytest.mark.parametrize("kind", sorted(_OUT_OF_GRAMMAR))
+def test_a_record_out_of_the_grammar_ends_a_run_and_opens_as_the_token_path_reads_it(kind, where):
+    lines = _kit_text().split("\n")
+    index = _record_line(lines, where)
+    if _OUT_OF_GRAMMAR[kind] is None:
+        lines[index] = lines[index].replace("=", "= ", 1)
+    else:
+        index += where == "end"
+        lines.insert(index, _OUT_OF_GRAMMAR[kind])
+    text = "\n".join(lines)
+    outcome = _open_text(text)
+    assert outcome[0] == "ok" and outcome == _outcome(lambda: load_model(_token_path(text)))
+    # the record is decoded at open, and the runs around it keep the others
+    model = load_model(text)
+    for entity_id, inst in model.entities.items():
+        out = lines[index].startswith(f"#{entity_id}=")
+        assert isinstance(inst, step._Deferred) is (inst.class_name in step._DEFERRED and not out)
+
+
+@pytest.mark.parametrize("where", ["start", "middle", "end"])
+@pytest.mark.parametrize("record", [
+    "copy", "copy@", "#9000=IFCX(1,);", "#9000=IFCX('a);", "#9000=IFCX(1)", "#0=IFCX(1);",
+    "#9000=ifcx(1);", "#9000=IFCX(1.E400);", "#9000=IFCX(1);@"])
+def test_an_error_in_or_after_a_run_is_the_token_path_s_error(record, where):
+    lines = _kit_text().split("\n")
+    index = _record_line(lines, where)
+    if record.startswith("copy"):
+        # a copy of the record before it: a DuplicateId inside a run, or,
+        # with a bad token after it, the syntax error of that token
+        record = lines[index] + record[4:]
+    lines.insert(index + 1, record)
+    text = "\n".join(lines)
+    outcome = _open_text(text)
+    assert outcome[0] in ("DuplicateId", "StepSyntaxError")
+    assert outcome == _outcome(lambda: load_model(_token_path(text)))
 
 
 # --- saving ---
