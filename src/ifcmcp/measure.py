@@ -11,14 +11,15 @@ naming its ``#id``, class and attribute; a profile class the kit does not
 write measures as ``None``. A profile is checked once, where it is decoded,
 by the rectangle or polyline arm, and ``world_mesh`` and the plan draw it
 unchecked. ``admit`` runs the same decoding on the body a create tool is
-about to write, so the tool refuses before writing what a read would refuse.
+about to write, and on that body as a reload reads it, so the tool refuses
+before writing what a read would refuse, before or after a save.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import chain
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from . import schema
 from .errors import EmptyMesh, InvalidBody
@@ -26,6 +27,7 @@ from .geometry import (POINT_TOL, WORLD, Placement, Point2, Point3, Polygon2, Sw
                        checked_mesh, checked_polygon, polygon_area, prism_mesh, read_axes,
                        rectangle_record)
 from .model import POSITIVE, REF, REFS, TEXT, IfcModel, read
+from .step import format_real
 
 
 class Extrusion(NamedTuple):
@@ -132,21 +134,34 @@ def admit(body: Sweep | TriMesh) -> Extrusion | TriMesh:
     """The body ``body_of`` decodes from what ``geometry.emit_body`` writes
     for ``body``, checked as decoding checks it: a sweep's profile by the arm
     that reads its record, then by the prism ``world_mesh`` derives; a welded
-    mesh by ``checked_mesh``, its vertices in the order ``_decode_brep`` meets them."""
+    mesh by ``checked_mesh``, its vertices in the order ``_decode_brep`` meets
+    them. Where the file rounds a real it writes (``step.format_real`` keeps
+    15 digits), the body a reload decodes is checked too."""
+    reals: set[float] = set()
+    admitted = _decoded(body, lambda x: reals.add(x) or x)
+    written = {x: float(format_real(x)) for x in reals}  # as a reload reads it
+    if any(y != x for x, y in written.items()):
+        _decoded(body, written.__getitem__)
+    return admitted
+
+
+def _decoded(body: Sweep | TriMesh, real: Callable[[float], float]) -> Extrusion | TriMesh:
+    """``admit``'s body, with each real ``emit_body`` writes mapped by ``real``."""
     if isinstance(body, TriMesh):
         order: dict[int, int] = {}
         faces = [tuple(order.setdefault(i, len(order)) for i in face) for face in body.faces]
-        return checked_mesh([body.vertices[i] for i in order], faces)
+        return checked_mesh([tuple(map(real, body.vertices[i])) for i in order], faces)
     rectangle = rectangle_record(body.profile)
     if rectangle is None:  # the points written (a -0.0 is written 0.0)
-        points = body.profile.vertices
+        points = [Point2(real(x), real(y)) for x, y in body.profile.vertices]
         bbox, area, outline = polyline_profile([*points, points[0]])
     else:
         (cx, cy), xdim, ydim = rectangle
-        bbox, area, outline = rectangle_profile(xdim, ydim,
-                                                Placement(Point3(cx, cy, 0.0), *WORLD[1:]))
-    prism_mesh(outline, body.depth)
-    return Extrusion(bbox, area, body.depth, body.direction, WORLD, outline)
+        bbox, area, outline = rectangle_profile(
+            real(xdim), real(ydim), Placement(Point3(real(cx), real(cy), 0.0), *WORLD[1:]))
+    depth = real(body.depth)
+    prism_mesh(outline, depth)
+    return Extrusion(bbox, area, depth, body.direction, WORLD, outline)
 
 
 def _decode_brep(model: IfcModel, brep) -> TriMesh:

@@ -11,12 +11,14 @@ An entity's attributes are one immutable tuple, written only by
 ``IfcModel.add``, ``IfcModel.set_attr``, ``IfcModel.relate`` and
 ``delete_element``, each of which gives the entity a new tuple (the last
 three through ``step.set_attributes``).
-A load decodes only the records that the indexes and the load itself read
-(see ``step``): the others hold their file text, and the first read of
-their ``attributes``, by ``read``, a writer or the query language, decodes
-them once. A record that no writer has given a new tuple saves as its own
-text, read or not. ``delete_element`` reads an undecoded record's
+A load is one index pass over the records and decodes only those the
+indexes read (see ``step``): the others hold their file text, and the first
+read of their ``attributes``, by ``read``, a writer or the query language,
+decodes them once. A record that no writer has given a new tuple saves as
+its own text, read or not. ``delete_element`` reads an undecoded record's
 references from its text, so a delete decodes only the records it writes.
+A class's auto-names (``IfcModel.next_name``) count past the names its
+records hold from the first one issued, not from the load.
 Relationship records (the classes in ``schema.REL_SIDES``) are written
 only through ``add``, ``relate`` and ``delete_element``, and read through
 the relationship index (``IfcModel.rels``, ``IfcModel.rel_side`` and
@@ -375,8 +377,23 @@ class IfcModel:
         set_attributes(inst, _replaced(inst.attributes, index, value))
 
     def next_name(self, class_name: str) -> str:
+        """``<Class>_NNN``, one past the last such name given. The first call
+        for a class counts past every such name its records hold."""
         short = schema.short_name(class_name)
-        count = self._name_counters.get(short, 0) + 1
+        count = self._name_counters.get(short)
+        if count is None:
+            count = 0
+            index = schema.attribute_index(class_name, "Name")
+            prefix = short + "_"
+            for entity_id in self.by_class.get(class_name, ()) if index is not None else ():
+                attributes = self.entities[entity_id].attributes
+                name = attributes[index] if index < len(attributes) else None
+                if isinstance(name, str) and name.startswith(prefix):
+                    suffix = name[len(prefix):]
+                    # isdecimal, not isdigit: int() rejects digits such as '²'
+                    if suffix.isdecimal():
+                        count = max(count, int(suffix))
+        count += 1
         self._name_counters[short] = count
         return f"{short}_{count:03d}"
 
@@ -677,25 +694,6 @@ def _build(header: StepHeader, entities: dict, guid_seed: int | None) -> IfcMode
             model.guids.reserve(entities[i].attributes[0] for i in ids
                                 if entities[i].attributes
                                 and isinstance(entities[i].attributes[0], str))
-
-    # seed auto-name counters past any existing "<Class>_NNN" names; only
-    # the builders' products, all of rooted classes, take such a name, so
-    # open decodes no record of a class without a GlobalId for it
-    counters = model._name_counters
-    for class_name, ids in model.by_class.items():
-        index = schema.attribute_index(class_name, "Name")
-        if index is None or not schema.is_rooted(class_name):
-            continue
-        short = schema.short_name(class_name)
-        prefix = short + "_"
-        for entity_id in ids:
-            attributes = entities[entity_id].attributes
-            name = attributes[index] if index < len(attributes) else None
-            if isinstance(name, str) and name.startswith(prefix):
-                suffix = name[len(prefix):]
-                # isdecimal, not isdigit: int() rejects digits such as '²'
-                if suffix.isdecimal():
-                    counters[short] = max(counters.get(short, 0), int(suffix))
     return model
 
 

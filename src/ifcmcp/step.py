@@ -6,32 +6,29 @@ types for the STEP-specific variants (entity references, enumeration
 tokens, typed values, ``*``). Lists are stored as tuples so nesting is
 preserved exactly on round-trip.
 
-Open decodes only the records that the model's indexes read: those of
-rooted (a GlobalId at attribute 0), relationship and unknown classes. A
-record of any other class whose text is in a grammar that always decodes
-(see ``_DEFERRABLE_RE``) is kept as its body text, a ``_Deferred`` record
-(the deferred path). Its references are checked with every other after the
-pass, so open rejects what it would reject if it decoded every record. The
-first read of its ``attributes`` decodes the text once, with the record
-path's body reader and the values the pass built, and keeps the text: a
-record that no writer has replaced saves as its own bytes, and only
-``set_attributes``, through which every writer gives a record a new tuple,
-drops the text.
+Open reads the DATA section with one scanner of ``_DATA_RE``, record by
+record. A record in its first alternative, a grammar that always decodes,
+of a class without a GlobalId is kept as its body text: a ``_Deferred``
+record, whose references are checked with every other after the pass, so
+open rejects what it would reject if it decoded every record. Every other
+record it matches, in that grammar or in the second alternative (any
+well-formed record), is decoded from the matched body, cut at its commas:
+a body without lists maps each item to its value in one C call, and a body
+with one list each run of items before, in and after it; any other body is
+read item by item, as openers, one value and closers, with the items of a
+string that holds a comma joined again. Comments, the header, typed lists,
+what the scanner does not match and every error take the token path
+(``_Tokenizer``/``_Parser``): a record that the scanner or the body reader
+does not fully accept is read again from its start by the token path,
+which parses it or raises, so syntax errors and their line and column come
+from one place. The scanner resumes after the record.
 
-Open reads the DATA section as runs of records in that grammar, each run
-with one scanner of ``_DEFERRABLE_RE``; every record this kit writes is in
-it. A record of a run is kept, or decoded from the body the scanner
-matched. A record out of the grammar ends the run and is decoded on one of
-two paths, and the next run starts after it. A well-formed record is
-matched whole by a second pattern, and its body is cut once at its commas
-(the record path). A body without lists maps each item to its value in one
-C call, and a body with one list each run of items before, in and after
-it; any other body is read item by item, as openers, one value and
-closers, with the items of a string that holds a comma joined again.
-Comments, the header, typed lists and every error take the token path
-(``_Tokenizer``/``_Parser``): a record the record path does not fully
-accept is read again from its start by the token path, which parses it or
-raises, so syntax errors and their line and column come from one place.
+A loaded record is unread text or a plain ``EntityInstance``. The first
+read of a deferred record's ``attributes`` decodes its text once, with the
+body reader and the values the pass built, and makes it a plain record that
+keeps the text: a record that no writer has replaced saves as its own
+bytes, and only ``set_attributes``, through which every writer gives a
+record a new tuple, drops the text.
 
 An entity's attributes are one immutable tuple. Values that repeat across
 a file are built once per ``parse_step`` call and shared between the
@@ -49,8 +46,8 @@ changed in place. Nothing is cached between calls.
 Writing formats and encodes the records about a thousand at a time and
 writes each encoded chunk into one buffer, whose bytes are returned without
 a copy, so no list of every line, no list of chunks and no whole file as one
-string is built next to the bytes. A record that still holds its text, read
-or not, is written as that text. Each other reference is checked as it is
+string is built next to the bytes. A record that holds its text, read or
+not, is written as that text. Each other reference is checked as it is
 formatted, so no separate pass looks for dangling ones; a record's text was
 checked at open, and a delete reads the references of an unread record
 from its text to drop or refuse every reference to what it removes.
@@ -64,7 +61,7 @@ import operator
 import re
 import weakref
 from collections import deque
-from itertools import chain, filterfalse, islice
+from itertools import filterfalse, islice
 
 from . import schema
 from .errors import DanglingRef, DuplicateId, StepSyntaxError
@@ -174,21 +171,25 @@ class _Record:
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        # a deferred or read record shows as the EntityInstance it stands for
+        # a deferred record shows as the EntityInstance it stands for
         kind = next(c for c in type(self).__mro__ if not c.__name__.startswith("_"))
         return f"{kind.__name__}({fields})"
 
 
 class EntityInstance(_Record):
-    """One STEP record: ``#id=CLASS(attr, attr, ...);``"""
+    """One STEP record: ``#id=CLASS(attr, attr, ...);``. A record open kept
+    as text (a ``_Deferred`` one) keeps its body ``text`` once read, which
+    ``write_step`` writes until ``set_attributes`` drops it; any other
+    record's ``text`` is None."""
 
     _fields = ("id", "class_name", "attributes")
-    __slots__ = _fields + ("text",)  # ``text`` is a deferred or read record's
+    __slots__ = _fields + ("text",)
 
     def __init__(self, id: int, class_name: str, attributes: tuple):
         self.id = id
         self.class_name = class_name
         self.attributes = attributes
+        self.text = None
 
 
 _ATTRIBUTES = EntityInstance.attributes  # the slot itself, which _Deferred's property hides
@@ -196,20 +197,18 @@ _ATTRIBUTES = EntityInstance.attributes  # the slot itself, which _Deferred's pr
 
 def set_attributes(inst: EntityInstance, value: tuple):
     """Give a record a new attributes tuple. This is the one write of a
-    record that open built: it drops the text a deferred or read record
-    keeps, so a save formats the new tuple."""
-    if inst.__class__ is not EntityInstance:
-        inst.__class__ = EntityInstance
-        del inst.text
+    record that open built: it drops the record's text, so a save formats
+    the new tuple."""
+    inst.__class__ = EntityInstance
+    inst.text = None
     inst.attributes = value
 
 
 class _Deferred(EntityInstance):
-    """A record that ``parse_step`` kept as its body ``text``, which
-    ``write_step`` writes as it is. Until the first read of ``attributes``
-    decodes the text, the attributes slot holds the ``_Values`` table that
-    its file was read with. That read makes the record a ``_Read`` one,
-    and ``set_attributes`` a plain ``EntityInstance``."""
+    """A record that ``parse_step`` kept as its unread body ``text``. Until
+    the first read of ``attributes`` decodes the text, the attributes slot
+    holds the ``_Values`` table that its file was read with; that read makes
+    the record a plain ``EntityInstance``, which keeps the text."""
 
     __slots__ = ()
 
@@ -228,24 +227,15 @@ class _Deferred(EntityInstance):
             values.entities = {}
             value = _read(text, values)
         _ATTRIBUTES.__set__(self, value)
-        self.__class__ = _Read
+        self.__class__ = EntityInstance
         return value
 
     attributes = attributes.setter(set_attributes)
 
     def __reduce__(self):
-        # a copy or a pickle is of the decoded record
-        return EntityInstance, (self.id, self.class_name, self.attributes)
-
-
-class _Read(EntityInstance):
-    """A deferred record after its first read: its attributes are decoded,
-    and ``write_step`` still writes its text, which stands for them until
-    ``set_attributes`` drops it. Its attributes are read from the slot, as
-    a plain record's are."""
-
-    __slots__ = ()
-    __reduce__ = _Deferred.__reduce__
+        # a copy or a pickle is of the read record, text and all
+        self.attributes  # the read makes it a plain record
+        return self.__reduce_ex__(2)
 
 
 class _Entities(dict):
@@ -641,47 +631,34 @@ class _Parser:
         return name, args
 
 
-# --- record path ---
+# --- the DATA section's records ---
 #
-# One pattern matches a whole well-formed DATA record, and _read_body builds
-# the values of its body from the body's comma-separated items. Anything
-# either step does not fully accept goes to _Parser from the record's start,
-# which parses it or raises, so every syntax error comes from the token path.
-
-_WS = r"[ \t\r\n]*"
-# without (?!') a run of '' could also split into "end string, start
-# string", and a failed match would backtrack exponentially in the run
-_STRING = r"'[^']*(?:''[^']*)*'(?!')"
-_RECORD_RE = re.compile(
-    rf"{_WS}#(\d+){_WS}={_WS}([A-Z][A-Z0-9_]*){_WS}\(([^';]*(?:{_STRING}[^';]*)*)\){_WS};")
-_BLANKS = " \t\r\n"
-_OPENERS = "(" + _BLANKS
-_CLOSERS = ")" + _BLANKS
-
-
-# --- deferred records ---
-#
-# A record of a class that open does not read (_DEFERRED) whose whole text
-# is in the grammar of _DEFERRABLE_RE is kept as its body text, and decoded
-# at its first read. The grammar admits only what decodes, to the value the
-# other paths read: no blanks; lists one level deep; typed values of one
+# _DATA_RE's first alternative admits only what decodes, to the value the
+# token path reads: no blanks; lists one level deep; typed values of one
 # value, outside lists; references whose ids have no leading zero; $ and *;
 # enumerations; numbers of at most 18 digits before an exponent of at most
 # two, so every real is finite; and strings without an escape or a '#', so
-# every '#' of the text starts a reference. parse_step reads each run of
-# records in the grammar with one scanner.
+# every '#' of a deferred record's text starts a reference. The second
+# matches any other well-formed record whole, and _read_body reads its body.
 
-# the known classes that model.IfcModel.rebuild_indexes and model._build
-# never read: those without a GlobalId (every relationship has one)
-_DEFERRED = frozenset(name for name, attributes in schema.ATTRIBUTES.items()
-                      if attributes[:1] != ["GlobalId"])
+# the known classes that model.IfcModel.rebuild_indexes never reads: those
+# without a GlobalId (every relationship has one)
+_DEFERRED = frozenset(name for name in schema.ATTRIBUTES if not schema.is_rooted(name))
+_WS = r"[ \t\r\n]*"
 _ID_DIGITS = r"[1-9]\d{0,17}"
 _VALUE = (rf"#{_ID_DIGITS}|[$*]|-?\d{{1,18}}(?:\.\d*)?(?:E-?\d\d?)?|\.[A-Z_][A-Z0-9_]*\."
           r"|'[^'\\#]*(?:''[^'\\#]*)*'")
 _ITEM = (rf"(?:{_VALUE}|[A-Z][A-Z0-9_]*\((?:{_VALUE})\)"
          rf"|\((?:(?:{_VALUE})(?:,(?:{_VALUE}))*)?\))")
-_DEFERRABLE_RE = re.compile(rf"(?a)[ \t\r\n]*#({_ID_DIGITS})=([A-Z][A-Z0-9_]*)"
-                            rf"\(((?:{_ITEM}(?:,{_ITEM})*)?)\);")
+# without (?!') a run of '' could also split into "end string, start
+# string", and a failed match would backtrack exponentially in the run
+_STRING = r"'[^']*(?:''[^']*)*'(?!')"
+_DATA_RE = re.compile(
+    rf"(?a){_WS}(?:#({_ID_DIGITS})=([A-Z][A-Z0-9_]*)\(((?:{_ITEM}(?:,{_ITEM})*)?)\);"
+    rf"|#({_ID_DIGITS}){_WS}={_WS}([A-Z][A-Z0-9_]*){_WS}\(([^';]*(?:{_STRING}[^';]*)*)\){_WS};)")
+_BLANKS = " \t\r\n"
+_OPENERS = "(" + _BLANKS
+_CLOSERS = ")" + _BLANKS
 _REFS_CHECKED = 1024  # deferred bodies whose references parse_step checks at once
 _UNCHECKED = deque(maxlen=0)  # a deferred record's references, checked at open
 _ID = operator.attrgetter("id")
@@ -793,7 +770,7 @@ def _read_body(body: str, values: _Values) -> tuple:
     each item is read as openers, one value (or ``KEYWORD(value)``, a typed
     value) and closers; ``()`` is the only list without a value. An item
     with an odd number of quotes is joined with the next, as a comma of a
-    string split it (the record pattern matched each quote of the body as
+    string split it (``_DATA_RE`` matched each quote of the body as
     part of a string, so the body's count is even). A run cut inside a
     string leaves a piece that no value token reads, and such a body is
     read item by item."""
@@ -944,64 +921,48 @@ def parse_step(data: bytes | str) -> tuple[StepHeader, dict[int, EntityInstance]
     values = _Values(entities, refs)
     deferred: list[str] = []  # deferred bodies that hold references
     while True:
-        # a run of records in the grammar of _DEFERRABLE_RE, read with one
-        # scanner, which is made only once the run's first record matched
-        m = _DEFERRABLE_RE.match(text, pos)
-        if m is not None:
-            for m in chain((m,), iter(_DEFERRABLE_RE.scanner(text, m.end()).match, None)):
-                digits, name, body = m.groups()
+        # a run of records that _DATA_RE matches, read with one scanner
+        for m in iter(_DATA_RE.scanner(text, pos).match, None):
+            # a record out of the grammar fills the second alternative's groups
+            digits, name, body, other_digits, other_name, other_body = m.groups()
+            if digits is not None and name in _DEFERRED:
+                if "#" in body:
+                    deferred.append(body)
                 entity_id = int(digits)
-                if name in _DEFERRED:
-                    if "#" in body:
-                        deferred.append(body)
-                    inst = _Deferred(entity_id, names.setdefault(name, name), body, values)
-                else:
-                    try:
-                        inst = EntityInstance(entity_id, names.setdefault(name, name),
-                                              _read(body, values))
-                    except _Unread:
-                        break  # the record after the run reads it
-                pos = m.end()
-                if entity_id in entities:
-                    raise _duplicate(tok, pos, entity_id)
-                entities[entity_id] = inst
-        # the record after a run: out of the grammar, left by _read, or ENDSEC
-        m = _RECORD_RE.match(text, pos)
-        args = None
-        if m is not None:
-            digits, name, body = m.groups()
-            try:
+                inst = _Deferred(entity_id, names.setdefault(name, name), body, values)
+            else:
+                if digits is None:
+                    digits, name, body = other_digits, other_name, other_body
                 entity_id = int(digits)
-            except ValueError:  # more digits than int() reads
-                entity_id = 0
-            if entity_id:
                 try:
-                    args = _read(body, values)
+                    inst = EntityInstance(entity_id, names.setdefault(name, name),
+                                          _read(body, values))
                 except _Unread:
-                    pass  # the token path reads it
-        if args is not None:
-            end = m.end()
-        else:
-            tok.pos = pos
+                    break  # the token path reads it
+            pos = m.end()
+            if entity_id in entities:
+                raise _duplicate(tok, pos, entity_id)
+            entities[entity_id] = inst
+        # the token path: a record the scanner or _read left, or ENDSEC
+        tok.pos = pos
+        parser.advance()
+        kind, value = parser.current
+        if kind == _T_KEYWORD and value == "ENDSEC":
             parser.advance()
-            kind, value = parser.current
-            if kind == _T_KEYWORD and value == "ENDSEC":
-                parser.advance()
-                parser.expect_punct(";")
-                break
-            if kind != _T_REF:
-                raise parser.error(f"expected #id=... record, got {value!r}")
-            entity_id = value
-            parser.advance()
-            parser.expect_punct("=")
-            name, args = parser.parse_record()
-            args = tuple(args)
-            refs.extend(iter_refs(args))
-            end = tok.pos
+            parser.expect_punct(";")
+            break
+        if kind != _T_REF:
+            raise parser.error(f"expected #id=... record, got {value!r}")
+        entity_id = value
+        parser.advance()
+        parser.expect_punct("=")
+        name, args = parser.parse_record()
+        args = tuple(args)
+        refs.extend(iter_refs(args))
+        pos = tok.pos
         if entity_id in entities:
-            raise _duplicate(tok, end, entity_id)
+            raise _duplicate(tok, pos, entity_id)
         entities[entity_id] = EntityInstance(entity_id, names.setdefault(name, name), args)
-        pos = end
 
     parser.expect_keyword(ISO_CLOSE[:-1])
     parser.expect_punct(";")
@@ -1077,8 +1038,8 @@ def write_step(header: StepHeader, entities: dict[int, EntityInstance]) -> bytes
     """Serialize header + entities deterministically (ascending id order).
 
     The records are formatted and encoded ``_WRITE_CHUNK`` at a time, and
-    each encoded chunk is written into one buffer; a deferred record is
-    written as its own text. References are checked as they are formatted:
+    each encoded chunk is written into one buffer; a record that holds its
+    text is written as that text. References are checked as they are formatted:
     :class:`DanglingRef` lists every id that no entity has, and is raised
     before any bytes are returned.
     """
@@ -1113,9 +1074,8 @@ def write_step(header: StepHeader, entities: dict[int, EntityInstance]) -> bytes
     else:
         records = map(entities.__getitem__, sorted(entities))
     missing: set[int] = set()
-    plain = EntityInstance  # any other record still holds its text
     while chunk := "".join(
-            f"#{inst.id}={inst.class_name}({inst.text});\n" if inst.__class__ is not plain else
+            f"#{inst.id}={inst.class_name}({inst.text});\n" if inst.text is not None else
             f"#{inst.id}={inst.class_name}("
             f"{','.join([format_value(v, entities, missing) for v in inst.attributes])});\n"
             for inst in islice(records, _WRITE_CHUNK)):

@@ -33,6 +33,10 @@ def _call(session: Session, tool: str, arguments: dict) -> dict:
 
 _SLIVER_SLAB = [[1485.8959739065667, 840.0439853463674], [1485.8959763105797, 840.0439853463674],
                 [1485.8959763105797, 840.0440242337203], [1485.8959739065667, 840.0440242337203]]
+# a 1.285e-6 by 5.853e-5 m rectangle whose centre and sides, written with
+# 15 significant digits, read back with zero area
+_ROUNDED_SLAB = [[1481.2183862368638, 734.2022207268184], [1481.2183875218684, 734.2022207268184],
+                 [1481.2183875218684, 734.2022792576926], [1481.2183862368638, 734.2022792576926]]
 
 
 @pytest.mark.parametrize("tool, arguments, error", [
@@ -55,8 +59,11 @@ _SLIVER_SLAB = [[1485.8959739065667, 840.0439853463674], [1485.8959763105797, 84
     # once accepted, and no read tool could read it
     ("create_slab", {"outline": _SLIVER_SLAB, "thickness": 0.00010809353679722867},
      "DegeneratePolygon"),
+    # accepted in memory, and refused by every read tool once saved and reopened
+    ("create_slab", {"outline": _ROUNDED_SLAB, "thickness": 3.2636907620193504e-05},
+     "DegeneratePolygon"),
 ], ids=["stairs-welded-flat", "mesh-welded-collapse", "wall-chain-second-wall",
-        "mesh-welded-collinear", "slab-rectangle-reads-flat"])
+        "mesh-welded-collinear", "slab-rectangle-reads-flat", "slab-rounded-reads-flat"])
 def test_a_body_the_decoder_refuses_is_refused_before_any_write(tool, arguments, error):
     session = Session(new_model(guid_seed=31))
     before = session.model.to_bytes()

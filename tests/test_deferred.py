@@ -211,10 +211,14 @@ def test_a_dangling_reference_is_found_in_deferred_and_read_records_alike():
 
 # --- runs of records in the grammar ---
 
-# records a run's scanner does not match: the one already at that place with
-# a blank after its '=', or a new record with a nested list or an escape
-_OUT_OF_GRAMMAR = {"blank": None, "nested list": "#9000=IFCX((1,(2.,'a')));",
-                   "escape": "#9000=IFCPROPERTYSINGLEVALUE('\\X2\\00FC\\X0\\',$,IFCLABEL('x'),$);"}
+# records out of the grammar of a run: a blank after the '=' of that many
+# records from that place on (read by the scanner's second alternative), a
+# new record with a nested list, an escape or a ';' in a string, or one that
+# only the token path reads, as a comment sends the record after it there
+_OUT_OF_GRAMMAR = {"blank": 1, "blank run": 3, "nested list": "#9000=IFCX((1,(2.,'a')));",
+                   "escape": "#9000=IFCPROPERTYSINGLEVALUE('\\X2\\00FC\\X0\\',$,IFCLABEL('x'),$);",
+                   "leading zero": "#09000=IFCX(1);", "19-digit id": "#1234567890123456789=IFCX(1);",
+                   "comment": "/* a;b */", "semicolon in string": "#9000=IFCX( 'a;b');"}
 
 
 def _record_line(lines: list[str], where: str) -> int:
@@ -228,25 +232,34 @@ def _record_line(lines: list[str], where: str) -> int:
 def test_a_record_out_of_the_grammar_ends_a_run_and_opens_as_the_token_path_reads_it(kind, where):
     lines = _kit_text().split("\n")
     index = _record_line(lines, where)
-    if _OUT_OF_GRAMMAR[kind] is None:
-        lines[index] = lines[index].replace("=", "= ", 1)
+    change = _OUT_OF_GRAMMAR[kind]
+    if isinstance(change, int):
+        index -= (change - 1) * (where == "end")
+        changed = range(index, index + change)
+        for n in changed:
+            lines[n] = lines[n].replace("=", "= ", 1)
     else:
         index += where == "end"
-        lines.insert(index, _OUT_OF_GRAMMAR[kind])
+        lines.insert(index, change)
+        # the token path reads the record after a comment too
+        changed = [index, index + 1] if change.startswith("/*") else [index]
     text = "\n".join(lines)
     outcome = _open_text(text)
     assert outcome[0] == "ok" and outcome == _outcome(lambda: load_model(_token_path(text)))
-    # the record is decoded at open, and the runs around it keep the others
+    # the records are decoded at open, and the runs around them keep the others
+    out = {int(re.match(r"#(\d+)", lines[n])[1]) for n in changed if lines[n].startswith("#")}
     model = load_model(text)
     for entity_id, inst in model.entities.items():
-        out = lines[index].startswith(f"#{entity_id}=")
-        assert isinstance(inst, step._Deferred) is (inst.class_name in step._DEFERRED and not out)
+        assert isinstance(inst, step._Deferred) is \
+            (inst.class_name in step._DEFERRED and entity_id not in out)
 
 
 @pytest.mark.parametrize("where", ["start", "middle", "end"])
 @pytest.mark.parametrize("record", [
-    "copy", "copy@", "#9000=IFCX(1,);", "#9000=IFCX('a);", "#9000=IFCX(1)", "#0=IFCX(1);",
-    "#9000=ifcx(1);", "#9000=IFCX(1.E400);", "#9000=IFCX(1);@"])
+    "copy", "copy@", "blank copy", "#9000=IFCX(1,);", "#9000=IFCX('a);", "#9000=IFCX(1)",
+    "#0=IFCX(1);", "#9000=ifcx(1);", "#9000=IFCX(1.E400);", "#9000=IFCX(1);@",
+    "#9000= IFCX(1,);", "#01=IFCX(1,);", "#1234567890123456789=IFCX(1,);",
+    "/* a;b */ #9000=IFCX(1,);", "#9000=IFCX( 'a;b',);"])
 def test_an_error_in_or_after_a_run_is_the_token_path_s_error(record, where):
     lines = _kit_text().split("\n")
     index = _record_line(lines, where)
@@ -254,6 +267,8 @@ def test_an_error_in_or_after_a_run_is_the_token_path_s_error(record, where):
         # a copy of the record before it: a DuplicateId inside a run, or,
         # with a bad token after it, the syntax error of that token
         record = lines[index] + record[4:]
+    elif record == "blank copy":  # a DuplicateId the second alternative reads
+        record = lines[index].replace("=", "= ", 1)
     lines.insert(index + 1, record)
     text = "\n".join(lines)
     outcome = _open_text(text)

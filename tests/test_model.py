@@ -114,8 +114,18 @@ def test_load_seeds_name_counters_past_existing_names():
     builders.create_wall(model, (6, 0), (6, 2), 2.5, 0.2, name="Wall_X")
     data = model.to_bytes().replace(b"'Wall_X'", b"'Wall_\\S\\2'")
     reloaded = load_model(data)
-    assert reloaded._name_counters == {"Wall": 41}
+    assert reloaded._name_counters == {}
     assert reloaded.next_name("IFCWALL") == "Wall_042"
+
+
+def test_the_first_auto_name_of_a_class_counts_past_the_names_it_holds():
+    model = new_model(guid_seed=12)
+    builders.create_wall(model, (0, 0), (0, 2), 2.5, 0.2, name="Wall_041")
+    builders.create_slab(model, [(0, 0), (1, 0), (1, 1)], 0.2, name="Slab_007")
+    wall = builders.create_wall(model, (1, 0), (1, 2), 2.5, 0.2)
+    assert model.require_guid(wall).attributes[2] == "Wall_042"
+    assert model.next_name("IFCSLAB") == "Slab_008"
+    assert model.next_name("IFCDOOR") == "Door_001"
 
 
 def test_edit_attributes_description(fresh_model):

@@ -453,7 +453,8 @@ def test_write_parse_write_round_trip_property(header, classes, attributes):
     assert write_step(*parse_step(data)) == data
 
 
-# --- record path: well-formed records take it, the rest the token path ---
+# --- record path: a record the scanner matches is read from its body, the
+# rest by the token path ---
 
 def _outcome(text):
     try:
